@@ -21,7 +21,9 @@
 // > 1.5× faster — on smaller machines the numbers are recorded without
 // the speedup gate.
 //
-// `--smoke` shrinks all parts for the `perf`-labeled ctest smoke.
+// `--smoke` shrinks all parts for the `perf`-labeled ctest smoke and gates
+// only the deterministic invariants (identical builds, full cache hits);
+// the speedup thresholds are judged by the full run alone.
 
 #include <algorithm>
 #include <cstring>
@@ -271,14 +273,20 @@ int main(int argc, char** argv) {
   std::cout << "[bench-json] wrote section bench_fig3_aliqan_phases to "
             << bench::BenchJsonPath() << "\n";
 
-  // Shape checks: (1) the indexation-time analysis must pay for itself ≥ 2×
-  // in the search phase, with every extraction sentence served from cache;
-  // (2) parallel indexation must be byte-identical to serial at every
-  // thread count; (3) on hardware with ≥ 4 cores, 4 threads must index
-  // > 1.5× faster (on smaller machines the speedup is recorded unchecked —
-  // there is nothing to scale onto).
-  bool shape_ok = speedup >= 2.0 && hit_rate == 1.0 && identical;
-  if (hw_threads >= 4 && speedup_4t <= 1.5) {
+  // Shape checks: (1) every extraction sentence is served from the cache
+  // and (2) parallel indexation is byte-identical to serial at every thread
+  // count. The full run also gates the speedups: (3) the indexation-time
+  // analysis must pay for itself >= 2x in the search phase, and (4) on
+  // hardware with >= 4 cores, 4 threads must index > 1.5x faster. --smoke
+  // runs under `ctest -j` beside other tests, where timings are noise, so
+  // it reports the speedups without gating them.
+  bool shape_ok = hit_rate == 1.0 && identical;
+  if (!smoke && speedup < 2.0) {
+    std::cout << "[shape check] reanalyze/cached speedup "
+              << FormatDouble(speedup, 2) << "x < 2x\n";
+    shape_ok = false;
+  }
+  if (!smoke && hw_threads >= 4 && speedup_4t <= 1.5) {
     std::cout << "[shape check] 4-thread speedup " << FormatDouble(speedup_4t, 2)
               << "x <= 1.5x on " << hw_threads << "-thread hardware\n";
     shape_ok = false;

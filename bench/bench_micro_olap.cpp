@@ -97,7 +97,8 @@ BENCHMARK(BM_RollUpDerivation);
 
 // ---------------------------------------------------------------------------
 // Materialized-view sweep: the same canonical BI aggregate answered by a
-// full recompute vs a view read, at 1k and 10k facts. The acceptance bar
+// full recompute vs a view read, at 1k to 1M facts (the `perf` ctest smoke
+// filters out the 100k and 1M points). The acceptance bar
 // is the ratio: a view read must be ≥50x faster than BM_GroupByLevelAtScale
 // at 10k facts (it reads ~10 groups instead of scanning every row).
 // ---------------------------------------------------------------------------
@@ -180,7 +181,11 @@ void BM_GroupByLevelAtScale(benchmark::State& state) {
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * state.range(0));
 }
-BENCHMARK(BM_GroupByLevelAtScale)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_GroupByLevelAtScale)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Arg(1000000);
 
 void BM_ViewReadAtScale(benchmark::State& state) {
   ScaledCube& cube = CubeAtScale(size_t(state.range(0)));
@@ -190,7 +195,11 @@ void BM_ViewReadAtScale(benchmark::State& state) {
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * state.range(0));
 }
-BENCHMARK(BM_ViewReadAtScale)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_ViewReadAtScale)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Arg(1000000);
 
 /// Per-insert cost of the fact append alone (arg 0) vs append + delta
 /// maintenance of the full derived view set (arg 1) — the write-side price

@@ -33,8 +33,8 @@ ctest --test-dir "$ROOT/$BUILD_DIR" --output-on-failure
 
 # Perf smoke: the fig3 phase study (--smoke) plus one repetition of each
 # microbench, all merging into one bench-JSON artifact. Fails when a bench
-# breaks, when the JSON reporter breaks, or when the indexation-time
-# analysis stops paying for itself (fig3's ≥2x speedup shape check).
+# breaks, when the JSON reporter breaks, or when a smoke's deterministic
+# shape check fails (fig3: identical parallel builds, full cache hits).
 echo
 echo "##### perf smoke (ctest -L perf) → $BUILD_DIR/BENCH_phase3.json #####"
 DWQA_BENCH_JSON="$ROOT/$BUILD_DIR/BENCH_phase3.json" \
@@ -60,82 +60,34 @@ if [ -n "$SANITIZE" ]; then
   UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
     ctest --test-dir "$ROOT/$SAN_DIR" --output-on-failure
 
-  # The fault-injection suite once more, alone and loudly: the chaos label
-  # is the contract that these tests exist and run sanitized. The exit
-  # status is propagated explicitly — `set -e` does not survive callers
-  # that pipe this script (only the last pipeline member's status counts),
-  # so a swallowed chaos failure here once faked a green sweep.
-  echo
-  echo "##### chaos suite under sanitizers (ctest -L chaos) #####"
-  if ! ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}" \
-       UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
-       ctest --test-dir "$ROOT/$SAN_DIR" -L chaos --output-on-failure; then
-    echo "check.sh: chaos suite FAILED under -fsanitize=$SANITIZE" >&2
-    exit 1
-  fi
-
-  # The serving layer once more under the sanitizers, same contract as the
-  # chaos label: the suite must exist, and admission/cache/drain must be
-  # clean under -fsanitize, not just in the plain build.
-  echo
-  echo "##### serving suite under sanitizers (ctest -L serve) #####"
-  if ! ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}" \
-       UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
-       ctest --test-dir "$ROOT/$SAN_DIR" -L serve --output-on-failure; then
-    echo "check.sh: serving suite FAILED under -fsanitize=$SANITIZE" >&2
-    exit 1
-  fi
-
-  # The durability layer once more under the sanitizers: the WAL parser,
-  # the recovery replay and above all the crash-point sweep (every mutating
-  # fs op × {stop, torn-write}) must be clean under -fsanitize — torn and
-  # bit-flipped inputs are exactly where parsers walk off buffers.
-  echo
-  echo "##### durability suite under sanitizers (ctest -L durability) #####"
-  if ! ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}" \
-       UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
-       ctest --test-dir "$ROOT/$SAN_DIR" -L durability --output-on-failure; then
-    echo "check.sh: durability suite FAILED under -fsanitize=$SANITIZE" >&2
-    exit 1
-  fi
-
-  # The segmented-index suite once more under the sanitizers: delta+varint
-  # decoding, block skipping and the merge/query races are exactly where
-  # an off-by-one walks off a postings buffer.
-  echo
-  echo "##### segmented-index suite under sanitizers (ctest -L index) #####"
-  if ! ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}" \
-       UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
-       ctest --test-dir "$ROOT/$SAN_DIR" -L index --output-on-failure; then
-    echo "check.sh: segmented-index suite FAILED under -fsanitize=$SANITIZE" >&2
-    exit 1
-  fi
-
-  # The materialized-view suite once more under the sanitizers: delta
-  # maintenance mutating shared AggStates under the catalog lock, the
-  # chaos-fed equivalence sweep and the crash-point view-recovery sweep
-  # must be clean under -fsanitize, not just byte-identical.
-  echo
-  echo "##### materialized-view suite under sanitizers (ctest -L views) #####"
-  if ! ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}" \
-       UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
-       ctest --test-dir "$ROOT/$SAN_DIR" -L views --output-on-failure; then
-    echo "check.sh: materialized-view suite FAILED under -fsanitize=$SANITIZE" >&2
-    exit 1
-  fi
-
-  # The federation suite once more under the sanitizers: cross-warehouse
-  # merges reassociate shared AggStates, the fan-out path runs sub-queries
-  # on pool threads, and the chaos-degraded coverage paths are exactly
-  # where a partial result could read a dead partial aggregate.
-  echo
-  echo "##### federation suite under sanitizers (ctest -L federation) #####"
-  if ! ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}" \
-       UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
-       ctest --test-dir "$ROOT/$SAN_DIR" -L federation --output-on-failure; then
-    echo "check.sh: federation suite FAILED under -fsanitize=$SANITIZE" >&2
-    exit 1
-  fi
+  # Each labeled suite once more under the sanitizers, alone and loudly:
+  # the label is the contract that the suite exists and runs sanitized.
+  #   chaos       fault-injection sweeps over the whole pipeline
+  #   serve       admission, answer cache and drain
+  #   durability  the WAL parser, recovery replay and the crash-point sweep
+  #               (torn and bit-flipped inputs walk parsers off buffers)
+  #   index       delta+varint decoding, block skipping, merge/query races
+  #   views       delta maintenance of shared AggStates under the catalog
+  #               lock, the chaos-fed and crash-point view sweeps
+  #   federation  cross-warehouse merges of partial aggregates, pool
+  #               fan-out, chaos-degraded coverage
+  # The exit status is propagated explicitly — `set -e` does not survive
+  # callers that pipe this script (only the last pipeline member's status
+  # counts), so a swallowed chaos failure here once faked a green sweep.
+  for suite in chaos:chaos serve:serving durability:durability \
+               index:segmented-index views:materialized-view \
+               federation:federation; do
+    label="${suite%%:*}"
+    name="${suite#*:}"
+    echo
+    echo "##### $name suite under sanitizers (ctest -L $label) #####"
+    if ! ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}" \
+         UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
+         ctest --test-dir "$ROOT/$SAN_DIR" -L "$label" --output-on-failure; then
+      echo "check.sh: $name suite FAILED under -fsanitize=$SANITIZE" >&2
+      exit 1
+    fi
+  done
 fi
 
 if [ "${DWQA_SKIP_BENCHES:-0}" != 1 ]; then

@@ -20,6 +20,16 @@ std::string ToLower(std::string_view s) {
   return out;
 }
 
+bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    // Equal bytes skip the (comparatively slow) tolower calls.
+    const unsigned char x = a[i], y = b[i];
+    if (x != y && std::tolower(x) != std::tolower(y)) return false;
+  }
+  return true;
+}
+
 std::string ToUpper(std::string_view s) {
   std::string out(s);
   std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {

@@ -11,6 +11,10 @@ namespace dwqa {
 /// ASCII apart from the degree sign, which is passed through unchanged).
 std::string ToLower(std::string_view s);
 
+/// True if `a` and `b` are equal after ASCII lowercasing (ToLower(a) ==
+/// ToLower(b)), without allocating either copy.
+bool EqualsIgnoreCase(std::string_view a, std::string_view b);
+
 /// ASCII-uppercased copy of `s`.
 std::string ToUpper(std::string_view s);
 

@@ -1,14 +1,15 @@
 #include "dw/federation/federated_engine.h"
 
+#include <cstdint>
 #include <future>
 #include <map>
 #include <set>
-#include <unordered_set>
 #include <utility>
 
 #include "common/metric_names.h"
 #include "common/string_util.h"
 #include "dw/cost_estimator.h"
+#include "dw/grouping.h"
 #include "dw/materialized_view.h"
 
 namespace dwqa {
@@ -46,107 +47,18 @@ struct SubPlan {
   bool zero_contribution = false;
 };
 
-/// OlapEngine::Execute with a conflict-exclusion set: identical scan, but
-/// excluded fact rows are skipped (they do not exist in the merged oracle,
-/// so they must not exist here either). Mirrors dw/olap.cc.
-Result<OlapResult> ExecuteWithExclusions(const Warehouse& wh,
-                                         const OlapQuery& query,
-                                         const std::set<size_t>& excluded) {
-  DWQA_ASSIGN_OR_RETURN(const FactDef* fact,
-                        wh.schema().FindFact(query.fact));
-  DWQA_ASSIGN_OR_RETURN(const Table* ftab, wh.FactTable(query.fact));
-  std::vector<size_t> measure_cols;
-  for (const QueryMeasure& qm : query.measures) {
-    DWQA_ASSIGN_OR_RETURN(size_t mi, fact->MeasureIndex(qm.measure));
-    measure_cols.push_back(fact->roles.size() + mi);
-  }
-  struct Axis {
-    size_t fk_col;
-    std::string dimension;
-    std::string level;
-  };
-  std::vector<Axis> axes;
-  for (const GroupBy& g : query.group_by) {
-    DWQA_ASSIGN_OR_RETURN(size_t ri, fact->RoleIndex(g.role));
-    axes.push_back({ri, fact->roles[ri].dimension, g.level});
-  }
-  struct ResolvedFilter {
-    size_t fk_col;
-    std::string dimension;
-    std::string level;
-    std::unordered_set<std::string> values;
-  };
-  std::vector<ResolvedFilter> filters;
-  for (const Filter& f : query.filters) {
-    DWQA_ASSIGN_OR_RETURN(size_t ri, fact->RoleIndex(f.role));
-    ResolvedFilter rf{ri, fact->roles[ri].dimension, f.level, {}};
-    for (const std::string& v : f.values) rf.values.insert(ToLower(v));
-    filters.push_back(std::move(rf));
-  }
-  std::map<std::vector<std::string>, std::vector<AggState>> groups;
-  OlapResult result;
-  result.facts_scanned = ftab->row_count() - excluded.size();
-  for (size_t r = 0; r < ftab->row_count(); ++r) {
-    if (excluded.count(r)) continue;
-    bool keep = true;
-    for (const ResolvedFilter& f : filters) {
-      MemberId member =
-          static_cast<MemberId>(ftab->Get(r, f.fk_col).as_int());
-      DWQA_ASSIGN_OR_RETURN(
-          std::string v, wh.MemberLevelValue(f.dimension, member, f.level));
-      if (!f.values.count(ToLower(v))) {
-        keep = false;
-        break;
-      }
-    }
-    if (!keep) continue;
-    ++result.facts_matched;
-    std::vector<std::string> key;
-    for (const Axis& a : axes) {
-      MemberId member =
-          static_cast<MemberId>(ftab->Get(r, a.fk_col).as_int());
-      DWQA_ASSIGN_OR_RETURN(
-          std::string v, wh.MemberLevelValue(a.dimension, member, a.level));
-      key.push_back(std::move(v));
-    }
-    auto [it, inserted] =
-        groups.try_emplace(std::move(key), query.measures.size());
-    for (size_t m = 0; m < measure_cols.size(); ++m) {
-      it->second[m].Add(ftab->column(measure_cols[m]).GetDouble(r));
-    }
-  }
-  for (const GroupBy& g : query.group_by) {
-    result.headers.push_back(g.role + "." + g.level);
-  }
-  for (const QueryMeasure& qm : query.measures) {
-    result.headers.push_back(std::string(AggFnName(qm.agg)) + "(" +
-                             qm.measure + ")");
-  }
-  for (const auto& [key, states] : groups) {
-    std::vector<Value> row;
-    for (const std::string& k : key) row.emplace_back(k);
-    for (size_t m = 0; m < states.size(); ++m) {
-      row.push_back(states[m].Finish(query.measures[m].agg));
-    }
-    result.rows.push_back(std::move(row));
-  }
-  return result;
-}
-
-/// Runs one member's sub-query: exclusion-aware scan when a conflict policy
-/// removed rows, otherwise view-first with a recompute fallback (each
-/// member honors its own materialized-view catalog).
-Result<OlapResult> RunSubquery(const SubPlan& plan) {
-  if (!plan.excluded.empty()) {
-    return ExecuteWithExclusions(*plan.warehouse, plan.subquery,
-                                 plan.excluded);
-  }
-  if (plan.warehouse->views() != nullptr) {
-    Result<OlapResult> from_view =
-        plan.warehouse->views()->Answer(plan.subquery);
+/// Runs one member's sub-query through the grouping kernel, shipping
+/// finished AggStates rather than rendered rows. A conflict policy's
+/// excluded rows exist only in the base facts, so such a member scans;
+/// otherwise it is view-first (each member honors its own
+/// materialized-view catalog) with a scan fallback.
+Result<GroupedStates> RunSubquery(const SubPlan& plan) {
+  if (plan.excluded.empty() && plan.warehouse->views() != nullptr) {
+    Result<GroupedStates> from_view =
+        plan.warehouse->views()->Group(plan.subquery);
     if (from_view.ok()) return from_view;
   }
-  return OlapEngine(plan.warehouse).Execute(plan.subquery);
+  return GroupFacts(*plan.warehouse, plan.subquery, plan.excluded);
 }
 
 }  // namespace
@@ -166,12 +78,12 @@ Status FederatedEngine::AddRemote(std::string name, const Warehouse* remote,
   if (remote == nullptr) {
     return Status::InvalidArgument("remote warehouse must not be null");
   }
-  if (ToLower(name) == ToLower(local_name_)) {
+  if (EqualsIgnoreCase(name, local_name_)) {
     return Status::AlreadyExists("member name '" + name +
                                  "' collides with the local warehouse");
   }
   for (const Remote& r : remotes_) {
-    if (ToLower(r.name) == ToLower(name)) {
+    if (EqualsIgnoreCase(r.name, name)) {
       return Status::AlreadyExists("member name '" + name +
                                    "' already registered");
     }
@@ -190,6 +102,13 @@ Result<FederatedResult> FederatedEngine::Execute(
   }
 
   FederatedResult out;
+  auto count_subquery = [&](const std::string& member, const char* outcome) {
+    if (metrics_ == nullptr) return;
+    metrics_
+        ->GetCounter(kMetricFedSubqueries,
+                     {{"warehouse", member}, {"outcome", outcome}})
+        ->Increment();
+  };
   Span plan_span(trace_, "fed.plan");
   plan_span.Annotate("fact", query.fact);
   plan_span.Annotate("members",
@@ -199,14 +118,7 @@ Result<FederatedResult> FederatedEngine::Execute(
   // vocabulary), mirroring the OLAP engine's resolution errors.
   DWQA_ASSIGN_OR_RETURN(const FactDef* lfact,
                         local_->schema().FindFact(query.fact));
-  for (const Having& h : query.having) {
-    if (h.measure_index >= query.measures.size()) {
-      return Status::InvalidArgument(
-          "HAVING refers to measure index " +
-          std::to_string(h.measure_index) + ", query has " +
-          std::to_string(query.measures.size()));
-    }
-  }
+  DWQA_RETURN_NOT_OK(ValidateHaving(query));
 
   // Distinct underlying measures, in first-mention order; every original
   // measure indexes into this list.
@@ -216,38 +128,61 @@ Result<FederatedResult> FederatedEngine::Execute(
     DWQA_RETURN_NOT_OK(lfact->MeasureIndex(qm.measure).status());
     size_t slot = underlying.size();
     for (size_t u = 0; u < underlying.size(); ++u) {
-      if (ToLower(underlying[u]) == ToLower(qm.measure)) slot = u;
+      if (EqualsIgnoreCase(underlying[u], qm.measure)) slot = u;
     }
     if (slot == underlying.size()) underlying.push_back(qm.measure);
     orig_to_underlying.push_back(slot);
   }
-  // The axis/filter vocabulary must resolve locally too.
-  for (const GroupBy& g : query.group_by) {
-    DWQA_ASSIGN_OR_RETURN(size_t ri, lfact->RoleIndex(g.role));
+  // The axis/filter vocabulary must resolve locally too; `land` then says
+  // how a local (role, level) lands on a remote member: on the sentinel
+  // (no role), on nulls (no level) or on a mapped level, where a pair of
+  // base levels carries member spellings the member map canonicalizes.
+  struct Landing {
+    const RoleMapping* role = nullptr;
+    const DimensionMapping* dim = nullptr;
+    const LevelMapping* level = nullptr;
+    bool base_pair = false;
+  };
+  auto local_level = [&](const std::string& role, const std::string& level)
+      -> Result<const DimensionDef*> {
+    DWQA_ASSIGN_OR_RETURN(size_t ri, lfact->RoleIndex(role));
     DWQA_ASSIGN_OR_RETURN(
         const DimensionDef* dim,
         local_->schema().FindDimension(lfact->roles[ri].dimension));
-    DWQA_RETURN_NOT_OK(dim->LevelIndex(g.level).status());
+    DWQA_RETURN_NOT_OK(dim->LevelIndex(level).status());
+    return dim;
+  };
+  auto land = [&](const Remote& r, const FactMapping& fm,
+                  const std::string& role,
+                  const std::string& level) -> Result<Landing> {
+    DWQA_ASSIGN_OR_RETURN(const DimensionDef* ld, local_level(role, level));
+    Landing l;
+    l.role = fm.FindLocalRole(role);
+    if (l.role != nullptr) l.dim = r.mapping.FindLocalDimension(ld->name);
+    if (l.dim == nullptr) return Landing{};
+    l.level = l.dim->FindLocalLevel(level);
+    if (l.level == nullptr) return l;
+    DWQA_ASSIGN_OR_RETURN(
+        const DimensionDef* rd,
+        r.warehouse->schema().FindDimension(l.dim->remote_dimension));
+    l.base_pair =
+        EqualsIgnoreCase(level, ld->levels.front().name) &&
+        EqualsIgnoreCase(l.level->remote_level, rd->levels.front().name);
+    return l;
+  };
+  for (const GroupBy& g : query.group_by) {
+    DWQA_RETURN_NOT_OK(local_level(g.role, g.level).status());
   }
   for (const Filter& f : query.filters) {
-    DWQA_ASSIGN_OR_RETURN(size_t ri, lfact->RoleIndex(f.role));
-    DWQA_ASSIGN_OR_RETURN(
-        const DimensionDef* dim,
-        local_->schema().FindDimension(lfact->roles[ri].dimension));
-    DWQA_RETURN_NOT_OK(dim->LevelIndex(f.level).status());
+    DWQA_RETURN_NOT_OK(local_level(f.role, f.level).status());
   }
 
-  // Expand each underlying measure into the four components of its
-  // aggregation state: sub-queries ship AggStates, not finished values.
-  auto expand_measures = [](const std::vector<std::string>& names) {
-    std::vector<QueryMeasure> expanded;
-    for (const std::string& name : names) {
-      expanded.push_back({name, AggFn::kSum});
-      expanded.push_back({name, AggFn::kCount});
-      expanded.push_back({name, AggFn::kMin});
-      expanded.push_back({name, AggFn::kMax});
-    }
-    return expanded;
+  // One sub-query measure per underlying measure: sub-queries ship whole
+  // AggStates, so the aggregate function is only applied after the merge.
+  auto state_measures = [](const std::vector<std::string>& names) {
+    std::vector<QueryMeasure> measures;
+    for (const std::string& name : names) measures.push_back({name});
+    return measures;
   };
 
   std::vector<SubPlan> plans;
@@ -258,7 +193,7 @@ Result<FederatedResult> FederatedEngine::Execute(
   local_plan.warehouse = local_;
   local_plan.chaos = local_chaos_;
   local_plan.subquery.fact = query.fact;
-  local_plan.subquery.measures = expand_measures(underlying);
+  local_plan.subquery.measures = state_measures(underlying);
   local_plan.subquery.group_by = query.group_by;
   local_plan.subquery.filters = query.filters;
   local_plan.axes.assign(query.group_by.size(), AxisPlan{});
@@ -270,12 +205,7 @@ Result<FederatedResult> FederatedEngine::Execute(
     if (fm == nullptr) {
       out.coverage.missing.push_back(
           {r.name, "no schema mapping for fact '" + query.fact + "'"});
-      if (metrics_ != nullptr) {
-        metrics_
-            ->GetCounter(kMetricFedSubqueries,
-                         {{"warehouse", r.name}, {"outcome", "skipped"}})
-            ->Increment();
-      }
+      count_subquery(r.name, "skipped");
       continue;
     }
     SubPlan plan;
@@ -296,86 +226,56 @@ Result<FederatedResult> FederatedEngine::Execute(
           {r.name, "a queried measure is not mapped"});
       continue;
     }
-    plan.subquery.measures = expand_measures(remote_measures);
+    plan.subquery.measures = state_measures(remote_measures);
 
     for (const GroupBy& g : query.group_by) {
-      DWQA_ASSIGN_OR_RETURN(size_t ri, lfact->RoleIndex(g.role));
-      const std::string& dim_name = lfact->roles[ri].dimension;
-      const RoleMapping* rm = fm->FindLocalRole(g.role);
-      const DimensionMapping* dm =
-          rm == nullptr ? nullptr : r.mapping.FindLocalDimension(dim_name);
-      const LevelMapping* lm =
-          dm == nullptr ? nullptr : dm->FindLocalLevel(g.level);
-      if (rm == nullptr || dm == nullptr) {
-        plan.axes.push_back({AxisKind::kSentinel, nullptr});
+      DWQA_ASSIGN_OR_RETURN(Landing l, land(r, *fm, g.role, g.level));
+      if (l.role == nullptr || l.level == nullptr) {
+        plan.axes.push_back(
+            {l.role == nullptr ? AxisKind::kSentinel : AxisKind::kNull});
         continue;
       }
-      if (lm == nullptr) {
-        plan.axes.push_back({AxisKind::kNull, nullptr});
-        continue;
-      }
-      DWQA_ASSIGN_OR_RETURN(
-          const DimensionDef* ld, local_->schema().FindDimension(dim_name));
-      DWQA_ASSIGN_OR_RETURN(
-          const DimensionDef* rd,
-          r.warehouse->schema().FindDimension(dm->remote_dimension));
-      const bool base_pair =
-          ToLower(g.level) == ToLower(ld->levels.front().name) &&
-          ToLower(lm->remote_level) == ToLower(rd->levels.front().name);
-      plan.subquery.group_by.push_back({rm->remote_role, lm->remote_level});
-      plan.axes.push_back({base_pair ? AxisKind::kValueTranslated
-                                     : AxisKind::kValue,
-                           base_pair ? &dm->member_map : nullptr});
+      plan.subquery.group_by.push_back(
+          {l.role->remote_role, l.level->remote_level});
+      plan.axes.push_back({l.base_pair ? AxisKind::kValueTranslated
+                                       : AxisKind::kValue,
+                           l.base_pair ? &l.dim->member_map : nullptr});
     }
 
     for (const Filter& f : query.filters) {
       if (plan.zero_contribution) break;
-      DWQA_ASSIGN_OR_RETURN(size_t ri, lfact->RoleIndex(f.role));
-      const std::string& dim_name = lfact->roles[ri].dimension;
-      const RoleMapping* rm = fm->FindLocalRole(f.role);
-      const DimensionMapping* dm =
-          rm == nullptr ? nullptr : r.mapping.FindLocalDimension(dim_name);
-      const LevelMapping* lm =
-          dm == nullptr ? nullptr : dm->FindLocalLevel(f.level);
+      DWQA_ASSIGN_OR_RETURN(Landing l, land(r, *fm, f.role, f.level));
       auto contains = [&](const std::string& needle) {
         for (const std::string& v : f.values) {
-          if (ToLower(v) == ToLower(needle)) return true;
+          if (EqualsIgnoreCase(v, needle)) return true;
         }
         return false;
       };
-      if (rm == nullptr || dm == nullptr) {
+      if (l.role == nullptr) {
         // Every remote fact sits on the sentinel along this axis: the
         // filter either passes all remote rows or none of them.
         if (!contains(kUnattributedMember)) plan.zero_contribution = true;
         continue;
       }
-      if (lm == nullptr) {
+      if (l.level == nullptr) {
         // Remote members are null at this level ("" after rendering).
         if (!contains("")) plan.zero_contribution = true;
         continue;
       }
-      DWQA_ASSIGN_OR_RETURN(
-          const DimensionDef* ld, local_->schema().FindDimension(dim_name));
-      DWQA_ASSIGN_OR_RETURN(
-          const DimensionDef* rd,
-          r.warehouse->schema().FindDimension(dm->remote_dimension));
-      const bool base_pair =
-          ToLower(f.level) == ToLower(ld->levels.front().name) &&
-          ToLower(lm->remote_level) == ToLower(rd->levels.front().name);
-      Filter translated{rm->remote_role, lm->remote_level, {}};
-      if (!base_pair) {
+      Filter translated{l.role->remote_role, l.level->remote_level, {}};
+      if (!l.base_pair) {
         translated.values = f.values;  // Vocabularies agree above base.
       } else {
         for (const std::string& v : f.values) {
           // Remote spellings whose canonical local form is this value…
-          for (const auto& [remote_lower, canonical] : dm->member_map) {
-            if (ToLower(canonical) == ToLower(v)) {
+          for (const auto& [remote_lower, canonical] : l.dim->member_map) {
+            if (EqualsIgnoreCase(canonical, v)) {
               translated.values.push_back(remote_lower);
             }
           }
           // …plus the value itself unless it is a remote spelling of a
           // *different* local member (then matching it would double count).
-          if (!dm->member_map.count(ToLower(v))) {
+          if (!l.dim->member_map.count(ToLower(v))) {
             translated.values.push_back(v);
           }
         }
@@ -430,19 +330,14 @@ Result<FederatedResult> FederatedEngine::Execute(
   Span fanout_span(trace_, "fed.fanout");
   struct Dispatched {
     const SubPlan* plan;
-    std::future<Result<OlapResult>> future;
+    std::future<Result<GroupedStates>> future;
   };
   std::vector<Dispatched> dispatched;
   for (const SubPlan& plan : plans) {
     if (plan.zero_contribution) {
       // The translated filter proved this member's share empty: exact.
       ++out.coverage.answered;
-      if (metrics_ != nullptr) {
-        metrics_
-            ->GetCounter(kMetricFedSubqueries,
-                         {{"warehouse", plan.name}, {"outcome", "skipped"}})
-            ->Increment();
-      }
+      count_subquery(plan.name, "skipped");
       continue;
     }
     if (plan.chaos != nullptr) {
@@ -453,12 +348,7 @@ Result<FederatedResult> FederatedEngine::Execute(
       }
       if (!chaos_status.ok()) {
         out.coverage.missing.push_back({plan.name, chaos_status.message()});
-        if (metrics_ != nullptr) {
-          metrics_
-              ->GetCounter(kMetricFedSubqueries,
-                           {{"warehouse", plan.name}, {"outcome", "error"}})
-              ->Increment();
-        }
+        count_subquery(plan.name, "error");
         continue;
       }
     }
@@ -467,7 +357,7 @@ Result<FederatedResult> FederatedEngine::Execute(
             ? nullptr
             : metrics_->GetHistogram(kMetricFedSubqueryLatency,
                                      {{"warehouse", plan.name}});
-    auto task = [&plan, latency]() -> Result<OlapResult> {
+    auto task = [&plan, latency]() -> Result<GroupedStates> {
       ScopedLatencyTimer timer(latency);
       return RunSubquery(plan);
     };
@@ -477,27 +367,17 @@ Result<FederatedResult> FederatedEngine::Execute(
     dispatched.push_back(std::move(d));
   }
 
-  std::vector<std::pair<const SubPlan*, OlapResult>> sub_results;
+  std::vector<std::pair<const SubPlan*, GroupedStates>> sub_results;
   for (Dispatched& d : dispatched) {
-    Result<OlapResult> result = d.future.get();
+    Result<GroupedStates> result = d.future.get();
     if (!result.ok()) {
       out.coverage.missing.push_back(
           {d.plan->name, result.status().message()});
-      if (metrics_ != nullptr) {
-        metrics_
-            ->GetCounter(kMetricFedSubqueries, {{"warehouse", d.plan->name},
-                                                {"outcome", "error"}})
-            ->Increment();
-      }
+      count_subquery(d.plan->name, "error");
       continue;
     }
     ++out.coverage.answered;
-    if (metrics_ != nullptr) {
-      metrics_
-          ->GetCounter(kMetricFedSubqueries,
-                       {{"warehouse", d.plan->name}, {"outcome", "ok"}})
-          ->Increment();
-    }
+    count_subquery(d.plan->name, "ok");
     sub_results.emplace_back(d.plan, std::move(*result));
   }
   fanout_span.Annotate("answered",
@@ -521,9 +401,12 @@ Result<FederatedResult> FederatedEngine::Execute(
                                reasons + ")");
   }
 
-  // ---- Merge: reconstruct each sub-result's aggregation states, convert
-  // remote units, canonicalize keys, and fold with AggState::Merge — the
-  // exact arithmetic a single-warehouse scan would have run.
+  // ---- Merge: translate each sub-result's distinct values into one merged
+  // dictionary per axis (remote spellings canonicalized through the member
+  // map once per value, not once per row), convert remote units, and fold
+  // with AggState::Merge — the exact arithmetic a single-warehouse scan
+  // would have run. Sub-results arrive sorted, so groups that canonicalize
+  // together fold in rendered-key order.
   Span merge_span(trace_, "fed.merge");
   Histogram* merge_latency =
       metrics_ == nullptr
@@ -532,83 +415,64 @@ Result<FederatedResult> FederatedEngine::Execute(
   size_t groups_merged = 0;
   {
     ScopedLatencyTimer merge_timer(merge_latency);
-    std::map<std::vector<std::string>, std::vector<AggState>> groups;
+    const size_t arity = query.group_by.size();
+    std::vector<LevelDictionary> names(arity);  // of_member unused.
+    OrdinalGroups merged(arity, underlying.size());
+    std::vector<uint32_t> key(arity);
     for (const auto& [plan, sub] : sub_results) {
       out.result.facts_scanned += sub.facts_scanned;
       out.result.facts_matched += sub.facts_matched;
-      size_t value_axes = 0;
-      for (const AxisPlan& axis : plan->axes) {
-        if (axis.kind == AxisKind::kValue ||
-            axis.kind == AxisKind::kValueTranslated) {
-          ++value_axes;
+      // Per query axis: the merged ordinal of each of the sub-result's
+      // values, or of the one constant an absent axis contributes.
+      std::vector<std::vector<uint32_t>> translated(arity);
+      std::vector<size_t> sub_axis(arity, SIZE_MAX);
+      size_t pos = 0;
+      for (size_t a = 0; a < arity; ++a) {
+        const AxisPlan& axis = plan->axes[a];
+        if (axis.kind == AxisKind::kSentinel ||
+            axis.kind == AxisKind::kNull) {
+          translated[a].push_back(names[a].Intern(
+              axis.kind == AxisKind::kSentinel ? kUnattributedMember : ""));
+          continue;
         }
-      }
-      for (const std::vector<Value>& row : sub.rows) {
-        std::vector<std::string> key;
-        size_t pos = 0;
-        for (const AxisPlan& axis : plan->axes) {
-          switch (axis.kind) {
-            case AxisKind::kSentinel:
-              key.push_back(kUnattributedMember);
-              break;
-            case AxisKind::kNull:
-              key.push_back("");
-              break;
-            case AxisKind::kValueTranslated: {
-              std::string v = row[pos++].ToString();
-              auto it = axis.member_map->find(ToLower(v));
-              key.push_back(it == axis.member_map->end() ? v : it->second);
-              break;
-            }
-            case AxisKind::kValue:
-              key.push_back(row[pos++].ToString());
-              break;
+        sub_axis[a] = pos;
+        for (const std::string& v : sub.values[pos]) {
+          const std::string* canonical = &v;
+          if (axis.kind == AxisKind::kValueTranslated) {
+            auto it = axis.member_map->find(ToLower(v));
+            if (it != axis.member_map->end()) canonical = &it->second;
           }
+          translated[a].push_back(names[a].Intern(*canonical));
         }
-        auto [it, inserted] =
-            groups.try_emplace(std::move(key), underlying.size());
+        ++pos;
+      }
+      const size_t sub_arity = sub.values.size();
+      for (size_t g = 0; g < sub.size(); ++g) {
+        for (size_t a = 0; a < arity; ++a) {
+          key[a] = sub_axis[a] == SIZE_MAX
+                       ? translated[a][0]
+                       : translated[a][sub.keys[g * sub_arity + sub_axis[a]]];
+        }
+        AggState* states = merged.Upsert(key.data());
         for (size_t u = 0; u < underlying.size(); ++u) {
-          size_t base = value_axes + 4 * u;
-          AggState st;
-          st.count = static_cast<size_t>(row[base + 1].as_int());
+          AggState st = sub.states[g * sub.width + u];
           if (st.count == 0) continue;  // Empty share, nothing to fold.
           double conv = plan->conversions[u];
-          st.sum = row[base].ToDouble() * conv;
-          st.min = row[base + 2].ToDouble() * conv;
-          st.max = row[base + 3].ToDouble() * conv;
-          it->second[u].Merge(st);
+          st.sum *= conv;
+          st.min *= conv;
+          st.max *= conv;
+          states[u].Merge(st);
         }
         ++groups_merged;
       }
     }
-    for (const GroupBy& g : query.group_by) {
-      out.result.headers.push_back(g.role + "." + g.level);
-    }
-    for (const QueryMeasure& qm : query.measures) {
-      out.result.headers.push_back(std::string(AggFnName(qm.agg)) + "(" +
-                                   qm.measure + ")");
-    }
-    for (const auto& [key, states] : groups) {
-      bool keep = true;
-      for (const Having& h : query.having) {
-        double aggregated =
-            states[orig_to_underlying[h.measure_index]]
-                .Finish(query.measures[h.measure_index].agg)
-                .ToDouble();
-        if (!EvalCompare(aggregated, h.op, h.value)) {
-          keep = false;
-          break;
-        }
-      }
-      if (!keep) continue;
-      std::vector<Value> row;
-      for (const std::string& k : key) row.emplace_back(k);
-      for (size_t m = 0; m < query.measures.size(); ++m) {
-        row.push_back(states[orig_to_underlying[m]].Finish(
-            query.measures[m].agg));
-      }
-      out.result.rows.push_back(std::move(row));
-    }
+    std::vector<const std::vector<std::string>*> name_ptrs;
+    for (const LevelDictionary& dict : names) name_ptrs.push_back(&dict.values);
+    GroupedStates grouped = Finish(merged, name_ptrs);
+    grouped.facts_scanned = out.result.facts_scanned;
+    grouped.facts_matched = out.result.facts_matched;
+    DWQA_ASSIGN_OR_RETURN(out.result,
+                          Render(query, grouped, orig_to_underlying));
   }
   if (metrics_ != nullptr) {
     metrics_->GetCounter(kMetricFedGroupsMerged)

@@ -1,9 +1,11 @@
 #include "dw/federation/merge_warehouses.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/string_util.h"
+#include "dw/grouping.h"
 
 namespace dwqa {
 namespace dw {
@@ -12,13 +14,6 @@ namespace fed {
 namespace {
 
 constexpr char kKeySep = '\x1f';
-
-/// Rows of one fact grouped by their federation key: the row indices and
-/// the (ordered, then sorted) measure vectors sharing each key.
-struct KeyedRows {
-  std::map<std::string, std::vector<size_t>> rows;
-  std::map<std::string, std::vector<std::vector<double>>> measures;
-};
 
 std::string RenderMeasures(const FactMapping& fact,
                            const std::vector<double>& values) {
@@ -95,107 +90,122 @@ Result<ConflictResolution> ResolveConflicts(const Warehouse& local,
   DWQA_ASSIGN_OR_RETURN(const Table* rtab,
                         remote.FactTable(fact.remote_fact));
 
-  // Resolve, per mapped role, the fk columns and base levels on both sides
-  // plus the member map that canonicalizes remote spellings.
-  struct KeyPart {
-    size_t local_col = 0;
-    size_t remote_col = 0;
-    std::string local_dim, local_base;
-    std::string remote_dim, remote_base;
-    const std::map<std::string, std::string>* member_map = nullptr;
+  // Key each row by ordinals: per mapped role, every distinct base value of
+  // either side is lowercased (and, remotely, canonicalized through the
+  // member map) once and interned into one id space, so a row's key is a
+  // tuple of ids read through the fk columns.
+  struct Side {
+    const Table* tab;
+    std::vector<const Column*> fks;           ///< Per mapped role.
+    std::vector<std::vector<uint32_t>> ids;   ///< Member id -> key-part id.
+    std::vector<const Column*> measures;      ///< Per mapped measure.
+    std::vector<std::vector<size_t>> rows_of;  ///< Key -> its rows.
   };
-  std::vector<KeyPart> parts;
-  for (const RoleMapping& rm : fact.roles) {
-    KeyPart part;
-    DWQA_ASSIGN_OR_RETURN(part.local_col, lf->RoleIndex(rm.local_role));
-    DWQA_ASSIGN_OR_RETURN(part.remote_col, rf->RoleIndex(rm.remote_role));
-    part.local_dim = lf->roles[part.local_col].dimension;
-    part.remote_dim = rf->roles[part.remote_col].dimension;
-    DWQA_ASSIGN_OR_RETURN(const DimensionDef* ld,
-                          local.schema().FindDimension(part.local_dim));
-    DWQA_ASSIGN_OR_RETURN(const DimensionDef* rd,
-                          remote.schema().FindDimension(part.remote_dim));
-    part.local_base = ld->levels.front().name;
-    part.remote_base = rd->levels.front().name;
-    const DimensionMapping* dm = mapping.FindLocalDimension(part.local_dim);
-    part.member_map = dm == nullptr ? nullptr : &dm->member_map;
-    parts.push_back(std::move(part));
+  Side lside{ltab, {}, {}, {}, {}}, rside{rtab, {}, {}, {}, {}};
+  std::vector<LevelDictionary> names(fact.roles.size());  // of_member unused.
+  for (size_t p = 0; p < fact.roles.size(); ++p) {
+    auto add = [&](const Warehouse& wh, const FactDef* def,
+                   const std::string& role, Side* side,
+                   const DimensionMapping* translate) -> Status {
+      DWQA_ASSIGN_OR_RETURN(size_t ri, def->RoleIndex(role));
+      DWQA_ASSIGN_OR_RETURN(size_t di, wh.DimIndex(def->roles[ri].dimension));
+      const LevelDictionary& base = wh.Dictionary(di, 0);
+      std::vector<uint32_t> of_value;
+      for (const std::string& value : base.values) {
+        std::string v = ToLower(value);
+        if (translate != nullptr) {
+          auto it = translate->member_map.find(v);
+          if (it != translate->member_map.end()) v = ToLower(it->second);
+        }
+        of_value.push_back(names[p].Intern(v));
+      }
+      side->fks.push_back(&side->tab->column(ri));
+      side->ids.emplace_back();
+      for (uint32_t o : base.of_member) side->ids.back().push_back(of_value[o]);
+      return Status::OK();
+    };
+    const RoleMapping& rm = fact.roles[p];
+    DWQA_ASSIGN_OR_RETURN(size_t lri, lf->RoleIndex(rm.local_role));
+    DWQA_RETURN_NOT_OK(add(local, lf, rm.local_role, &lside, nullptr));
+    DWQA_RETURN_NOT_OK(
+        add(remote, rf, rm.remote_role, &rside,
+            mapping.FindLocalDimension(lf->roles[lri].dimension)));
   }
-  std::vector<size_t> local_mcols, remote_mcols;
   for (const MeasureMapping& mm : fact.measures) {
     DWQA_ASSIGN_OR_RETURN(size_t lm, lf->MeasureIndex(mm.local_measure));
     DWQA_ASSIGN_OR_RETURN(size_t rm, rf->MeasureIndex(mm.remote_measure));
-    local_mcols.push_back(lf->roles.size() + lm);
-    remote_mcols.push_back(rf->roles.size() + rm);
+    lside.measures.push_back(&ltab->column(lf->roles.size() + lm));
+    rside.measures.push_back(&rtab->column(rf->roles.size() + rm));
   }
 
-  auto key_rows = [&](const Warehouse& wh, const Table* tab, bool is_local)
-      -> Result<KeyedRows> {
-    KeyedRows keyed;
-    for (size_t r = 0; r < tab->row_count(); ++r) {
-      std::vector<std::string> key_parts;
-      for (const KeyPart& part : parts) {
-        size_t col = is_local ? part.local_col : part.remote_col;
-        MemberId member = static_cast<MemberId>(tab->Get(r, col).as_int());
-        DWQA_ASSIGN_OR_RETURN(
-            std::string v,
-            wh.MemberLevelValue(is_local ? part.local_dim : part.remote_dim,
-                                member,
-                                is_local ? part.local_base
-                                         : part.remote_base));
-        if (!is_local && part.member_map != nullptr) {
-          auto it = part.member_map->find(ToLower(v));
-          if (it != part.member_map->end()) v = it->second;
-        }
-        key_parts.push_back(ToLower(v));
+  OrdinalGroups keys(fact.roles.size());
+  std::vector<uint32_t> key(fact.roles.size());
+  for (Side* side : {&lside, &rside}) {
+    for (size_t r = 0; r < side->tab->row_count(); ++r) {
+      for (size_t p = 0; p < key.size(); ++p) {
+        key[p] = side->ids[p][static_cast<size_t>(side->fks[p]->GetInt(r))];
       }
-      std::string key = Join(key_parts, std::string(1, kKeySep));
-      std::vector<double> values;
-      const std::vector<size_t>& mcols =
-          is_local ? local_mcols : remote_mcols;
-      for (size_t m = 0; m < mcols.size(); ++m) {
-        double v = tab->column(mcols[m]).GetDouble(r);
-        if (!is_local) v *= fact.measures[m].conversion;
-        values.push_back(v);
-      }
-      keyed.rows[key].push_back(r);
-      keyed.measures[key].push_back(std::move(values));
+      const uint32_t id = keys.Insert(key.data());
+      side->rows_of.resize(keys.size());
+      side->rows_of[id].push_back(r);
     }
-    return keyed;
+  }
+  lside.rows_of.resize(keys.size());
+  rside.rows_of.resize(keys.size());
+  // One row's measures, remote values converted into local units.
+  auto measures_of = [&](const Side& side, size_t r) {
+    std::vector<double> values;
+    for (size_t m = 0; m < fact.measures.size(); ++m) {
+      double v = side.measures[m]->GetDouble(r);
+      values.push_back(&side == &lside ? v : v * fact.measures[m].conversion);
+    }
+    return values;
   };
 
-  DWQA_ASSIGN_OR_RETURN(KeyedRows lkeyed, key_rows(local, ltab, true));
-  DWQA_ASSIGN_OR_RETURN(KeyedRows rkeyed, key_rows(remote, rtab, false));
+  // The keys both sides hold, in the order of their rendered form (the
+  // lowercased parts joined by kKeySep) — the order quarantine records are
+  // written in.
+  std::vector<std::pair<std::string, uint32_t>> shared;
+  for (uint32_t id = 0; id < keys.size(); ++id) {
+    if (lside.rows_of[id].empty() || rside.rows_of[id].empty()) continue;
+    std::vector<std::string> key_parts;
+    for (size_t p = 0; p < names.size(); ++p) {
+      key_parts.push_back(names[p].values[keys.key(id)[p]]);
+    }
+    shared.emplace_back(Join(key_parts, std::string(1, kKeySep)), id);
+  }
+  std::sort(shared.begin(), shared.end());
 
   const bool remote_fresher =
       policy.remote_refresh_iso > policy.local_refresh_iso;
-  for (const auto& [key, lrows] : lkeyed.rows) {
-    auto rit = rkeyed.rows.find(key);
-    if (rit == rkeyed.rows.end()) continue;
+  for (const auto& [key, id] : shared) {
+    const std::vector<size_t>& lrows = lside.rows_of[id];
+    const std::vector<size_t>& rrows = rside.rows_of[id];
     ++resolution.stats.keys_in_both;
-    std::vector<std::vector<double>> lvals = lkeyed.measures[key];
-    std::vector<std::vector<double>> rvals = rkeyed.measures[key];
+    std::vector<std::vector<double>> lvals, rvals;
+    for (size_t r : lrows) lvals.push_back(measures_of(lside, r));
+    for (size_t r : rrows) rvals.push_back(measures_of(rside, r));
     std::sort(lvals.begin(), lvals.end());
     std::sort(rvals.begin(), rvals.end());
     if (lvals == rvals) {
       // The remote warehouse carries the same observations: keep one copy.
-      for (size_t r : rit->second) resolution.remote_excluded.insert(r);
-      resolution.stats.deduplicated_rows += rit->second.size();
+      for (size_t r : rrows) resolution.remote_excluded.insert(r);
+      resolution.stats.deduplicated_rows += rrows.size();
       continue;
     }
     ++resolution.stats.conflicting_keys;
     switch (policy.conflicts) {
       case ConflictPolicy::kPreferLocal:
-        for (size_t r : rit->second) resolution.remote_excluded.insert(r);
-        resolution.stats.remote_rows_dropped += rit->second.size();
+        for (size_t r : rrows) resolution.remote_excluded.insert(r);
+        resolution.stats.remote_rows_dropped += rrows.size();
         break;
       case ConflictPolicy::kPreferFresher:
         if (remote_fresher) {
           for (size_t r : lrows) resolution.local_excluded.insert(r);
           resolution.stats.local_rows_dropped += lrows.size();
         } else {
-          for (size_t r : rit->second) resolution.remote_excluded.insert(r);
-          resolution.stats.remote_rows_dropped += rit->second.size();
+          for (size_t r : rrows) resolution.remote_excluded.insert(r);
+          resolution.stats.remote_rows_dropped += rrows.size();
         }
         break;
       case ConflictPolicy::kQuarantine:
@@ -203,18 +213,18 @@ Result<ConflictResolution> ResolveConflicts(const Warehouse& local,
           resolution.local_excluded.insert(lrows[i]);
           resolution.quarantine.push_back(MakeConflictRecord(
               fact, "local", fact.local_fact, lrows[i], key,
-              lkeyed.measures[key][i]));
+              measures_of(lside, lrows[i])));
         }
-        for (size_t i = 0; i < rit->second.size(); ++i) {
-          resolution.remote_excluded.insert(rit->second[i]);
+        for (size_t i = 0; i < rrows.size(); ++i) {
+          resolution.remote_excluded.insert(rrows[i]);
           resolution.quarantine.push_back(MakeConflictRecord(
-              fact, "remote", fact.remote_fact, rit->second[i], key,
-              rkeyed.measures[key][i]));
+              fact, "remote", fact.remote_fact, rrows[i], key,
+              measures_of(rside, rrows[i])));
         }
         resolution.stats.local_rows_dropped += lrows.size();
-        resolution.stats.remote_rows_dropped += rit->second.size();
+        resolution.stats.remote_rows_dropped += rrows.size();
         resolution.stats.quarantined_rows +=
-            lrows.size() + rit->second.size();
+            lrows.size() + rrows.size();
         break;
     }
   }
@@ -401,8 +411,12 @@ Result<Warehouse> MergeWarehouses(const Warehouse& local,
       for (const MeasureDef& md : lf->measures) {
         const MeasureMapping* mm = fm.FindLocalMeasure(md.name);
         DWQA_ASSIGN_OR_RETURN(size_t rmi, rf->MeasureIndex(mm->remote_measure));
-        double v = rtab->column(rf->roles.size() + rmi).GetDouble(r);
-        measures.push_back(Value(v * mm->conversion));
+        double v = rtab->column(rf->roles.size() + rmi).GetDouble(r) *
+                   mm->conversion;
+        // An int64 local measure keeps its column type (rounded).
+        measures.push_back(md.type == ColumnType::kInt64
+                               ? Value(static_cast<int64_t>(std::llround(v)))
+                               : Value(v));
       }
       DWQA_RETURN_NOT_OK(
           merged.InsertFact(fm.local_fact, members, measures));

@@ -1,6 +1,5 @@
 #include "dw/materialized_view.h"
 
-#include <map>
 #include <mutex>
 #include <set>
 #include <unordered_map>
@@ -16,43 +15,34 @@ namespace dw {
 /// \brief One resolved view: the definition bound to schema indexes plus
 /// the materialized aggregation state.
 ///
-/// Group keys and aggregation states are the same containers the OLAP
-/// engine's hash aggregation uses (std::map over the key vector, AggState
-/// per measure), which is what makes a view answer byte-identical to a
-/// recompute: both sides insert the same strings into the same ordered map
-/// and render through the same AggState::Finish.
+/// The state is the grouping kernel's (dw/grouping.h): AggStates keyed by
+/// the ordinals of the warehouse's level dictionaries, folded through the
+/// same AggState::Add as a recompute. Answer() finishes and renders it with
+/// the kernel's Finish() and Render(), which is what makes a view answer
+/// byte-identical to a recompute.
 struct ViewCatalog::BoundView {
   ViewDefinition def;
   size_t fact_index = 0;      ///< Index into schema().facts().
-  std::string fact_lower;     ///< Lowercased fact name (match key).
   struct Axis {
     size_t role_index = 0;    ///< Role position == fk column of the fact table.
-    std::string role_lower;   ///< Lowercased declared role name (match key).
-    std::string dimension;    ///< Dimension the role references.
-    std::string level;        ///< Hierarchy level this axis groups at.
-    std::string level_lower;  ///< Lowercased level name (match key).
+    size_t dim_index = 0;     ///< Dimension the role references.
+    size_t level_index = 0;   ///< Hierarchy level this axis groups at.
+    /// The level dictionary's values up to the highest ordinal absorbed —
+    /// the view's own copy, as the catalog never points back at its
+    /// warehouse.
+    std::vector<std::string> names;
   };
   std::vector<Axis> axes;
   /// Covered measures: lowercased name -> slot in `measure_slots`.
   std::unordered_map<std::string, size_t> measure_slot_by_name;
   /// Slot -> measure position within the fact's measure list.
   std::vector<size_t> measure_slots;
-  /// Group key (axis level values, in axis order) -> one AggState per
-  /// covered measure slot.
-  std::map<std::vector<std::string>, std::vector<AggState>> groups;
+  /// One AggState per covered measure slot, keyed by level ordinals.
+  OrdinalGroups groups;
   size_t facts_absorbed = 0;
 };
 
 namespace {
-
-/// The fact's position in the schema (the index InsertFact reports).
-Result<size_t> FactIndexOf(const MdSchema& schema, const std::string& fact) {
-  const auto& facts = schema.facts();
-  for (size_t i = 0; i < facts.size(); ++i) {
-    if (ToLower(facts[i].name) == ToLower(fact)) return i;
-  }
-  return Status::NotFound("no fact '" + fact + "'");
-}
 
 std::string ViewName(const std::string& fact,
                      const std::vector<GroupBy>& axes) {
@@ -143,7 +133,7 @@ Status ViewCatalog::Define(ViewDefinition def) {
   if (def.name.empty()) def.name = ViewName(def.fact, def.group_by);
   std::unique_lock<std::shared_mutex> lock(mu_);
   for (const ViewDefinition& existing : definitions_) {
-    if (ToLower(existing.name) == ToLower(def.name)) {
+    if (EqualsIgnoreCase(existing.name, def.name)) {
       return Status::AlreadyExists("view '" + def.name + "' already defined");
     }
   }
@@ -162,22 +152,16 @@ Result<std::unique_ptr<ViewCatalog::BoundView>> ViewCatalog::Resolve(
     const Warehouse& wh, const ViewDefinition& def) const {
   auto view = std::make_unique<BoundView>();
   view->def = def;
-  DWQA_ASSIGN_OR_RETURN(view->fact_index,
-                        FactIndexOf(wh.schema(), def.fact));
+  DWQA_ASSIGN_OR_RETURN(view->fact_index, wh.FactIndex(def.fact));
   const FactDef& fact = wh.schema().facts()[view->fact_index];
-  view->fact_lower = ToLower(fact.name);
   for (const GroupBy& g : def.group_by) {
-    DWQA_ASSIGN_OR_RETURN(size_t ri, fact.RoleIndex(g.role));
-    const std::string& dim_name = fact.roles[ri].dimension;
-    DWQA_ASSIGN_OR_RETURN(const DimensionDef* dim,
-                          wh.schema().FindDimension(dim_name));
-    DWQA_ASSIGN_OR_RETURN(size_t li, dim->LevelIndex(g.level));
     BoundView::Axis axis;
-    axis.role_index = ri;
-    axis.role_lower = ToLower(fact.roles[ri].role);
-    axis.dimension = dim_name;
-    axis.level = dim->levels[li].name;
-    axis.level_lower = ToLower(axis.level);
+    DWQA_ASSIGN_OR_RETURN(axis.role_index, fact.RoleIndex(g.role));
+    DWQA_ASSIGN_OR_RETURN(axis.dim_index,
+                          wh.DimIndex(fact.roles[axis.role_index].dimension));
+    DWQA_ASSIGN_OR_RETURN(
+        axis.level_index,
+        wh.schema().dimensions()[axis.dim_index].LevelIndex(g.level));
     view->axes.push_back(std::move(axis));
   }
   std::vector<std::string> covered = def.measures;
@@ -200,27 +184,19 @@ Result<std::unique_ptr<ViewCatalog::BoundView>> ViewCatalog::Resolve(
 }
 
 Status ViewCatalog::RebuildOne(const Warehouse& wh, BoundView* view) const {
-  view->groups.clear();
-  view->facts_absorbed = 0;
-  DWQA_ASSIGN_OR_RETURN(const Table* ftab, wh.FactTable(view->def.fact));
-  const size_t n_roles = wh.schema().facts()[view->fact_index].roles.size();
-  for (size_t r = 0; r < ftab->row_count(); ++r) {
-    std::vector<std::string> key;
-    key.reserve(view->axes.size());
-    for (const BoundView::Axis& a : view->axes) {
-      MemberId member =
-          static_cast<MemberId>(ftab->Get(r, a.role_index).as_int());
-      DWQA_ASSIGN_OR_RETURN(
-          std::string v, wh.MemberLevelValue(a.dimension, member, a.level));
-      key.push_back(std::move(v));
-    }
-    auto [it, inserted] =
-        view->groups.try_emplace(std::move(key), view->measure_slots.size());
-    for (size_t s = 0; s < view->measure_slots.size(); ++s) {
-      it->second[s].Add(
-          ftab->column(n_roles + view->measure_slots[s]).GetDouble(r));
-    }
-    ++view->facts_absorbed;
+  // The kernel's scan over the view's axes and covered measures.
+  const FactDef& fact = wh.schema().facts()[view->fact_index];
+  OlapQuery scan_query;
+  scan_query.fact = fact.name;
+  scan_query.group_by = view->def.group_by;
+  for (size_t mi : view->measure_slots) {
+    scan_query.measures.push_back({fact.measures[mi].name});
+  }
+  DWQA_ASSIGN_OR_RETURN(FactScan scan, ScanFacts(wh, scan_query));
+  view->groups = std::move(scan.groups);
+  view->facts_absorbed = scan.facts_scanned;
+  for (size_t a = 0; a < view->axes.size(); ++a) {
+    view->axes[a].names = *scan.names[a];
   }
   return Status::OK();
 }
@@ -271,14 +247,15 @@ const ViewCatalog::BoundView* ViewCatalog::Match(
   // Filters need base facts; views keep only aggregation state.
   if (!query.filters.empty()) return nullptr;
   if (query.measures.empty()) return nullptr;  // Execute's error path.
-  const std::string fact_lower = ToLower(query.fact);
   for (const auto& view : views_) {
-    if (view->fact_lower != fact_lower) continue;
+    if (!EqualsIgnoreCase(view->def.fact, query.fact)) continue;
     if (view->axes.size() != query.group_by.size()) continue;
     bool axes_match = true;
     for (size_t i = 0; i < view->axes.size(); ++i) {
-      if (ToLower(query.group_by[i].role) != view->axes[i].role_lower ||
-          ToLower(query.group_by[i].level) != view->axes[i].level_lower) {
+      if (!EqualsIgnoreCase(query.group_by[i].role,
+                            view->def.group_by[i].role) ||
+          !EqualsIgnoreCase(query.group_by[i].level,
+                            view->def.group_by[i].level)) {
         axes_match = false;
         break;
       }
@@ -296,7 +273,7 @@ const ViewCatalog::BoundView* ViewCatalog::Match(
   return nullptr;
 }
 
-Result<OlapResult> ViewCatalog::Answer(const OlapQuery& query) const {
+Result<GroupedStates> ViewCatalog::Group(const OlapQuery& query) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   const BoundView* view = Match(query);
   if (view == nullptr) {
@@ -311,58 +288,31 @@ Result<OlapResult> ViewCatalog::Answer(const OlapQuery& query) const {
   }
   // Mirror Execute's HAVING validation so a matched-but-malformed query
   // fails identically on both paths.
-  for (const Having& h : query.having) {
-    if (h.measure_index >= query.measures.size()) {
-      return Status::InvalidArgument(
-          "HAVING refers to measure index " +
-          std::to_string(h.measure_index) + ", query has " +
-          std::to_string(query.measures.size()));
-    }
-  }
+  DWQA_RETURN_NOT_OK(ValidateHaving(query));
+  std::vector<const std::vector<std::string>*> names;
+  for (const BoundView::Axis& axis : view->axes) names.push_back(&axis.names);
   // Slot of each query measure within the view's state vector.
   std::vector<size_t> slots;
   for (const QueryMeasure& qm : query.measures) {
     slots.push_back(view->measure_slot_by_name.at(ToLower(qm.measure)));
   }
-
-  OlapResult result;
+  GroupedStates grouped = Finish(view->groups, names, slots);
   // Every absorbed fact was scanned and (with no filters) matched —
   // identical to a full recompute over the same fact table.
-  result.facts_scanned = view->facts_absorbed;
-  result.facts_matched = view->facts_absorbed;
-  for (const GroupBy& g : query.group_by) {
-    result.headers.push_back(g.role + "." + g.level);
-  }
-  for (const QueryMeasure& qm : query.measures) {
-    result.headers.push_back(std::string(AggFnName(qm.agg)) + "(" +
-                             qm.measure + ")");
-  }
-  for (const auto& [key, states] : view->groups) {
-    bool keep = true;
-    for (const Having& h : query.having) {
-      double aggregated = states[slots[h.measure_index]]
-                              .Finish(query.measures[h.measure_index].agg)
-                              .ToDouble();
-      if (!EvalCompare(aggregated, h.op, h.value)) {
-        keep = false;
-        break;
-      }
-    }
-    if (!keep) continue;
-    std::vector<Value> row;
-    for (const std::string& k : key) row.emplace_back(k);
-    for (size_t m = 0; m < slots.size(); ++m) {
-      row.push_back(states[slots[m]].Finish(query.measures[m].agg));
-    }
-    result.rows.push_back(std::move(row));
-  }
+  grouped.facts_scanned = view->facts_absorbed;
+  grouped.facts_matched = view->facts_absorbed;
   if (metrics_ != nullptr) {
     metrics_
         ->GetCounter(kMetricViewReads, {{"view", view->def.name}},
                      "Queries answered from a matching materialized view")
         ->Increment();
   }
-  return result;
+  return grouped;
+}
+
+Result<OlapResult> ViewCatalog::Answer(const OlapQuery& query) const {
+  DWQA_ASSIGN_OR_RETURN(GroupedStates grouped, Group(query));
+  return Render(query, grouped);
 }
 
 Result<size_t> ViewCatalog::EstimateGroups(const OlapQuery& query) const {
@@ -389,21 +339,23 @@ Status ViewCatalog::OnFactInserted(const Warehouse& wh, size_t fact_index,
   ScopedLatencyTimer timer(latency);
   Span span(trace_, "view.maintain");
   size_t touched = 0;
+  std::vector<uint32_t> key;
   for (const auto& view : views_) {
     if (view->fact_index != fact_index) continue;
-    std::vector<std::string> key;
-    key.reserve(view->axes.size());
-    for (const BoundView::Axis& a : view->axes) {
-      DWQA_ASSIGN_OR_RETURN(
-          std::string v,
-          wh.MemberLevelValue(a.dimension, member_per_role[a.role_index],
-                              a.level));
-      key.push_back(std::move(v));
+    key.resize(view->axes.size());
+    for (size_t a = 0; a < view->axes.size(); ++a) {
+      BoundView::Axis& axis = view->axes[a];
+      const LevelDictionary& dict =
+          wh.Dictionary(axis.dim_index, axis.level_index);
+      key[a] = dict.of_member[member_per_role[axis.role_index]];
+      // A value the view has not seen yet: extend its copy of the names.
+      while (axis.names.size() <= key[a]) {
+        axis.names.push_back(dict.values[axis.names.size()]);
+      }
     }
-    auto [it, inserted] =
-        view->groups.try_emplace(std::move(key), view->measure_slots.size());
+    AggState* states = view->groups.Upsert(key.data());
     for (size_t s = 0; s < view->measure_slots.size(); ++s) {
-      it->second[s].Add(measures[view->measure_slots[s]].ToDouble());
+      states[s].Add(measures[view->measure_slots[s]].ToDouble());
     }
     ++view->facts_absorbed;
     ++touched;

@@ -9,6 +9,7 @@
 #include "common/metrics.h"
 #include "common/result.h"
 #include "common/trace.h"
+#include "dw/grouping.h"
 #include "dw/olap.h"
 
 namespace dwqa {
@@ -94,12 +95,18 @@ class ViewCatalog {
   Status Register(const Warehouse& wh, ViewDefinition def);
 
   /// Answers `query` from a matching view, byte-identical to
-  /// OlapEngine::Execute on the same warehouse: same headers, same group
-  /// order (std::map over the key vector), same AggState::Finish values,
+  /// OlapEngine::Execute on the same warehouse: the view's ordinal-keyed
+  /// states go through the same Finish() (groups sorted by their rendered
+  /// key) and Render() (HAVING, AggState::Finish) as a recompute, with the
   /// same facts_scanned/facts_matched. NotFound when no view covers the
   /// query (callers fall back to a recompute); queries with filters always
   /// miss (slices need base facts).
   Result<OlapResult> Answer(const OlapQuery& query) const;
+
+  /// Answer() before rendering: the matching view's finished states, one
+  /// column per query measure. The federation ships these instead of
+  /// rendered rows.
+  Result<GroupedStates> Group(const OlapQuery& query) const;
 
   /// Group cardinality of the view that would answer `query` — the
   /// cost estimator's rows-touched figure. NotFound when no view matches.
@@ -133,7 +140,8 @@ class ViewCatalog {
   /// Resolves `def` against the schema into a bound view with empty state.
   Result<std::unique_ptr<BoundView>> Resolve(const Warehouse& wh,
                                              const ViewDefinition& def) const;
-  /// Full scan of the view's fact table into its aggregation state.
+  /// The grouping kernel's scan of the view's fact table into its
+  /// aggregation state.
   Status RebuildOne(const Warehouse& wh, BoundView* view) const;
   /// The bound view matching `query`, or null. Caller holds `mu_`.
   const BoundView* Match(const OlapQuery& query) const;

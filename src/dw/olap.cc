@@ -1,12 +1,8 @@
 #include "dw/olap.h"
 
-#include <algorithm>
-#include <limits>
-#include <map>
-#include <unordered_set>
-
 #include "common/string_util.h"
 #include "common/table_printer.h"
+#include "dw/grouping.h"
 
 namespace dwqa {
 namespace dw {
@@ -59,123 +55,8 @@ std::string OlapResult::ToDisplayString(size_t max_rows) const {
 }
 
 Result<OlapResult> OlapEngine::Execute(const OlapQuery& query) const {
-  DWQA_ASSIGN_OR_RETURN(const FactDef* fact,
-                        wh_->schema().FindFact(query.fact));
-  DWQA_ASSIGN_OR_RETURN(const Table* ftab, wh_->FactTable(query.fact));
-  if (query.measures.empty()) {
-    return Status::InvalidArgument("OLAP query needs at least one measure");
-  }
-
-  // Resolve measures to fact-table columns.
-  std::vector<size_t> measure_cols;
-  for (const QueryMeasure& qm : query.measures) {
-    DWQA_ASSIGN_OR_RETURN(size_t mi, fact->MeasureIndex(qm.measure));
-    measure_cols.push_back(fact->roles.size() + mi);
-  }
-  // Resolve group-by axes to (fk column, dimension name, level name).
-  struct Axis {
-    size_t fk_col;
-    std::string dimension;
-    std::string level;
-  };
-  std::vector<Axis> axes;
-  for (const GroupBy& g : query.group_by) {
-    DWQA_ASSIGN_OR_RETURN(size_t ri, fact->RoleIndex(g.role));
-    const std::string& dim = fact->roles[ri].dimension;
-    DWQA_ASSIGN_OR_RETURN(const DimensionDef* ddef,
-                          wh_->schema().FindDimension(dim));
-    DWQA_RETURN_NOT_OK(ddef->LevelIndex(g.level).status());
-    axes.push_back({ri, dim, g.level});
-  }
-  // Resolve filters.
-  struct ResolvedFilter {
-    size_t fk_col;
-    std::string dimension;
-    std::string level;
-    std::unordered_set<std::string> values;  // lowercased
-  };
-  std::vector<ResolvedFilter> filters;
-  for (const Filter& f : query.filters) {
-    DWQA_ASSIGN_OR_RETURN(size_t ri, fact->RoleIndex(f.role));
-    const std::string& dim = fact->roles[ri].dimension;
-    DWQA_ASSIGN_OR_RETURN(const DimensionDef* ddef,
-                          wh_->schema().FindDimension(dim));
-    DWQA_RETURN_NOT_OK(ddef->LevelIndex(f.level).status());
-    ResolvedFilter rf{ri, dim, f.level, {}};
-    for (const std::string& v : f.values) rf.values.insert(ToLower(v));
-    filters.push_back(std::move(rf));
-  }
-
-  // Scan + hash aggregate. Group keys are ordered so results are
-  // deterministic (std::map).
-  std::map<std::vector<std::string>, std::vector<AggState>> groups;
-  OlapResult result;
-  result.facts_scanned = ftab->row_count();
-  for (size_t r = 0; r < ftab->row_count(); ++r) {
-    bool keep = true;
-    for (const ResolvedFilter& f : filters) {
-      MemberId member =
-          static_cast<MemberId>(ftab->Get(r, f.fk_col).as_int());
-      DWQA_ASSIGN_OR_RETURN(
-          std::string v, wh_->MemberLevelValue(f.dimension, member, f.level));
-      if (!f.values.count(ToLower(v))) {
-        keep = false;
-        break;
-      }
-    }
-    if (!keep) continue;
-    ++result.facts_matched;
-    std::vector<std::string> key;
-    for (const Axis& a : axes) {
-      MemberId member =
-          static_cast<MemberId>(ftab->Get(r, a.fk_col).as_int());
-      DWQA_ASSIGN_OR_RETURN(
-          std::string v, wh_->MemberLevelValue(a.dimension, member, a.level));
-      key.push_back(std::move(v));
-    }
-    auto [it, inserted] =
-        groups.try_emplace(std::move(key), query.measures.size());
-    for (size_t m = 0; m < measure_cols.size(); ++m) {
-      it->second[m].Add(ftab->column(measure_cols[m]).GetDouble(r));
-    }
-  }
-
-  for (const GroupBy& g : query.group_by) {
-    result.headers.push_back(g.role + "." + g.level);
-  }
-  for (const QueryMeasure& qm : query.measures) {
-    result.headers.push_back(std::string(AggFnName(qm.agg)) + "(" +
-                             qm.measure + ")");
-  }
-  for (const Having& h : query.having) {
-    if (h.measure_index >= query.measures.size()) {
-      return Status::InvalidArgument(
-          "HAVING refers to measure index " +
-          std::to_string(h.measure_index) + ", query has " +
-          std::to_string(query.measures.size()));
-    }
-  }
-  for (const auto& [key, states] : groups) {
-    bool keep = true;
-    for (const Having& h : query.having) {
-      double aggregated =
-          states[h.measure_index]
-              .Finish(query.measures[h.measure_index].agg)
-              .ToDouble();
-      if (!EvalCompare(aggregated, h.op, h.value)) {
-        keep = false;
-        break;
-      }
-    }
-    if (!keep) continue;
-    std::vector<Value> row;
-    for (const std::string& k : key) row.emplace_back(k);
-    for (size_t m = 0; m < states.size(); ++m) {
-      row.push_back(states[m].Finish(query.measures[m].agg));
-    }
-    result.rows.push_back(std::move(row));
-  }
-  return result;
+  DWQA_ASSIGN_OR_RETURN(GroupedStates grouped, GroupFacts(*wh_, query));
+  return Render(query, grouped);
 }
 
 Result<OlapQuery> OlapEngine::ShiftLevel(const OlapQuery& query,
@@ -188,7 +69,7 @@ Result<OlapQuery> OlapEngine::ShiftLevel(const OlapQuery& query,
                         wh_->schema().FindDimension(fact->roles[ri].dimension));
   OlapQuery out = query;
   for (GroupBy& g : out.group_by) {
-    if (ToLower(g.role) != ToLower(role)) continue;
+    if (!EqualsIgnoreCase(g.role, role)) continue;
     DWQA_ASSIGN_OR_RETURN(size_t li, dim->LevelIndex(g.level));
     // Levels are finest-first, so roll-up moves to a *larger* index.
     int target = static_cast<int>(li) + delta;

@@ -44,10 +44,10 @@ bool EvalCompare(double lhs, CompareOp op, double rhs);
 
 /// \brief Running aggregate of one measure within one group.
 ///
-/// Shared by the OLAP engine's hash aggregation and the materialized-view
-/// maintenance path: a view's groups are byte-identical to a recompute
-/// because both sides accumulate through this struct and render through the
-/// same Finish().
+/// Shared by every grouping consumer (recompute, views, federation, all on
+/// the kernel in dw/grouping.h): a view's groups are byte-identical to a
+/// recompute because both sides accumulate through this struct and render
+/// through the same Finish().
 struct AggState {
   double sum = 0.0;
   double min = std::numeric_limits<double>::infinity();
@@ -128,7 +128,8 @@ class OlapEngine {
  public:
   explicit OlapEngine(const Warehouse* warehouse) : wh_(warehouse) {}
 
-  /// Executes `query` with a full scan + hash aggregate.
+  /// Executes `query`: one scan of the ordinal grouping kernel
+  /// (dw/grouping.h), then the rendering of its groups.
   Result<OlapResult> Execute(const OlapQuery& query) const;
 
   /// Returns `query` with the `role` grouping moved one level coarser

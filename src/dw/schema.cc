@@ -25,7 +25,7 @@ const char* AggFnName(AggFn fn) {
 
 Result<size_t> DimensionDef::LevelIndex(std::string_view level) const {
   for (size_t i = 0; i < levels.size(); ++i) {
-    if (ToLower(levels[i].name) == ToLower(level)) return i;
+    if (EqualsIgnoreCase(levels[i].name, level)) return i;
   }
   return Status::NotFound("dimension '" + name + "' has no level '" +
                           std::string(level) + "'");
@@ -33,7 +33,7 @@ Result<size_t> DimensionDef::LevelIndex(std::string_view level) const {
 
 Result<size_t> FactDef::MeasureIndex(std::string_view measure) const {
   for (size_t i = 0; i < measures.size(); ++i) {
-    if (ToLower(measures[i].name) == ToLower(measure)) return i;
+    if (EqualsIgnoreCase(measures[i].name, measure)) return i;
   }
   return Status::NotFound("fact '" + name + "' has no measure '" +
                           std::string(measure) + "'");
@@ -41,7 +41,7 @@ Result<size_t> FactDef::MeasureIndex(std::string_view measure) const {
 
 Result<size_t> FactDef::RoleIndex(std::string_view role) const {
   for (size_t i = 0; i < roles.size(); ++i) {
-    if (ToLower(roles[i].role) == ToLower(role)) return i;
+    if (EqualsIgnoreCase(roles[i].role, role)) return i;
   }
   return Status::NotFound("fact '" + name + "' has no dimension role '" +
                           std::string(role) + "'");
@@ -83,14 +83,14 @@ Status MdSchema::AddFact(FactDef fact) {
 Result<const DimensionDef*> MdSchema::FindDimension(
     std::string_view name) const {
   for (const DimensionDef& d : dimensions_) {
-    if (ToLower(d.name) == ToLower(name)) return &d;
+    if (EqualsIgnoreCase(d.name, name)) return &d;
   }
   return Status::NotFound("no dimension '" + std::string(name) + "'");
 }
 
 Result<const FactDef*> MdSchema::FindFact(std::string_view name) const {
   for (const FactDef& f : facts_) {
-    if (ToLower(f.name) == ToLower(name)) return &f;
+    if (EqualsIgnoreCase(f.name, name)) return &f;
   }
   return Status::NotFound("no fact '" + std::string(name) + "'");
 }

@@ -34,6 +34,12 @@ class Column {
   /// Fast numeric view for aggregation (0.0 where null / non-numeric).
   double GetDouble(size_t row) const;
 
+  /// Typed int64 read (0 where null or not an int64 column): the grouping
+  /// kernel reads foreign keys through it without building a Value.
+  int64_t GetInt(size_t row) const {
+    return row < ints_.size() && valid_[row] ? ints_[row] : 0;
+  }
+
  private:
   std::string name_;
   ColumnType type_;

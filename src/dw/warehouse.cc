@@ -6,6 +6,13 @@
 namespace dwqa {
 namespace dw {
 
+uint32_t LevelDictionary::Intern(const std::string& value) {
+  auto [it, fresh] =
+      ordinal_of.try_emplace(value, static_cast<uint32_t>(values.size()));
+  if (fresh) values.push_back(value);
+  return it->second;
+}
+
 Result<Warehouse> Warehouse::Create(MdSchema schema) {
   DWQA_RETURN_NOT_OK(schema.Validate());
   Warehouse wh;
@@ -17,6 +24,7 @@ Result<Warehouse> Warehouse::Create(MdSchema schema) {
     }
     wh.dim_tables_.emplace_back("dim_" + dim.name, std::move(cols));
     wh.member_index_.emplace_back();
+    wh.dictionaries_.emplace_back(dim.levels.size());
   }
   for (const FactDef& fact : wh.schema_.facts()) {
     std::vector<ColumnDef> cols;
@@ -34,7 +42,7 @@ Result<Warehouse> Warehouse::Create(MdSchema schema) {
 Result<size_t> Warehouse::DimIndex(std::string_view dimension) const {
   const auto& dims = schema_.dimensions();
   for (size_t i = 0; i < dims.size(); ++i) {
-    if (ToLower(dims[i].name) == ToLower(dimension)) return i;
+    if (EqualsIgnoreCase(dims[i].name, dimension)) return i;
   }
   return Status::NotFound("no dimension '" + std::string(dimension) + "'");
 }
@@ -42,7 +50,7 @@ Result<size_t> Warehouse::DimIndex(std::string_view dimension) const {
 Result<size_t> Warehouse::FactIndex(std::string_view fact) const {
   const auto& facts = schema_.facts();
   for (size_t i = 0; i < facts.size(); ++i) {
-    if (ToLower(facts[i].name) == ToLower(fact)) return i;
+    if (EqualsIgnoreCase(facts[i].name, fact)) return i;
   }
   return Status::NotFound("no fact '" + std::string(fact) + "'");
 }
@@ -73,6 +81,10 @@ Result<MemberId> Warehouse::AddMember(std::string_view dimension,
   DWQA_RETURN_NOT_OK(dim_tables_[di].AppendRow(row));
   MemberId id = static_cast<MemberId>(dim_tables_[di].row_count() - 1);
   member_index_[di].emplace(std::move(key), id);
+  for (size_t i = 0; i < dim.levels.size(); ++i) {
+    LevelDictionary& dict = dictionaries_[di][i];
+    dict.of_member.push_back(dict.Intern(i < path.size() ? path[i] : ""));
+  }
   return id;
 }
 
@@ -94,12 +106,11 @@ Result<std::string> Warehouse::MemberLevelValue(std::string_view dimension,
   DWQA_ASSIGN_OR_RETURN(size_t di, DimIndex(dimension));
   DWQA_ASSIGN_OR_RETURN(size_t li,
                         schema_.dimensions()[di].LevelIndex(level));
-  if (member < 0 ||
-      static_cast<size_t>(member) >= dim_tables_[di].row_count()) {
+  const LevelDictionary& dict = dictionaries_[di][li];
+  if (member < 0 || static_cast<size_t>(member) >= dict.of_member.size()) {
     return Status::OutOfRange("member id out of range");
   }
-  Value v = dim_tables_[di].Get(static_cast<size_t>(member), li);
-  return v.is_null() ? std::string() : v.as_string();
+  return dict.values[dict.of_member[static_cast<size_t>(member)]];
 }
 
 Result<std::vector<std::string>> Warehouse::MemberNames(

@@ -21,6 +21,21 @@ class ViewCatalog;
 using MemberId = int32_t;
 constexpr MemberId kInvalidMember = -1;
 
+/// \brief The value ordinals of one (dimension, level): every distinct value
+/// the level takes, interned once in first-registration order.
+///
+/// Append-only: AddMember extends it and an ordinal never changes meaning,
+/// so ordinal-keyed state (the grouping kernel's, a view's) stays valid as
+/// members arrive.
+struct LevelDictionary {
+  std::vector<uint32_t> of_member;  ///< Member id -> value ordinal.
+  std::vector<std::string> values;  ///< Ordinal -> value ("" when null).
+  std::unordered_map<std::string, uint32_t> ordinal_of;  ///< The inverse.
+
+  /// The ordinal of `value`, appended to `values` when new.
+  uint32_t Intern(const std::string& value);
+};
+
 /// \brief Star-schema storage for one MdSchema.
 ///
 /// Physical layout: one denormalized dimension table per dimension (one
@@ -44,6 +59,18 @@ class Warehouse {
   /// Finds a member by its base-level name.
   Result<MemberId> FindMember(std::string_view dimension,
                               std::string_view base_name) const;
+
+  /// Position of `dimension` in schema().dimensions() (case-insensitive).
+  Result<size_t> DimIndex(std::string_view dimension) const;
+  /// Position of `fact` in schema().facts() (case-insensitive).
+  Result<size_t> FactIndex(std::string_view fact) const;
+
+  /// The value dictionary of level `level_index` of dimension `dim_index`
+  /// (positions in schema(); unchecked).
+  const LevelDictionary& Dictionary(size_t dim_index,
+                                    size_t level_index) const {
+    return dictionaries_[dim_index][level_index];
+  }
 
   /// Value of `member` at `level` of `dimension` ("" when null).
   Result<std::string> MemberLevelValue(std::string_view dimension,
@@ -91,11 +118,10 @@ class Warehouse {
   std::vector<Table> dim_tables_;
   /// dimension index -> base-name (lowercased) -> member id.
   std::vector<std::unordered_map<std::string, MemberId>> member_index_;
+  /// dimension index -> level index -> value dictionary.
+  std::vector<std::vector<LevelDictionary>> dictionaries_;
   /// Parallel to schema_.facts().
   std::vector<Table> fact_tables_;
-
-  Result<size_t> DimIndex(std::string_view dimension) const;
-  Result<size_t> FactIndex(std::string_view fact) const;
 };
 
 }  // namespace dw

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <map>
+#include <unordered_map>
 
 #include "common/string_util.h"
 #include "dw/materialized_view.h"
@@ -56,20 +57,37 @@ Result<BiReport> JoinAndBucket(const dw::OlapResult& sales,
                                const std::string& sales_fact,
                                const std::string& weather_fact,
                                double bucket_width_c) {
-  std::map<std::pair<std::string, std::string>, double> temp_by_city_day;
+  // (lowercased city, day) -> temperature, a later row overwriting an
+  // earlier one. Rows come grouped by city, so each run of one city is
+  // lowercased and looked up once.
+  std::unordered_map<std::string, std::unordered_map<std::string, double>>
+      temp_by_city_day;
+  std::string city;
+  std::unordered_map<std::string, double>* days = nullptr;
   for (const auto& row : weather.rows) {
-    temp_by_city_day[{ToLower(row[0].ToString()), row[1].ToString()}] =
-        row[2].ToDouble();
+    if (days == nullptr || row[0].ToString() != city) {
+      city = row[0].ToString();
+      days = &temp_by_city_day[ToLower(city)];
+    }
+    (*days)[row[1].ToString()] = row[2].ToDouble();
   }
 
-  // Join and bucket.
+  // Join and bucket, in sales-row order.
   std::map<int64_t, TempRangeStat> buckets;
   double sum_t = 0, sum_k = 0, sum_tt = 0, sum_kk = 0, sum_tk = 0;
   size_t n = 0;
+  days = nullptr;
+  bool city_known = false;
   for (const auto& row : sales.rows) {
-    auto it = temp_by_city_day.find(
-        {ToLower(row[0].ToString()), row[1].ToString()});
-    if (it == temp_by_city_day.end()) continue;
+    if (!city_known || row[0].ToString() != city) {
+      city = row[0].ToString();
+      city_known = true;
+      auto found = temp_by_city_day.find(ToLower(city));
+      days = found == temp_by_city_day.end() ? nullptr : &found->second;
+    }
+    if (days == nullptr) continue;
+    auto it = days->find(row[1].ToString());
+    if (it == days->end()) continue;
     double temp = it->second;
     double tickets = row[2].ToDouble();
     int64_t bucket = static_cast<int64_t>(

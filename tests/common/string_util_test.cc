@@ -11,6 +11,26 @@ TEST(StringUtilTest, ToLowerAndUpper) {
   EXPECT_EQ(ToLower(""), "");
 }
 
+TEST(StringUtilTest, EqualsIgnoreCaseMatchesToLowerComparison) {
+  EXPECT_TRUE(EqualsIgnoreCase("BarCeloNa", "barcelona"));
+  EXPECT_TRUE(EqualsIgnoreCase("", ""));
+  EXPECT_TRUE(EqualsIgnoreCase("City", "CITY"));
+  EXPECT_FALSE(EqualsIgnoreCase("City", "Cities"));
+  EXPECT_FALSE(EqualsIgnoreCase("City", "Citz"));
+  EXPECT_FALSE(EqualsIgnoreCase("", "a"));
+  // Non-letters and bytes above ASCII compare exactly, as ToLower leaves
+  // them unchanged.
+  EXPECT_TRUE(EqualsIgnoreCase("18\xc2\xb0" "C", "18\xc2\xb0" "c"));
+  EXPECT_FALSE(EqualsIgnoreCase("a_b", "a-b"));
+  const char* words[] = {"Date", "date", "DATE", "Dates", "Month", ""};
+  for (const char* a : words) {
+    for (const char* b : words) {
+      EXPECT_EQ(EqualsIgnoreCase(a, b), ToLower(a) == ToLower(b))
+          << a << " vs " << b;
+    }
+  }
+}
+
 TEST(StringUtilTest, TrimRemovesEdgesOnly) {
   EXPECT_EQ(Trim("  a b  "), "a b");
   EXPECT_EQ(Trim("\t\nx\r "), "x");

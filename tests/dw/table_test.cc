@@ -38,6 +38,18 @@ TEST(ColumnTest, NullsTracked) {
   EXPECT_DOUBLE_EQ(c.GetDouble(0), 0.0);
 }
 
+TEST(ColumnTest, GetIntReadsInt64CellsOnly) {
+  Column ints("fk", ColumnType::kInt64);
+  ASSERT_TRUE(ints.Append(Value(int64_t{7})).ok());
+  ASSERT_TRUE(ints.Append(Value()).ok());
+  EXPECT_EQ(ints.GetInt(0), 7);
+  EXPECT_EQ(ints.GetInt(1), 0);   // null
+  EXPECT_EQ(ints.GetInt(99), 0);  // out of range
+  Column doubles("x", ColumnType::kDouble);
+  ASSERT_TRUE(doubles.Append(Value(1.5)).ok());
+  EXPECT_EQ(doubles.GetInt(0), 0);
+}
+
 TEST(ColumnTest, OutOfRangeRowIsNull) {
   Column c("x", ColumnType::kInt64);
   EXPECT_TRUE(c.Get(99).is_null());

@@ -71,6 +71,28 @@ TEST_F(WarehouseTest, MemberLevelValue) {
                   .IsOutOfRange());
 }
 
+TEST_F(WarehouseTest, LevelDictionariesInternValuesAndOnlyAppend) {
+  const size_t geo = wh_->DimIndex("geo").ValueOrDie();
+  MemberId prat =
+      wh_->AddMember("Geo", {"El Prat", "Barcelona", "Spain"}).ValueOrDie();
+  MemberId sants = wh_->AddMember("Geo", {"Sants", "Barcelona"}).ValueOrDie();
+  const LevelDictionary& city = wh_->Dictionary(geo, 1);
+  const LevelDictionary& country = wh_->Dictionary(geo, 2);
+  // A value shared by two members is interned once.
+  EXPECT_EQ(city.values, std::vector<std::string>({"Barcelona"}));
+  EXPECT_EQ(city.of_member[prat], city.of_member[sants]);
+  // A null coarse level is the "" value.
+  EXPECT_EQ(country.values, std::vector<std::string>({"Spain", ""}));
+  EXPECT_EQ(country.values[country.of_member[sants]], "");
+  // New members append; earlier ordinals keep their meaning.
+  const uint32_t spain = country.of_member[prat];
+  MemberId orly = wh_->AddMember("Geo", {"Orly", "Paris", "France"})
+                      .ValueOrDie();
+  EXPECT_EQ(country.of_member[prat], spain);
+  EXPECT_EQ(country.values[country.of_member[orly]], "France");
+  EXPECT_EQ(city.of_member.size(), 3u);
+}
+
 TEST_F(WarehouseTest, MemberNamesInInsertionOrder) {
   ASSERT_TRUE(wh_->AddMember("Geo", {"B"}).ok());
   ASSERT_TRUE(wh_->AddMember("Geo", {"A"}).ok());
