@@ -6,6 +6,7 @@
 
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench/bench_json_main.h"
@@ -120,9 +121,23 @@ BENCHMARK(BM_SegmentedFullBuild)
     ->Arg(10000)
     ->Unit(benchmark::kMicrosecond);
 
+// The two ingest/query benches below run both instantiations of the
+// shared segment lifecycle: the doc index under the historical names, the
+// passage index (8-sentence windows) under a `Passage` suffix.
+
+template <typename Index>
+Index SweepIndex(const dwqa::ir::SegmentedIndexOptions& options) {
+  if constexpr (std::is_same_v<Index, InvertedIndex>) {
+    return InvertedIndex(options);
+  } else {
+    return PassageIndex(8, options);
+  }
+}
+
+template <typename Index>
 void BM_SegmentedIncrementalIngest(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  InvertedIndex index;
+  Index index = SweepIndex<Index>({});
   for (size_t i = 0; i < n; ++i) {
     index.AddDocument(dwqa::ir::DocId(i), SweepDoc(i));
   }
@@ -135,14 +150,24 @@ void BM_SegmentedIncrementalIngest(benchmark::State& state) {
     ++next;
   }
 }
-BENCHMARK(BM_SegmentedIncrementalIngest)->Arg(36)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_SegmentedIncrementalIngest<InvertedIndex>)
+    ->Name("BM_SegmentedIncrementalIngest")
+    ->Arg(36)
+    ->Arg(1000)
+    ->Arg(10000);
+BENCHMARK(BM_SegmentedIncrementalIngest<PassageIndex>)
+    ->Name("BM_SegmentedIncrementalIngestPassage")
+    ->Arg(36)
+    ->Arg(1000)
+    ->Arg(10000);
 
+template <typename Index>
 void BM_SegmentedMergedQuery(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   dwqa::ir::SegmentedIndexOptions options;
   options.seal_every = 8;
   options.merge_trigger = 4;
-  InvertedIndex index(options);
+  Index index = SweepIndex<Index>(options);
   for (size_t i = 0; i < n; ++i) {
     index.AddDocument(dwqa::ir::DocId(i), SweepDoc(i));
   }
@@ -152,7 +177,16 @@ void BM_SegmentedMergedQuery(benchmark::State& state) {
         index.Search("temperature Barcelona January degrees"));
   }
 }
-BENCHMARK(BM_SegmentedMergedQuery)->Arg(36)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_SegmentedMergedQuery<InvertedIndex>)
+    ->Name("BM_SegmentedMergedQuery")
+    ->Arg(36)
+    ->Arg(1000)
+    ->Arg(10000);
+BENCHMARK(BM_SegmentedMergedQuery<PassageIndex>)
+    ->Name("BM_SegmentedMergedQueryPassage")
+    ->Arg(36)
+    ->Arg(1000)
+    ->Arg(10000);
 
 }  // namespace
 

@@ -1,7 +1,5 @@
 #include "ir/inverted_index.h"
 
-#include <algorithm>
-
 #include "common/metric_names.h"
 #include "common/string_util.h"
 #include "ir/term_pipeline.h"
@@ -48,25 +46,11 @@ void InvertedIndex::AddAnalyzed(DocId doc_id,
 void InvertedIndex::AddAnalyzedBatch(
     const std::vector<std::pair<DocId, const text::AnalyzedDocument*>>& docs,
     ThreadPool* pool) {
-  size_t shard_count = pool == nullptr ? 1 : std::max<size_t>(
-                                                 1, pool->worker_count());
-  shard_count = std::min(shard_count, std::max<size_t>(1, docs.size()));
-  size_t per_shard = (docs.size() + shard_count - 1) / shard_count;
-  std::vector<DocSegment::Builder> shards(shard_count);
-  auto build_shard = [&](size_t s) {
-    size_t begin = s * per_shard;
-    size_t end = std::min(begin + per_shard, docs.size());
-    for (size_t i = begin; i < end; ++i) {
-      auto [tf, doc_len] = AnalyzedTf(*docs[i].second);
-      shards[s].Add(docs[i].first, tf, doc_len);
-    }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(shard_count, build_shard);
-  } else {
-    for (size_t s = 0; s < shard_count; ++s) build_shard(s);
-  }
-  core_->AddSealedShards(std::move(shards), pool);
+  core_->AddBatch(docs.size(), pool, [&docs](DocSegment::Builder* shard,
+                                             size_t i) {
+    auto [tf, doc_len] = AnalyzedTf(*docs[i].second);
+    shard->Add(docs[i].first, tf, doc_len);
+  });
 }
 
 size_t InvertedIndex::DocFreq(const std::string& term) const {
@@ -76,7 +60,7 @@ size_t InvertedIndex::DocFreq(const std::string& term) const {
 }
 
 void InvertedIndex::set_metrics(MetricRegistry* metrics) {
-  core_->set_metrics(metrics, "doc");
+  core_->set_metrics(metrics);
   if (metrics == nullptr) {
     lookup_counter_ = nullptr;
     lookup_latency_ = nullptr;

@@ -1,11 +1,9 @@
 #include "ir/passage_index.h"
 
-#include <algorithm>
 #include <set>
 
 #include "common/metric_names.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "ir/term_pipeline.h"
 #include "text/sentence_splitter.h"
 #include "text/tokenizer.h"
@@ -57,43 +55,30 @@ void PassageIndex::AddDocument(DocId doc_id, const std::string& text) {
       if (seen.insert(id).second) sentence_terms[s].push_back(id);
     }
   }
-  core_->Add(doc_id, std::move(sents), sentence_terms);
+  core_->SetSentences(doc_id, std::move(sents));
+  core_->Add(doc_id, sentence_terms);
 }
 
 void PassageIndex::AddAnalyzed(DocId doc_id,
                                const text::AnalyzedDocument& analysis) {
-  core_->Add(doc_id, AnalyzedSentenceTexts(analysis),
-             AnalyzedSentenceTerms(analysis));
+  core_->SetSentences(doc_id, AnalyzedSentenceTexts(analysis));
+  core_->Add(doc_id, AnalyzedSentenceTerms(analysis));
 }
 
 void PassageIndex::AddAnalyzedBatch(
     const std::vector<std::pair<DocId, const text::AnalyzedDocument*>>& docs,
     ThreadPool* pool) {
-  size_t shard_count = pool == nullptr ? 1 : std::max<size_t>(
-                                                 1, pool->worker_count());
-  shard_count = std::min(shard_count, std::max<size_t>(1, docs.size()));
-  size_t per_shard = (docs.size() + shard_count - 1) / shard_count;
-  std::vector<PassageSegment::Builder> shards(shard_count);
-  std::vector<std::pair<DocId, std::vector<std::string>>> sentences(
-      docs.size());
-  auto build_shard = [&](size_t s) {
-    size_t begin = s * per_shard;
-    size_t end = std::min(begin + per_shard, docs.size());
-    for (size_t i = begin; i < end; ++i) {
-      shards[s].Add(docs[i].first, AnalyzedSentenceTerms(*docs[i].second));
-      sentences[i] = {docs[i].first, AnalyzedSentenceTexts(*docs[i].second)};
-    }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(shard_count, build_shard);
-  } else {
-    for (size_t s = 0; s < shard_count; ++s) build_shard(s);
+  for (const auto& [doc_id, analysis] : docs) {
+    core_->SetSentences(doc_id, AnalyzedSentenceTexts(*analysis));
   }
-  core_->AddSealedShards(std::move(shards), std::move(sentences), pool);
+  core_->AddBatch(docs.size(), pool, [&docs](PassageSegment::Builder* shard,
+                                             size_t i) {
+    shard->Add(docs[i].first, AnalyzedSentenceTerms(*docs[i].second));
+  });
 }
 
 void PassageIndex::set_metrics(MetricRegistry* metrics) {
-  core_->set_metrics(metrics, "passage");
+  core_->set_metrics(metrics);
   if (metrics == nullptr) {
     lookup_counter_ = nullptr;
     lookup_latency_ = nullptr;

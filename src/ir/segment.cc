@@ -92,14 +92,55 @@ double DocPostingWeight(uint32_t tf, uint32_t doc_len) {
   return static_cast<double>(tf) / std::sqrt(len);
 }
 
+std::vector<std::pair<uint32_t, uint32_t>> DecodePostings(
+    const PostingList& list) {
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  pairs.reserve(list.count);
+  ForEachPosting(list, [&pairs](uint32_t ordinal, uint32_t payload) {
+    pairs.push_back({ordinal, payload});
+  });
+  return pairs;
+}
+
+/// The one merge body of both segment kinds.
+template <typename Segment>
+std::shared_ptr<const Segment> MergeSegments(const Segment& left,
+                                             const Segment& right,
+                                             size_t block_postings) {
+  typename Segment::Builder merged = left.Unseal();
+  AppendBuilder(&merged, right.Unseal());
+  return Segment::Seal(std::move(merged), block_postings);
+}
+
 }  // namespace
+
+template <typename Builder>
+void AppendBuilder(Builder* dst, Builder src) {
+  uint32_t offset = static_cast<uint32_t>(dst->doc_count());
+  for (auto& [term, pairs] : src.postings) {
+    auto& out = dst->postings[term];
+    out.reserve(out.size() + pairs.size());
+    for (const auto& [ordinal, payload] : pairs) {
+      out.push_back({ordinal + offset, payload});
+    }
+  }
+  dst->docs.insert(dst->docs.end(), src.docs.begin(), src.docs.end());
+  if constexpr (requires { dst->lengths; }) {
+    dst->lengths.insert(dst->lengths.end(), src.lengths.begin(),
+                        src.lengths.end());
+  }
+}
+
+template void AppendBuilder(DocSegment::Builder*, DocSegment::Builder);
+template void AppendBuilder(PassageSegment::Builder*, PassageSegment::Builder);
 
 void DocSegment::Builder::Add(DocId doc,
                               const std::unordered_map<TermId, uint32_t>& tf,
-                              size_t doc_len) {
+                              size_t doc_len, DocFreqMap* df) {
   uint32_t ordinal = static_cast<uint32_t>(docs.size());
   for (const auto& [term, freq] : tf) {
     postings[term].push_back({ordinal, freq});
+    if (df != nullptr) ++(*df)[term];
   }
   docs.push_back(doc);
   lengths.push_back(static_cast<uint32_t>(doc_len));
@@ -125,29 +166,17 @@ std::shared_ptr<const DocSegment> DocSegment::Seal(Builder builder,
 std::shared_ptr<const DocSegment> DocSegment::Merge(const DocSegment& left,
                                                     const DocSegment& right,
                                                     size_t block_postings) {
+  return MergeSegments(left, right, block_postings);
+}
+
+DocSegment::Builder DocSegment::Unseal() const {
   Builder builder;
-  builder.docs = left.docs_;
-  builder.docs.insert(builder.docs.end(), right.docs_.begin(),
-                      right.docs_.end());
-  builder.lengths = left.lengths_;
-  builder.lengths.insert(builder.lengths.end(), right.lengths_.begin(),
-                         right.lengths_.end());
-  uint32_t offset = static_cast<uint32_t>(left.doc_count());
-  for (const auto& [term, list] : left.postings_) {
-    auto& pairs = builder.postings[term];
-    pairs.reserve(list.count);
-    ForEachPosting(list, [&pairs](uint32_t ordinal, uint32_t tf) {
-      pairs.push_back({ordinal, tf});
-    });
+  builder.docs = docs_;
+  builder.lengths = lengths_;
+  for (const auto& [term, list] : postings_) {
+    builder.postings[term] = DecodePostings(list);
   }
-  for (const auto& [term, list] : right.postings_) {
-    auto& pairs = builder.postings[term];
-    pairs.reserve(pairs.size() + list.count);
-    ForEachPosting(list, [&pairs, offset](uint32_t ordinal, uint32_t tf) {
-      pairs.push_back({ordinal + offset, tf});
-    });
-  }
-  return Seal(std::move(builder), block_postings);
+  return builder;
 }
 
 const PostingList* DocSegment::Find(TermId term) const {
@@ -156,11 +185,17 @@ const PostingList* DocSegment::Find(TermId term) const {
 }
 
 void PassageSegment::Builder::Add(
-    DocId doc, const std::vector<std::vector<TermId>>& sentence_terms) {
+    DocId doc, const std::vector<std::vector<TermId>>& sentence_terms,
+    DocFreqMap* df) {
   uint32_t ordinal = static_cast<uint32_t>(docs.size());
   for (uint32_t s = 0; s < sentence_terms.size(); ++s) {
     for (TermId term : sentence_terms[s]) {
-      postings[term].push_back({ordinal, s});
+      auto& refs = postings[term];
+      // The document's first ref of the term counts it once in df.
+      if (df != nullptr && (refs.empty() || refs.back().first != ordinal)) {
+        ++(*df)[term];
+      }
+      refs.push_back({ordinal, s});
     }
   }
   docs.push_back(doc);
@@ -191,27 +226,16 @@ std::shared_ptr<const PassageSegment> PassageSegment::Seal(
 std::shared_ptr<const PassageSegment> PassageSegment::Merge(
     const PassageSegment& left, const PassageSegment& right,
     size_t block_postings) {
+  return MergeSegments(left, right, block_postings);
+}
+
+PassageSegment::Builder PassageSegment::Unseal() const {
   Builder builder;
-  builder.docs = left.docs_;
-  builder.docs.insert(builder.docs.end(), right.docs_.begin(),
-                      right.docs_.end());
-  uint32_t offset = static_cast<uint32_t>(left.doc_count());
-  for (const auto& [term, info] : left.terms_) {
-    auto& pairs = builder.postings[term];
-    pairs.reserve(info.list.count);
-    ForEachPosting(info.list, [&pairs](uint32_t ordinal, uint32_t sentence) {
-      pairs.push_back({ordinal, sentence});
-    });
+  builder.docs = docs_;
+  for (const auto& [term, info] : terms_) {
+    builder.postings[term] = DecodePostings(info.list);
   }
-  for (const auto& [term, info] : right.terms_) {
-    auto& pairs = builder.postings[term];
-    pairs.reserve(pairs.size() + info.list.count);
-    ForEachPosting(info.list,
-                   [&pairs, offset](uint32_t ordinal, uint32_t sentence) {
-                     pairs.push_back({ordinal + offset, sentence});
-                   });
-  }
-  return Seal(std::move(builder), block_postings);
+  return builder;
 }
 
 const PassageSegment::TermInfo* PassageSegment::Find(TermId term) const {

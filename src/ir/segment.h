@@ -117,6 +117,16 @@ void ForEachPosting(const PostingList& list, Fn fn) {
   }
 }
 
+/// Per-term document frequency, as the segmented indexes keep it.
+using DocFreqMap = std::unordered_map<TermId, size_t>;
+
+/// Appends `src`'s documents to `dst` after its own, shifting `src`'s
+/// ordinals up by `dst->doc_count()` — the concatenation behind segment
+/// merges and the monolithic bulk splice. Defined for DocSegment::Builder
+/// and PassageSegment::Builder.
+template <typename Builder>
+void AppendBuilder(Builder* dst, Builder src);
+
 /// \brief Immutable document-level segment: per-ordinal DocId/length
 /// tables plus compressed (ordinal, tf) postings per term.
 ///
@@ -135,9 +145,10 @@ class DocSegment {
     std::unordered_map<TermId, std::vector<std::pair<uint32_t, uint32_t>>>
         postings;
 
-    /// Appends one document (the next local ordinal).
+    /// Appends one document (the next local ordinal). When `df` is
+    /// non-null, each of the document's terms is counted in it once.
     void Add(DocId doc, const std::unordered_map<TermId, uint32_t>& tf,
-             size_t doc_len);
+             size_t doc_len, DocFreqMap* df = nullptr);
     bool empty() const { return docs.empty(); }
     size_t doc_count() const { return docs.size(); }
   };
@@ -155,6 +166,9 @@ class DocSegment {
   static std::shared_ptr<const DocSegment> Merge(const DocSegment& left,
                                                  const DocSegment& right,
                                                  size_t block_postings);
+
+  /// Decodes the segment back into a builder — the inverse of Seal.
+  Builder Unseal() const;
 
   size_t doc_count() const { return docs_.size(); }
   DocId doc(uint32_t ordinal) const { return docs_[ordinal]; }
@@ -196,8 +210,10 @@ class PassageSegment {
         postings;
 
     /// Appends one document: `sentence_terms[s]` lists the distinct terms
-    /// of sentence `s` (insertion order, already deduplicated).
-    void Add(DocId doc, const std::vector<std::vector<TermId>>& sentence_terms);
+    /// of sentence `s` (insertion order, already deduplicated). When `df`
+    /// is non-null, each distinct term of the document is counted once.
+    void Add(DocId doc, const std::vector<std::vector<TermId>>& sentence_terms,
+             DocFreqMap* df = nullptr);
     bool empty() const { return docs.empty(); }
     size_t doc_count() const { return docs.size(); }
   };
@@ -219,6 +235,7 @@ class PassageSegment {
   static std::shared_ptr<const PassageSegment> Merge(const PassageSegment& left,
                                                      const PassageSegment& right,
                                                      size_t block_postings);
+  Builder Unseal() const;
 
   size_t doc_count() const { return docs_.size(); }
   DocId doc(uint32_t ordinal) const { return docs_[ordinal]; }

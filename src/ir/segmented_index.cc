@@ -83,73 +83,116 @@ void SpliceMerged(std::vector<std::shared_ptr<const Seg>>* sealed,
   }
 }
 
+/// Adds each term's distinct documents in `builder` to `df`. A term's
+/// ordinals are non-decreasing, so each run of equal ordinals is one doc.
+template <typename Builder>
+void CountDocFreq(const Builder& builder, DocFreqMap* df) {
+  for (const auto& [term, pairs] : builder.postings) {
+    size_t& count = (*df)[term];
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      if (i == 0 || pairs[i].first != pairs[i - 1].first) ++count;
+    }
+  }
+}
+
+/// What the shared core knows of each segment kind: its `index` label
+/// value and the pruning counters whose meaning differs per kind.
+template <typename Segment>
+struct KindInfo;
+
+template <>
+struct KindInfo<DocSegment> {
+  static constexpr const char* kIndex = "doc";
+  static constexpr const char* kPrunedCandidatesHelp =
+      "Candidate documents skipped unscored by the block-max bound";
+  static constexpr const char* kPrunedKind = kMetricIndexPrunedBlocks;
+  static constexpr const char* kPrunedKindHelp =
+      "Posting blocks skipped undecoded by the block-max bound";
+};
+
+template <>
+struct KindInfo<PassageSegment> {
+  static constexpr const char* kIndex = "passage";
+  static constexpr const char* kPrunedCandidatesHelp =
+      "Candidate documents skipped unscored by the score bound";
+  static constexpr const char* kPrunedKind = kMetricIndexPrunedWindows;
+  static constexpr const char* kPrunedKindHelp =
+      "Candidate sentence windows skipped unscored by the score bound";
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// SegmentedDocIndex
+// SegmentManifest — the lifecycle shared by both index kinds
 // ---------------------------------------------------------------------------
 
-SegmentedDocIndex::SegmentedDocIndex(SegmentedIndexOptions options)
-    : options_(options) {}
+template <typename Segment>
+SegmentManifest<Segment>::SegmentManifest(SegmentedIndexOptions options)
+    : options_(options) {
+  options_.merge_trigger = std::max<size_t>(1, options_.merge_trigger);
+}
 
-SegmentedDocIndex::~SegmentedDocIndex() { WaitForMerges(); }
+template <typename Segment>
+SegmentManifest<Segment>::~SegmentManifest() {
+  WaitForMerges();
+}
 
-void SegmentedDocIndex::WaitForMerges() const {
+template <typename Segment>
+void SegmentManifest<Segment>::WaitForMerges() const {
   std::unique_lock<std::mutex> lock(mu_);
   merge_cv_.wait(lock, [this] { return !merge_inflight_; });
 }
 
-void SegmentedDocIndex::Add(DocId doc,
-                            const std::unordered_map<TermId, uint32_t>& tf,
-                            size_t doc_len) {
-  for (const auto& [term, unused] : tf) ++df_[term];
-  memtable_.Add(doc, tf, doc_len);
-  ++total_docs_;
-  if (options_.seal_every > 0 && memtable_.doc_count() >= options_.seal_every) {
-    SealMemtable();
-  }
-}
-
-void SegmentedDocIndex::SealMemtable() {
+template <typename Segment>
+void SegmentManifest<Segment>::SealMemtable() {
   if (memtable_.empty() || options_.seal_every == 0) return;
   Span span(trace_, "index.seal");
-  span.Annotate("index", "doc");
+  span.Annotate("index", KindInfo<Segment>::kIndex);
   span.Annotate("docs", static_cast<double>(memtable_.doc_count()));
-  auto segment =
-      DocSegment::Seal(std::move(memtable_), options_.block_postings);
-  memtable_ = DocSegment::Builder();
+  auto segment = Segment::Seal(std::move(memtable_), options_.block_postings);
+  memtable_ = Builder();
   AppendSealed(std::move(segment));
 }
 
-void SegmentedDocIndex::AddSealedShards(
-    std::vector<DocSegment::Builder> shards, ThreadPool* pool) {
+template <typename Segment>
+void SegmentManifest<Segment>::AddBatch(
+    size_t count, ThreadPool* pool,
+    const std::function<void(Builder*, size_t)>& add) {
+  size_t shard_count = pool == nullptr ? 1 : std::max<size_t>(
+                                                 1, pool->worker_count());
+  shard_count = std::min(shard_count, std::max<size_t>(1, count));
+  size_t per_shard = (count + shard_count - 1) / shard_count;
+  std::vector<Builder> shards(shard_count);
+  auto build_shard = [&](size_t s) {
+    size_t end = std::min((s + 1) * per_shard, count);
+    for (size_t i = s * per_shard; i < end; ++i) add(&shards[s], i);
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(shard_count, build_shard);
+  } else {
+    for (size_t s = 0; s < shard_count; ++s) build_shard(s);
+  }
+  AddSealedShards(std::move(shards), pool);
+}
+
+template <typename Segment>
+void SegmentManifest<Segment>::AddSealedShards(std::vector<Builder> shards,
+                                               ThreadPool* pool) {
+  for (const Builder& shard : shards) {
+    CountDocFreq(shard, &df_);
+    total_docs_ += shard.doc_count();
+  }
   if (options_.seal_every == 0) {
     // Monolithic mode stays pure-memtable: splice the shards into the
     // memtable in shard order — indistinguishable from serial Adds.
-    for (DocSegment::Builder& shard : shards) {
-      uint32_t offset = static_cast<uint32_t>(memtable_.doc_count());
-      for (auto& [term, pairs] : shard.postings) {
-        auto& dst = memtable_.postings[term];
-        dst.reserve(dst.size() + pairs.size());
-        for (const auto& [ordinal, tf] : pairs) {
-          dst.push_back({ordinal + offset, tf});
-        }
-        df_[term] += pairs.size();
-      }
-      memtable_.docs.insert(memtable_.docs.end(), shard.docs.begin(),
-                            shard.docs.end());
-      memtable_.lengths.insert(memtable_.lengths.end(), shard.lengths.begin(),
-                               shard.lengths.end());
-      total_docs_ += shard.doc_count();
-    }
+    for (Builder& shard : shards) AppendBuilder(&memtable_, std::move(shard));
     return;
   }
   SealMemtable();  // Anything already buffered keeps its place in order.
-  std::vector<std::shared_ptr<const DocSegment>> segments(shards.size());
+  std::vector<std::shared_ptr<const Segment>> segments(shards.size());
   auto seal_one = [&](size_t i) {
     if (shards[i].empty()) return;
-    segments[i] =
-        DocSegment::Seal(std::move(shards[i]), options_.block_postings);
+    segments[i] = Segment::Seal(std::move(shards[i]), options_.block_postings);
   };
   if (pool != nullptr) {
     pool->ParallelFor(shards.size(), seal_one);
@@ -157,17 +200,13 @@ void SegmentedDocIndex::AddSealedShards(
     for (size_t i = 0; i < shards.size(); ++i) seal_one(i);
   }
   for (auto& segment : segments) {
-    if (segment == nullptr) continue;
-    total_docs_ += segment->doc_count();
-    for (const auto& [term, list] : segment->postings()) {
-      df_[term] += list.count;
-    }
-    AppendSealed(std::move(segment));
+    if (segment != nullptr) AppendSealed(std::move(segment));
   }
 }
 
-void SegmentedDocIndex::AppendSealed(
-    std::shared_ptr<const DocSegment> segment) {
+template <typename Segment>
+void SegmentManifest<Segment>::AppendSealed(
+    std::shared_ptr<const Segment> segment) {
   std::unique_lock<std::mutex> lock(mu_);
   sealed_bytes_ += segment->postings_bytes();
   sealed_.push_back(std::move(segment));
@@ -176,7 +215,9 @@ void SegmentedDocIndex::AppendSealed(
   StartMergesLocked(&lock);
 }
 
-void SegmentedDocIndex::StartMergesLocked(std::unique_lock<std::mutex>* lock) {
+template <typename Segment>
+void SegmentManifest<Segment>::StartMergesLocked(
+    std::unique_lock<std::mutex>* lock) {
   while (!merge_inflight_ && sealed_.size() > options_.merge_trigger) {
     size_t i = PickMergePair(sealed_);
     auto left = sealed_[i];
@@ -190,7 +231,7 @@ void SegmentedDocIndex::StartMergesLocked(std::unique_lock<std::mutex>* lock) {
     lock->unlock();
     {
       Span span(trace_, "index.merge");
-      span.Annotate("index", "doc");
+      span.Annotate("index", KindInfo<Segment>::kIndex);
       span.Annotate("docs",
                     static_cast<double>(left->doc_count() + right->doc_count()));
       RunMerge(left, right);
@@ -199,10 +240,11 @@ void SegmentedDocIndex::StartMergesLocked(std::unique_lock<std::mutex>* lock) {
   }
 }
 
-void SegmentedDocIndex::RunMerge(std::shared_ptr<const DocSegment> left,
-                                 std::shared_ptr<const DocSegment> right) {
+template <typename Segment>
+void SegmentManifest<Segment>::RunMerge(std::shared_ptr<const Segment> left,
+                                        std::shared_ptr<const Segment> right) {
   auto start = std::chrono::steady_clock::now();
-  auto merged = DocSegment::Merge(*left, *right, options_.block_postings);
+  auto merged = Segment::Merge(*left, *right, options_.block_postings);
   std::unique_lock<std::mutex> lock(mu_);
   sealed_bytes_ += merged->postings_bytes();
   sealed_bytes_ -= left->postings_bytes() + right->postings_bytes();
@@ -217,7 +259,8 @@ void SegmentedDocIndex::RunMerge(std::shared_ptr<const DocSegment> left,
   merge_cv_.notify_all();
 }
 
-void SegmentedDocIndex::UpdateManifestGaugesLocked() {
+template <typename Segment>
+void SegmentManifest<Segment>::UpdateManifestGaugesLocked() {
   if (metrics_.segments != nullptr) {
     metrics_.segments->Set(static_cast<double>(sealed_.size()));
   }
@@ -226,31 +269,71 @@ void SegmentedDocIndex::UpdateManifestGaugesLocked() {
   }
 }
 
-size_t SegmentedDocIndex::DocFreq(TermId term) const {
+template <typename Segment>
+std::vector<std::shared_ptr<const Segment>> SegmentManifest<Segment>::Snapshot()
+    const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return sealed_;
+}
+
+template <typename Segment>
+size_t SegmentManifest<Segment>::DocFreq(TermId term) const {
   auto it = df_.find(term);
   return it == df_.end() ? 0 : it->second;
 }
 
-size_t SegmentedDocIndex::sealed_segment_count() const {
+template <typename Segment>
+size_t SegmentManifest<Segment>::sealed_segment_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return sealed_.size();
 }
 
-size_t SegmentedDocIndex::postings_bytes() const {
+template <typename Segment>
+size_t SegmentManifest<Segment>::postings_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return sealed_bytes_;
 }
 
+template <typename Segment>
+void SegmentManifest<Segment>::set_metrics(MetricRegistry* metrics) {
+  if (metrics == nullptr) {
+    metrics_ = Instruments();
+    return;
+  }
+  using Kind = KindInfo<Segment>;
+  MetricLabels labels = {{"index", Kind::kIndex}};
+  metrics_.seals = metrics->GetCounter(kMetricIndexSeals, labels,
+                                       "Memtables sealed into segments");
+  metrics_.merges =
+      metrics->GetCounter(kMetricIndexMerges, labels, "Segment merges run");
+  metrics_.merge_latency = metrics->GetHistogram(
+      kMetricIndexMergeLatency, labels, MetricRegistry::LatencyBucketsMs(),
+      "Wall time of segment merges");
+  metrics_.segments = metrics->GetGauge(kMetricIndexSegments, labels,
+                                        "Sealed segments in the manifest");
+  metrics_.postings_bytes =
+      metrics->GetGauge(kMetricIndexPostingsBytes, labels,
+                        "Compressed postings bytes across sealed segments");
+  metrics_.pruned_segments = metrics->GetCounter(
+      kMetricIndexPrunedSegments, labels,
+      "Whole segments skipped by the top-k score bound");
+  metrics_.pruned_candidates = metrics->GetCounter(
+      kMetricIndexPrunedCandidates, labels, Kind::kPrunedCandidatesHelp);
+  metrics_.pruned_kind =
+      metrics->GetCounter(Kind::kPrunedKind, labels, Kind::kPrunedKindHelp);
+}
+
+template class SegmentManifest<DocSegment>;
+template class SegmentManifest<PassageSegment>;
+
+// ---------------------------------------------------------------------------
+// SegmentedDocIndex
+// ---------------------------------------------------------------------------
+
 std::vector<DocHit> SegmentedDocIndex::SearchTopK(
     const std::vector<TermId>& ids, size_t k) const {
-  // Snapshot the sealed manifest; segments are immutable, so the merge
-  // swapping the manifest later cannot invalidate this reader's view. The
-  // memtable is read directly — writers are externally excluded.
-  std::vector<std::shared_ptr<const DocSegment>> sealed;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sealed = sealed_;
-  }
+  // The memtable is read directly — writers are externally excluded.
+  std::vector<std::shared_ptr<const DocSegment>> sealed = Snapshot();
   const double n_docs = static_cast<double>(total_docs_);
   struct QueryTerm {
     TermId id;
@@ -337,7 +420,7 @@ std::vector<DocHit> SegmentedDocIndex::SearchTopK(
         Cursor& c = cursors[0];
         while (!c.cursor.done() &&
                c.idf * c.cursor.block_max() < theta.value()) {
-          Bump(metrics_.pruned_blocks);
+          Bump(metrics_.pruned_kind);
           c.cursor.SkipBlock();
         }
       }
@@ -394,11 +477,7 @@ std::vector<DocHit> SegmentedDocIndex::SearchTopK(
 }
 
 std::string SegmentedDocIndex::DebugString(const TermDictionary& dict) const {
-  std::vector<std::shared_ptr<const DocSegment>> sealed;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sealed = sealed_;
-  }
+  std::vector<std::shared_ptr<const DocSegment>> sealed = Snapshot();
   std::ostringstream out;
   std::vector<TermId> term_ids;
   term_ids.reserve(df_.size());
@@ -438,185 +517,9 @@ std::string SegmentedDocIndex::DebugString(const TermDictionary& dict) const {
   return out.str();
 }
 
-void SegmentedDocIndex::set_metrics(MetricRegistry* metrics,
-                                    const std::string& kind) {
-  if (metrics == nullptr) {
-    metrics_ = Instruments();
-    return;
-  }
-  MetricLabels labels = {{"index", kind}};
-  metrics_.seals = metrics->GetCounter(kMetricIndexSeals, labels,
-                                       "Memtables sealed into segments");
-  metrics_.merges =
-      metrics->GetCounter(kMetricIndexMerges, labels, "Segment merges run");
-  metrics_.merge_latency = metrics->GetHistogram(
-      kMetricIndexMergeLatency, labels, MetricRegistry::LatencyBucketsMs(),
-      "Wall time of segment merges");
-  metrics_.segments = metrics->GetGauge(kMetricIndexSegments, labels,
-                                        "Sealed segments in the manifest");
-  metrics_.postings_bytes =
-      metrics->GetGauge(kMetricIndexPostingsBytes, labels,
-                        "Compressed postings bytes across sealed segments");
-  metrics_.pruned_segments = metrics->GetCounter(
-      kMetricIndexPrunedSegments, labels,
-      "Whole segments skipped by the top-k score bound");
-  metrics_.pruned_blocks = metrics->GetCounter(
-      kMetricIndexPrunedBlocks, labels,
-      "Posting blocks skipped undecoded by the block-max bound");
-  metrics_.pruned_candidates = metrics->GetCounter(
-      kMetricIndexPrunedCandidates, labels,
-      "Candidate documents skipped unscored by the block-max bound");
-}
-
 // ---------------------------------------------------------------------------
 // SegmentedPassageIndex
 // ---------------------------------------------------------------------------
-
-SegmentedPassageIndex::SegmentedPassageIndex(size_t window,
-                                             SegmentedIndexOptions options)
-    : window_(window < 1 ? 1 : window), options_(options) {}
-
-SegmentedPassageIndex::~SegmentedPassageIndex() { WaitForMerges(); }
-
-void SegmentedPassageIndex::WaitForMerges() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  merge_cv_.wait(lock, [this] { return !merge_inflight_; });
-}
-
-void SegmentedPassageIndex::Add(
-    DocId doc, std::vector<std::string> sentences,
-    const std::vector<std::vector<TermId>>& sentence_terms) {
-  std::set<TermId> in_doc;
-  for (const auto& terms : sentence_terms) {
-    for (TermId term : terms) in_doc.insert(term);
-  }
-  for (TermId term : in_doc) ++df_[term];
-  memtable_.Add(doc, sentence_terms);
-  sentences_[doc] = std::move(sentences);
-  if (options_.seal_every > 0 && memtable_.doc_count() >= options_.seal_every) {
-    SealMemtable();
-  }
-}
-
-void SegmentedPassageIndex::SealMemtable() {
-  if (memtable_.empty() || options_.seal_every == 0) return;
-  Span span(trace_, "index.seal");
-  span.Annotate("index", "passage");
-  span.Annotate("docs", static_cast<double>(memtable_.doc_count()));
-  auto segment =
-      PassageSegment::Seal(std::move(memtable_), options_.block_postings);
-  memtable_ = PassageSegment::Builder();
-  AppendSealed(std::move(segment));
-}
-
-void SegmentedPassageIndex::AddSealedShards(
-    std::vector<PassageSegment::Builder> shards,
-    std::vector<std::pair<DocId, std::vector<std::string>>> sentences,
-    ThreadPool* pool) {
-  for (auto& [doc, sents] : sentences) {
-    sentences_[doc] = std::move(sents);
-  }
-  if (options_.seal_every == 0) {
-    // Monolithic mode stays pure-memtable (see SegmentedDocIndex).
-    for (PassageSegment::Builder& shard : shards) {
-      uint32_t offset = static_cast<uint32_t>(memtable_.doc_count());
-      for (auto& [term, pairs] : shard.postings) {
-        auto& dst = memtable_.postings[term];
-        dst.reserve(dst.size() + pairs.size());
-        size_t distinct = 0;
-        for (size_t i = 0; i < pairs.size(); ++i) {
-          if (i == 0 || pairs[i].first != pairs[i - 1].first) ++distinct;
-          dst.push_back({pairs[i].first + offset, pairs[i].second});
-        }
-        df_[term] += distinct;
-      }
-      memtable_.docs.insert(memtable_.docs.end(), shard.docs.begin(),
-                            shard.docs.end());
-    }
-    return;
-  }
-  SealMemtable();
-  std::vector<std::shared_ptr<const PassageSegment>> segments(shards.size());
-  auto seal_one = [&](size_t i) {
-    if (shards[i].empty()) return;
-    segments[i] =
-        PassageSegment::Seal(std::move(shards[i]), options_.block_postings);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(shards.size(), seal_one);
-  } else {
-    for (size_t i = 0; i < shards.size(); ++i) seal_one(i);
-  }
-  for (auto& segment : segments) {
-    if (segment == nullptr) continue;
-    for (const auto& [term, info] : segment->terms()) {
-      df_[term] += info.doc_freq;
-    }
-    AppendSealed(std::move(segment));
-  }
-}
-
-void SegmentedPassageIndex::AppendSealed(
-    std::shared_ptr<const PassageSegment> segment) {
-  std::unique_lock<std::mutex> lock(mu_);
-  sealed_bytes_ += segment->postings_bytes();
-  sealed_.push_back(std::move(segment));
-  Bump(metrics_.seals);
-  UpdateManifestGaugesLocked();
-  StartMergesLocked(&lock);
-}
-
-void SegmentedPassageIndex::StartMergesLocked(
-    std::unique_lock<std::mutex>* lock) {
-  while (!merge_inflight_ && sealed_.size() > options_.merge_trigger) {
-    size_t i = PickMergePair(sealed_);
-    auto left = sealed_[i];
-    auto right = sealed_[i + 1];
-    merge_inflight_ = true;
-    if (options_.merge_pool != nullptr) {
-      options_.merge_pool->Submit(
-          [this, left, right] { RunMerge(left, right); });
-      return;
-    }
-    lock->unlock();
-    {
-      Span span(trace_, "index.merge");
-      span.Annotate("index", "passage");
-      span.Annotate("docs",
-                    static_cast<double>(left->doc_count() + right->doc_count()));
-      RunMerge(left, right);
-    }
-    lock->lock();
-  }
-}
-
-void SegmentedPassageIndex::RunMerge(
-    std::shared_ptr<const PassageSegment> left,
-    std::shared_ptr<const PassageSegment> right) {
-  auto start = std::chrono::steady_clock::now();
-  auto merged = PassageSegment::Merge(*left, *right, options_.block_postings);
-  std::unique_lock<std::mutex> lock(mu_);
-  sealed_bytes_ += merged->postings_bytes();
-  sealed_bytes_ -= left->postings_bytes() + right->postings_bytes();
-  SpliceMerged(&sealed_, left.get(), std::move(merged));
-  Bump(metrics_.merges);
-  if (metrics_.merge_latency != nullptr) {
-    metrics_.merge_latency->Observe(MsSince(start));
-  }
-  UpdateManifestGaugesLocked();
-  merge_inflight_ = false;
-  if (options_.merge_pool != nullptr) StartMergesLocked(&lock);
-  merge_cv_.notify_all();
-}
-
-void SegmentedPassageIndex::UpdateManifestGaugesLocked() {
-  if (metrics_.segments != nullptr) {
-    metrics_.segments->Set(static_cast<double>(sealed_.size()));
-  }
-  if (metrics_.postings_bytes != nullptr) {
-    metrics_.postings_bytes->Set(static_cast<double>(sealed_bytes_));
-  }
-}
 
 const std::vector<std::string>& SegmentedPassageIndex::Sentences(
     DocId doc) const {
@@ -625,28 +528,9 @@ const std::vector<std::string>& SegmentedPassageIndex::Sentences(
   return it == sentences_.end() ? kEmpty : it->second;
 }
 
-size_t SegmentedPassageIndex::DocFreq(TermId term) const {
-  auto it = df_.find(term);
-  return it == df_.end() ? 0 : it->second;
-}
-
-size_t SegmentedPassageIndex::sealed_segment_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sealed_.size();
-}
-
-size_t SegmentedPassageIndex::postings_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sealed_bytes_;
-}
-
 std::vector<Passage> SegmentedPassageIndex::SearchTopK(
     const std::vector<TermId>& ids, size_t k) const {
-  std::vector<std::shared_ptr<const PassageSegment>> sealed;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sealed = sealed_;
-  }
+  std::vector<std::shared_ptr<const PassageSegment>> sealed = Snapshot();
   const double n_docs = static_cast<double>(sentences_.size());
   struct QueryTerm {
     TermId id;
@@ -696,7 +580,7 @@ std::vector<Passage> SegmentedPassageIndex::SearchTopK(
     }
     if (theta.full() && doc_bound < theta.value()) {
       Bump(metrics_.pruned_candidates);
-      Bump(metrics_.pruned_windows, static_cast<double>(starts.size()));
+      Bump(metrics_.pruned_kind, static_cast<double>(starts.size()));
       return;
     }
     size_t n_sents = Sentences(doc).size();
@@ -839,11 +723,7 @@ std::vector<Passage> SegmentedPassageIndex::SearchTopK(
 
 std::string SegmentedPassageIndex::DebugString(
     const TermDictionary& dict) const {
-  std::vector<std::shared_ptr<const PassageSegment>> sealed;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sealed = sealed_;
-  }
+  std::vector<std::shared_ptr<const PassageSegment>> sealed = Snapshot();
   std::ostringstream out;
   std::vector<TermId> term_ids;
   term_ids.reserve(df_.size());
@@ -874,36 +754,6 @@ std::string SegmentedPassageIndex::DebugString(
     out << "sentences " << doc << '=' << sentences_.at(doc).size() << '\n';
   }
   return out.str();
-}
-
-void SegmentedPassageIndex::set_metrics(MetricRegistry* metrics,
-                                        const std::string& kind) {
-  if (metrics == nullptr) {
-    metrics_ = Instruments();
-    return;
-  }
-  MetricLabels labels = {{"index", kind}};
-  metrics_.seals = metrics->GetCounter(kMetricIndexSeals, labels,
-                                       "Memtables sealed into segments");
-  metrics_.merges =
-      metrics->GetCounter(kMetricIndexMerges, labels, "Segment merges run");
-  metrics_.merge_latency = metrics->GetHistogram(
-      kMetricIndexMergeLatency, labels, MetricRegistry::LatencyBucketsMs(),
-      "Wall time of segment merges");
-  metrics_.segments = metrics->GetGauge(kMetricIndexSegments, labels,
-                                        "Sealed segments in the manifest");
-  metrics_.postings_bytes =
-      metrics->GetGauge(kMetricIndexPostingsBytes, labels,
-                        "Compressed postings bytes across sealed segments");
-  metrics_.pruned_segments = metrics->GetCounter(
-      kMetricIndexPrunedSegments, labels,
-      "Whole segments skipped by the top-k score bound");
-  metrics_.pruned_candidates = metrics->GetCounter(
-      kMetricIndexPrunedCandidates, labels,
-      "Candidate documents skipped unscored by the score bound");
-  metrics_.pruned_windows = metrics->GetCounter(
-      kMetricIndexPrunedWindows, labels,
-      "Candidate sentence windows skipped unscored by the score bound");
 }
 
 }  // namespace ir

@@ -2,6 +2,7 @@
 #define DWQA_IR_SEGMENTED_INDEX_H_
 
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -27,6 +28,14 @@ struct Passage;
 /// \brief LSM-style segmented index cores: a mutable memtable plus a
 /// manifest of immutable sealed segments (ir/segment.h), with tiered
 /// background merging and block-max top-k pruning.
+///
+/// One lifecycle serves both index kinds: `SegmentManifest<Segment>` owns
+/// the memtable → seal → tiered merge → snapshot-reader cycle, the global
+/// document frequencies and the shared `dwqa_index_*` instruments, and is
+/// explicitly instantiated for DocSegment and PassageSegment in
+/// segmented_index.cc. `SegmentedDocIndex` and `SegmentedPassageIndex`
+/// derive from it and add only what differs per kind: the scoring
+/// (SearchTopK), the canonical dump, and for passages the sentence table.
 ///
 /// `InvertedIndex` and `PassageIndex` re-seat on these cores: AddDocument/
 /// AddAnalyzed become incremental appends (a freshly fetched page is
@@ -54,7 +63,8 @@ struct SegmentedIndexOptions {
   /// Sealed-segment count above which a merge is triggered: the adjacent
   /// pair with the fewest combined documents (leftmost on ties) merges
   /// into one, repeatedly, until the manifest is back at or below the
-  /// trigger. Deterministic: depends only on the manifest shape.
+  /// trigger. Deterministic: depends only on the manifest shape. Values
+  /// below 1 act as 1.
   size_t merge_trigger = 8;
   /// Postings per block of the sealed lists (block-max skip granularity).
   size_t block_postings = 128;
@@ -64,47 +74,52 @@ struct SegmentedIndexOptions {
   ThreadPool* merge_pool = nullptr;
 };
 
-/// \brief Segmented core of the document-level InvertedIndex.
-class SegmentedDocIndex {
+/// \brief The lifecycle shared by both index kinds: memtable appends,
+/// seals, the sealed manifest with its tiered merges, snapshot reads,
+/// global document frequencies and the `dwqa_index_*` instruments.
+template <typename Segment>
+class SegmentManifest {
  public:
-  explicit SegmentedDocIndex(SegmentedIndexOptions options);
+  using Builder = typename Segment::Builder;
+
+  /// Clamps `merge_trigger` to at least 1: a manifest of one segment has
+  /// no adjacent pair to merge.
+  explicit SegmentManifest(SegmentedIndexOptions options);
   /// Waits for the in-flight background merge (if any) before releasing
   /// the manifest.
-  ~SegmentedDocIndex();
+  ~SegmentManifest();
 
-  SegmentedDocIndex(const SegmentedDocIndex&) = delete;
-  SegmentedDocIndex& operator=(const SegmentedDocIndex&) = delete;
+  SegmentManifest(const SegmentManifest&) = delete;
+  SegmentManifest& operator=(const SegmentManifest&) = delete;
 
-  /// Appends one document (writer API). Seals the memtable when it reaches
-  /// `seal_every` documents.
-  void Add(DocId doc, const std::unordered_map<TermId, uint32_t>& tf,
-           size_t doc_len);
+  /// Appends one document (writer API) — `terms` are the rest of the
+  /// kind's Builder::Add arguments — and seals the memtable when it
+  /// reaches `seal_every` documents.
+  template <typename... Terms>
+  void Add(DocId doc, const Terms&... terms) {
+    memtable_.Add(doc, terms..., &df_);
+    ++total_docs_;
+    if (options_.seal_every > 0 &&
+        memtable_.doc_count() >= options_.seal_every) {
+      SealMemtable();
+    }
+  }
 
-  /// Appends pre-built shards as sealed segments, in shard order; the
-  /// expensive compression runs in parallel on `pool` (null/inline pools
-  /// seal serially). Parallel bulk build path of IndexCorpus.
-  void AddSealedShards(std::vector<DocSegment::Builder> shards,
-                       ThreadPool* pool);
+  /// Bulk build of documents [0, `count`): splits them into contiguous
+  /// shards, one per `pool` worker, fills each shard's builder with
+  /// `add(builder, i)` (shards run concurrently on `pool`; null = serial),
+  /// seals the shards in parallel and appends them in shard order —
+  /// postings byte-identical to `count` serial Adds.
+  void AddBatch(size_t count, ThreadPool* pool,
+                const std::function<void(Builder*, size_t)>& add);
 
   /// Seals the current memtable (no-op when empty or seal_every == 0).
   void SealMemtable();
-
-  /// Exact top-`k` hits for the resolved query terms, best first
-  /// (score desc, DocId asc). `ids` must be in sorted-unique term order
-  /// (ir/term_pipeline ResolveDocumentQuery) — score accumulation order is
-  /// part of the byte-identity contract.
-  std::vector<DocHit> SearchTopK(const std::vector<TermId>& ids,
-                                 size_t k) const;
 
   size_t document_count() const { return total_docs_; }
   size_t term_count() const { return df_.size(); }
   /// Documents containing the term, across all segments and the memtable.
   size_t DocFreq(TermId term) const;
-
-  /// Canonical dump, byte-identical to the monolithic index's for the same
-  /// insertion order: postings per term (TermId order, refs in insertion
-  /// order) then per-document lengths.
-  std::string DebugString(const TermDictionary& dict) const;
 
   size_t sealed_segment_count() const;
   /// Compressed postings bytes across sealed segments.
@@ -113,14 +128,14 @@ class SegmentedDocIndex {
   void WaitForMerges() const;
 
   /// Attaches the `dwqa_index_*` instruments under the label
-  /// {index=`kind`}; null turns instrumentation off.
-  void set_metrics(MetricRegistry* metrics, const std::string& kind);
+  /// {index="doc"|"passage"}; null turns instrumentation off.
+  void set_metrics(MetricRegistry* metrics);
   /// Trace sink for `index.seal` / inline `index.merge` spans (null off).
   /// Background merges are never traced: TraceRecorder parents spans off
   /// one serial stack.
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
 
- private:
+ protected:
   struct Instruments {
     Counter* seals = nullptr;
     Counter* merges = nullptr;
@@ -128,36 +143,67 @@ class SegmentedDocIndex {
     Gauge* segments = nullptr;
     Gauge* postings_bytes = nullptr;
     Counter* pruned_segments = nullptr;
-    Counter* pruned_blocks = nullptr;
     Counter* pruned_candidates = nullptr;
+    /// The kind's own pruning counter: posting blocks skipped undecoded
+    /// (doc) or sentence windows skipped unscored (passage).
+    Counter* pruned_kind = nullptr;
   };
 
-  void AppendSealed(std::shared_ptr<const DocSegment> segment);
+  /// The sealed manifest as of now. Segments are immutable, so a later
+  /// merge swapping the manifest cannot invalidate the reader's view.
+  std::vector<std::shared_ptr<const Segment>> Snapshot() const;
+
+  /// Mutable memtable (writer-owned; merges never touch it).
+  Builder memtable_;
+  /// Global per-term document frequency and document total — maintained
+  /// incrementally at add time, invariant under seal/merge.
+  DocFreqMap df_;
+  size_t total_docs_ = 0;
+  Instruments metrics_;
+
+ private:
+  void AddSealedShards(std::vector<Builder> shards, ThreadPool* pool);
+  void AppendSealed(std::shared_ptr<const Segment> segment);
   /// Starts (and, without a pool, runs) merges until the manifest is at or
   /// below the trigger. Requires `lock` held on mu_.
   void StartMergesLocked(std::unique_lock<std::mutex>* lock);
-  void RunMerge(std::shared_ptr<const DocSegment> left,
-                std::shared_ptr<const DocSegment> right);
+  void RunMerge(std::shared_ptr<const Segment> left,
+                std::shared_ptr<const Segment> right);
   void UpdateManifestGaugesLocked();
 
   SegmentedIndexOptions options_;
-  /// Mutable memtable (writer-owned; merges never touch it).
-  DocSegment::Builder memtable_;
   /// Sealed manifest in document order; guarded by mu_ (readers snapshot
   /// it, the merge swaps adjacent entries in place).
-  std::vector<std::shared_ptr<const DocSegment>> sealed_;
+  std::vector<std::shared_ptr<const Segment>> sealed_;
   size_t sealed_bytes_ = 0;
-  /// Global per-term document frequency and document total — maintained
-  /// incrementally at Add time, invariant under seal/merge.
-  std::unordered_map<TermId, size_t> df_;
-  size_t total_docs_ = 0;
 
   mutable std::mutex mu_;
   mutable std::condition_variable merge_cv_;
   bool merge_inflight_ = false;
 
-  Instruments metrics_;
   TraceRecorder* trace_ = nullptr;
+};
+
+extern template class SegmentManifest<DocSegment>;
+extern template class SegmentManifest<PassageSegment>;
+
+/// \brief Segmented core of the document-level InvertedIndex.
+class SegmentedDocIndex : public SegmentManifest<DocSegment> {
+ public:
+  explicit SegmentedDocIndex(SegmentedIndexOptions options)
+      : SegmentManifest(options) {}
+
+  /// Exact top-`k` hits for the resolved query terms, best first
+  /// (score desc, DocId asc). `ids` must be in sorted-unique term order
+  /// (ir/term_pipeline ResolveDocumentQuery) — score accumulation order is
+  /// part of the byte-identity contract.
+  std::vector<DocHit> SearchTopK(const std::vector<TermId>& ids,
+                                 size_t k) const;
+
+  /// Canonical dump, byte-identical to the monolithic index's for the same
+  /// insertion order: postings per term (TermId order, refs in insertion
+  /// order) then per-document lengths.
+  std::string DebugString(const TermDictionary& dict) const;
 };
 
 /// \brief Segmented core of the IR-n PassageIndex.
@@ -168,28 +214,16 @@ class SegmentedDocIndex {
 /// idf + repeat-bonus upper bounds over the document's matched terms
 /// bounds every window score, so documents strictly below the current
 /// k-th selected window score are skipped without scoring any window.
-class SegmentedPassageIndex {
+class SegmentedPassageIndex : public SegmentManifest<PassageSegment> {
  public:
-  SegmentedPassageIndex(size_t window, SegmentedIndexOptions options);
-  ~SegmentedPassageIndex();
+  SegmentedPassageIndex(size_t window, SegmentedIndexOptions options)
+      : SegmentManifest(options), window_(window < 1 ? 1 : window) {}
 
-  SegmentedPassageIndex(const SegmentedPassageIndex&) = delete;
-  SegmentedPassageIndex& operator=(const SegmentedPassageIndex&) = delete;
-
-  /// Appends one document: its sentences and, per sentence, the distinct
-  /// terms it contains (insertion order, pre-deduplicated).
-  void Add(DocId doc, std::vector<std::string> sentences,
-           const std::vector<std::vector<TermId>>& sentence_terms);
-
-  /// Bulk path: stores `sentences` (doc → sentence list, in document
-  /// order) and appends the pre-built shards as sealed segments, sealing
-  /// in parallel on `pool`.
-  void AddSealedShards(
-      std::vector<PassageSegment::Builder> shards,
-      std::vector<std::pair<DocId, std::vector<std::string>>> sentences,
-      ThreadPool* pool);
-
-  void SealMemtable();
+  /// Stores the sentence text of `doc` (writer API), whose terms are
+  /// added through Add/AddBatch.
+  void SetSentences(DocId doc, std::vector<std::string> sentences) {
+    sentences_[doc] = std::move(sentences);
+  }
 
   /// Exact top-`k` passages, best first (score desc, DocId asc, first
   /// sentence asc), windows of `window()` sentences, overlapping windows
@@ -200,51 +234,13 @@ class SegmentedPassageIndex {
 
   const std::vector<std::string>& Sentences(DocId doc) const;
   size_t window() const { return window_; }
-  size_t document_count() const { return sentences_.size(); }
-  size_t DocFreq(TermId term) const;
 
   std::string DebugString(const TermDictionary& dict) const;
 
-  size_t sealed_segment_count() const;
-  size_t postings_bytes() const;
-  void WaitForMerges() const;
-
-  void set_metrics(MetricRegistry* metrics, const std::string& kind);
-  void set_trace(TraceRecorder* trace) { trace_ = trace; }
-
  private:
-  struct Instruments {
-    Counter* seals = nullptr;
-    Counter* merges = nullptr;
-    Histogram* merge_latency = nullptr;
-    Gauge* segments = nullptr;
-    Gauge* postings_bytes = nullptr;
-    Counter* pruned_segments = nullptr;
-    Counter* pruned_candidates = nullptr;
-    Counter* pruned_windows = nullptr;
-  };
-
-  void AppendSealed(std::shared_ptr<const PassageSegment> segment);
-  void StartMergesLocked(std::unique_lock<std::mutex>* lock);
-  void RunMerge(std::shared_ptr<const PassageSegment> left,
-                std::shared_ptr<const PassageSegment> right);
-  void UpdateManifestGaugesLocked();
-
   size_t window_;
-  SegmentedIndexOptions options_;
-  PassageSegment::Builder memtable_;
-  std::vector<std::shared_ptr<const PassageSegment>> sealed_;
-  size_t sealed_bytes_ = 0;
-  std::unordered_map<TermId, size_t> df_;
   /// doc → sentences; address-stable across seals and merges.
   std::unordered_map<DocId, std::vector<std::string>> sentences_;
-
-  mutable std::mutex mu_;
-  mutable std::condition_variable merge_cv_;
-  bool merge_inflight_ = false;
-
-  Instruments metrics_;
-  TraceRecorder* trace_ = nullptr;
 };
 
 }  // namespace ir

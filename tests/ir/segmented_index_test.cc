@@ -1,23 +1,30 @@
 // Behavioural suite of the LSM-style segmented index cores, driven through
 // the InvertedIndex/PassageIndex façades: byte-identical results for every
 // segment layout (the golden-equivalence contract), pinned tie-breaks,
-// adversarial segment shapes, and searches racing background merges. The
+// adversarial segment shapes, searches racing background merges, and
+// seeded random operation sequences against the monolithic index. The
 // target carries the `index` ctest label so scripts/check.sh can rerun it
 // under ASan/UBSan and ci.yml under TSan.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <future>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "ir/inverted_index.h"
 #include "ir/passage_index.h"
 #include "ir/segmented_index.h"
+#include "text/analyzed_corpus.h"
 
 namespace dwqa {
 namespace ir {
@@ -85,6 +92,23 @@ PassageIndex BuildPassageIndex(const SegmentedIndexOptions& options,
     index.AddDocument(DocId(i), corpus[i]);
   }
   return index;
+}
+
+/// The index kind as a test input: both kinds sit on one segmented core,
+/// so lifecycle tests run each of them through the same body.
+template <typename Index>
+Index BuildIndex(const SegmentedIndexOptions& options, size_t docs) {
+  if constexpr (std::is_same_v<Index, InvertedIndex>) {
+    return BuildDocIndex(options, docs);
+  } else {
+    return BuildPassageIndex(options, docs);
+  }
+}
+
+/// The kind's `index` label on metrics and span annotations.
+template <typename Index>
+std::string KindLabel() {
+  return std::is_same_v<Index, InvertedIndex> ? "doc" : "passage";
 }
 
 SegmentedIndexOptions Monolithic() {
@@ -232,17 +256,19 @@ TEST(SegmentedPassageIndexTest, SentencesSurviveSealsAndMerges) {
   EXPECT_EQ(*first, "Keep this reference.");
 }
 
-TEST(SegmentedDocIndexTest, BackgroundMergesMatchInlineMerges) {
+template <typename Index>
+void ExpectBackgroundMergesMatchInlineMerges() {
+  SCOPED_TRACE(KindLabel<Index>());
   const size_t kDocs = 50;
   SegmentedIndexOptions inline_options;
   inline_options.seal_every = 3;
   inline_options.merge_trigger = 2;
-  InvertedIndex inline_merged = BuildDocIndex(inline_options, kDocs);
+  Index inline_merged = BuildIndex<Index>(inline_options, kDocs);
 
   ThreadPool pool(2);
   SegmentedIndexOptions background = inline_options;
   background.merge_pool = &pool;
-  InvertedIndex background_merged = BuildDocIndex(background, kDocs);
+  Index background_merged = BuildIndex<Index>(background, kDocs);
   background_merged.WaitForMerges();
 
   EXPECT_EQ(background_merged.DebugString(), inline_merged.DebugString());
@@ -253,6 +279,12 @@ TEST(SegmentedDocIndexTest, BackgroundMergesMatchInlineMerges) {
               Serialize(inline_merged.Search(query, 10)))
         << query;
   }
+}
+
+// This and the other lifecycle tests below run both index kinds.
+TEST(SegmentedDocIndexTest, BackgroundMergesMatchInlineMerges) {
+  ExpectBackgroundMergesMatchInlineMerges<InvertedIndex>();
+  ExpectBackgroundMergesMatchInlineMerges<PassageIndex>();
 }
 
 TEST(SegmentedDocIndexTest, SearchesRacingBackgroundMergesStayGolden) {
@@ -376,12 +408,14 @@ TEST(SegmentedPassageIndexTest, PruningFiresAndResultsStayExact) {
   EXPECT_GT(pruned, 0.0);
 }
 
-TEST(SegmentedDocIndexTest, SealAndInlineMergeEmitSpans) {
+template <typename Index>
+void ExpectSealAndInlineMergeEmitSpans() {
+  SCOPED_TRACE(KindLabel<Index>());
   TraceRecorder trace;
   SegmentedIndexOptions options;
   options.seal_every = 1;
   options.merge_trigger = 2;  // Inline merges (no pool) are traced.
-  InvertedIndex index(options);
+  Index index = BuildIndex<Index>(options, 0);
   index.set_trace(&trace);
   for (DocId d = 0; d < 5; ++d) {
     index.AddDocument(d, "span content number " + std::to_string(d));
@@ -391,25 +425,173 @@ TEST(SegmentedDocIndexTest, SealAndInlineMergeEmitSpans) {
   for (const SpanRecord& span : trace.spans()) {
     if (span.name == "index.seal") ++seals;
     if (span.name == "index.merge") ++merges;
+    if (span.name == "index.seal" || span.name == "index.merge") {
+      ASSERT_FALSE(span.annotations.empty());
+      EXPECT_EQ(span.annotations[0],
+                std::make_pair(std::string("index"), KindLabel<Index>()));
+    }
   }
   EXPECT_EQ(seals, 5u);
   EXPECT_GT(merges, 0u);
 }
 
-TEST(SegmentedDocIndexTest, SealCountersTrackSealsAndMerges) {
+TEST(SegmentedDocIndexTest, SealAndInlineMergeEmitSpans) {
+  ExpectSealAndInlineMergeEmitSpans<InvertedIndex>();
+  ExpectSealAndInlineMergeEmitSpans<PassageIndex>();
+}
+
+template <typename Index>
+void ExpectSealCountersTrackSealsAndMerges() {
+  SCOPED_TRACE(KindLabel<Index>());
   MetricRegistry metrics;
   SegmentedIndexOptions options;
   options.seal_every = 1;
   options.merge_trigger = 2;
-  InvertedIndex index(options);
+  Index index = BuildIndex<Index>(options, 0);
   index.set_metrics(&metrics);
   for (DocId d = 0; d < 6; ++d) {
     index.AddDocument(d, "counter content number " + std::to_string(d));
   }
-  EXPECT_EQ(metrics.Value("dwqa_index_seals_total", {{"index", "doc"}}), 6.0);
-  EXPECT_GT(metrics.Value("dwqa_index_merges_total", {{"index", "doc"}}),
-            0.0);
+  MetricLabels labels = {{"index", KindLabel<Index>()}};
+  EXPECT_EQ(metrics.Value("dwqa_index_seals_total", labels), 6.0);
+  EXPECT_GT(metrics.Value("dwqa_index_merges_total", labels), 0.0);
   EXPECT_LE(index.sealed_segment_count(), 2u);
+}
+
+TEST(SegmentedDocIndexTest, SealCountersTrackSealsAndMerges) {
+  ExpectSealCountersTrackSealsAndMerges<InvertedIndex>();
+  ExpectSealCountersTrackSealsAndMerges<PassageIndex>();
+}
+
+// merge_trigger = 0 is clamped to 1: one sealed segment has no adjacent
+// pair to merge, so picking one used to read past the manifest (ASan:
+// heap-buffer-overflow on the first seal).
+template <typename Index>
+void ExpectZeroMergeTriggerActsAsOne() {
+  SCOPED_TRACE(KindLabel<Index>());
+  SegmentedIndexOptions options;
+  options.seal_every = 1;
+  options.merge_trigger = 0;
+  Index index = BuildIndex<Index>(options, 12);
+  EXPECT_EQ(index.sealed_segment_count(), 1u);
+  Index golden = BuildIndex<Index>(Monolithic(), 12);
+  EXPECT_EQ(index.DebugString(), golden.DebugString());
+  for (const char* query : kQueries) {
+    EXPECT_EQ(Serialize(index.Search(query, 5)),
+              Serialize(golden.Search(query, 5)))
+        << query;
+  }
+}
+
+TEST(SegmentedIndexTest, ZeroMergeTriggerActsAsOne) {
+  ExpectZeroMergeTriggerActsAsOne<InvertedIndex>();
+  ExpectZeroMergeTriggerActsAsOne<PassageIndex>();
+}
+
+// ---------------------------------------------------------------------------
+// Seeded segmented≡monolithic operation sequences. Each seed draws segment
+// options (seal_every 1–9, merge_trigger 1–4, block_postings 1–8, inline
+// merges or a 2-thread merge pool) and a random interleaving of
+// AddDocument, AddAnalyzedBatch and SealMemtable. After every step the
+// segmented index must dump and answer byte-identically to a
+// `seal_every = 0` index fed the same documents one at a time.
+
+const char* const kSequenceWords[] = {
+    "barcelona", "madrid", "weather", "temperature", "mild", "hot",
+    "dry",       "summer", "flight",  "delayed",     "rain", "the"};
+
+const char* const kSequenceQueries[] = {
+    "barcelona weather", "madrid temperature hot", "rain",
+    "summer flight delayed", "mild dry rain barcelona sunny", "zz"};
+
+/// One to four sentences over a small vocabulary, so terms recur across
+/// documents, sentences and segments ("the" is a stopword).
+std::string RandomText(Rng* rng) {
+  std::string text;
+  size_t sentences = 1 + rng->NextBelow(4);
+  for (size_t s = 0; s < sentences; ++s) {
+    size_t words = 1 + rng->NextBelow(6);
+    for (size_t w = 0; w < words; ++w) {
+      if (w > 0) text += ' ';
+      text += kSequenceWords[rng->NextBelow(std::size(kSequenceWords))];
+    }
+    text += ". ";
+  }
+  return text;
+}
+
+template <typename Index>
+Index MakeIndex(text::AnalyzedCorpus* corpus,
+                const SegmentedIndexOptions& options) {
+  if constexpr (std::is_same_v<Index, InvertedIndex>) {
+    return InvertedIndex(corpus->mutable_dictionary(), options);
+  } else {
+    return PassageIndex(/*window=*/2, corpus->mutable_dictionary(), options);
+  }
+}
+
+template <typename Index>
+void RunOperationSequence(uint64_t seed, ThreadPool* pool) {
+  Rng rng(seed);
+  SegmentedIndexOptions options;
+  options.seal_every = 1 + rng.NextBelow(9);
+  options.merge_trigger = 1 + rng.NextBelow(4);
+  options.block_postings = 1 + rng.NextBelow(8);
+  if (rng.NextBelow(2) == 1) options.merge_pool = pool;
+  SCOPED_TRACE(::testing::Message()
+               << KindLabel<Index>() << " seed=" << seed
+               << " seal_every=" << options.seal_every
+               << " merge_trigger=" << options.merge_trigger
+               << " block_postings=" << options.block_postings
+               << " pool=" << (options.merge_pool != nullptr));
+  // One dictionary for both indexes, so their dumps share term ids.
+  text::AnalyzedCorpus corpus;
+  Index segmented = MakeIndex<Index>(&corpus, options);
+  Index golden = MakeIndex<Index>(&corpus, Monolithic());
+  DocId next = 0;
+  size_t steps = 4 + rng.NextBelow(8);
+  for (size_t step = 0; step < steps; ++step) {
+    switch (rng.NextBelow(3)) {
+      case 0: {
+        std::string text = RandomText(&rng);
+        segmented.AddDocument(next, text);
+        golden.AddDocument(next, text);
+        ++next;
+        break;
+      }
+      case 1: {
+        std::vector<std::pair<DocId, const text::AnalyzedDocument*>> batch;
+        for (size_t n = rng.NextBelow(7); n > 0; --n, ++next) {
+          const text::AnalyzedDocument& analysis =
+              corpus.Add(next, RandomText(&rng));
+          batch.emplace_back(next, &analysis);
+          golden.AddAnalyzed(next, analysis);
+        }
+        segmented.AddAnalyzedBatch(batch,
+                                   rng.NextBelow(2) == 1 ? pool : nullptr);
+        break;
+      }
+      default:
+        segmented.SealMemtable();
+        break;
+    }
+    ASSERT_EQ(segmented.DebugString(), golden.DebugString())
+        << "after step " << step;
+    for (const char* query : kSequenceQueries) {
+      ASSERT_EQ(Serialize(segmented.Search(query, 4)),
+                Serialize(golden.Search(query, 4)))
+          << "after step " << step << ", query: " << query;
+    }
+  }
+}
+
+TEST(SegmentedIndexTest, SeededOperationSequencesMatchMonolithic) {
+  ThreadPool pool(2);
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    RunOperationSequence<InvertedIndex>(seed, &pool);
+    RunOperationSequence<PassageIndex>(seed, &pool);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 }  // namespace
