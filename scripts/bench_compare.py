@@ -40,6 +40,11 @@ GATED = [
     # would mean the fan-out/merge path lost its reason to exist.
     ("bench_federation", "oracle_query_mean_ms"),
     ("bench_federation", "fed_chaos_0%_mean_ms"),
+    # IR-n passage search (the live ask's retrieval step) drifting back
+    # toward per-window rescans would show here first: the paper's
+    # 8-sentence window, and the merged-segment passage query at 10k docs.
+    ("bench_micro_ir", "BM_PassageSearchWindow/8"),
+    ("bench_micro_ir", "BM_SegmentedMergedQueryPassage/10000"),
 ]
 
 # Everything normalises to seconds before the ratio so a unit change in a

@@ -117,6 +117,31 @@ class ScopedLatencyTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// \brief A series pointer resolved on first use and then kept: the
+/// hot-path alternative to a registry lookup (mutex + label map) per event.
+/// Resolution stays lazy, so a series still appears in the exposition only
+/// once it is first used. Reads are lock-free; two racing first uses both
+/// resolve and store the same stable pointer.
+template <typename Instrument>
+class MetricSlot {
+ public:
+  /// The kept instrument, or `resolve()` — stored for the next call.
+  template <typename Resolve>
+  Instrument* Get(Resolve resolve) {
+    Instrument* instrument = ptr_.load(std::memory_order_acquire);
+    if (instrument == nullptr) {
+      instrument = resolve();
+      ptr_.store(instrument, std::memory_order_release);
+    }
+    return instrument;
+  }
+  /// Forgets the kept instrument (its registry was swapped out).
+  void Reset() { ptr_.store(nullptr, std::memory_order_release); }
+
+ private:
+  std::atomic<Instrument*> ptr_{nullptr};
+};
+
 /// \brief One exported series: the flattened, lock-free-read copy of a
 /// metric that Snapshot() hands to exporters, tests and benches.
 struct MetricSnapshot {

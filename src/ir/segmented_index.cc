@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <queue>
-#include <set>
 #include <sstream>
 
 #include "common/metric_names.h"
@@ -32,6 +31,7 @@ class TopKThreshold {
  public:
   explicit TopKThreshold(size_t k) : k_(k) {}
   void Push(double score) {
+    if (k_ == 0) return;  // Nothing to rank against: never full.
     if (heap_.size() < k_) {
       heap_.push(score);
     } else if (score > heap_.top()) {
@@ -118,6 +118,30 @@ struct KindInfo<PassageSegment> {
   static constexpr const char* kPrunedKind = kMetricIndexPrunedWindows;
   static constexpr const char* kPrunedKindHelp =
       "Candidate sentence windows skipped unscored by the score bound";
+};
+
+/// Forward cursor over the memtable's uncompressed (ordinal, sentence)
+/// refs — the PostingCursor interface, so one merge loop reads both kinds
+/// of source.
+class MemtableCursor {
+ public:
+  using Refs = std::vector<std::pair<uint32_t, uint32_t>>;
+  explicit MemtableCursor(const Refs* refs) : refs_(refs) {}
+  bool done() const { return pos_ >= refs_->size(); }
+  uint32_t ordinal() const { return (*refs_)[pos_].first; }
+  uint32_t payload() const { return (*refs_)[pos_].second; }
+  void Next() { ++pos_; }
+
+ private:
+  const Refs* refs_;
+  size_t pos_ = 0;
+};
+
+/// One query term's cursor over one source; `term` indexes the query.
+template <typename Cursor>
+struct TermCursor {
+  size_t term;
+  Cursor cursor;
 };
 
 }  // namespace
@@ -545,75 +569,93 @@ std::vector<Passage> SegmentedPassageIndex::SearchTopK(
   }
   if (query.empty()) return {};
   constexpr double kRepeatBonus = 0.05;
+  // Sums the window formula over the query terms, in query order, for
+  // per-term matched-sentence counts — the one summation every bound and
+  // window score goes through, so equal counts give bit-equal scores.
+  auto score_counts = [&](const std::vector<uint32_t>& counts) {
+    double score = 0.0;
+    for (size_t t = 0; t < query.size(); ++t) {
+      if (counts[t] == 0) continue;
+      score += query[t].idf + kRepeatBonus * query[t].idf *
+                                  static_cast<double>(counts[t] - 1);
+    }
+    return score;
+  };
 
   TopKThreshold theta(k);
   std::vector<Passage> candidates;
 
-  // One matched sentence of one candidate document: which query term, in
-  // which sentence.
+  // One matched sentence of the current document: which sentence, which
+  // query term.
   struct Hit {
     uint32_t sentence;
-    size_t term;
+    uint32_t term;
   };
+  // Buffers reused across documents: the document's hits in (sentence,
+  // term) order, per-term counts over the document and over the sliding
+  // window, and the document's scored windows.
+  std::vector<Hit> doc_hits;
+  std::vector<uint32_t> doc_counts(query.size());
+  std::vector<uint32_t> window_counts(query.size());
+  std::vector<Passage> windows;
+  std::vector<const Passage*> selected;
 
-  // Scores every window of one candidate document exactly like the
-  // monolithic index, then greedily keeps the document's non-overlapping
-  // best windows (score desc, start asc — the global selection order
-  // restricted to this document), feeding them to the global candidate
-  // pool and the pruning threshold.
-  auto score_document = [&](DocId doc, const std::vector<Hit>& doc_hits) {
-    std::vector<size_t> total_occurrences(query.size(), 0);
-    std::set<uint32_t> starts;
-    for (const Hit& h : doc_hits) {
-      ++total_occurrences[h.term];
-      starts.insert(h.sentence);
+  // Scores one candidate document's windows — one per matched sentence —
+  // then greedily keeps its non-overlapping best windows (score desc,
+  // start asc — the global selection order restricted to this document),
+  // feeding them to the global candidate pool and the pruning threshold.
+  auto score_document = [&](DocId doc) {
+    std::fill(doc_counts.begin(), doc_counts.end(), 0);
+    size_t starts = 0;
+    for (size_t i = 0; i < doc_hits.size(); ++i) {
+      ++doc_counts[doc_hits[i].term];
+      if (i == 0 || doc_hits[i].sentence != doc_hits[i - 1].sentence) {
+        ++starts;
+      }
     }
     // A window's occurrence counts are bounded by the whole document's,
     // and the per-term score is monotone in the count — the document
     // bound is the window formula evaluated on the whole document.
-    double doc_bound = 0.0;
-    for (size_t t = 0; t < query.size(); ++t) {
-      if (total_occurrences[t] == 0) continue;
-      doc_bound += query[t].idf +
-                   kRepeatBonus * query[t].idf *
-                       static_cast<double>(total_occurrences[t] - 1);
-    }
-    if (theta.full() && doc_bound < theta.value()) {
+    if (theta.full() && score_counts(doc_counts) < theta.value()) {
       Bump(metrics_.pruned_candidates);
-      Bump(metrics_.pruned_kind, static_cast<double>(starts.size()));
+      Bump(metrics_.pruned_kind, static_cast<double>(starts));
       return;
     }
     size_t n_sents = Sentences(doc).size();
-    std::vector<Passage> windows;
-    for (uint32_t first : starts) {
+    windows.clear();
+    // Two pointers over the sentence-ordered hits: window_counts holds
+    // the hits in [lo, hi), which is exactly the hits of [first, last].
+    // Both bounds only move forward — `last` is non-decreasing in
+    // `first` — so each hit enters and leaves the window once.
+    std::fill(window_counts.begin(), window_counts.end(), 0);
+    size_t lo = 0;
+    size_t hi = 0;
+    for (size_t i = 0; i < doc_hits.size();) {
+      uint32_t first = doc_hits[i].sentence;
       size_t last = std::min(n_sents == 0 ? size_t(first) : n_sents - 1,
                              size_t(first) + window_ - 1);
-      std::vector<size_t> occurrences(query.size(), 0);
-      for (const Hit& h : doc_hits) {
-        if (h.sentence >= first && h.sentence <= last) {
-          ++occurrences[h.term];
-        }
+      for (; hi < doc_hits.size() && doc_hits[hi].sentence <= last; ++hi) {
+        ++window_counts[doc_hits[hi].term];
       }
-      double score = 0.0;
-      for (size_t t = 0; t < query.size(); ++t) {
-        if (occurrences[t] == 0) continue;
-        score += query[t].idf +
-                 kRepeatBonus * query[t].idf *
-                     static_cast<double>(occurrences[t] - 1);
+      // `lo < hi` covers the clamped case last < first (a hit past the
+      // end of the sentence table): the window then holds no hit.
+      for (; lo < hi && doc_hits[lo].sentence < first; ++lo) {
+        --window_counts[doc_hits[lo].term];
       }
       Passage p;
       p.doc = doc;
       p.first_sentence = first;
       p.last_sentence = last;
-      p.score = score;
+      p.score = score_counts(window_counts);
       windows.push_back(p);
+      while (i < doc_hits.size() && doc_hits[i].sentence == first) ++i;
     }
     std::sort(windows.begin(), windows.end(),
               [](const Passage& a, const Passage& b) {
                 if (a.score != b.score) return a.score > b.score;
                 return a.first_sentence < b.first_sentence;
               });
-    std::vector<const Passage*> selected;
+    selected.clear();
     for (const Passage& w : windows) {
       bool overlaps = false;
       for (const Passage* sel : selected) {
@@ -630,73 +672,66 @@ std::vector<Passage> SegmentedPassageIndex::SearchTopK(
     }
   };
 
-  // Candidate documents are grouped per source (each ordinal maps to one
-  // global DocId, and a document lives in exactly one source), so pruning
-  // decisions always see the document's full hit set.
-  auto scan_source = [&](const auto& find_postings,
-                         const std::vector<DocId>& docs) {
-    std::vector<std::pair<uint32_t, Hit>> triples;
-    for (size_t t = 0; t < query.size(); ++t) {
-      find_postings(query[t].id, [&](uint32_t ordinal, uint32_t sentence) {
-        triples.push_back({ordinal, {sentence, t}});
-      });
-    }
-    if (triples.empty()) return;
-    std::stable_sort(triples.begin(), triples.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
-    std::vector<Hit> doc_hits;
-    for (size_t i = 0; i < triples.size();) {
-      uint32_t ordinal = triples[i].first;
-      doc_hits.clear();
-      for (; i < triples.size() && triples[i].first == ordinal; ++i) {
-        doc_hits.push_back(triples[i].second);
+  // Walks one source's per-term cursors together in ordinal order. Each
+  // document's refs are merged across the terms into (sentence, term)
+  // order and scored at once — a document lives in exactly one source, so
+  // pruning decisions always see its full hit set.
+  auto scan_source = [&](auto& cursors, const auto& doc_of) {
+    while (true) {
+      uint32_t ordinal = std::numeric_limits<uint32_t>::max();
+      for (const auto& c : cursors) {
+        if (!c.cursor.done()) ordinal = std::min(ordinal, c.cursor.ordinal());
       }
-      score_document(docs[ordinal], doc_hits);
+      if (ordinal == std::numeric_limits<uint32_t>::max()) return;
+      doc_hits.clear();
+      while (true) {
+        // The lowest sentence among the terms still at this document;
+        // ties go to the earlier query term.
+        auto* next = &cursors.front();
+        bool any = false;
+        for (auto& c : cursors) {
+          if (c.cursor.done() || c.cursor.ordinal() != ordinal) continue;
+          if (!any || c.cursor.payload() < next->cursor.payload()) next = &c;
+          any = true;
+        }
+        if (!any) break;
+        doc_hits.push_back({next->cursor.payload(),
+                            static_cast<uint32_t>(next->term)});
+        next->cursor.Next();
+      }
+      score_document(doc_of(ordinal));
     }
   };
 
   // Memtable first (cheapest threshold warm-up), sealed segments after.
-  scan_source(
-      [&](TermId id, const std::function<void(uint32_t, uint32_t)>& fn) {
-        auto it = memtable_.postings.find(id);
-        if (it == memtable_.postings.end()) return;
-        for (const auto& [ordinal, sentence] : it->second) {
-          fn(ordinal, sentence);
-        }
-      },
-      memtable_.docs);
-  for (const auto& segment : sealed) {
-    // Segment-level bound: every window score in the segment is bounded
-    // by the sum of the per-term (idf + repeat bonus at the per-document
-    // max occurrence count) bounds.
-    double segment_bound = 0.0;
-    bool any = false;
-    for (const QueryTerm& t : query) {
-      const PassageSegment::TermInfo* info = segment->Find(t.id);
-      if (info == nullptr) continue;
-      any = true;
-      segment_bound +=
-          t.idf + kRepeatBonus * t.idf *
-                      static_cast<double>(info->max_occurrences - 1);
+  {
+    std::vector<TermCursor<MemtableCursor>> cursors;
+    for (size_t t = 0; t < query.size(); ++t) {
+      auto it = memtable_.postings.find(query[t].id);
+      if (it == memtable_.postings.end()) continue;
+      cursors.push_back({t, MemtableCursor(&it->second)});
     }
-    if (!any) continue;
-    if (theta.full() && segment_bound < theta.value()) {
+    scan_source(cursors,
+                [&](uint32_t ordinal) { return memtable_.docs[ordinal]; });
+  }
+  for (const auto& segment : sealed) {
+    // Segment-level bound: the window formula at each term's max
+    // matched sentences in any one document of the segment.
+    std::vector<TermCursor<PostingCursor>> cursors;
+    std::vector<uint32_t> max_counts(query.size(), 0);
+    for (size_t t = 0; t < query.size(); ++t) {
+      const PassageSegment::TermInfo* info = segment->Find(query[t].id);
+      if (info == nullptr) continue;
+      max_counts[t] = info->max_occurrences;
+      cursors.push_back({t, PostingCursor(&info->list)});
+    }
+    if (cursors.empty()) continue;
+    if (theta.full() && score_counts(max_counts) < theta.value()) {
       Bump(metrics_.pruned_segments);
       continue;
     }
-    std::vector<DocId> docs(segment->doc_count());
-    for (uint32_t ordinal = 0; ordinal < segment->doc_count(); ++ordinal) {
-      docs[ordinal] = segment->doc(ordinal);
-    }
-    scan_source(
-        [&](TermId id, const std::function<void(uint32_t, uint32_t)>& fn) {
-          const PassageSegment::TermInfo* info = segment->Find(id);
-          if (info == nullptr) return;
-          ForEachPosting(info->list, fn);
-        },
-        docs);
+    scan_source(cursors,
+                [&](uint32_t ordinal) { return segment->doc(ordinal); });
   }
 
   // Global rank over every selected window — a total order, so the

@@ -214,6 +214,10 @@ class SegmentedDocIndex : public SegmentManifest<DocSegment> {
 /// idf + repeat-bonus upper bounds over the document's matched terms
 /// bounds every window score, so documents strictly below the current
 /// k-th selected window score are skipped without scoring any window.
+/// Scoring is linear in the postings (times the query length): per
+/// source, one cursor per query term merges each document's refs into
+/// sentence order, and a two-pointer window slides over them with one
+/// reused occurrence-count vector.
 class SegmentedPassageIndex : public SegmentManifest<PassageSegment> {
  public:
   SegmentedPassageIndex(size_t window, SegmentedIndexOptions options)

@@ -65,15 +65,32 @@ AdmissionDecision AdmissionController::Shed(const std::string& reason,
   return decision;
 }
 
+void AdmissionController::ExportInflight(const std::string& tenant,
+                                         TenantState* state) {
+  if (metrics_ == nullptr) return;
+  state->inflight_gauge
+      .Get([&] {
+        return metrics_->GetGauge(kMetricServeTenantInflight,
+                                  {{"tenant", tenant}},
+                                  "Requests of one tenant currently in flight");
+      })
+      ->Set(static_cast<double>(state->inflight));
+}
+
 void AdmissionController::ExportGauges() {
   if (metrics_ == nullptr) return;
-  metrics_
-      ->GetGauge(kMetricServeQueueDepth, {},
-                 "Requests admitted and not yet finished")
+  depth_gauge_
+      .Get([&] {
+        return metrics_->GetGauge(kMetricServeQueueDepth, {},
+                                  "Requests admitted and not yet finished");
+      })
       ->Set(static_cast<double>(depth_));
-  metrics_
-      ->GetGauge(kMetricServeQueuedCost, {},
-                 "Estimated cost units admitted and not yet finished")
+  cost_gauge_
+      .Get([&] {
+        return metrics_->GetGauge(
+            kMetricServeQueuedCost, {},
+            "Estimated cost units admitted and not yet finished");
+      })
       ->Set(queued_cost_);
 }
 
@@ -94,30 +111,22 @@ AdmissionDecision AdmissionController::Admit(const std::string& tenant,
                     std::to_string(cost) + " > " +
                     std::to_string(config_.max_queued_cost) + ")");
   }
-  size_t& inflight = tenant_inflight_[tenant];
+  TenantState& state =
+      tenants_.try_emplace(tenant, config_.rate).first->second;
   if (config_.per_tenant_concurrency > 0 &&
-      inflight + 1 > config_.per_tenant_concurrency) {
+      state.inflight + 1 > config_.per_tenant_concurrency) {
     return Shed("tenant_concurrency",
                 "tenant '" + tenant + "' at its concurrency limit of " +
                     std::to_string(config_.per_tenant_concurrency));
   }
-  auto bucket = buckets_.find(tenant);
-  if (bucket == buckets_.end()) {
-    bucket = buckets_.emplace(tenant, TokenBucket(config_.rate)).first;
-  }
-  if (!bucket->second.TryTake(now_tick)) {
+  if (!state.bucket.TryTake(now_tick)) {
     return Shed("rate_limited",
                 "tenant '" + tenant + "' exceeded its request rate");
   }
   ++depth_;
   queued_cost_ += cost;
-  ++inflight;
-  if (metrics_ != nullptr) {
-    metrics_
-        ->GetGauge(kMetricServeTenantInflight, {{"tenant", tenant}},
-                   "Requests of one tenant currently in flight")
-        ->Set(static_cast<double>(inflight));
-  }
+  ++state.inflight;
+  ExportInflight(tenant, &state);
   ExportGauges();
   return {Status::OK(), ""};
 }
@@ -126,15 +135,10 @@ void AdmissionController::Release(const std::string& tenant, double cost) {
   std::lock_guard<std::mutex> lock(mu_);
   if (depth_ > 0) --depth_;
   queued_cost_ = std::max(0.0, queued_cost_ - cost);
-  auto it = tenant_inflight_.find(tenant);
-  if (it != tenant_inflight_.end() && it->second > 0) {
-    --it->second;
-    if (metrics_ != nullptr) {
-      metrics_
-          ->GetGauge(kMetricServeTenantInflight, {{"tenant", tenant}},
-                     "Requests of one tenant currently in flight")
-          ->Set(static_cast<double>(it->second));
-    }
+  auto it = tenants_.find(tenant);
+  if (it != tenants_.end() && it->second.inflight > 0) {
+    --it->second.inflight;
+    ExportInflight(tenant, &it->second);
   }
   ExportGauges();
 }
@@ -152,13 +156,16 @@ double AdmissionController::queued_cost() const {
 size_t AdmissionController::tenant_inflight(
     const std::string& tenant) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = tenant_inflight_.find(tenant);
-  return it == tenant_inflight_.end() ? 0 : it->second;
+  auto it = tenants_.find(tenant);
+  return it == tenants_.end() ? 0 : it->second.inflight;
 }
 
 void AdmissionController::set_metrics(MetricRegistry* metrics) {
   std::lock_guard<std::mutex> lock(mu_);
   metrics_ = metrics;
+  depth_gauge_.Reset();
+  cost_gauge_.Reset();
+  for (auto& [tenant, state] : tenants_) state.inflight_gauge.Reset();
 }
 
 }  // namespace serve

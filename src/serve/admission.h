@@ -113,9 +113,20 @@ class AdmissionController {
   void set_metrics(MetricRegistry* metrics);
 
  private:
+  /// One tenant's admission state.
+  struct TenantState {
+    explicit TenantState(TokenBucketConfig rate) : bucket(rate) {}
+    size_t inflight = 0;
+    TokenBucket bucket;
+    /// Its `dwqa_serve_tenant_inflight` gauge, resolved on first use.
+    MetricSlot<Gauge> inflight_gauge;
+  };
+
   /// Counts a shed and returns the composed decision. Caller holds mu_.
   AdmissionDecision Shed(const std::string& reason,
                          const std::string& detail);
+  /// Updates the tenant's in-flight gauge. Caller holds mu_.
+  void ExportInflight(const std::string& tenant, TenantState* state);
   /// Updates the depth/cost gauges. Caller holds mu_.
   void ExportGauges();
 
@@ -123,9 +134,12 @@ class AdmissionController {
   mutable std::mutex mu_;
   size_t depth_ = 0;
   double queued_cost_ = 0.0;
-  std::map<std::string, size_t> tenant_inflight_;
-  std::map<std::string, TokenBucket> buckets_;
+  std::map<std::string, TenantState> tenants_;
   MetricRegistry* metrics_ = nullptr;
+  /// Depth/cost gauges, resolved on first use (cleared by set_metrics) so
+  /// an admission takes no registry lock.
+  MetricSlot<Gauge> depth_gauge_;
+  MetricSlot<Gauge> cost_gauge_;
 };
 
 }  // namespace serve

@@ -26,12 +26,16 @@ size_t AnswerCache::EntryBytes(const std::string& key,
   return bytes;
 }
 
-void AnswerCache::CountLookup(const char* result) {
+void AnswerCache::CountLookup(LookupResult result) {
   if (metrics_ == nullptr) return;
-  metrics_
-      ->GetCounter(kMetricServeCacheLookups,
-                   {{"tenant", tenant_}, {"result", result}},
-                   "Answer-cache lookups by result (hit/stale/miss)")
+  static constexpr const char* kResultNames[] = {"hit", "stale", "miss"};
+  lookups_[result]
+      .Get([&] {
+        return metrics_->GetCounter(
+            kMetricServeCacheLookups,
+            {{"tenant", tenant_}, {"result", kResultNames[result]}},
+            "Answer-cache lookups by result (hit/stale/miss)");
+      })
       ->Increment();
 }
 
@@ -40,15 +44,18 @@ CacheLookup AnswerCache::Get(const std::string& key, uint64_t now_tick) {
   CacheLookup lookup;
   auto it = entries_.find(key);
   if (it == entries_.end()) {
-    CountLookup("miss");
+    CountLookup(kMiss);
     return lookup;
   }
   Entry& entry = it->second;
   lookup.found = true;
-  lookup.stale = now_tick - entry.inserted_tick > config_.ttl_ticks;
+  // A tick taken before a concurrent Put of this entry reads it at age 0,
+  // not as a wrapped-around unsigned age.
+  lookup.stale = now_tick > entry.inserted_tick &&
+                 now_tick - entry.inserted_tick > config_.ttl_ticks;
   lookup.entry = entry.answer;
   lru_.splice(lru_.begin(), lru_, entry.lru_pos);
-  CountLookup(lookup.stale ? "stale" : "hit");
+  CountLookup(lookup.stale ? kStale : kHit);
   return lookup;
 }
 
@@ -121,6 +128,7 @@ void AnswerCache::set_metrics(MetricRegistry* metrics,
   std::lock_guard<std::mutex> lock(mu_);
   metrics_ = metrics;
   tenant_ = tenant;
+  for (MetricSlot<Counter>& slot : lookups_) slot.Reset();
 }
 
 }  // namespace serve

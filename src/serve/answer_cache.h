@@ -1,6 +1,7 @@
 #ifndef DWQA_SERVE_ANSWER_CACHE_H_
 #define DWQA_SERVE_ANSWER_CACHE_H_
 
+#include <array>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -98,11 +99,14 @@ class AnswerCache {
   static size_t EntryBytes(const std::string& key,
                            const CachedAnswer& answer);
 
+  /// Lookup results, in `dwqa_serve_cache_lookups_total` label order.
+  enum LookupResult { kHit, kStale, kMiss };
+
   /// Evicts LRU-tail entries until bytes_ <= config_.max_bytes.
   /// Caller holds mu_.
   void EvictToFit();
   /// Mirrors a lookup result into the registry. Caller holds mu_.
-  void CountLookup(const char* result);
+  void CountLookup(LookupResult result);
 
   AnswerCacheConfig config_;
   mutable std::mutex mu_;
@@ -112,6 +116,9 @@ class AnswerCache {
   size_t bytes_ = 0;
   MetricRegistry* metrics_ = nullptr;
   std::string tenant_;
+  /// The lookup counters by LookupResult, resolved on first use (cleared
+  /// by set_metrics) so a lookup takes no registry lock.
+  std::array<MetricSlot<Counter>, 3> lookups_;
 };
 
 }  // namespace serve

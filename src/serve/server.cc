@@ -215,12 +215,23 @@ Response QaServer::MakeCached(const Request& request,
 
 void QaServer::CountOutcome(const Request& request,
                             const Response& response) {
-  metrics_
-      .GetCounter(kMetricServeRequests,
-                  {{"endpoint", EndpointName(request.endpoint)},
-                   {"outcome", response.status}},
-                  "Requests the server saw, by endpoint and terminal outcome")
-      ->Increment();
+  static constexpr const char* kOutcomes[kOutcomeCount] = {"ok", "rejected",
+                                                           "error"};
+  auto resolve = [&] {
+    return metrics_.GetCounter(
+        kMetricServeRequests,
+        {{"endpoint", EndpointName(request.endpoint)},
+         {"outcome", response.status}},
+        "Requests the server saw, by endpoint and terminal outcome");
+  };
+  auto& slots = request_slots_[static_cast<size_t>(request.endpoint)];
+  for (size_t outcome = 0; outcome < kOutcomeCount; ++outcome) {
+    if (response.status == kOutcomes[outcome]) {
+      slots[outcome].Get(resolve)->Increment();
+      return;
+    }
+  }
+  resolve()->Increment();
 }
 
 void QaServer::BeginRequest() {
@@ -295,10 +306,13 @@ Response QaServer::Handle(const Request& request) {
 
 Response QaServer::Execute(Tenant* tenant, const Request& request,
                            uint64_t tick) {
-  Histogram* latency = metrics_.GetHistogram(
-      kMetricServeRequestLatency,
-      {{"endpoint", EndpointName(request.endpoint)}}, {},
-      "Wall-clock latency of executed requests");
+  Histogram* latency =
+      latency_slots_[static_cast<size_t>(request.endpoint)].Get([&] {
+        return metrics_.GetHistogram(
+            kMetricServeRequestLatency,
+            {{"endpoint", EndpointName(request.endpoint)}}, {},
+            "Wall-clock latency of executed requests");
+      });
   ScopedLatencyTimer timer(latency);
   switch (request.endpoint) {
     case Endpoint::kAsk:

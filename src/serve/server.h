@@ -1,6 +1,7 @@
 #ifndef DWQA_SERVE_SERVER_H_
 #define DWQA_SERVE_SERVER_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -236,9 +237,21 @@ class QaServer {
   void BeginRequest();
   void FinishRequest(const std::string& tenant, double cost);
 
+  /// Endpoints and terminal outcomes ("ok", "rejected", "error") that
+  /// index the per-request series slots.
+  static constexpr size_t kEndpointCount =
+      static_cast<size_t>(Endpoint::kMetrics) + 1;
+  static constexpr size_t kOutcomeCount = 3;
+
   ServerConfig config_;
   /// Declared before every component holding a pointer to it.
   MetricRegistry metrics_;
+  /// `dwqa_serve_request_latency_ms{endpoint}` and
+  /// `dwqa_serve_requests_total{endpoint, outcome}`, resolved on first use
+  /// so a request takes no registry lock for them.
+  std::array<MetricSlot<Histogram>, kEndpointCount> latency_slots_;
+  std::array<std::array<MetricSlot<Counter>, kOutcomeCount>, kEndpointCount>
+      request_slots_;
   AdmissionController admission_;
   std::map<std::string, std::unique_ptr<Tenant>> tenants_;
   std::atomic<uint64_t> tick_{0};

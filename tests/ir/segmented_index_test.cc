@@ -488,6 +488,19 @@ TEST(SegmentedIndexTest, ZeroMergeTriggerActsAsOne) {
   ExpectZeroMergeTriggerActsAsOne<PassageIndex>();
 }
 
+// k = 0 asks for nothing: both kinds answer empty, with no top-k
+// threshold to rank against.
+TEST(SegmentedIndexTest, ZeroKReturnsNothing) {
+  SegmentedIndexOptions options;
+  options.seal_every = 4;
+  InvertedIndex doc = BuildIndex<InvertedIndex>(options, 20);
+  PassageIndex passage = BuildIndex<PassageIndex>(options, 20);
+  for (const char* query : kQueries) {
+    EXPECT_TRUE(doc.Search(query, 0).empty()) << query;
+    EXPECT_TRUE(passage.Search(query, 0).empty()) << query;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Seeded segmented≡monolithic operation sequences. Each seed draws segment
 // options (seal_every 1–9, merge_trigger 1–4, block_postings 1–8, inline

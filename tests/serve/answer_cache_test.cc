@@ -47,6 +47,19 @@ TEST(AnswerCacheTest, MissThenHit) {
   EXPECT_EQ(lookup.entry.level, qa::DegradationLevel::kFull);
 }
 
+TEST(AnswerCacheTest, LookupTickedBeforeThePutReadsFresh) {
+  // A request whose tick was taken before a concurrent Put of its key, but
+  // whose lookup runs after it, sees the entry at age 0 — not an unsigned
+  // age that wrapped to ~2^64 and reads as stale.
+  AnswerCacheConfig config;
+  config.ttl_ticks = 10;
+  AnswerCache cache(config);
+  cache.Put("q", MakeAnswer("8C"), 10);
+  CacheLookup lookup = cache.Get("q", 5);
+  ASSERT_TRUE(lookup.found);
+  EXPECT_FALSE(lookup.stale);
+}
+
 TEST(AnswerCacheTest, TtlExpiryIsTickCounted) {
   AnswerCacheConfig config;
   config.ttl_ticks = 10;
