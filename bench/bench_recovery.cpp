@@ -1,7 +1,8 @@
 // Durability cost study — what the crash-safety layer charges at feed time
 // and what it pays back at restart time.
 //
-// Series: N facts fed through the WAL (synced vs unsynced appends), then
+// Series: N facts fed through the WAL in commit groups of five (a Step-5
+// question's worth), with an explicit Sync per fact vs one per commit, then
 // three restart paths measured on the same log: cold replay of the full
 // WAL, snapshot-only load, and snapshot + WAL-tail replay (the steady
 // state of a deployed feed). Shape check: recovery must restore the exact
@@ -10,6 +11,7 @@
 //
 // `--smoke` shrinks the series for the `perf`-labeled ctest smoke.
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
@@ -53,32 +55,47 @@ dw::WalFact MakeFact(int i) {
   return fact;
 }
 
+/// Facts per commit group: about one Step-5 question's worth.
+constexpr int kFactsPerCommit = 5;
+
 struct FeedCost {
   double append_ms = 0.0;
   double snapshot_ms = 0.0;
 };
 
-/// Feeds `n` facts through a fresh WAL at `dir`, snapshotting at the end.
-FeedCost Feed(const std::string& dir, int n, bool sync_each) {
+/// Feeds `n` facts through a fresh WAL at `dir` in commit groups, syncing
+/// after every fact (`sync_per_fact`) or only after each group's commit,
+/// then snapshots.
+FeedCost Feed(const std::string& dir, int n, bool sync_per_fact) {
   FeedCost cost;
-  dw::WalOptions options;
-  options.sync_each_append = sync_each;
-  auto wal = dw::WalWriter::Open(dir, options).ValueOrDie();
+  auto wal = dw::WalWriter::Open(dir).ValueOrDie();
   dw::Warehouse wh = LastMinuteSales::MakeWarehouse().ValueOrDie();
   dw::EtlLoader loader(&wh);
+  dw::CommitSet commits;
   {
     bench::Timer timer;
-    for (int i = 0; i < n; ++i) {
-      dw::WalFact fact = MakeFact(i);
-      DWQA_CHECK(wal->AppendFact(fact).ok());
-      DWQA_CHECK(loader.LoadRecord(fact.fact_name, fact.record).ok());
+    for (int begin = 0; begin < n; begin += kFactsPerCommit) {
+      dw::WalCommit commit;
+      commit.question = "group-" + std::to_string(begin / kFactsPerCommit);
+      for (int i = begin; i < std::min(n, begin + kFactsPerCommit); ++i) {
+        dw::WalFact fact = MakeFact(i);
+        dw::Lsn lsn = wal->AppendFact(fact).ValueOrDie();
+        if (commit.first_lsn == 0) commit.first_lsn = lsn;
+        commit.last_lsn = lsn;
+        if (sync_per_fact) DWQA_CHECK(wal->Sync().ok());
+        DWQA_CHECK(loader.LoadRecord(fact.fact_name, fact.record).ok());
+        commits.fed_keys.insert(fact.dedup_key);
+      }
+      DWQA_CHECK(wal->AppendCommit(commit).ok());
+      DWQA_CHECK(wal->Sync().ok());
+      commits.questions.insert(commit.question);
     }
-    DWQA_CHECK(wal->Sync().ok());
     cost.append_ms = timer.ElapsedMs();
   }
   {
     bench::Timer timer;
-    DWQA_CHECK(dw::SnapshotWriter::Write(dir, wh, wal->last_lsn()).ok());
+    DWQA_CHECK(
+        dw::SnapshotWriter::Write(dir, wh, commits, wal->last_lsn()).ok());
     cost.snapshot_ms = timer.ElapsedMs();
   }
   return cost;
@@ -112,20 +129,20 @@ int main(int argc, char** argv) {
   const stdfs::path base =
       stdfs::temp_directory_path() / "dwqa_bench_recovery";
 
-  TablePrinter table({"facts", "append synced (ms)", "append unsynced (ms)",
+  TablePrinter table({"facts", "sync per fact (ms)", "sync per commit (ms)",
                       "snapshot (ms)", "cold replay (ms)",
                       "snap+tail open (ms)"});
   bench::JsonSectionWriter json("bench_recovery");
 
   for (int n : series) {
-    // Unsynced feed: the WAL price without the per-record fsync barrier.
+    // A Sync after every fact: the price of per-record durability.
     stdfs::remove_all(base);
-    double unsynced_ms = Feed(base.string(), n, false).append_ms;
+    double per_fact_ms = Feed(base.string(), n, true).append_ms;
 
-    // Synced feed (the default durability contract), snapshotted at the
-    // end — this directory then serves the restart measurements.
+    // One Sync per commit (the feed's durability contract), snapshotted at
+    // the end — this directory then serves the restart measurements.
     stdfs::remove_all(base);
-    FeedCost cost = Feed(base.string(), n, true);
+    FeedCost cost = Feed(base.string(), n, false);
 
     // Steady state: snapshot + empty tail.
     double open_ms = MeasureOpen(base.string(), size_t(n));
@@ -138,13 +155,13 @@ int main(int argc, char** argv) {
     }
     double replay_ms = MeasureOpen(base.string(), size_t(n));
 
-    table.AddRow({std::to_string(n), FormatDouble(cost.append_ms, 1),
-                  FormatDouble(unsynced_ms, 1),
+    table.AddRow({std::to_string(n), FormatDouble(per_fact_ms, 1),
+                  FormatDouble(cost.append_ms, 1),
                   FormatDouble(cost.snapshot_ms, 1),
                   FormatDouble(replay_ms, 1), FormatDouble(open_ms, 1)});
     const std::string tag = std::to_string(n);
-    json.Add("feed_synced_" + tag + "_ms", cost.append_ms, "ms");
-    json.Add("feed_unsynced_" + tag + "_ms", unsynced_ms, "ms");
+    json.Add("feed_sync_per_fact_" + tag + "_ms", per_fact_ms, "ms");
+    json.Add("feed_sync_per_commit_" + tag + "_ms", cost.append_ms, "ms");
     json.Add("snapshot_" + tag + "_ms", cost.snapshot_ms, "ms");
     json.Add("cold_replay_" + tag + "_ms", replay_ms, "ms");
     json.Add("snapshot_open_" + tag + "_ms", open_ms, "ms");

@@ -32,7 +32,7 @@
 //   ./build/examples/serve < requests.dwqa > responses.dwqa
 //
 // SIGTERM/SIGINT request a graceful drain: in-flight requests finish,
-// feed checkpoints are flushed, late arrivals get the typed Draining
+// durable tenants are snapshotted, late arrivals get the typed Draining
 // rejection, and the process exits 0.
 
 #include <csignal>

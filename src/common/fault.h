@@ -24,12 +24,8 @@ inline constexpr char kFaultPointParse[] = "ir.parse";
 inline constexpr char kFaultPointIndex[] = "ir.index";
 /// Loading one fact record through the ETL boundary.
 inline constexpr char kFaultPointEtlLoad[] = "dw.etl.load";
-/// Writing the Step-5 feed checkpoint file. Deliberately NOT part of
-/// FaultConfig::TransientEverywhere — arming it must not shift the draw
-/// schedule of existing blanket-fault tests.
-inline constexpr char kFaultPointCheckpoint[] = "integration.checkpoint";
 /// A mutating operation of a FaultFs (common/io.h): WAL appends, snapshot
-/// writes, renames. Like the checkpoint point, NOT part of
+/// writes, renames. Deliberately NOT part of FaultConfig::
 /// TransientEverywhere — durability chaos is armed explicitly so the draw
 /// schedule of existing blanket-fault tests stays frozen.
 inline constexpr char kFaultPointIoWrite[] = "io.write";

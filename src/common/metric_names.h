@@ -143,9 +143,6 @@ inline constexpr char kMetricFeedTransientFailures[] =
 /// waste a circuit breaker exists to cut.
 inline constexpr char kMetricFeedWastedRetries[] =
     "dwqa_feed_wasted_retries_total";
-/// Counter: boundary checkpoint saves that failed (retried next boundary).
-inline constexpr char kMetricFeedCheckpointFailures[] =
-    "dwqa_feed_checkpoint_failures_total";
 /// @}
 
 /// \name Retry pressure (common/retry.h, MirrorRetryStats)
@@ -209,8 +206,8 @@ inline constexpr char kMetricServeStaleServed[] =
 
 /// \name Write-ahead log (dw/wal.h)
 /// @{
-/// Counter: records successfully appended (and, with sync_each_append,
-/// fsynced) to the WAL — i.e. facts that became committed.
+/// Counter: records successfully appended to the WAL — facts and commit
+/// records alike (durable once the next sync returns).
 inline constexpr char kMetricWalAppends[] = "dwqa_wal_appends_total";
 /// Counter: payload bytes appended (framing overhead excluded).
 inline constexpr char kMetricWalAppendBytes[] =
@@ -218,7 +215,8 @@ inline constexpr char kMetricWalAppendBytes[] =
 /// Counter: appends that failed (serialization, I/O, injected crash).
 inline constexpr char kMetricWalAppendFailures[] =
     "dwqa_wal_append_failures_total";
-/// Counter: fsync barriers issued against the current segment.
+/// Counter: segment fsyncs issued by WalWriter::Sync (one per segment
+/// written since the previous sync).
 inline constexpr char kMetricWalSyncs[] = "dwqa_wal_syncs_total";
 /// Counter: segment rotations (size-triggered and explicit alike).
 inline constexpr char kMetricWalRotations[] = "dwqa_wal_rotations_total";
@@ -245,6 +243,10 @@ inline constexpr char kMetricRecoveryTornBytes[] =
 /// Counter: well-framed records whose payload failed its CRC (bit rot).
 inline constexpr char kMetricRecoveryCorruptRecords[] =
     "dwqa_recovery_corrupt_records_total";
+/// Counter: WAL fact records recovery skipped because no commit record
+/// covers them or their commit refused them.
+inline constexpr char kMetricRecoveryUncommitted[] =
+    "dwqa_recovery_uncommitted_records_total";
 /// Gauge: covering LSN of the snapshot recovery loaded (0 = none).
 inline constexpr char kMetricRecoverySnapshotLsn[] =
     "dwqa_recovery_snapshot_lsn";

@@ -39,7 +39,7 @@ struct QuarantineRecord {
 ///
 /// Append-only in memory, exportable as CSV for the §4.2 "user selects the
 /// more useful data" inspection loop. Counting per reason feeds the
-/// FeedReport and the checkpoint.
+/// FeedReport.
 class QuarantineStore {
  public:
   /// Appends `record`, stamping sequence (and timestamp when empty).

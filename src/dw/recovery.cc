@@ -55,6 +55,7 @@ Result<RecoveredWarehouse> OpenImpl(const std::string& dir,
 
   // 2. Newest snapshot that verifies wins; corrupt ones are skipped.
   std::optional<Warehouse> warehouse;
+  CommitSet snapshot_commits;
   Lsn snapshot_lsn = 0;
   for (auto it = snapshots.rbegin(); it != snapshots.rend(); ++it) {
     const std::string path = dir + "/" + it->name;
@@ -71,6 +72,7 @@ Result<RecoveredWarehouse> OpenImpl(const std::string& dir,
       continue;
     }
     warehouse.emplace(std::move(*loaded));
+    snapshot_commits = std::move(manifest->commits);
     snapshot_lsn = it->lsn;
     break;
   }
@@ -124,15 +126,20 @@ Result<RecoveredWarehouse> OpenImpl(const std::string& dir,
     recovered.quarantine.Add(std::move(record));
   }
 
-  // 4. Idempotent replay of the tail through the live ETL path.
+  // 4. The commit rule picks the facts to replay; the tail past the
+  // snapshot goes through the live ETL path, idempotently.
+  CommittedLog committed =
+      ApplyCommitRule(scan, std::move(snapshot_commits), snapshot_lsn);
+  for (std::string& issue : committed.issues) {
+    recovered.issues.push_back(std::move(issue));
+  }
+  recovered.commits = std::move(committed.commits);
+  recovered.skipped_covered = committed.covered;
+  recovered.skipped_uncommitted = committed.uncommitted;
+  recovered.last_lsn = std::max(recovered.last_lsn, scan.last_lsn);
   EtlLoader loader(&recovered.warehouse);
-  for (const WalRecord& rec : scan.records) {
-    if (rec.lsn <= recovered.last_lsn) {
-      ++recovered.skipped_covered;
-      continue;
-    }
-    recovered.last_lsn = rec.lsn;
-    auto fact = WalFactSerde::FromPayload(rec.payload);
+  for (const CommittedFact& rec : committed.facts) {
+    const Result<WalFact>& fact = rec.fact;
     if (!fact.ok()) {
       QuarantineRecord record;
       record.reason = "WalCorrupt";
@@ -168,6 +175,8 @@ Result<RecoveredWarehouse> OpenImpl(const std::string& dir,
         ->Increment(static_cast<double>(recovered.quarantine.size()));
     metrics->GetCounter(kMetricRecoveryCorruptRecords)
         ->Increment(static_cast<double>(recovered.corrupt_records));
+    metrics->GetCounter(kMetricRecoveryUncommitted)
+        ->Increment(static_cast<double>(recovered.skipped_uncommitted));
     metrics->GetGauge(kMetricRecoverySnapshotLsn)
         ->Set(static_cast<double>(recovered.snapshot_lsn));
   }
@@ -195,8 +204,8 @@ Result<RecoveredWarehouse> Recovery::Open(const std::string& dir,
   return recovered;
 }
 
-Result<FsckReport> Fsck(const std::string& dir, FsckOptions options) {
-  Fs* fs = FsOrReal(options.fs);
+Result<FsckReport> Fsck(const std::string& dir, Fs* fs) {
+  fs = FsOrReal(fs);
   FsckReport report;
 
   std::vector<std::string> tmp_leftovers;
@@ -254,17 +263,27 @@ Result<FsckReport> Fsck(const std::string& dir, FsckOptions options) {
         "unrecoverable");
   }
 
-  if (options.has_checkpoint_lsn) {
-    Lsn recovered_lsn = std::max(report.wal_last_lsn, report.snapshot_lsn);
-    if (options.checkpoint_lsn > recovered_lsn) {
-      report.issues.push_back(
-          "feed checkpoint records WAL position " +
-          std::to_string(options.checkpoint_lsn) +
-          " beyond the durable data (recovered LSN " +
-          std::to_string(recovered_lsn) + "): stale or foreign checkpoint");
-    }
+  for (const std::string& issue : ApplyCommitRule(scan).issues) {
+    report.issues.push_back(issue);
   }
   return report;
+}
+
+Result<CommitSet> ReadCommitSet(const std::string& dir, Fs* fs) {
+  fs = FsOrReal(fs);
+  DWQA_ASSIGN_OR_RETURN(std::vector<SnapshotInfo> snapshots,
+                        ListSnapshots(dir, fs));
+  CommitSet base;
+  Lsn covered_lsn = 0;
+  for (auto it = snapshots.rbegin(); it != snapshots.rend(); ++it) {
+    auto manifest = VerifySnapshot(dir + "/" + it->name, fs);
+    if (!manifest.ok()) continue;
+    base = std::move(manifest->commits);
+    covered_lsn = it->lsn;
+    break;
+  }
+  DWQA_ASSIGN_OR_RETURN(WalScan scan, ScanWal(dir, fs));
+  return ApplyCommitRule(scan, std::move(base), covered_lsn).commits;
 }
 
 }  // namespace dw

@@ -55,8 +55,12 @@ struct RecoveredWarehouse {
   Warehouse warehouse;
   Lsn snapshot_lsn = 0;       ///< Covering LSN of the snapshot loaded (0 = none).
   Lsn last_lsn = 0;           ///< Highest LSN recovered (snapshot or replay).
-  size_t replayed = 0;        ///< WAL records applied on top of the snapshot.
-  size_t skipped_covered = 0; ///< Records skipped as already covered (LSN dedup).
+  size_t replayed = 0;        ///< WAL facts applied on top of the snapshot.
+  size_t skipped_covered = 0; ///< Facts skipped as already covered (LSN dedup).
+  /// Facts no commit covers or their commit refused: never replayed.
+  size_t skipped_uncommitted = 0;
+  /// The snapshot's commit set plus every commit of the log.
+  CommitSet commits;
   /// Replayed facts refused admission (corrupt payload, validator reject,
   /// ETL refusal) — same dead-letter semantics as the live feed.
   QuarantineStore quarantine;
@@ -77,29 +81,21 @@ struct RecoveredWarehouse {
 ///     falling back to older ones, then to the bootstrap schema;
 ///  3. the WAL is scanned; a torn tail is truncated (the bytes past the
 ///     last durable record boundary never committed);
-///  4. records with LSN beyond the snapshot's covering LSN are replayed
-///     through the same ETL path the live feed uses; replay is idempotent
-///     (LSN-deduped) and corrupt or invalid facts land in `quarantine`
-///     instead of the warehouse.
+///  4. the commit rule (ApplyCommitRule) selects the facts a commit record
+///     covers and does not refuse; those with LSN beyond the snapshot's
+///     covering LSN are replayed through the same ETL path the live feed
+///     uses. Replay is idempotent (LSN-deduped) and corrupt or invalid
+///     facts land in `quarantine` instead of the warehouse.
 ///
-/// The resulting warehouse holds exactly the committed fact set: every
-/// fact whose WAL append was acknowledged, and nothing else — the property
-/// the crash-point sweep (tests/dw/crash_sweep_test.cc) asserts for every
-/// injected crash point.
+/// The resulting warehouse holds exactly the committed fact set: the
+/// loaded facts of every question whose commit was synced, and nothing
+/// else — no partly fed question is ever visible. The crash-point sweep
+/// (tests/dw/crash_sweep_test.cc) asserts it for every injected crash
+/// point.
 class Recovery {
  public:
   static Result<RecoveredWarehouse> Open(const std::string& dir,
                                          RecoveryOptions options = {});
-};
-
-/// \brief Options of Fsck.
-struct FsckOptions {
-  Fs* fs = nullptr;
-  /// When set, the feed checkpoint's recorded WAL position is checked
-  /// against the recovered LSN: a checkpoint claiming progress beyond the
-  /// durable data is flagged (the satellite-2 stale-checkpoint guard).
-  bool has_checkpoint_lsn = false;
-  uint64_t checkpoint_lsn = 0;
 };
 
 /// \brief Read-only integrity report of a durability directory.
@@ -116,9 +112,13 @@ struct FsckReport {
 /// Verifies `dir` without mutating it: every snapshot manifest (file
 /// sizes + CRCs), WAL framing and CRCs, strict LSN monotonicity and
 /// contiguity, snapshot↔WAL continuity (the WAL must cover everything past
-/// the newest snapshot), leftover tmp directories, and (optionally) the
-/// feed checkpoint's LSN against the durable data.
-Result<FsckReport> Fsck(const std::string& dir, FsckOptions options = {});
+/// the newest snapshot), commit records that do not parse or cover LSNs
+/// past themselves, and leftover tmp directories.
+Result<FsckReport> Fsck(const std::string& dir, Fs* fs = nullptr);
+
+/// The durable feed progress of `dir` without rebuilding the warehouse:
+/// the newest verified snapshot's commit set plus every commit of the log.
+Result<CommitSet> ReadCommitSet(const std::string& dir, Fs* fs = nullptr);
 
 }  // namespace dw
 }  // namespace dwqa

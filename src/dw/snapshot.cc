@@ -15,6 +15,7 @@ namespace {
 constexpr char kManifestMagic[] = "dwqa-snapshot";
 constexpr char kManifestVersion[] = "1";
 constexpr char kManifestFile[] = "MANIFEST";
+constexpr char kCommitsFile[] = "commits.txt";
 
 std::string SnapshotDirName(Lsn lsn) {
   char buf[32];
@@ -98,7 +99,8 @@ Result<SnapshotManifest> ManifestSerde::FromText(const std::string& text) {
 
 Result<std::string> SnapshotWriter::Write(const std::string& dir,
                                           const Warehouse& warehouse,
-                                          Lsn lsn, Fs* fs) {
+                                          const CommitSet& commits, Lsn lsn,
+                                          Fs* fs) {
   fs = FsOrReal(fs);
   DWQA_RETURN_NOT_OK(fs->CreateDirs(dir));
   const std::string final_dir = dir + "/" + SnapshotDirName(lsn);
@@ -109,7 +111,11 @@ Result<std::string> SnapshotWriter::Write(const std::string& dir,
     return final_dir;
   }
   if (fs->Exists(tmp_dir)) DWQA_RETURN_NOT_OK(fs->RemoveAll(tmp_dir));
+  DWQA_ASSIGN_OR_RETURN(std::string commits_text,
+                        CommitSetSerde::ToText(commits));
   DWQA_RETURN_NOT_OK(WarehousePersistence::Save(warehouse, tmp_dir, fs));
+  DWQA_RETURN_NOT_OK(
+      WriteFileAtomic(fs, tmp_dir + "/" + kCommitsFile, commits_text));
 
   SnapshotManifest manifest;
   manifest.lsn = lsn;
@@ -178,6 +184,10 @@ Result<SnapshotManifest> VerifySnapshot(const std::string& snapshot_dir,
     if (Crc32Hex(*content) != entry.crc_hex) {
       return Status::Corruption("snapshot file '" + path +
                                 "' CRC mismatch (bit rot?)");
+    }
+    if (entry.file == kCommitsFile) {
+      DWQA_ASSIGN_OR_RETURN(manifest.commits,
+                            CommitSetSerde::FromText(*content));
     }
   }
   return manifest;

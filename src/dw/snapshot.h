@@ -24,6 +24,9 @@ struct ManifestEntry {
 struct SnapshotManifest {
   Lsn lsn = 0;                          ///< Highest WAL LSN the snapshot covers.
   std::vector<ManifestEntry> entries;   ///< Every data file of the snapshot.
+  /// Not MANIFEST text: the parsed `commits.txt` the entries cover, filled
+  /// in by VerifySnapshot (empty when the snapshot has none).
+  CommitSet commits;
 };
 
 /// Serializes/parses the MANIFEST file (`dwqa-snapshot<TAB>1` magic, one
@@ -47,6 +50,7 @@ struct SnapshotInfo {
 ///
 ///   snap-<lsn, 20 digits>/          one immutable snapshot
 ///     schema.txt, dim_*.csv, fact_*.csv   (WarehousePersistence format)
+///     commits.txt                   the feed's CommitSet (CommitSetSerde)
 ///     MANIFEST                      written last, covers all other files
 ///
 /// Write() builds the snapshot in `snap-<lsn>.tmp` (every file written
@@ -54,15 +58,18 @@ struct SnapshotInfo {
 /// rename: a crash at any point leaves either no new snapshot or a
 /// complete, verifiable one — never a torn half-snapshot. Readers treat a
 /// snapshot as valid only if its MANIFEST parses and every entry matches
-/// in size and CRC.
+/// in size and CRC. `commits.txt` compacts the WAL's commit records as the
+/// tables compact its facts, so dropping covered segments loses nothing.
 class SnapshotWriter {
  public:
-  /// Writes a snapshot of `warehouse` covering WAL position `lsn`.
-  /// Returns the committed snapshot directory path.
+  /// Writes a snapshot of `warehouse` and `commits` covering WAL position
+  /// `lsn`. Returns the committed snapshot directory path.
   static Result<std::string> Write(const std::string& dir,
-                                   const Warehouse& warehouse, Lsn lsn,
+                                   const Warehouse& warehouse,
+                                   const CommitSet& commits, Lsn lsn,
                                    Fs* fs = nullptr);
 };
+
 
 /// Lists committed snapshots under `dir`, oldest first. Leftover `*.tmp`
 /// build directories are reported via `tmp_leftovers` when non-null.
@@ -71,8 +78,9 @@ Result<std::vector<SnapshotInfo>> ListSnapshots(
     std::vector<std::string>* tmp_leftovers = nullptr);
 
 /// Verifies one snapshot directory against its MANIFEST: parse, existence,
-/// size and CRC of every entry. Returns the manifest on success; a typed
-/// Corruption error naming the first mismatching file otherwise.
+/// size and CRC of every entry, and a commit file that parses. Returns the
+/// manifest with its commit set on success; a typed Corruption error
+/// naming the first mismatching file otherwise.
 Result<SnapshotManifest> VerifySnapshot(const std::string& snapshot_dir,
                                         Fs* fs = nullptr);
 

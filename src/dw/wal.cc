@@ -1,8 +1,10 @@
 #include "dw/wal.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "common/metric_names.h"
 #include "common/string_util.h"
@@ -44,16 +46,39 @@ Status CheckField(const std::string& field_name, const std::string& value) {
   if (value.find('\t') != std::string::npos ||
       value.find('\n') != std::string::npos ||
       value.find('\r') != std::string::npos) {
-    return Status::InvalidArgument("WAL fact field '" + field_name +
+    return Status::InvalidArgument("WAL field '" + field_name +
                                    "' contains tab/newline: cannot frame");
   }
   return Status::OK();
 }
 
-Status PayloadError(size_t line_no, const std::string& what) {
-  return Status::Corruption("WAL fact payload line " +
+/// A typed parse error naming the text kind and the offending line.
+Status LineError(const char* kind, size_t line_no, const std::string& what) {
+  return Status::Corruption(std::string(kind) + " line " +
                             std::to_string(line_no) + ": " + what);
 }
+
+Status PayloadError(size_t line_no, const std::string& what) {
+  return LineError("WAL fact payload", line_no, what);
+}
+
+/// The lines of a payload or file. A carriage return is refused: no
+/// writer frames one, so a parsed value is always one it could write.
+Result<std::vector<std::string>> PayloadLines(const char* kind,
+                                              const std::string& text) {
+  std::vector<std::string> lines = Split(text, '\n');
+  // Well-formed text ends with '\n', leaving one trailing empty field.
+  if (!lines.empty() && lines.back().empty()) lines.pop_back();
+  for (size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].find('\r') != std::string::npos) {
+      return LineError(kind, i + 1, "carriage return");
+    }
+  }
+  return lines;
+}
+
+constexpr char kCommitSetMagic[] = "dwqa-commits";
+constexpr char kCommitSetVersion[] = "1";
 
 std::string SegmentFileName(Lsn start_lsn) {
   char buf[36];
@@ -132,9 +157,8 @@ Result<WalFact> WalFactSerde::FromPayload(const std::string& payload) {
   WalFact fact;
   bool saw_fact = false;
   bool saw_attr = false;
-  std::vector<std::string> lines = Split(payload, '\n');
-  // A well-formed payload ends with '\n', leaving one trailing empty field.
-  if (!lines.empty() && lines.back().empty()) lines.pop_back();
+  DWQA_ASSIGN_OR_RETURN(std::vector<std::string> lines,
+                        PayloadLines("WAL fact payload", payload));
   for (size_t i = 0; i < lines.size(); ++i) {
     const size_t line_no = i + 1;
     std::vector<std::string> fields = Split(lines[i], '\t');
@@ -216,6 +240,93 @@ Result<WalFact> WalFactSerde::FromPayload(const std::string& payload) {
   if (!saw_fact) return PayloadError(lines.size(), "missing 'fact' line");
   if (!saw_attr) return PayloadError(lines.size(), "missing 'attr' line");
   return fact;
+}
+
+Result<std::string> WalCommitSerde::ToPayload(const WalCommit& commit) {
+  DWQA_RETURN_NOT_OK(CheckField("question", commit.question));
+  std::string out = "commit\t" + std::to_string(commit.first_lsn) + "\t" +
+                    std::to_string(commit.last_lsn) + "\n";
+  out += "question\t" + commit.question + "\n";
+  for (Lsn lsn : commit.refused) {
+    out += "refused\t" + std::to_string(lsn) + "\n";
+  }
+  return out;
+}
+
+bool WalCommitSerde::IsCommit(const std::string& payload) {
+  return StartsWith(payload, "commit\t");
+}
+
+Result<WalCommit> WalCommitSerde::FromPayload(const std::string& payload) {
+  constexpr char kKind[] = "WAL commit payload";
+  DWQA_ASSIGN_OR_RETURN(std::vector<std::string> lines,
+                        PayloadLines(kKind, payload));
+  if (lines.empty()) return LineError(kKind, 1, "empty payload");
+  WalCommit commit;
+  std::vector<std::string> fields = Split(lines[0], '\t');
+  if (fields.size() != 3 || fields[0] != "commit" ||
+      !ParseUint64(fields[1], &commit.first_lsn) ||
+      !ParseUint64(fields[2], &commit.last_lsn) ||
+      commit.first_lsn > commit.last_lsn ||
+      (commit.first_lsn == 0) != (commit.last_lsn == 0)) {
+    return LineError(kKind, 1,
+                     "expected 'commit<TAB><first lsn><TAB><last lsn>'");
+  }
+  bool saw_question = false;
+  for (size_t i = 1; i < lines.size(); ++i) {
+    fields = Split(lines[i], '\t');
+    Lsn lsn = 0;
+    if (fields.size() == 2 && fields[0] == "question" && !saw_question) {
+      commit.question = fields[1];
+      saw_question = true;
+    } else if (fields.size() == 2 && fields[0] == "refused" &&
+               ParseUint64(fields[1], &lsn) && lsn >= commit.first_lsn &&
+               lsn <= commit.last_lsn && commit.first_lsn != 0) {
+      commit.refused.push_back(lsn);
+    } else {
+      return LineError(kKind, i + 1,
+                       "expected one 'question<TAB><text>', then "
+                       "'refused<TAB><lsn in range>' lines");
+    }
+  }
+  if (!saw_question) return LineError(kKind, lines.size(), "no 'question'");
+  return commit;
+}
+
+Result<std::string> CommitSetSerde::ToText(const CommitSet& commits) {
+  std::string out = std::string(kCommitSetMagic) + "\t" + kCommitSetVersion +
+                    "\n";
+  for (const std::string& question : commits.questions) {
+    DWQA_RETURN_NOT_OK(CheckField("question", question));
+    out += "question\t" + question + "\n";
+  }
+  for (const std::string& key : commits.fed_keys) {
+    DWQA_RETURN_NOT_OK(CheckField("key", key));
+    out += "key\t" + key + "\n";
+  }
+  return out;
+}
+
+Result<CommitSet> CommitSetSerde::FromText(const std::string& text) {
+  constexpr char kKind[] = "commit set";
+  DWQA_ASSIGN_OR_RETURN(std::vector<std::string> lines,
+                        PayloadLines(kKind, text));
+  if (lines.empty() || lines[0] != std::string(kCommitSetMagic) + "\t" +
+                                       kCommitSetVersion) {
+    return LineError(kKind, 1, "bad magic/version");
+  }
+  CommitSet commits;
+  for (size_t i = 1; i < lines.size(); ++i) {
+    std::vector<std::string> fields = Split(lines[i], '\t');
+    if (fields.size() == 2 && fields[0] == "question") {
+      commits.questions.insert(fields[1]);
+    } else if (fields.size() == 2 && fields[0] == "key") {
+      commits.fed_keys.insert(fields[1]);
+    } else {
+      return LineError(kKind, i + 1, "expected 'question' or 'key' line");
+    }
+  }
+  return commits;
 }
 
 namespace {
@@ -363,6 +474,52 @@ Result<size_t> TruncateTornTail(const std::string& dir, const WalScan& scan,
   return dropped;
 }
 
+CommittedLog ApplyCommitRule(const WalScan& scan, CommitSet base,
+                             Lsn covered_lsn) {
+  CommittedLog log;
+  log.commits = std::move(base);
+  // Facts since the previous commit record: the next commit settles them.
+  std::vector<const WalRecord*> pending;
+  for (const WalRecord& rec : scan.records) {
+    if (!WalCommitSerde::IsCommit(rec.payload)) {
+      pending.push_back(&rec);
+      continue;
+    }
+    auto commit = WalCommitSerde::FromPayload(rec.payload);
+    if (commit.ok() && commit->last_lsn >= rec.lsn) {
+      commit = Status::Corruption("covers LSNs at or past itself");
+    }
+    if (!commit.ok()) {
+      log.issues.push_back("WAL commit " + std::to_string(rec.lsn) + ": " +
+                           commit.status().message());
+      continue;
+    }
+    const std::vector<Lsn>& refused = commit->refused;
+    for (const WalRecord* fact : pending) {
+      if (fact->lsn < commit->first_lsn || fact->lsn > commit->last_lsn ||
+          std::find(refused.begin(), refused.end(), fact->lsn) !=
+              refused.end()) {
+        ++log.uncommitted;
+        continue;
+      }
+      if (fact->lsn <= covered_lsn) {
+        ++log.covered;
+        continue;
+      }
+      CommittedFact committed{fact->lsn,
+                              WalFactSerde::FromPayload(fact->payload)};
+      if (committed.fact.ok()) {
+        log.commits.fed_keys.insert(committed.fact->dedup_key);
+      }
+      log.facts.push_back(std::move(committed));
+    }
+    pending.clear();
+    if (refused.empty()) log.commits.questions.insert(commit->question);
+  }
+  log.uncommitted += pending.size();
+  return log;
+}
+
 Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& dir,
                                                    WalOptions options,
                                                    Fs* fs,
@@ -404,11 +561,9 @@ std::string WalWriter::current_segment_path() const {
 
 Status WalWriter::StartSegment(Lsn start_lsn) {
   const std::string name = SegmentFileName(start_lsn);
-  const std::string path = dir_ + "/" + name;
   const std::string header = SegmentHeader(start_lsn);
-  DWQA_RETURN_NOT_OK(fs_->WriteFile(path, header));
-  if (options_.sync_each_append) DWQA_RETURN_NOT_OK(fs_->SyncFile(path));
-  segments_.push_back(Segment{name, start_lsn, 0});
+  DWQA_RETURN_NOT_OK(fs_->WriteFile(dir_ + "/" + name, header));
+  segments_.push_back(Segment{name, start_lsn, 0, true, 0});
   current_segment_bytes_ = header.size();
   if (metrics_ != nullptr) {
     metrics_->GetGauge(kMetricWalSegments)->Set(
@@ -418,6 +573,7 @@ Status WalWriter::StartSegment(Lsn start_lsn) {
 }
 
 Result<Lsn> WalWriter::Append(const std::string& payload) {
+  DWQA_RETURN_NOT_OK(failed_);
   auto fail = [&](Status status) -> Result<Lsn> {
     if (metrics_ != nullptr) {
       metrics_->GetCounter(kMetricWalAppendFailures)->Increment();
@@ -438,22 +594,14 @@ Result<Lsn> WalWriter::Append(const std::string& payload) {
     }
   }
   rotate_pending_ = false;
-  const std::string path = current_segment_path();
   const std::string frame = FrameRecord(lsn, payload);
-  Status appended = fs_->AppendFile(path, frame);
+  Status appended = fs_->AppendFile(current_segment_path(), frame);
   if (!appended.ok()) return fail(appended);
-  if (options_.sync_each_append) {
-    Status synced = fs_->SyncFile(path);
-    if (!synced.ok()) return fail(synced);
-    dirty_ = false;
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter(kMetricWalSyncs)->Increment();
-    }
-  } else {
-    dirty_ = true;
-  }
+  Segment& segment = segments_.back();
+  if (!segment.unsynced) segment.synced_bytes = current_segment_bytes_;
+  segment.unsynced = true;
+  segment.last_lsn = lsn;
   last_lsn_ = lsn;
-  segments_.back().last_lsn = lsn;
   current_segment_bytes_ += frame.size();
   if (metrics_ != nullptr) {
     metrics_->GetCounter(kMetricWalAppends)->Increment();
@@ -465,7 +613,14 @@ Result<Lsn> WalWriter::Append(const std::string& payload) {
 }
 
 Result<Lsn> WalWriter::AppendFact(const WalFact& fact) {
-  auto payload = WalFactSerde::ToPayload(fact);
+  return AppendSerialized(WalFactSerde::ToPayload(fact));
+}
+
+Result<Lsn> WalWriter::AppendCommit(const WalCommit& commit) {
+  return AppendSerialized(WalCommitSerde::ToPayload(commit));
+}
+
+Result<Lsn> WalWriter::AppendSerialized(const Result<std::string>& payload) {
   if (!payload.ok()) {
     if (metrics_ != nullptr) {
       metrics_->GetCounter(kMetricWalAppendFailures)->Increment();
@@ -476,11 +631,28 @@ Result<Lsn> WalWriter::AppendFact(const WalFact& fact) {
 }
 
 Status WalWriter::Sync() {
-  if (!dirty_) return Status::OK();
-  DWQA_RETURN_NOT_OK(fs_->SyncFile(current_segment_path()));
-  dirty_ = false;
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter(kMetricWalSyncs)->Increment();
+  DWQA_RETURN_NOT_OK(failed_);
+  for (Segment& segment : segments_) {
+    if (!segment.unsynced) continue;
+    Status synced = fs_->SyncFile(dir_ + "/" + segment.file);
+    if (!synced.ok()) {
+      // Nothing unsynced was acknowledged: cut it back off, newest first,
+      // so a later writeback cannot make an unacknowledged commit durable.
+      for (auto it = segments_.rbegin(); it != segments_.rend(); ++it) {
+        if (!it->unsynced) continue;
+        const std::string path = dir_ + "/" + it->file;
+        (void)(it->synced_bytes == 0
+                   ? fs_->RemoveFile(path)
+                   : fs_->TruncateFile(path, it->synced_bytes));
+      }
+      failed_ = Status(synced.code(), "WAL sync failed, log must be "
+                                      "reopened: " + synced.message());
+      return failed_;
+    }
+    segment.unsynced = false;
+    if (metrics_ != nullptr) {
+      metrics_->GetCounter(kMetricWalSyncs)->Increment();
+    }
   }
   return Status::OK();
 }
@@ -492,6 +664,7 @@ Status WalWriter::Rotate() {
 }
 
 Result<size_t> WalWriter::DropSegmentsCoveredBy(Lsn covered_lsn) {
+  DWQA_RETURN_NOT_OK(Sync());
   size_t dropped = 0;
   while (segments_.size() > 1) {
     const Segment& oldest = segments_.front();

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -65,15 +66,63 @@ class WalFactSerde {
   static Result<WalFact> FromPayload(const std::string& payload);
 };
 
+/// \brief The record that closes one fed question, appended after the
+/// question's facts and loads and synced once: the feed's unit of commit
+/// (see ApplyCommitRule).
+struct WalCommit {
+  std::string question;
+  Lsn first_lsn = 0;          ///< First fact LSN of the question (0 = none).
+  Lsn last_lsn = 0;           ///< Last fact LSN of the question (0 = none).
+  std::vector<Lsn> refused;   ///< LSNs in the range the live ETL refused.
+
+  bool operator==(const WalCommit& other) const = default;
+};
+
+/// \brief Text round-trip of a WalCommit, WAL-payload shaped:
+///
+///   commit<TAB>5<TAB>9
+///   question<TAB>What is the temperature in Barcelona in January of 2004?
+///   refused<TAB>7
+///
+/// Like WalFactSerde: ToPayload refuses a question containing a tab or
+/// newline; FromPayload returns typed errors with the offending line
+/// number, never crashes.
+class WalCommitSerde {
+ public:
+  static Result<std::string> ToPayload(const WalCommit& commit);
+  static Result<WalCommit> FromPayload(const std::string& payload);
+  /// True when `payload` is a commit record rather than a fact.
+  static bool IsCommit(const std::string& payload);
+};
+
+/// \brief The feed progress the commit records make durable: questions
+/// whose commit refused nothing (one with refused facts stays re-askable),
+/// and the dedup keys of every committed, unrefused fact.
+struct CommitSet {
+  std::set<std::string> questions;
+  std::set<std::string> fed_keys;
+
+  bool operator==(const CommitSet& other) const = default;
+};
+
+/// \brief Text round-trip of a CommitSet — the snapshot's commit file:
+///
+///   dwqa-commits<TAB>1
+///   question<TAB>What is the temperature in Barcelona in January of 2004?
+///   key<TAB>temperature|barcelona|2004-01-31
+///
+/// Framed like WalCommitSerde, with the same refusals and typed errors.
+class CommitSetSerde {
+ public:
+  static Result<std::string> ToText(const CommitSet& commits);
+  static Result<CommitSet> FromText(const std::string& text);
+};
+
 /// \brief Options of a WalWriter.
 struct WalOptions {
   /// Segment rotation threshold: a segment that has grown past this many
   /// bytes is closed and a new one started at the next append.
   size_t segment_bytes = 64 * 1024;
-  /// fsync after every append: the default durability barrier. Off, the
-  /// tail is only guaranteed after an explicit Sync() (higher throughput,
-  /// bench_recovery measures both).
-  bool sync_each_append = true;
 };
 
 /// \brief One scanned WAL segment file.
@@ -118,6 +167,34 @@ Result<WalScan> ScanWal(const std::string& dir, Fs* fs = nullptr);
 Result<size_t> TruncateTornTail(const std::string& dir, const WalScan& scan,
                                 Fs* fs = nullptr);
 
+/// \brief One fact record a commit covers, parsed once.
+struct CommittedFact {
+  Lsn lsn = 0;
+  /// The parsed fact, or the Corruption error of an unparseable payload.
+  Result<WalFact> fact{Status::Internal("unset")};
+};
+
+/// \brief A scanned log sorted by the commit rule.
+struct CommittedLog {
+  /// Facts a commit covers and does not refuse, in log order: the only
+  /// fact records recovery may replay.
+  std::vector<CommittedFact> facts;
+  size_t covered = 0;      ///< Committed facts at or below `covered_lsn`.
+  size_t uncommitted = 0;  ///< Fact records left out.
+  CommitSet commits;       ///< The base set plus every commit of the scan.
+  /// Commit records that did not parse or cover LSNs at or past their own.
+  std::vector<std::string> issues;
+};
+
+/// The commit rule, the one place feed progress is derived from the log.
+/// A commit settles the facts logged since the previous commit: those in
+/// its range and not refused are committed, the rest never are, whatever
+/// follows. Folds every commit into `base`; committed facts at or below
+/// `covered_lsn` are only counted, since the snapshot `base` came from
+/// already holds them and their keys.
+CommittedLog ApplyCommitRule(const WalScan& scan, CommitSet base = {},
+                             Lsn covered_lsn = 0);
+
 /// \brief Append side of the write-ahead log.
 ///
 /// Layout: `dir/wal-<start-lsn, 20 digits>.log`, each segment a text
@@ -126,12 +203,11 @@ Result<size_t> TruncateTornTail(const std::string& dir, const WalScan& scan,
 ///   rec<TAB><lsn><TAB><payload-bytes><TAB><crc32-hex>\n
 ///   <payload>\n
 ///
-/// with the CRC computed over the payload bytes. A record is *committed*
-/// once its append (and, with sync_each_append, its fsync) returned OK —
-/// the crash-point sweep asserts exactly the committed set survives
-/// recovery. Open() continues an existing log: it scans for the highest
-/// LSN, truncates any torn tail (same policy as recovery), and appends to
-/// the newest segment.
+/// with the CRC computed over the payload bytes. Appends only write; Sync()
+/// is the durability barrier, and the feed calls it once per question,
+/// after the question's commit record. Open() continues an existing log:
+/// it scans for the highest LSN, truncates any torn tail (same policy as
+/// recovery), and appends to the newest segment.
 class WalWriter {
  public:
   /// Opens (or creates) the log at `dir`. `metrics` (optional) receives
@@ -140,23 +216,29 @@ class WalWriter {
       const std::string& dir, WalOptions options = {}, Fs* fs = nullptr,
       MetricRegistry* metrics = nullptr);
 
-  /// Appends one record, assigning the next LSN. With sync_each_append the
-  /// record is durable when this returns OK.
+  /// Appends one record, assigning the next LSN. The record is durable
+  /// once a later Sync() returns OK.
   Result<Lsn> Append(const std::string& payload);
 
   /// WalFactSerde::ToPayload + Append.
   Result<Lsn> AppendFact(const WalFact& fact);
 
-  /// fsyncs the current segment (a no-op barrier when everything appended
-  /// so far was already synced).
+  /// WalCommitSerde::ToPayload + Append.
+  Result<Lsn> AppendCommit(const WalCommit& commit);
+
+  /// fsyncs every segment written since the last sync, one closed by a
+  /// rotation included. A failed sync cuts the unsynced bytes back off the
+  /// log (best effort: none was acknowledged) and fails the writer until
+  /// the log is reopened.
   Status Sync();
 
-  /// Closes the current segment and starts a new one at the next append.
+  /// Syncs, then closes the current segment; the next append starts a new
+  /// one.
   Status Rotate();
 
-  /// Removes whole segments every record of which has LSN <= `covered_lsn`
-  /// (a snapshot with that covering LSN makes them redundant). The current
-  /// segment is never removed. Returns segments dropped.
+  /// Syncs, then removes whole segments every record of which has LSN <=
+  /// `covered_lsn` (a snapshot covering it makes them redundant). The
+  /// current segment is never removed. Returns segments dropped.
   Result<size_t> DropSegmentsCoveredBy(Lsn covered_lsn);
 
   Lsn last_lsn() const { return last_lsn_; }
@@ -173,22 +255,28 @@ class WalWriter {
 
   /// Starts a fresh segment whose header declares `start_lsn`.
   Status StartSegment(Lsn start_lsn);
+  /// Appends a serialized payload, or counts and returns its error.
+  Result<Lsn> AppendSerialized(const Result<std::string>& payload);
 
   std::string dir_;
   WalOptions options_;
   Fs* fs_;
   MetricRegistry* metrics_;
   Lsn last_lsn_ = 0;
-  /// (file name, first LSN, last LSN) of every live segment, oldest first.
+  /// Every live segment, oldest first.
   struct Segment {
     std::string file;
     Lsn start_lsn = 0;
     Lsn last_lsn = 0;
+    /// Written since the last sync, when it was `synced_bytes` long (0 =
+    /// created since: a failed sync removes it).
+    bool unsynced = false;
+    size_t synced_bytes = 0;
   };
   std::vector<Segment> segments_;
   size_t current_segment_bytes_ = 0;
-  /// Bytes appended to the current segment since the last fsync.
-  bool dirty_ = false;
+  /// Set by a failed sync; returned by every later call.
+  Status failed_;
   /// A rotation was requested; the next append opens a new segment.
   bool rotate_pending_ = false;
 };

@@ -6,6 +6,7 @@
 #include "common/thread_pool.h"
 #include "dw/etl.h"
 #include "dw/materialized_view.h"
+#include "dw/recovery.h"
 #include "dw/snapshot.h"
 #include "integration/table_preprocess.h"
 #include "ontology/enrichment.h"
@@ -24,11 +25,6 @@ Status ValidateResilienceConfig(const ResilienceConfig& resilience) {
   DWQA_RETURN_NOT_OK(resilience.retry.Validate());
   DWQA_RETURN_NOT_OK(resilience.breaker.Validate());
   DWQA_RETURN_NOT_OK(resilience.deadline.Validate());
-  if (resilience.checkpoint_every == 0) {
-    return Status::InvalidArgument(
-        "checkpoint_every must be >= 1 (0 would checkpoint after every "
-        "boundary check yet never count a question)");
-  }
   return Status::OK();
 }
 
@@ -242,7 +238,6 @@ void IntegrationPipeline::QuarantineFact(const qa::StructuredFact& fact,
   quarantine_.Add(std::move(record));
   ++report->rows_quarantined;
   ++report->quarantined_by_reason[reason];
-  ++reject_counts_[qa::RejectReasonName(reason)];
   metrics_
       .GetCounter(kMetricFeedQuarantined,
                   {{"reason", qa::RejectReasonName(reason)}},
@@ -254,71 +249,32 @@ void IntegrationPipeline::QuarantineFact(const qa::StructuredFact& fact,
       ->Set(static_cast<double>(quarantine_.size()));
 }
 
-FeedCheckpoint IntegrationPipeline::MakeFeedCheckpoint() const {
-  FeedCheckpoint checkpoint;
-  checkpoint.completed_questions = completed_questions_;
-  checkpoint.fed_keys = fed_keys_;
-  checkpoint.reject_counts = reject_counts_;
-  checkpoint.rows_loaded = rows_loaded_total_;
-  checkpoint.wal_lsn = wal_last_lsn();
-  return checkpoint;
-}
-
-Status IntegrationPipeline::SaveFeedCheckpoint(
-    const std::string& path) const {
-  return FeedCheckpointFile::Save(MakeFeedCheckpoint(), path,
-                                  config_.resilience.durability.fs);
-}
-
-Status IntegrationPipeline::LoadFeedCheckpoint(const std::string& path) {
-  DWQA_ASSIGN_OR_RETURN(FeedCheckpoint checkpoint,
-                        FeedCheckpointFile::Load(
-                            path, config_.resilience.durability.fs));
-  // A checkpoint ahead of the recovered WAL claims rows the durable data
-  // cannot back — refuse it instead of silently skipping questions whose
-  // facts were rolled back with the log.
-  if (wal_ != nullptr) {
-    DWQA_RETURN_NOT_OK(
-        ValidateCheckpointAgainstLsn(checkpoint, wal_->last_lsn()));
-  }
-  completed_questions_.insert(checkpoint.completed_questions.begin(),
-                              checkpoint.completed_questions.end());
-  fed_keys_.insert(checkpoint.fed_keys.begin(), checkpoint.fed_keys.end());
-  for (const auto& [reason, count] : checkpoint.reject_counts) {
-    reject_counts_[reason] += count;
-  }
-  rows_loaded_total_ += checkpoint.rows_loaded;
-  checkpoint_loaded_ = true;
-  DWQA_LOG(Info) << "Step 5: resumed from checkpoint '" << path << "' ("
-                 << checkpoint.completed_questions.size()
-                 << " questions completed, " << checkpoint.fed_keys.size()
-                 << " keys fed)";
-  return Status::OK();
-}
-
 Status IntegrationPipeline::EnsureWalOpen() {
   const DurabilityConfig& durability = config_.resilience.durability;
   if (durability.dir.empty() || wal_ != nullptr) return Status::OK();
   dw::WalOptions options;
   options.segment_bytes = durability.wal_segment_bytes;
-  options.sync_each_append = durability.sync_each_append;
   DWQA_ASSIGN_OR_RETURN(
       wal_, dw::WalWriter::Open(durability.dir, options, durability.fs,
                                 &metrics_));
+  DWQA_ASSIGN_OR_RETURN(dw::CommitSet durable,
+                        dw::ReadCommitSet(durability.dir, durability.fs));
+  progress_.questions.merge(durable.questions);
+  progress_.fed_keys.merge(durable.fed_keys);
   DWQA_LOG(Info) << "Step 5: WAL open at '" << durability.dir
-                 << "', last LSN " << wal_->last_lsn();
+                 << "', last LSN " << wal_->last_lsn() << ", "
+                 << progress_.questions.size() << " questions completed";
   return Status::OK();
 }
 
 Status IntegrationPipeline::FlushDurability() {
-  if (wal_ == nullptr) return Status::OK();
+  DWQA_RETURN_NOT_OK(wal_failure_);
   const DurabilityConfig& durability = config_.resilience.durability;
-  DWQA_RETURN_NOT_OK(wal_->Sync());
-  if (!durability.snapshot_on_flush) return Status::OK();
+  if (wal_ == nullptr) return Status::OK();
   DWQA_ASSIGN_OR_RETURN(
       std::string snapshot_path,
-      dw::SnapshotWriter::Write(durability.dir, *wh_, wal_->last_lsn(),
-                                durability.fs));
+      dw::SnapshotWriter::Write(durability.dir, *wh_, progress_,
+                                wal_->last_lsn(), durability.fs));
   DWQA_ASSIGN_OR_RETURN(size_t dropped,
                         wal_->DropSegmentsCoveredBy(wal_->last_lsn()));
   DWQA_LOG(Info) << "Step 5: snapshot '" << snapshot_path << "' at LSN "
@@ -361,14 +317,13 @@ Result<FeedReport> IntegrationPipeline::RunStep5(
     return Status::InvalidArgument("warehouse must not be null");
   }
   const ResilienceConfig& resilience = config_.resilience;
-  // The WAL opens before the checkpoint loads: LoadFeedCheckpoint compares
-  // the checkpoint's recorded LSN against the recovered log.
+  DWQA_RETURN_NOT_OK(wal_failure_);
   DWQA_RETURN_NOT_OK(EnsureWalOpen());
-  const bool checkpointing = !resilience.checkpoint_path.empty();
-  if (checkpointing && !checkpoint_loaded_ &&
-      FeedCheckpointFile::Exists(resilience.checkpoint_path,
-                                 resilience.durability.fs)) {
-    DWQA_RETURN_NOT_OK(LoadFeedCheckpoint(resilience.checkpoint_path));
+  // A commit frames its question on one line: refuse an unframeable batch
+  // before any of it loads, not at its commit.
+  for (const std::string& question : questions) {
+    if (wal_ == nullptr) break;
+    DWQA_RETURN_NOT_OK(dw::WalCommitSerde::ToPayload({question}).status());
   }
   if (resilience.validate_facts) {
     // The Step-4 axioms (temperature intervals, unit lists) become the
@@ -416,24 +371,17 @@ Result<FeedReport> IntegrationPipeline::RunStep5(
     }
   };
   dw::EtlLoader loader(wh_);
-  size_t questions_since_checkpoint = 0;
-  // A boundary checkpoint save is allowed to fail (logged + counted +
-  // retried at the next boundary); only the final save is load-bearing.
-  auto save_checkpoint = [&]() -> Status {
-    DWQA_RETURN_NOT_OK(fault_.Hit(kFaultPointCheckpoint));
-    return SaveFeedCheckpoint(resilience.checkpoint_path);
-  };
   CircuitBreaker* fetch_breaker = breakers_.Get(kFaultPointFetch);
-  // Completed questions are only skipped under checkpoint/resume semantics
-  // (a configured path or an explicitly loaded checkpoint). A plain
-  // pipeline that re-asks a question still re-asks it — the fed-key dedup
-  // alone decides whether its facts load again.
-  const bool resume_semantics = checkpointing || checkpoint_loaded_;
+  // Completed questions are only skipped when a durable commit completed
+  // them (the WAL is on). A pipeline without a WAL that re-asks a question
+  // still re-asks it — the fed-key dedup alone decides whether its facts
+  // load again.
+  const bool resume_semantics = wal_ != nullptr;
 
   // Batched ask phase: answer the batch speculatively on a pool. Ask() is a
   // pure read of the quiescent index, so only it moves off-thread; every
   // order-dependent effect — fault draws, retry/backoff, breaker admission,
-  // deadline accounting, validation, dedup, ETL, checkpoints — still
+  // deadline accounting, validation, dedup, ETL, WAL commits — still
   // happens in the serial loop below, which consumes a speculative answer
   // (absorbing its private deadline ledger) exactly where the serial code
   // would have computed it. A finite budget disables speculation: which
@@ -448,7 +396,7 @@ Result<FeedReport> IntegrationPipeline::RunStep5(
     ThreadPool pool(config_.parallel_questions);
     pool.ParallelFor(questions.size(), [&](size_t i) {
       if (resume_semantics &&
-          completed_questions_.count(questions[i]) > 0) {
+          progress_.questions.count(questions[i]) > 0) {
         return;
       }
       speculative[i].answers =
@@ -464,13 +412,13 @@ Result<FeedReport> IntegrationPipeline::RunStep5(
 
   for (size_t qi = 0; qi < questions.size(); ++qi) {
     const std::string& question = questions[qi];
-    if (resume_semantics && completed_questions_.count(question) > 0) {
+    if (resume_semantics && progress_.questions.count(question) > 0) {
       ++report.questions_resumed;
       count_outcome("resumed");
       continue;
     }
     // An exhausted budget skips the remaining questions without marking
-    // them completed — a checkpointed resume (with a fresh budget) re-asks
+    // them completed — a resumed feed (with a fresh budget) re-asks
     // exactly these. The Check() probe names this stage in the health
     // report when the budget died on an earlier successful crossing charge.
     if (!deadline_.Check("step5.ask").ok()) {
@@ -550,7 +498,7 @@ Result<FeedReport> IntegrationPipeline::RunStep5(
                         "that ultimately failed")
             ->Increment(static_cast<double>(ask_stats.attempts - 1));
       }
-      // Not marked completed: a checkpointed resume re-asks it.
+      // Not marked completed: a resumed feed re-asks it.
       ++report.questions_failed;
       count_outcome("failed");
       question_span.Annotate("outcome", "failed");
@@ -569,6 +517,11 @@ Result<FeedReport> IntegrationPipeline::RunStep5(
                            answers->empty() ? "unanswered" : "answered");
     question_span.Annotate("level",
                            qa::DegradationLevelName(answers->degradation));
+    // The question's commit group: its WAL-logged facts and the ones the
+    // ETL refused.
+    dw::WalCommit commit;
+    commit.question = question;
+    size_t refused = 0;
     if (!answers->empty()) {
       ++report.questions_answered;
       std::vector<qa::StructuredFact> facts =
@@ -599,11 +552,11 @@ Result<FeedReport> IntegrationPipeline::RunStep5(
         }
         // Feed deduplication: one row per (attribute, location, date). The
         // key is only recorded after a successful load, so a fact whose
-        // load fails does not block a later (or resumed) retry.
+        // load fails does not block a later retry.
         std::string key =
             attribute + "|" + ToLower(fact.location) + "|" +
             (fact.date.has_value() ? fact.date->ToIsoString() : "?");
-        if (config_.dedup_feed && fed_keys_.count(key) > 0) {
+        if (config_.dedup_feed && progress_.fed_keys.count(key) > 0) {
           ++report.rows_deduplicated;
           fact.disposition = qa::FactDisposition::kDeduplicated;
           count_fact("deduplicated");
@@ -648,10 +601,11 @@ Result<FeedReport> IntegrationPipeline::RunStep5(
         record.role_paths.push_back(
             {fact.url.empty() ? std::string("?") : fact.url});
         record.measures = {dw::Value(fact.value)};
-        // Write-ahead: the fact is durable before the ETL sees it. A crash
-        // from here on replays the record idempotently on recovery; an
-        // append failure quarantines the fact — loading a row the log does
-        // not hold would make recovery lose it.
+        // Write-ahead: the fact is logged before the ETL sees it, and
+        // becomes durable with the question's commit. An append failure
+        // quarantines the fact — loading a row the log does not hold would
+        // make recovery lose it.
+        dw::Lsn lsn = 0;
         if (wal_ != nullptr) {
           Span wal_span(trace, "wal.append");
           dw::WalFact wal_fact;
@@ -678,7 +632,10 @@ Result<FeedReport> IntegrationPipeline::RunStep5(
             report.facts.push_back(std::move(fact));
             continue;
           }
-          wal_span.Annotate("lsn", static_cast<double>(*appended));
+          lsn = *appended;
+          wal_span.Annotate("lsn", static_cast<double>(lsn));
+          if (commit.first_lsn == 0) commit.first_lsn = lsn;
+          commit.last_lsn = lsn;
         }
         RetryPolicy load_policy = resilience.retry;
         if (source_breaker->state() == BreakerState::kHalfOpen) {
@@ -714,12 +671,11 @@ Result<FeedReport> IntegrationPipeline::RunStep5(
         if (st.ok()) {
           source_breaker->RecordSuccess();
           ++report.rows_loaded;
-          ++rows_loaded_total_;
           metrics_
               .GetCounter(kMetricDwEtlRowsLoaded, {},
                           "Fact rows the ETL loaded into the warehouse")
               ->Increment();
-          if (config_.dedup_feed) fed_keys_.insert(key);
+          progress_.fed_keys.insert(key);
           fact.disposition = qa::FactDisposition::kLoaded;
           count_fact("loaded");
           fact_span.Annotate("disposition", "loaded");
@@ -740,6 +696,8 @@ Result<FeedReport> IntegrationPipeline::RunStep5(
             }
           }
           ++report.rows_rejected;
+          ++refused;
+          if (lsn != 0) commit.refused.push_back(lsn);
           metrics_
               .GetCounter(kMetricDwEtlRowsRejected, {},
                           "Fact rows the ETL layer refused")
@@ -756,32 +714,23 @@ Result<FeedReport> IntegrationPipeline::RunStep5(
         report.facts.push_back(std::move(fact));
       }
     }
-    completed_questions_.insert(question);
-    if (checkpointing &&
-        ++questions_since_checkpoint >= resilience.checkpoint_every) {
-      Status saved = save_checkpoint();
-      if (saved.ok()) {
-        questions_since_checkpoint = 0;
-      } else {
-        // Satellite fix: a failed boundary save must not abort a feed that
-        // is otherwise making progress. Log it, count it, and retry at the
-        // next boundary (the counter keeps growing, so the next boundary
-        // check fires immediately).
-        ++report.checkpoint_failures;
-        metrics_
-            .GetCounter(kMetricFeedCheckpointFailures, {},
-                        "Boundary checkpoint saves that failed")
-            ->Increment();
-        DWQA_LOG(Warning) << "Step 5: checkpoint save failed ("
-                          << saved.ToString()
-                          << "); retrying at the next boundary";
+    // One commit record and one sync per question, then the question is
+    // acknowledged. A failed commit leaves the warehouse ahead of the log:
+    // the run fails, and so does every later feed or flush.
+    if (wal_ != nullptr) {
+      Span commit_span(trace, "wal.append");
+      commit_span.Annotate("record", "commit");
+      Status committed = wal_->AppendCommit(commit).status();
+      if (committed.ok()) committed = wal_->Sync();
+      if (!committed.ok()) {
+        commit_span.Annotate("outcome", "failed");
+        wal_failure_ = Status(committed.code(),
+                              "WAL commit of '" + question + "' failed, "
+                              "recover the tenant: " + committed.message());
+        return wal_failure_;
       }
     }
-  }
-  if (checkpointing && questions_since_checkpoint > 0) {
-    // The final save is load-bearing: losing it would silently discard the
-    // progress of every question since the last good save.
-    DWQA_RETURN_NOT_OK(save_checkpoint());
+    if (refused == 0) progress_.questions.insert(question);
   }
   if (deadline_.exhausted()) report.deadline_exhausted = true;
   report.health.Capture(deadline_, breakers_);

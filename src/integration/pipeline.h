@@ -4,7 +4,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -19,7 +18,6 @@
 #include "dw/quarantine.h"
 #include "dw/wal.h"
 #include "dw/warehouse.h"
-#include "integration/feed_checkpoint.h"
 #include "integration/pipeline_health.h"
 #include "ir/document.h"
 #include "ontology/merge.h"
@@ -54,26 +52,25 @@ struct QuestionTrace {
 /// \brief Crash-safe durability of the Step-5 feed (dw/wal.h,
 /// dw/snapshot.h, dw/recovery.h).
 ///
-/// When `dir` is set, every fact that survives validation, dedup and
-/// breaker admission is appended to the write-ahead log *before* it
-/// touches the ETL: a crash at any point loses at most the unacknowledged
-/// tail, and Recovery::Open restores the warehouse to exactly the
-/// acknowledged fact set. FlushDurability() (called by QaServer::Drain and
-/// available to embedders) syncs the log, cuts an atomic snapshot and
-/// drops the WAL segments the snapshot covers.
+/// When `dir` is set, the WAL is the feed's one durable record of
+/// progress: every admitted fact is logged *before* it touches the ETL,
+/// and each question ends with a commit record and one sync (dw::WalCommit)
+/// before RunStep5 acknowledges it. A pipeline opening the log skips the
+/// committed questions as resumed. A failed commit fails the run and every
+/// later feed or flush: the warehouse is ahead of the log, so the tenant
+/// must be rebuilt with Recovery::Open. FlushDurability() (called by
+/// QaServer::Drain) snapshots and drops the covered WAL segments.
 struct DurabilityConfig {
   /// Durability root (WAL segments + snapshot directories). Empty (the
   /// default) disables the WAL entirely — zero cost for feeds that do not
-  /// need crash safety.
+  /// need crash safety. The pipeline's warehouse must be the one
+  /// Recovery::Open rebuilt from this root (or empty for a fresh root).
   std::string dir;
   /// Segment rotation threshold, forwarded to dw::WalOptions.
   size_t wal_segment_bytes = 64 * 1024;
-  /// fsync after every append (the crash-safety default). Turning this off
-  /// trades the tail of the log for throughput.
+  /// Ignored: every question is synced once, at its commit. Kept only
+  /// because the benchmark fixture still sets it.
   bool sync_each_append = true;
-  /// Cut a snapshot (and garbage-collect covered WAL segments) on
-  /// FlushDurability. Off leaves flush = sync only.
-  bool snapshot_on_flush = true;
   /// All durability I/O goes through this Fs (null = real filesystem) so
   /// the crash-point harness can interpose.
   Fs* fs = nullptr;
@@ -95,11 +92,6 @@ struct ResilienceConfig {
   /// (e.g. a warehouse that only accepts a narrower interval than the QA
   /// system extracts).
   std::map<std::string, qa::AttributeRule> validator_rules;
-  /// When non-empty, RunStep5 persists a FeedCheckpoint here after every
-  /// `checkpoint_every` questions and resumes from it when the file
-  /// already exists.
-  std::string checkpoint_path;
-  size_t checkpoint_every = 1;
   /// Circuit breakers per fault point and per source URL (off by default —
   /// a disabled breaker admits everything and never trips).
   BreakerConfig breaker;
@@ -137,7 +129,7 @@ struct PipelineConfig {
   /// the serial loop; N > 1 speculatively answers the batch's questions on
   /// a pool (AliQAn::AskWith against private deadline ledgers) while fault
   /// draws, retries, breaker admission, validation, dedup, ETL and
-  /// checkpointing all stay serialized in question order at a single merge
+  /// WAL commits all stay serialized in question order at a single merge
   /// point — so FeedReport accounting and chaos semantics are byte-for-byte
   /// those of the serial run. Ignored — with a log line — under a finite
   /// deadline budget (mid-batch exhaustion is order-dependent).
@@ -159,9 +151,10 @@ struct FeedReport {
   size_t questions_answered = 0;
   /// Questions whose retry budget ran out (transient faults outlasted the
   /// RetryPolicy) or that failed permanently; not marked completed, so a
-  /// checkpointed resume re-asks them.
+  /// resumed feed re-asks them.
   size_t questions_failed = 0;
-  /// Questions skipped because a loaded checkpoint marks them completed.
+  /// Questions skipped because a durable commit completed them
+  /// (DurabilityConfig::dir set).
   size_t questions_resumed = 0;
   size_t facts_extracted = 0;
   size_t rows_loaded = 0;
@@ -182,9 +175,6 @@ struct FeedReport {
   size_t transient_failures = 0;
   /// Retries the last IndexCorpus call needed (informational).
   size_t corpus_index_retries = 0;
-  /// Boundary checkpoint saves that failed (logged, retried at the next
-  /// boundary; only a failed *final* save fails the run).
-  size_t checkpoint_failures = 0;
   /// Retry attempts beyond the first on operations that ultimately failed
   /// — the waste the circuit breaker exists to cut.
   size_t wasted_retries = 0;
@@ -192,7 +182,7 @@ struct FeedReport {
   /// quarantined with kCircuitOpen).
   size_t breaker_rejections = 0;
   /// Questions skipped (not asked, not completed) because the deadline
-  /// budget was already exhausted; a checkpointed resume re-asks them.
+  /// budget was already exhausted; a resumed feed re-asks them.
   size_t questions_deadline_skipped = 0;
   /// The shared deadline budget ran out at some point of this run.
   bool deadline_exhausted = false;
@@ -255,28 +245,15 @@ class IntegrationPipeline {
                               const std::string& attribute,
                               size_t answers_per_question = 31);
 
-  /// \name Checkpoint/resume of the Step-5 feed
-  /// @{
-  /// Snapshot of the feed progress (completed questions, fed keys,
-  /// cumulative reject counters, rows loaded).
-  FeedCheckpoint MakeFeedCheckpoint() const;
-  /// Persists MakeFeedCheckpoint() to `path` (atomic replace).
-  Status SaveFeedCheckpoint(const std::string& path) const;
-  /// Restores feed progress from `path`: completed questions are skipped
-  /// by subsequent RunStep5 calls and restored fed keys dedup against the
-  /// rows the interrupted run already loaded. When the WAL is enabled, a
-  /// checkpoint whose recorded WAL position exceeds the log's LSN is
-  /// rejected with OutOfRange (ValidateCheckpointAgainstLsn) — it claims
-  /// progress the durable data does not back.
-  Status LoadFeedCheckpoint(const std::string& path);
-  /// @}
-
   /// \name Durability (ResilienceConfig::durability)
   /// @{
-  /// Syncs the WAL and, when snapshot_on_flush, cuts an atomic snapshot at
-  /// the current LSN and drops the WAL segments it covers. No-op (OK) when
+  /// Cuts an atomic snapshot of the warehouse and the feed progress at the
+  /// current LSN and drops the WAL segments it covers. No-op (OK) when
   /// durability is disabled.
   Status FlushDurability();
+  /// Completed questions and fed keys: restored from the durable commits
+  /// when the WAL opens, then extended by this pipeline's feeds.
+  const dw::CommitSet& feed_progress() const { return progress_; }
   /// Highest LSN the WAL has acknowledged (0 when durability is disabled
   /// or the WAL has not been opened yet).
   uint64_t wal_last_lsn() const { return wal_ ? wal_->last_lsn() : 0; }
@@ -358,8 +335,6 @@ class IntegrationPipeline {
   ontology::Ontology merged_;
   ontology::MergeReport merge_report_;
   std::unique_ptr<qa::AliQAn> aliqan_;
-  /// (attribute|location|date) keys already loaded (dedup_feed).
-  std::set<std::string> fed_keys_;
   bool steps_done_[5] = {false, false, false, false, false};
 
   /// \name Resilience state
@@ -374,17 +349,14 @@ class IntegrationPipeline {
   Status config_status_;
   qa::FactValidator validator_;
   dw::QuarantineStore quarantine_;
-  /// Questions fully processed (asked, answered or empty, facts settled).
-  std::set<std::string> completed_questions_;
-  /// Cumulative rejects per RejectReason name, surviving resume.
-  std::map<std::string, size_t> reject_counts_;
-  /// Cumulative rows loaded across resumed runs.
-  size_t rows_loaded_total_ = 0;
+  /// See feed_progress().
+  dw::CommitSet progress_;
   size_t corpus_index_retries_ = 0;
-  /// Guards against re-loading the checkpoint on every RunStep5 call.
-  bool checkpoint_loaded_ = false;
   /// Write-ahead log (null until the first RunStep5 with durability on).
   std::unique_ptr<dw::WalWriter> wal_;
+  /// The failed commit that stopped this pipeline's durable feed (OK while
+  /// the warehouse and the log agree).
+  Status wal_failure_;
   /// @}
 };
 

@@ -15,9 +15,8 @@ namespace qa {
 
 /// \brief Why a structured fact was refused admission to the warehouse.
 ///
-/// A typed reason (not a free-form message) so the quarantine can be
-/// aggregated per failure class and the checkpoint can persist the
-/// counters.
+/// A typed reason (not a free-form message) so the quarantine and the
+/// feed metrics can be aggregated per failure class.
 enum class RejectReason {
   kNone = 0,
   /// The value is NaN or infinite — nothing a measure column can hold.
@@ -51,7 +50,7 @@ enum class RejectReason {
 };
 
 /// "NonFiniteValue", "ValueOutOfRange", ... (stable, serialized into the
-/// quarantine CSV and the feed checkpoint).
+/// quarantine CSV and the `reason` label of the feed metrics).
 const char* RejectReasonName(RejectReason reason);
 
 /// Inverse of RejectReasonName; fails on unknown names.

@@ -707,21 +707,14 @@ Status QaServer::Drain() {
   {
     std::unique_lock<std::mutex> lock(drain_mu_);
     drain_cv_.wait(lock, [this] { return inflight_ == 0; });
-    if (checkpoints_flushed_) return Status::OK();
-    checkpoints_flushed_ = true;
+    if (durability_flushed_) return Status::OK();
+    durability_flushed_ = true;
   }
   Status first_failure = Status::OK();
   for (auto& [name, tenant] : tenants_) {
     std::lock_guard<std::mutex> lock(tenant->state_mu);
-    // Durable data first: the checkpoint written below records the WAL
-    // position the flush just made durable, never one past it.
     Status flushed = tenant->pipeline->FlushDurability();
     if (!flushed.ok() && first_failure.ok()) first_failure = flushed;
-    const std::string& path =
-        tenant->config.pipeline.resilience.checkpoint_path;
-    if (path.empty()) continue;
-    Status saved = tenant->pipeline->SaveFeedCheckpoint(path);
-    if (!saved.ok() && first_failure.ok()) first_failure = saved;
   }
   return first_failure;
 }

@@ -43,7 +43,7 @@ struct ServeTenantConfig {
   /// immutable and ingest requests are rejected as BadRequest.
   ir::DocumentStore* ingest_docs = nullptr;
   /// The five-step pipeline configuration (per-tenant ontology/corpus
-  /// state, resilience machinery, checkpoint path).
+  /// state, resilience machinery, durability root).
   integration::PipelineConfig pipeline;
   /// The tenant's answer cache (TTL, byte cap).
   AnswerCacheConfig cache;
@@ -148,7 +148,9 @@ class QaServer {
   void RequestDrain() { drain_requested_.store(true); }
 
   /// Blocks until every in-flight request finished, then flushes each
-  /// tenant's Step-5 checkpoint (when a checkpoint path is configured).
+  /// durable tenant (IntegrationPipeline::FlushDurability: a snapshot of
+  /// its warehouse and feed progress). Every fed question is already
+  /// durable at its commit, so the flush only shortens the next recovery.
   /// Implies RequestDrain; idempotent.
   Status Drain();
 
@@ -260,7 +262,7 @@ class QaServer {
   mutable std::mutex drain_mu_;
   std::condition_variable drain_cv_;
   size_t inflight_ = 0;
-  bool checkpoints_flushed_ = false;
+  bool durability_flushed_ = false;
 };
 
 }  // namespace serve

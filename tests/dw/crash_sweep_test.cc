@@ -10,7 +10,6 @@
 #include "common/io.h"
 #include "dw/etl.h"
 #include "dw/recovery.h"
-#include "integration/feed_checkpoint.h"
 #include "integration/last_minute_sales.h"
 
 namespace dwqa {
@@ -19,11 +18,12 @@ namespace {
 
 namespace stdfs = std::filesystem;
 
-/// The committed-state oracle: every (city, date) the workload *acknowledged*
-/// — a WAL append that returned OK — must be present after recovery, in
-/// workload order.
+/// The committed-state oracle: every (city, date) of a group whose commit
+/// *returned OK* — the commit record appended and synced — must be present
+/// after recovery, in workload order.
 struct WorkloadResult {
   std::vector<std::string> committed_keys;  ///< Acknowledged, in order.
+  std::set<std::string> committed_groups;   ///< Their commit questions.
   size_t ops = 0;                           ///< Mutating fs ops attempted.
   std::vector<std::string> op_log;
 };
@@ -72,59 +72,75 @@ std::multiset<std::string> WarehouseKeys(const Warehouse& wh) {
   return keys;
 }
 
-/// One full durability workload against `fs`: open the WAL, feed facts,
-/// snapshot mid-way (dropping covered segments), feed more facts across a
-/// segment rotation, save a checkpoint. Exercises every crash-point family
-/// the issue names: WAL append, segment rotate, snapshot temp write,
-/// manifest write, rename, checkpoint save.
+/// Facts are fed in groups of two, each closed by a commit record and one
+/// sync — the shape of one Step-5 question.
+constexpr int kGroupSize = 2;
+
+std::string GroupName(int group) { return "group-" + std::to_string(group); }
+
+/// Feeds group `group` (days 2*group-1 .. 2*group): WAL append then ETL
+/// load per fact, then the commit and its sync. Only a group whose commit
+/// returned OK enters `result` and `commits`.
+bool FeedGroup(int group, WalWriter* wal, EtlLoader* loader,
+               CommitSet* commits, WorkloadResult* result) {
+  const std::vector<std::string> cities = {"Barcelona", "Madrid"};
+  WalCommit commit;
+  commit.question = GroupName(group);
+  std::vector<std::string> keys;
+  for (int day = kGroupSize * (group - 1) + 1; day <= kGroupSize * group;
+       ++day) {
+    WalFact fact = MakeFact(day, cities[size_t(day) % cities.size()]);
+    auto appended = wal->AppendFact(fact);
+    if (!appended.ok()) return false;
+    if (commit.first_lsn == 0) commit.first_lsn = *appended;
+    commit.last_lsn = *appended;
+    if (!loader->LoadRecord(fact.fact_name, fact.record).ok()) return false;
+    keys.push_back(FactKey(fact));
+    commits->fed_keys.insert(fact.dedup_key);
+  }
+  if (!wal->AppendCommit(commit).ok() || !wal->Sync().ok()) return false;
+  // Acknowledged: the group is committed whatever happens next.
+  result->committed_keys.insert(result->committed_keys.end(), keys.begin(),
+                                keys.end());
+  result->committed_groups.insert(commit.question);
+  commits->questions.insert(commit.question);
+  return true;
+}
+
+/// One full durability workload against `fs`: open the WAL, feed two
+/// committed groups, snapshot mid-way (dropping covered segments), feed
+/// two more across a segment rotation. Exercises every crash-point family:
+/// fact append, commit append, commit sync, segment rotate, snapshot temp
+/// write, manifest write, rename, segment drop.
 WorkloadResult RunWorkload(const std::string& dir, FaultFs* fs) {
   WorkloadResult result;
   auto record_ops = [&]() {
     result.ops = fs->op_count();
     result.op_log = fs->op_log();
+    return result;
   };
   WalOptions options;
   options.segment_bytes = 256;  // Small enough to force a rotation.
   auto wal = WalWriter::Open(dir, options, fs);
-  if (!wal.ok()) {
-    record_ops();
-    return result;
-  }
+  if (!wal.ok()) return record_ops();
   Warehouse wh = integration::LastMinuteSales::MakeWarehouse().ValueOrDie();
   EtlLoader loader(&wh);
-  const std::vector<std::string> cities = {"Barcelona", "Madrid"};
-  auto feed = [&](int from, int to) -> bool {
-    for (int day = from; day <= to; ++day) {
-      WalFact fact = MakeFact(day, cities[size_t(day) % cities.size()]);
-      auto appended = (*wal)->AppendFact(fact);
-      if (!appended.ok()) return false;
-      // Acknowledged: the fact is committed whatever happens next.
-      result.committed_keys.push_back(FactKey(fact));
-      if (!loader.LoadRecord(fact.fact_name, fact.record).ok()) {
-        return false;
-      }
+  CommitSet commits;
+  for (int group = 1; group <= 2; ++group) {
+    if (!FeedGroup(group, wal->get(), &loader, &commits, &result)) {
+      return record_ops();
     }
-    return true;
-  };
-  if (!feed(1, 4)) {
-    record_ops();
-    return result;
   }
   // Mid-run flush: snapshot + WAL garbage collection.
-  if (SnapshotWriter::Write(dir, wh, (*wal)->last_lsn(), fs).ok()) {
+  if (SnapshotWriter::Write(dir, wh, commits, (*wal)->last_lsn(), fs).ok()) {
     (void)(*wal)->DropSegmentsCoveredBy((*wal)->last_lsn());
   }
-  if (!feed(5, 8)) {
-    record_ops();
-    return result;
+  for (int group = 3; group <= 4; ++group) {
+    if (!FeedGroup(group, wal->get(), &loader, &commits, &result)) {
+      return record_ops();
+    }
   }
-  integration::FeedCheckpoint checkpoint;
-  checkpoint.rows_loaded = result.committed_keys.size();
-  checkpoint.wal_lsn = (*wal)->last_lsn();
-  (void)integration::FeedCheckpointFile::Save(checkpoint,
-                                              dir + "/feed.ckpt", fs);
-  record_ops();
-  return result;
+  return record_ops();
 }
 
 class CrashSweepTest : public ::testing::Test {
@@ -142,15 +158,16 @@ class CrashSweepTest : public ::testing::Test {
 
 /// The tentpole assertion: for EVERY mutating-fs-operation index and for
 /// both kStop and kTornWrite crash modes, recovery after the crash yields
-/// exactly the committed prefix of the workload — never a lost
-/// acknowledged fact, never a phantom beyond the one unacknowledged
-/// append a crash-during-sync can leave fully on disk.
+/// exactly the committed groups of the workload — never a lost
+/// acknowledged group, never part of a group, and never a phantom beyond
+/// the one whole group whose commit record landed before a crashed sync.
 TEST_F(CrashSweepTest, EveryCrashPointRecoversTheCommittedState) {
   // Recorder pass: enumerate the ops of a crash-free run.
   FaultFs recorder(RealFilesystem());
   WorkloadResult full = RunWorkload(Dir(), &recorder);
   ASSERT_GT(full.ops, 20u) << "workload too small to be a real sweep";
   ASSERT_EQ(full.committed_keys.size(), 8u);
+  ASSERT_EQ(full.committed_groups.size(), 4u);
 
   for (CrashMode mode : {CrashMode::kStop, CrashMode::kTornWrite}) {
     for (size_t crash_at = 0; crash_at < full.ops; ++crash_at) {
@@ -176,37 +193,30 @@ TEST_F(CrashSweepTest, EveryCrashPointRecoversTheCommittedState) {
       ASSERT_TRUE(recovered.ok())
           << context << ": " << recovered.status().ToString();
 
-      // The recovered fact set must be the committed prefix — with one
-      // exception: a crash during the *sync* of an append that already
-      // landed fully leaves a durable, unacknowledged record. Recovery
-      // may legitimately surface it (committed + 1), never more.
+      // The recovered fact set must be the committed groups — with one
+      // exception: a crash during the *sync* of a commit whose record
+      // already landed fully leaves a durable, unacknowledged group.
+      // Recovery may legitimately surface that whole group, never more.
       std::multiset<std::string> keys =
           WarehouseKeys(recovered->warehouse);
-      size_t committed = crashed.committed_keys.size();
-      ASSERT_GE(keys.size(), committed) << context << ": lost a committed fact";
-      ASSERT_LE(keys.size(), committed + 1) << context << ": phantom facts";
-      const std::string& crash_op = crashed.op_log[crash_at];
-      if (keys.size() == committed + 1) {
-        ASSERT_EQ(crash_op.substr(0, 5), "sync:")
-            << context << ": extra fact without a crashed sync";
-      }
-      // Byte-identical prefix: every committed key is present.
+      const size_t committed = crashed.committed_keys.size();
       std::multiset<std::string> expected(
           crashed.committed_keys.begin(), crashed.committed_keys.end());
-      if (keys.size() == committed + 1) {
-        expected.insert(full.committed_keys[committed]);
+      std::set<std::string> groups = crashed.committed_groups;
+      if (keys.size() != committed) {
+        ASSERT_EQ(keys.size(), committed + kGroupSize)
+            << context << ": lost or partial group";
+        ASSERT_EQ(fs.op_log()[crash_at].substr(0, 5), "sync:")
+            << context << ": extra group without a crashed sync";
+        expected.insert(full.committed_keys.begin() + committed,
+                        full.committed_keys.begin() + committed + kGroupSize);
+        groups.insert(GroupName(int(committed) / kGroupSize + 1));
       }
       ASSERT_EQ(keys, expected) << context;
+      ASSERT_EQ(recovered->commits.questions, groups) << context;
 
       // After recovery truncated/cleaned, the directory must fsck clean.
-      FsckOptions fsck_options;
-      auto checkpoint =
-          integration::FeedCheckpointFile::Load(Dir() + "/feed.ckpt");
-      if (checkpoint.ok()) {
-        fsck_options.has_checkpoint_lsn = true;
-        fsck_options.checkpoint_lsn = checkpoint->wal_lsn;
-      }
-      FsckReport fsck = Fsck(Dir(), fsck_options).ValueOrDie();
+      FsckReport fsck = Fsck(Dir()).ValueOrDie();
       EXPECT_TRUE(fsck.clean())
           << context << ": "
           << (fsck.issues.empty() ? "" : fsck.issues[0]);
@@ -214,9 +224,40 @@ TEST_F(CrashSweepTest, EveryCrashPointRecoversTheCommittedState) {
   }
 }
 
+/// A process that dies mid-group leaves that group's facts in the log
+/// without a commit. The restarted writer commits a later group after
+/// them; the crashed group's facts must stay invisible all the same.
+TEST_F(CrashSweepTest, CrashedGroupStaysInvisibleAfterALaterCommit) {
+  WorkloadResult result;
+  CommitSet commits;
+  Warehouse wh = integration::LastMinuteSales::MakeWarehouse().ValueOrDie();
+  EtlLoader loader(&wh);
+  {
+    auto wal = WalWriter::Open(Dir()).ValueOrDie();
+    ASSERT_TRUE(FeedGroup(1, wal.get(), &loader, &commits, &result));
+    // Group 2 gets one fact into the log, then the process dies: no
+    // commit, no sync.
+    ASSERT_TRUE(wal->AppendFact(MakeFact(3, "Madrid")).ok());
+  }
+  {
+    auto wal = WalWriter::Open(Dir()).ValueOrDie();
+    ASSERT_TRUE(FeedGroup(3, wal.get(), &loader, &commits, &result));
+  }
+  RecoveryOptions options;
+  options.bootstrap_schema = integration::LastMinuteSales::MakeSchema();
+  auto recovered = Recovery::Open(Dir(), options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(WarehouseKeys(recovered->warehouse),
+            std::multiset<std::string>(result.committed_keys.begin(),
+                                       result.committed_keys.end()));
+  EXPECT_EQ(recovered->skipped_uncommitted, 1u);
+  EXPECT_EQ(recovered->commits, commits);
+  EXPECT_TRUE(Fsck(Dir()).ValueOrDie().clean());
+}
+
 /// kBitFlip is about detection, not clean recovery: a flipped bit in a
-/// committed WAL record must be caught by the CRC and quarantined, never
-/// silently loaded.
+/// WAL record must be caught by the CRC and quarantined, never silently
+/// loaded — and a flipped commit record hides its whole group.
 TEST_F(CrashSweepTest, BitFlipDuringAppendIsCaughtByTheCrc) {
   // Find an append op to flip by recording a clean run first.
   FaultFs recorder(RealFilesystem());
@@ -225,7 +266,7 @@ TEST_F(CrashSweepTest, BitFlipDuringAppendIsCaughtByTheCrc) {
   for (size_t i = 0; i < full.op_log.size(); ++i) {
     if (full.op_log[i].substr(0, 7) == "append:" &&
         full.op_log[i].find("wal-") != std::string::npos) {
-      append_op = i;  // Keep the LAST WAL append: a committed-record flip.
+      append_op = i;  // Keep the LAST WAL append: the last commit record.
     }
   }
   ASSERT_LT(append_op, full.ops);
@@ -242,9 +283,9 @@ TEST_F(CrashSweepTest, BitFlipDuringAppendIsCaughtByTheCrc) {
   options.bootstrap_schema = integration::LastMinuteSales::MakeSchema();
   auto recovered = Recovery::Open(Dir(), options);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  // The flipped record is either inside the framing (CRC catches it →
-  // quarantined) or tore the framing (truncated). Either way it must not
-  // be loaded as a fact, and nothing committed before it may be lost.
+  // The flipped commit is either inside the framing (CRC catches it →
+  // quarantined) or tore the framing (truncated). Either way its group
+  // must not load, and nothing committed before it may be lost.
   std::multiset<std::string> keys = WarehouseKeys(recovered->warehouse);
   EXPECT_EQ(keys.size(), crashed.committed_keys.size());
   EXPECT_TRUE(recovered->corrupt_records > 0 ||

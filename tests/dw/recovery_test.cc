@@ -51,19 +51,30 @@ class RecoveryTest : public ::testing::Test {
 
   std::string Dir() const { return dir_.string(); }
 
-  /// Appends `facts` to the WAL, mirroring them into `wh` the way the live
-  /// feed does (WAL first, then ETL).
+  /// Feeds `facts` as one committed question the way the live feed does:
+  /// WAL append then ETL load per fact, then the commit and its sync.
+  /// `commits_` tracks the progress a snapshot of `wh` carries.
   void Feed(WalWriter* wal, Warehouse* wh,
             const std::vector<WalFact>& facts) {
     EtlLoader loader(wh);
+    WalCommit commit;
+    commit.question = "question-" + std::to_string(++questions_);
     for (const WalFact& fact : facts) {
-      ASSERT_TRUE(wal->AppendFact(fact).ok());
+      Lsn lsn = wal->AppendFact(fact).ValueOrDie();
+      if (commit.first_lsn == 0) commit.first_lsn = lsn;
+      commit.last_lsn = lsn;
       ASSERT_TRUE(loader.LoadRecord(fact.fact_name, fact.record).ok());
+      commits_.fed_keys.insert(fact.dedup_key);
     }
+    ASSERT_TRUE(wal->AppendCommit(commit).ok());
+    ASSERT_TRUE(wal->Sync().ok());
+    commits_.questions.insert(commit.question);
   }
 
   stdfs::path dir_;
   RecoveryOptions options_;
+  CommitSet commits_;
+  int questions_ = 0;
 };
 
 TEST_F(RecoveryTest, ColdStartReplaysTheFullWal) {
@@ -76,16 +87,17 @@ TEST_F(RecoveryTest, ColdStartReplaysTheFullWal) {
   RecoveredWarehouse recovered =
       Recovery::Open(Dir(), options_).ValueOrDie();
   EXPECT_EQ(recovered.snapshot_lsn, 0u);
-  EXPECT_EQ(recovered.last_lsn, 3u);
+  EXPECT_EQ(recovered.last_lsn, 4u);  // Three facts and their commit.
   EXPECT_EQ(recovered.replayed, 3u);
   EXPECT_EQ(WeatherRows(recovered.warehouse), 3u);
   EXPECT_TRUE(recovered.quarantine.empty());
+  EXPECT_EQ(recovered.commits, commits_);
 
   FsckReport fsck = Fsck(Dir()).ValueOrDie();
   EXPECT_TRUE(fsck.clean())
       << (fsck.issues.empty() ? "" : fsck.issues[0]);
-  EXPECT_EQ(fsck.wal_last_lsn, 3u);
-  EXPECT_EQ(fsck.wal_records, 3u);
+  EXPECT_EQ(fsck.wal_last_lsn, 4u);
+  EXPECT_EQ(fsck.wal_records, 4u);
 }
 
 TEST_F(RecoveryTest, SnapshotPlusTailReplay) {
@@ -95,18 +107,20 @@ TEST_F(RecoveryTest, SnapshotPlusTailReplay) {
         integration::LastMinuteSales::MakeWarehouse().ValueOrDie();
     Feed(wal.get(), &wh, {MakeFact(1), MakeFact(2)});
     ASSERT_TRUE(
-        SnapshotWriter::Write(Dir(), wh, wal->last_lsn()).ok());
+        SnapshotWriter::Write(Dir(), wh, commits_, wal->last_lsn()).ok());
     Feed(wal.get(), &wh, {MakeFact(3), MakeFact(4)});
   }
   RecoveredWarehouse recovered =
       Recovery::Open(Dir(), options_).ValueOrDie();
-  EXPECT_EQ(recovered.snapshot_lsn, 2u);
-  EXPECT_EQ(recovered.last_lsn, 4u);
-  // Records 1–2 are covered by the snapshot (idempotent replay skips
-  // them); only the tail is applied.
+  EXPECT_EQ(recovered.snapshot_lsn, 3u);
+  EXPECT_EQ(recovered.last_lsn, 6u);
+  // Facts 1–2 are covered by the snapshot (idempotent replay skips them);
+  // only the tail is applied.
   EXPECT_EQ(recovered.replayed, 2u);
   EXPECT_EQ(recovered.skipped_covered, 2u);
   EXPECT_EQ(WeatherRows(recovered.warehouse), 4u);
+  EXPECT_EQ(recovered.commits, commits_);
+  EXPECT_EQ(ReadCommitSet(Dir()).ValueOrDie(), commits_);
   EXPECT_TRUE(Fsck(Dir()).ValueOrDie().clean());
 }
 
@@ -134,12 +148,12 @@ TEST_F(RecoveryTest, TornTailIsTruncatedAndReported) {
   }
   {
     std::ofstream out(segment, std::ios::app | std::ios::binary);
-    out << "rec\t3\t500\tdeadbeef\nonly half a payl";
+    out << "rec\t4\t500\tdeadbeef\nonly half a payl";
   }
   RecoveredWarehouse recovered =
       Recovery::Open(Dir(), options_).ValueOrDie();
   EXPECT_GT(recovered.torn_bytes_truncated, 0u);
-  EXPECT_EQ(recovered.last_lsn, 2u);
+  EXPECT_EQ(recovered.last_lsn, 3u);
   EXPECT_EQ(WeatherRows(recovered.warehouse), 2u);
   ASSERT_FALSE(recovered.issues.empty());
   // After truncation the directory fsck-checks clean again.
@@ -205,22 +219,23 @@ TEST_F(RecoveryTest, CorruptNewestSnapshotFallsBackToOlder) {
     Warehouse wh =
         integration::LastMinuteSales::MakeWarehouse().ValueOrDie();
     Feed(wal.get(), &wh, {MakeFact(1), MakeFact(2)});
-    ASSERT_TRUE(SnapshotWriter::Write(Dir(), wh, 2).ok());
+    ASSERT_TRUE(SnapshotWriter::Write(Dir(), wh, commits_, 3).ok());
     Feed(wal.get(), &wh, {MakeFact(3), MakeFact(4)});
-    ASSERT_TRUE(SnapshotWriter::Write(Dir(), wh, 4).ok());
+    ASSERT_TRUE(SnapshotWriter::Write(Dir(), wh, commits_, 6).ok());
   }
   // Rot the newest snapshot; the older one plus the retained WAL tail
   // must still reconstruct the full state.
   {
-    std::ofstream out(Dir() + "/snap-00000000000000000004/schema.txt",
+    std::ofstream out(Dir() + "/snap-00000000000000000006/schema.txt",
                       std::ios::trunc);
     out << "rotten";
   }
   RecoveredWarehouse recovered =
       Recovery::Open(Dir(), options_).ValueOrDie();
-  EXPECT_EQ(recovered.snapshot_lsn, 2u);
+  EXPECT_EQ(recovered.snapshot_lsn, 3u);
   EXPECT_EQ(recovered.replayed, 2u);
   EXPECT_EQ(WeatherRows(recovered.warehouse), 4u);
+  EXPECT_EQ(recovered.commits, commits_);
   bool mentioned_fallback = false;
   for (const std::string& issue : recovered.issues) {
     if (issue.find("falling back") != std::string::npos) {
@@ -271,24 +286,6 @@ TEST_F(RecoveryTest, FsckFlagsUnrecoverableGapAfterLostSegments) {
   EXPECT_TRUE(flagged);
 }
 
-TEST_F(RecoveryTest, FsckFlagsStaleCheckpointLsn) {
-  {
-    auto wal = WalWriter::Open(Dir()).ValueOrDie();
-    Warehouse wh =
-        integration::LastMinuteSales::MakeWarehouse().ValueOrDie();
-    Feed(wal.get(), &wh, {MakeFact(1), MakeFact(2)});
-  }
-  FsckOptions options;
-  options.has_checkpoint_lsn = true;
-  options.checkpoint_lsn = 2;  // Exactly the durable LSN: fine.
-  EXPECT_TRUE(Fsck(Dir(), options).ValueOrDie().clean());
-  options.checkpoint_lsn = 99;  // Claims progress the log never saw.
-  FsckReport fsck = Fsck(Dir(), options).ValueOrDie();
-  ASSERT_FALSE(fsck.clean());
-  EXPECT_NE(fsck.issues.back().find("stale or foreign checkpoint"),
-            std::string::npos);
-}
-
 TEST_F(RecoveryTest, EtlRejectedReplayGoesToQuarantine) {
   {
     auto wal = WalWriter::Open(Dir()).ValueOrDie();
@@ -296,6 +293,8 @@ TEST_F(RecoveryTest, EtlRejectedReplayGoesToQuarantine) {
     broken.record.measures.clear();  // Weather needs one measure.
     ASSERT_TRUE(wal->AppendFact(broken).ok());
     ASSERT_TRUE(wal->AppendFact(MakeFact(2)).ok());
+    // The commit covers both: only replay finds the broken one unloadable.
+    ASSERT_TRUE(wal->AppendCommit({"q", 1, 2, {}}).ok());
   }
   RecoveredWarehouse recovered =
       Recovery::Open(Dir(), options_).ValueOrDie();
@@ -303,6 +302,65 @@ TEST_F(RecoveryTest, EtlRejectedReplayGoesToQuarantine) {
   EXPECT_EQ(WeatherRows(recovered.warehouse), 1u);
   ASSERT_EQ(recovered.quarantine.size(), 1u);
   EXPECT_EQ(recovered.quarantine.records()[0].reason, "EtlRejected");
+}
+
+/// Facts no commit covers are never replayed — neither a crashed tail nor
+/// facts a later commit merely follows.
+TEST_F(RecoveryTest, UncommittedFactsAreNeverReplayed) {
+  {
+    auto wal = WalWriter::Open(Dir()).ValueOrDie();
+    Warehouse wh =
+        integration::LastMinuteSales::MakeWarehouse().ValueOrDie();
+    Feed(wal.get(), &wh, {MakeFact(1)});
+    ASSERT_TRUE(wal->AppendFact(MakeFact(2)).ok());  // Never committed.
+    Feed(wal.get(), &wh, {MakeFact(3)});
+    ASSERT_TRUE(wal->AppendFact(MakeFact(4)).ok());  // Crashed tail.
+  }
+  RecoveredWarehouse recovered =
+      Recovery::Open(Dir(), options_).ValueOrDie();
+  EXPECT_EQ(recovered.replayed, 2u);
+  EXPECT_EQ(recovered.skipped_uncommitted, 2u);
+  EXPECT_EQ(WeatherRows(recovered.warehouse), 2u);
+  EXPECT_EQ(recovered.commits, commits_);
+  EXPECT_TRUE(Fsck(Dir()).ValueOrDie().clean());
+}
+
+/// A commit's refused LSNs are the facts the live ETL did not load: they
+/// stay out of the recovered warehouse and of the fed keys, and their
+/// question stays re-askable.
+TEST_F(RecoveryTest, RefusedFactsAreNotReplayed) {
+  {
+    auto wal = WalWriter::Open(Dir()).ValueOrDie();
+    ASSERT_TRUE(wal->AppendFact(MakeFact(1)).ok());
+    ASSERT_TRUE(wal->AppendFact(MakeFact(2)).ok());
+    ASSERT_TRUE(wal->AppendCommit({"q", 1, 2, {2}}).ok());
+    ASSERT_TRUE(wal->Sync().ok());
+  }
+  RecoveredWarehouse recovered =
+      Recovery::Open(Dir(), options_).ValueOrDie();
+  EXPECT_EQ(recovered.replayed, 1u);
+  EXPECT_EQ(recovered.skipped_uncommitted, 1u);
+  EXPECT_TRUE(recovered.commits.questions.empty());
+  EXPECT_EQ(recovered.commits.fed_keys,
+            std::set<std::string>{MakeFact(1).dedup_key});
+}
+
+/// A commit record that does not parse, or claims LSNs at or past its
+/// own, commits nothing — and fsck says so.
+TEST_F(RecoveryTest, MalformedCommitCommitsNothing) {
+  {
+    auto wal = WalWriter::Open(Dir()).ValueOrDie();
+    ASSERT_TRUE(wal->AppendFact(MakeFact(1)).ok());
+    ASSERT_TRUE(wal->Append("commit\tone\ttwo\n").ok());
+    ASSERT_TRUE(wal->AppendFact(MakeFact(2)).ok());
+    ASSERT_TRUE(wal->AppendCommit({"ahead", 3, 9, {}}).ok());
+  }
+  RecoveredWarehouse recovered =
+      Recovery::Open(Dir(), options_).ValueOrDie();
+  EXPECT_EQ(WeatherRows(recovered.warehouse), 0u);
+  EXPECT_EQ(recovered.skipped_uncommitted, 2u);
+  EXPECT_TRUE(recovered.commits.questions.empty());
+  EXPECT_EQ(Fsck(Dir()).ValueOrDie().issues.size(), 2u);
 }
 
 }  // namespace

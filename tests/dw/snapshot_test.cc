@@ -75,7 +75,7 @@ TEST(ManifestSerdeTest, AdversarialInputRejectedWithLineNumbers) {
 
 TEST_F(SnapshotTest, WriteCommitVerifyRoundTrip) {
   Warehouse wh = PopulatedWarehouse();
-  std::string path = SnapshotWriter::Write(Dir(), wh, 7).ValueOrDie();
+  std::string path = SnapshotWriter::Write(Dir(), wh, {}, 7).ValueOrDie();
   EXPECT_NE(path.find("snap-00000000000000000007"), std::string::npos);
   // Committed: no tmp dir left, manifest verifies, warehouse loads back.
   EXPECT_FALSE(stdfs::exists(path + ".tmp"));
@@ -93,19 +93,42 @@ TEST_F(SnapshotTest, WriteCommitVerifyRoundTrip) {
   EXPECT_TRUE(tmp_leftovers.empty());
 }
 
+/// The snapshot compacts the feed's commit set into a MANIFEST-covered
+/// file: it reads back intact, and rot in it fails verification.
+TEST_F(SnapshotTest, SnapshotCarriesItsCommitSet) {
+  Warehouse wh = PopulatedWarehouse();
+  CommitSet commits;
+  commits.questions = {"What is the temperature in Barcelona?"};
+  commits.fed_keys = {"temperature|barcelona|2004-01-31"};
+  std::string path = SnapshotWriter::Write(Dir(), wh, commits, 7).ValueOrDie();
+  SnapshotManifest manifest = VerifySnapshot(path).ValueOrDie();
+  EXPECT_EQ(manifest.commits, commits);
+  bool covered = false;
+  for (const ManifestEntry& entry : manifest.entries) {
+    if (entry.file == "commits.txt") covered = true;
+  }
+  EXPECT_TRUE(covered);
+
+  std::string text = RealFilesystem()->ReadFile(path + "/commits.txt")
+                         .ValueOrDie();
+  text[text.size() / 2] ^= 0x01;
+  ASSERT_TRUE(RealFilesystem()->WriteFile(path + "/commits.txt", text).ok());
+  EXPECT_FALSE(VerifySnapshot(path).ok());
+}
+
 TEST_F(SnapshotTest, RewriteAtTheSameLsnIsIdempotent) {
   Warehouse wh = PopulatedWarehouse();
-  std::string first = SnapshotWriter::Write(Dir(), wh, 7).ValueOrDie();
-  std::string second = SnapshotWriter::Write(Dir(), wh, 7).ValueOrDie();
+  std::string first = SnapshotWriter::Write(Dir(), wh, {}, 7).ValueOrDie();
+  std::string second = SnapshotWriter::Write(Dir(), wh, {}, 7).ValueOrDie();
   EXPECT_EQ(first, second);
   EXPECT_EQ(ListSnapshots(Dir()).ValueOrDie().size(), 1u);
 }
 
 TEST_F(SnapshotTest, SnapshotsListOldestFirst) {
   Warehouse wh = PopulatedWarehouse();
-  ASSERT_TRUE(SnapshotWriter::Write(Dir(), wh, 30).ok());
-  ASSERT_TRUE(SnapshotWriter::Write(Dir(), wh, 4).ok());
-  ASSERT_TRUE(SnapshotWriter::Write(Dir(), wh, 100).ok());
+  ASSERT_TRUE(SnapshotWriter::Write(Dir(), wh, {}, 30).ok());
+  ASSERT_TRUE(SnapshotWriter::Write(Dir(), wh, {}, 4).ok());
+  ASSERT_TRUE(SnapshotWriter::Write(Dir(), wh, {}, 100).ok());
   auto snapshots = ListSnapshots(Dir()).ValueOrDie();
   ASSERT_EQ(snapshots.size(), 3u);
   EXPECT_EQ(snapshots[0].lsn, 4u);
@@ -121,7 +144,7 @@ TEST_F(SnapshotTest, StaleTmpDirIsReportedAndSweptByRewrite) {
   ASSERT_TRUE(ListSnapshots(Dir(), nullptr, &tmp_leftovers).ok());
   ASSERT_EQ(tmp_leftovers.size(), 1u);
   // A retried Write at the same LSN sweeps the stale build dir.
-  ASSERT_TRUE(SnapshotWriter::Write(Dir(), wh, 9).ok());
+  ASSERT_TRUE(SnapshotWriter::Write(Dir(), wh, {}, 9).ok());
   tmp_leftovers.clear();
   ASSERT_TRUE(ListSnapshots(Dir(), nullptr, &tmp_leftovers).ok());
   EXPECT_TRUE(tmp_leftovers.empty());
@@ -129,7 +152,7 @@ TEST_F(SnapshotTest, StaleTmpDirIsReportedAndSweptByRewrite) {
 
 TEST_F(SnapshotTest, BitRotInADataFileFailsVerification) {
   Warehouse wh = PopulatedWarehouse();
-  std::string path = SnapshotWriter::Write(Dir(), wh, 7).ValueOrDie();
+  std::string path = SnapshotWriter::Write(Dir(), wh, {}, 7).ValueOrDie();
   // Flip one byte of a covered file, keeping its size.
   std::string target = path + "/schema.txt";
   std::ifstream in(target, std::ios::binary);
@@ -150,7 +173,7 @@ TEST_F(SnapshotTest, BitRotInADataFileFailsVerification) {
 
 TEST_F(SnapshotTest, TruncatedDataFileFailsVerificationBySize) {
   Warehouse wh = PopulatedWarehouse();
-  std::string path = SnapshotWriter::Write(Dir(), wh, 7).ValueOrDie();
+  std::string path = SnapshotWriter::Write(Dir(), wh, {}, 7).ValueOrDie();
   { std::ofstream out(path + "/schema.txt", std::ios::trunc); }
   Status st = VerifySnapshot(path).status();
   ASSERT_TRUE(st.IsCorruption()) << st.ToString();
@@ -159,7 +182,7 @@ TEST_F(SnapshotTest, TruncatedDataFileFailsVerificationBySize) {
 
 TEST_F(SnapshotTest, MissingManifestFailsVerification) {
   Warehouse wh = PopulatedWarehouse();
-  std::string path = SnapshotWriter::Write(Dir(), wh, 7).ValueOrDie();
+  std::string path = SnapshotWriter::Write(Dir(), wh, {}, 7).ValueOrDie();
   stdfs::remove(path + "/MANIFEST");
   Status st = VerifySnapshot(path).status();
   ASSERT_TRUE(st.IsCorruption()) << st.ToString();

@@ -39,11 +39,11 @@ WalFact MakeFact(int day, const std::string& city) {
   return fact;
 }
 
-/// The durability workload of the crash sweep, minus the checkpoint: WAL
-/// appends interleaved with warehouse loads, a mid-run snapshot dropping
-/// covered segments, more appends after it — so recovery exercises both
-/// the snapshot-load + Bind() rebuild AND the WAL-replay incremental
-/// maintenance of the same catalog.
+/// The durability workload of the crash sweep: groups of two facts (WAL
+/// appends interleaved with warehouse loads, closed by a commit and one
+/// sync), a mid-run snapshot dropping covered segments, more groups after
+/// it — so recovery exercises both the snapshot-load + Bind() rebuild AND
+/// the WAL-replay incremental maintenance of the same catalog.
 size_t RunWorkload(const std::string& dir, FaultFs* fs) {
   WalOptions options;
   options.segment_bytes = 256;  // Small enough to force a rotation.
@@ -51,19 +51,32 @@ size_t RunWorkload(const std::string& dir, FaultFs* fs) {
   if (!wal.ok()) return fs->op_count();
   Warehouse wh = integration::LastMinuteSales::MakeWarehouse().ValueOrDie();
   EtlLoader loader(&wh);
+  CommitSet commits;
   const std::vector<std::string> cities = {"Barcelona", "Madrid"};
   auto feed = [&](int from, int to) -> bool {
-    for (int day = from; day <= to; ++day) {
-      WalFact fact = MakeFact(day, cities[size_t(day) % cities.size()]);
-      if (!(*wal)->AppendFact(fact).ok()) return false;
-      if (!loader.LoadRecord(fact.fact_name, fact.record).ok()) {
+    for (int day = from; day <= to; day += 2) {
+      WalCommit commit;
+      commit.question = "days-" + std::to_string(day);
+      for (int d = day; d <= day + 1; ++d) {
+        WalFact fact = MakeFact(d, cities[size_t(d) % cities.size()]);
+        auto lsn = (*wal)->AppendFact(fact);
+        if (!lsn.ok()) return false;
+        if (commit.first_lsn == 0) commit.first_lsn = *lsn;
+        commit.last_lsn = *lsn;
+        if (!loader.LoadRecord(fact.fact_name, fact.record).ok()) {
+          return false;
+        }
+        commits.fed_keys.insert(fact.dedup_key);
+      }
+      if (!(*wal)->AppendCommit(commit).ok() || !(*wal)->Sync().ok()) {
         return false;
       }
+      commits.questions.insert(commit.question);
     }
     return true;
   };
   if (!feed(1, 4)) return fs->op_count();
-  if (SnapshotWriter::Write(dir, wh, (*wal)->last_lsn(), fs).ok()) {
+  if (SnapshotWriter::Write(dir, wh, commits, (*wal)->last_lsn(), fs).ok()) {
     (void)(*wal)->DropSegmentsCoveredBy((*wal)->last_lsn());
   }
   (void)feed(5, 8);

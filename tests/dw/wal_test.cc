@@ -6,8 +6,10 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/io.h"
 #include "common/metrics.h"
 #include "common/metric_names.h"
+#include "common/rng.h"
 
 namespace dwqa {
 namespace dw {
@@ -286,18 +288,265 @@ TEST_F(WalTest, ScanOfMissingDirectoryIsEmptyNotAnError) {
 }
 
 TEST_F(WalTest, UnsyncedAppendsAreFlushedByExplicitSync) {
-  WalOptions options;
-  options.sync_each_append = false;
   MetricRegistry metrics;
-  auto wal = WalWriter::Open(Dir(), options, nullptr, &metrics).ValueOrDie();
+  auto wal = WalWriter::Open(Dir(), {}, nullptr, &metrics).ValueOrDie();
   ASSERT_TRUE(wal->Append("a").ok());
   ASSERT_TRUE(wal->Append("b").ok());
+  // Appends only write: the sync is the caller's one barrier.
   double syncs_before = metrics.GetCounter(kMetricWalSyncs)->value();
+  EXPECT_EQ(syncs_before, 0.0);
   ASSERT_TRUE(wal->Sync().ok());
   EXPECT_EQ(metrics.GetCounter(kMetricWalSyncs)->value(), syncs_before + 1);
   // A second Sync with nothing dirty is a no-op barrier.
   ASSERT_TRUE(wal->Sync().ok());
   EXPECT_EQ(metrics.GetCounter(kMetricWalSyncs)->value(), syncs_before + 1);
+}
+
+/// The real filesystem, except that every fsync fails while armed.
+class FailingSyncFs : public FaultFs {
+ public:
+  bool fail_syncs = false;
+
+  Status SyncFile(const std::string& path) override {
+    if (fail_syncs) return Status::IOError("injected fsync failure");
+    return FaultFs::SyncFile(path);
+  }
+};
+
+/// A group that straddles a rotation leaves two segments unsynced; the
+/// one Sync must fsync both, the closed one included.
+TEST_F(WalTest, SyncCoversASegmentClosedByRotation) {
+  FaultFs recorder(RealFilesystem());
+  WalOptions options;
+  options.segment_bytes = 1;  // Rotate on every append.
+  auto wal = WalWriter::Open(Dir(), options, &recorder).ValueOrDie();
+  ASSERT_TRUE(wal->Append("first").ok());
+  std::string first_segment = wal->current_segment_path();
+  ASSERT_TRUE(wal->Append("second").ok());
+  std::string second_segment = wal->current_segment_path();
+  ASSERT_NE(first_segment, second_segment);
+  ASSERT_TRUE(wal->Sync().ok());
+  std::vector<std::string> syncs;
+  for (const std::string& op : recorder.op_log()) {
+    if (op.rfind("sync:", 0) == 0) syncs.push_back(op.substr(5));
+  }
+  EXPECT_EQ(syncs,
+            (std::vector<std::string>{first_segment, second_segment}));
+}
+
+/// A failed sync cuts everything appended since the last good sync back
+/// off the log — nothing there was acknowledged — and fails the writer
+/// until the log is reopened.
+TEST_F(WalTest, FailedSyncCutsTheUnsyncedTailAndFailsTheWriter) {
+  FailingSyncFs fs;
+  {
+    WalOptions options;
+    options.segment_bytes = 64;
+    auto wal = WalWriter::Open(Dir(), options, &fs).ValueOrDie();
+    ASSERT_TRUE(wal->Append("acknowledged").ok());
+    ASSERT_TRUE(wal->Sync().ok());
+    for (int i = 0; i < 4; ++i) {  // Long enough to rotate.
+      ASSERT_TRUE(wal->Append("unacknowledged-" + std::to_string(i)).ok());
+    }
+    ASSERT_GT(wal->segment_count(), 1u);
+    fs.fail_syncs = true;
+    EXPECT_FALSE(wal->Sync().ok());
+    fs.fail_syncs = false;
+    EXPECT_FALSE(wal->Append("after").ok());
+    EXPECT_FALSE(wal->Sync().ok());
+  }
+  WalScan scan = ScanWal(Dir()).ValueOrDie();
+  ASSERT_EQ(scan.records.size(), 1u);
+  EXPECT_EQ(scan.records[0].payload, "acknowledged");
+  EXPECT_FALSE(scan.torn_tail);
+  auto wal = WalWriter::Open(Dir()).ValueOrDie();
+  EXPECT_EQ(wal->Append("reopened").ValueOrDie(), 2u);
+}
+
+TEST(WalCommitSerdeTest, RoundTrip) {
+  WalCommit commit;
+  commit.question = "What is the temperature in Barcelona (\\ 'BCN')?";
+  commit.first_lsn = 5;
+  commit.last_lsn = 9;
+  commit.refused = {6, 9};
+  std::string payload = WalCommitSerde::ToPayload(commit).ValueOrDie();
+  EXPECT_TRUE(WalCommitSerde::IsCommit(payload));
+  EXPECT_FALSE(WalCommitSerde::IsCommit(
+      WalFactSerde::ToPayload(SampleFact()).ValueOrDie()));
+  EXPECT_EQ(WalCommitSerde::FromPayload(payload).ValueOrDie(), commit);
+
+  WalCommit empty;  // A question that logged no facts.
+  empty.question = "unanswered";
+  EXPECT_EQ(WalCommitSerde::FromPayload(
+                WalCommitSerde::ToPayload(empty).ValueOrDie())
+                .ValueOrDie(),
+            empty);
+
+  // A question that would tear the framing is refused, not mangled.
+  for (const char* bad : {"tab\there", "new\nline", "carriage\rreturn"}) {
+    EXPECT_TRUE(WalCommitSerde::ToPayload({bad}).status().IsInvalidArgument())
+        << bad;
+  }
+}
+
+TEST(WalCommitSerdeTest, MalformedPayloadsAreTypedErrors) {
+  const char* cases[] = {
+      "",
+      "commit\t1\n",                                 // Short header.
+      "commit\t5\t3\nquestion\tq\n",                 // Inverted range.
+      "commit\t0\t3\nquestion\tq\n",                 // Half-empty range.
+      "commit\t1\t3\n",                              // Missing question.
+      "commit\t1\t3\nquestion\tq\nquestion\tq\n",    // Duplicate question.
+      "commit\t1\t3\nquestion\tq\nrefused\t4\n",     // Refused outside.
+      "commit\t1\t3\nquestion\tq\nrefused\tx\n",     // Non-numeric.
+      "commit\t1\t3\nquestion\tq\r\n",               // Carriage return.
+      "commit\t0\t0\nquestion\tq\nrefused\t0\n",     // Refused, no range.
+      "commit\t1\t3\nquestion\tq\nzap\tx\n",         // Unknown tag.
+      "commit\t1\t3\nquestion\n",                    // No tab.
+  };
+  for (const char* text : cases) {
+    auto parsed = WalCommitSerde::FromPayload(text);
+    ASSERT_FALSE(parsed.ok()) << "accepted: " << text;
+    EXPECT_TRUE(parsed.status().IsCorruption()) << parsed.status().ToString();
+    EXPECT_NE(parsed.status().message().find("line"), std::string::npos);
+  }
+}
+
+CommitSet SampleCommitSet() {
+  CommitSet commits;
+  commits.questions = {"What is the temperature in Barcelona?",
+                       "What is the temperature in Madrid?"};
+  commits.fed_keys = {"temperature|barcelona|2004-01-31",
+                      "temperature|madrid|2004-01-30"};
+  return commits;
+}
+
+TEST(CommitSetSerdeTest, TextRoundTrip) {
+  CommitSet commits = SampleCommitSet();
+  EXPECT_EQ(CommitSetSerde::FromText(
+                CommitSetSerde::ToText(commits).ValueOrDie())
+                .ValueOrDie(),
+            commits);
+  commits.fed_keys.insert("torn\nkey");
+  EXPECT_TRUE(CommitSetSerde::ToText(commits).status().IsInvalidArgument());
+}
+
+TEST(CommitSetSerdeTest, EmptyCommitSetRoundTrips) {
+  CommitSet empty;
+  EXPECT_EQ(CommitSetSerde::FromText(
+                CommitSetSerde::ToText(empty).ValueOrDie())
+                .ValueOrDie(),
+            empty);
+}
+
+TEST(CommitSetSerdeTest, MissingMagicIsRejected) {
+  auto parsed = CommitSetSerde::FromText("question\tq\n");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_TRUE(parsed.status().IsCorruption());
+  EXPECT_FALSE(CommitSetSerde::FromText("").ok());
+}
+
+TEST(CommitSetSerdeTest, GarbageLinesAreRejectedWithLineNumbers) {
+  auto parsed =
+      CommitSetSerde::FromText("dwqa-commits\t1\nkey\tk\ngarbage\n");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("line 3"), std::string::npos)
+      << parsed.status().ToString();
+  parsed = CommitSetSerde::FromText("dwqa-commits\t1\nzap\tk\n");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("line 2"), std::string::npos);
+}
+
+/// One random edit of `text` — overwrite, insert or erase a byte drawn
+/// from the characters the line/tab framing and the escapes care about.
+void Mutate(Rng* rng, std::string* text) {
+  const char kChars[] = "\t\n\r\\01239-|nqx";
+  const char c = kChars[rng->NextIndex(sizeof(kChars) - 1)];
+  if (text->empty()) {
+    text->push_back(c);
+    return;
+  }
+  const size_t pos = rng->NextIndex(text->size());
+  switch (rng->NextBelow(3)) {
+    case 0:
+      (*text)[pos] = c;
+      break;
+    case 1:
+      text->insert(pos, 1, c);
+      break;
+    default:
+      text->erase(pos, 1);
+      break;
+  }
+}
+
+/// Runs `trials` mutations of `base` (1–4 edits each) through `check`.
+template <typename Check>
+void FuzzMutations(const std::string& base, uint64_t seed, Check check) {
+  Rng rng(seed);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string mutated = base;
+    const size_t edits = 1 + rng.NextBelow(4);
+    for (size_t e = 0; e < edits; ++e) Mutate(&rng, &mutated);
+    check(mutated);
+  }
+}
+
+// Parser fuzz: mutated payloads parse to a value that re-serializes to a
+// fixed point, or fail with a typed Corruption error — never crash.
+TEST(WalParserFuzzProperty, MutatedFactPayloadsDoNotCrash) {
+  FuzzMutations(WalFactSerde::ToPayload(SampleFact()).ValueOrDie(), 7,
+                [](const std::string& payload) {
+                  auto parsed = WalFactSerde::FromPayload(payload);
+                  if (!parsed.ok()) {
+                    EXPECT_TRUE(parsed.status().IsCorruption())
+                        << parsed.status().ToString();
+                    return;
+                  }
+                  auto text = WalFactSerde::ToPayload(*parsed);
+                  ASSERT_TRUE(text.ok()) << text.status().ToString();
+                  auto again = WalFactSerde::FromPayload(*text);
+                  ASSERT_TRUE(again.ok()) << again.status().ToString();
+                  EXPECT_EQ(WalFactSerde::ToPayload(*again).ValueOrDie(),
+                            *text);
+                });
+}
+
+TEST(WalParserFuzzProperty, MutatedCommitPayloadsDoNotCrash) {
+  WalCommit commit;
+  commit.question = "What is the temperature in Madrid (\\ 'MAD')?";
+  commit.first_lsn = 12;
+  commit.last_lsn = 19;
+  commit.refused = {13, 19};
+  FuzzMutations(WalCommitSerde::ToPayload(commit).ValueOrDie(), 11,
+                [](const std::string& payload) {
+                  auto parsed = WalCommitSerde::FromPayload(payload);
+                  if (!parsed.ok()) {
+                    EXPECT_TRUE(parsed.status().IsCorruption())
+                        << parsed.status().ToString();
+                    return;
+                  }
+                  auto text = WalCommitSerde::ToPayload(*parsed);
+                  ASSERT_TRUE(text.ok()) << text.status().ToString();
+                  EXPECT_EQ(WalCommitSerde::FromPayload(*text).ValueOrDie(),
+                            *parsed);
+                });
+}
+
+TEST(WalParserFuzzProperty, MutatedCommitSetFilesDoNotCrash) {
+  FuzzMutations(CommitSetSerde::ToText(SampleCommitSet()).ValueOrDie(), 13,
+                [](const std::string& text) {
+                  auto parsed = CommitSetSerde::FromText(text);
+                  if (!parsed.ok()) {
+                    EXPECT_TRUE(parsed.status().IsCorruption())
+                        << parsed.status().ToString();
+                    return;
+                  }
+                  auto again = CommitSetSerde::ToText(*parsed);
+                  ASSERT_TRUE(again.ok()) << again.status().ToString();
+                  EXPECT_EQ(CommitSetSerde::FromText(*again).ValueOrDie(),
+                            *parsed);
+                });
 }
 
 }  // namespace

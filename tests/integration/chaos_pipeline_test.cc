@@ -160,80 +160,6 @@ TEST_F(ChaosPipelineTest, NegativeDeadlineBudgetIsRejected) {
   EXPECT_TRUE(p.RunStep1().IsInvalidArgument());
 }
 
-TEST_F(ChaosPipelineTest, ZeroCheckpointEveryIsRejected) {
-  PipelineConfig config = LastMinuteSales::DefaultPipelineConfig();
-  config.resilience.checkpoint_every = 0;
-  auto wh = LastMinuteSales::MakeWarehouse().ValueOrDie();
-  IntegrationPipeline p(&wh, &uml_, config);
-  EXPECT_TRUE(p.RunStep1().IsInvalidArgument());
-}
-
-// ---------------------------------------------------------------------------
-// Satellite: a failed boundary checkpoint save degrades to a warning.
-// ---------------------------------------------------------------------------
-
-TEST_F(ChaosPipelineTest, FailedBoundaryCheckpointSaveIsDowngraded) {
-  // Only the checkpoint rule is armed, so the injector draws exactly once
-  // per checkpoint probe, in order. Find a seed whose schedule is
-  // (fail, succeed): the Q1 boundary save fails, the Q2 one recovers, and
-  // no final save is needed.
-  uint64_t seed = 0;
-  for (uint64_t s = 1; s < 10000; ++s) {
-    Rng rng(s);
-    bool first = rng.NextBool(0.5);
-    bool second = rng.NextBool(0.5);
-    if (first && !second) {
-      seed = s;
-      break;
-    }
-  }
-  ASSERT_NE(seed, 0u);
-
-  std::string ckpt = testing::TempDir() + "chaos_feed.ckpt";
-  std::remove(ckpt.c_str());
-  ResilienceConfig res;
-  res.retry = FastRetry();
-  res.checkpoint_path = ckpt;
-  res.checkpoint_every = 1;
-  res.fault.seed = seed;
-  res.fault.rules.push_back({kFaultPointCheckpoint, 0.5,
-                             FaultMode::kTransient,
-                             StatusCode::kUnavailable});
-  auto wh = LastMinuteSales::MakeWarehouse().ValueOrDie();
-  auto report = Feed(&wh, res);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-
-  // The failed save was counted, not fatal; the feed completed in full.
-  EXPECT_EQ(report->checkpoint_failures, 1u);
-  EXPECT_EQ(report->questions_answered, 2u);
-  EXPECT_GT(report->rows_loaded, 0u);
-  // The recovered boundary save persisted the *complete* progress (both
-  // questions), so nothing is lost to the earlier failure.
-  auto on_disk = FeedCheckpointFile::Load(ckpt);
-  ASSERT_TRUE(on_disk.ok());
-  EXPECT_EQ(on_disk->completed_questions.size(), 2u);
-  EXPECT_EQ(on_disk->rows_loaded, report->rows_loaded);
-  std::remove(ckpt.c_str());
-}
-
-TEST_F(ChaosPipelineTest, FailedFinalCheckpointSaveFailsTheRun) {
-  std::string ckpt = testing::TempDir() + "chaos_feed_final.ckpt";
-  std::remove(ckpt.c_str());
-  ResilienceConfig res;
-  res.retry = FastRetry();
-  res.checkpoint_path = ckpt;
-  // Boundary every 10 questions: with 2 questions only the final save runs
-  // — and it always fails. Losing it would silently discard the whole run.
-  res.checkpoint_every = 10;
-  res.fault.rules.push_back({kFaultPointCheckpoint, 1.0,
-                             FaultMode::kTransient,
-                             StatusCode::kUnavailable});
-  auto wh = LastMinuteSales::MakeWarehouse().ValueOrDie();
-  auto report = Feed(&wh, res);
-  EXPECT_FALSE(report.ok());
-  std::remove(ckpt.c_str());
-}
-
 // ---------------------------------------------------------------------------
 // Tentpole: a poisoned source is isolated by its circuit breaker.
 // ---------------------------------------------------------------------------

@@ -6,11 +6,14 @@
 // chaos_pipeline_test.cc.
 
 #include <cstdio>
+#include <filesystem>
 #include <set>
 #include <string>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include "dw/recovery.h"
 #include "integration/last_minute_sales.h"
 #include "integration/pipeline.h"
 #include "web/question_factory.h"
@@ -157,25 +160,33 @@ TEST_F(ParallelFeedTest, FiniteBudgetFallsBackToTheSerialPath) {
 }
 
 TEST_F(ParallelFeedTest, BatchedResumeSkipsCompletedQuestions) {
-  // First run feeds everything with a checkpoint; the resumed batched run
-  // must not re-ask (or re-speculate) a completed question.
-  std::string ckpt = testing::TempDir() + "parallel_feed.ckpt";
-  std::remove(ckpt.c_str());
+  // First run feeds everything through a WAL; the batched run over the
+  // recovered warehouse must not re-ask (or re-speculate) a question a
+  // durable commit completed.
+  const std::string dir = testing::TempDir() + "parallel_feed_wal." +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
   PipelineConfig config = MakeConfig(4);
-  config.resilience.checkpoint_path = ckpt;
+  config.resilience.durability.dir = dir;
   auto wh = LastMinuteSales::MakeWarehouse().ValueOrDie();
   auto first = Feed(&wh, config);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(first->questions_resumed, 0u);
   ASSERT_GT(first->rows_loaded, 0u);
 
-  auto resumed_wh = LastMinuteSales::MakeWarehouse().ValueOrDie();
-  auto resumed = Feed(&resumed_wh, config);
+  dw::RecoveryOptions options;
+  options.bootstrap_schema = LastMinuteSales::MakeSchema();
+  auto recovered = dw::Recovery::Open(dir, options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  auto resumed = Feed(&recovered->warehouse, config);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_EQ(resumed->questions_resumed, questions_.size());
   EXPECT_EQ(resumed->questions_asked, 0u);
   EXPECT_EQ(resumed->rows_loaded, 0u);
-  std::remove(ckpt.c_str());
+  EXPECT_EQ(recovered->warehouse.FactRowCount("Weather").ValueOrDie(),
+            wh.FactRowCount("Weather").ValueOrDie());
+  pipeline_.reset();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include "dw/recovery.h"
 #include "integration/last_minute_sales.h"
 #include "integration/pipeline.h"
 #include "web/synthetic_web.h"
@@ -229,32 +232,36 @@ TEST_F(ResilienceTest, StrictFeedAxiomsQuarantineWithTypedReasons) {
 }
 
 TEST_F(ResilienceTest, CheckpointResumeLoadsEachKeyExactlyOnce) {
-  std::string ckpt = testing::TempDir() + "resilience_feed.ckpt";
-  std::remove(ckpt.c_str());
+  const std::string dir = testing::TempDir() + "resilience_feed_wal." +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
 
   PipelineConfig config = LastMinuteSales::DefaultPipelineConfig();
   config.resilience.retry = FastRetry();
-  config.resilience.checkpoint_path = ckpt;
-  config.resilience.checkpoint_every = 1;
-
-  auto wh = LastMinuteSales::MakeWarehouse().ValueOrDie();
+  config.resilience.durability.dir = dir;
 
   // First run: "crashes" after the first question (we simply never hand it
-  // the second one). The checkpoint survives on disk.
+  // the second one). Its commit survives in the WAL.
   size_t rows_first = 0;
   {
+    auto wh = LastMinuteSales::MakeWarehouse().ValueOrDie();
     IntegrationPipeline p(&wh, &uml_, config);
     ASSERT_TRUE(p.RunAll(&web_->documents()).ok());
     auto report = p.RunStep5({kQ1}, "Weather", "temperature");
     ASSERT_TRUE(report.ok());
     rows_first = report->rows_loaded;
     ASSERT_GT(rows_first, 0u);
-    ASSERT_TRUE(FeedCheckpointFile::Exists(ckpt));
   }
 
-  // Second run: a fresh pipeline over the SAME warehouse resumes from the
-  // checkpoint — the completed question is skipped, its rows are not
-  // re-loaded, and the full batch completes.
+  // Second run: the restarted process recovers the warehouse, and a fresh
+  // pipeline on the same WAL resumes — the committed question is skipped,
+  // its rows are not re-loaded, and the full batch completes.
+  dw::RecoveryOptions options;
+  options.bootstrap_schema = LastMinuteSales::MakeSchema();
+  auto recovered = dw::Recovery::Open(dir, options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  dw::Warehouse& wh = recovered->warehouse;
+  ASSERT_EQ(wh.FactRowCount("Weather").ValueOrDie(), rows_first);
   {
     IntegrationPipeline p(&wh, &uml_, config);
     ASSERT_TRUE(p.RunAll(&web_->documents()).ok());
@@ -278,15 +285,16 @@ TEST_F(ResilienceTest, CheckpointResumeLoadsEachKeyExactlyOnce) {
   auto whole = Feed(&whole_wh, plain);
   ASSERT_TRUE(whole.ok());
   EXPECT_EQ(WeatherRows(wh), WeatherRows(whole_wh));
-  std::remove(ckpt.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(ResilienceTest, CheckpointRoundTripsThroughThePipeline) {
-  std::string ckpt = testing::TempDir() + "resilience_roundtrip.ckpt";
-  std::remove(ckpt.c_str());
+  const std::string dir = testing::TempDir() + "resilience_roundtrip_wal." +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
   PipelineConfig config = LastMinuteSales::DefaultPipelineConfig();
   config.resilience.retry = FastRetry();
-  config.resilience.checkpoint_path = ckpt;
+  config.resilience.durability.dir = dir;
 
   auto wh = LastMinuteSales::MakeWarehouse().ValueOrDie();
   IntegrationPipeline p(&wh, &uml_, config);
@@ -294,14 +302,15 @@ TEST_F(ResilienceTest, CheckpointRoundTripsThroughThePipeline) {
   auto report = p.RunStep5({kQ1}, "Weather", "temperature");
   ASSERT_TRUE(report.ok());
 
-  FeedCheckpoint in_memory = p.MakeFeedCheckpoint();
-  EXPECT_EQ(in_memory.rows_loaded, report->rows_loaded);
-  EXPECT_EQ(in_memory.completed_questions.count(kQ1), 1u);
+  // The in-memory progress and the one the commit records make durable —
+  // through the log, and through a snapshot's commit file — are the same.
+  const dw::CommitSet& in_memory = p.feed_progress();
+  EXPECT_EQ(in_memory.questions.count(kQ1), 1u);
   EXPECT_EQ(in_memory.fed_keys.size(), report->rows_loaded);
-  auto on_disk = FeedCheckpointFile::Load(ckpt);
-  ASSERT_TRUE(on_disk.ok());
-  EXPECT_EQ(*on_disk, in_memory);
-  std::remove(ckpt.c_str());
+  EXPECT_EQ(dw::ReadCommitSet(dir).ValueOrDie(), in_memory);
+  ASSERT_TRUE(p.FlushDurability().ok());
+  EXPECT_EQ(dw::ReadCommitSet(dir).ValueOrDie(), in_memory);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -1,15 +1,17 @@
-// Graceful-shutdown tests: drain completes every accepted request, flushes
-// the Step-5 checkpoint, rejects late arrivals with the typed Draining
-// code, and the framed serving loop settles every frame before draining.
+// Graceful-shutdown tests: drain completes every accepted request,
+// snapshots each durable tenant, rejects late arrivals with the typed
+// Draining code, and the framed serving loop settles every frame before
+// draining.
 // Runs under the `threads` label too: the concurrent-clients test is the
 // TSan surface of the serving layer.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <fstream>
+#include <filesystem>
 #include <future>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +19,8 @@
 #include "common/date.h"
 #include "common/metric_names.h"
 #include "common/thread_pool.h"
+#include "dw/recovery.h"
+#include "dw/snapshot.h"
 #include "integration/last_minute_sales.h"
 #include "serve/server.h"
 #include "web/synthetic_web.h"
@@ -70,13 +74,12 @@ class DrainTest : public ::testing::Test {
 };
 
 TEST_F(DrainTest, DrainFlushesCheckpointAndRejectsLateArrivals) {
-  const std::string checkpoint =
-      ::testing::TempDir() + "/dwqa_serve_drain_checkpoint." +
-      std::to_string(::getpid()) + ".json";
-  std::remove(checkpoint.c_str());
+  const std::string dir = ::testing::TempDir() + "/dwqa_serve_drain_wal." +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
 
   ServeTenantConfig tenant = TenantConfig("a");
-  tenant.pipeline.resilience.checkpoint_path = checkpoint;
+  tenant.pipeline.resilience.durability.dir = dir;
   QaServer server;
   ASSERT_TRUE(server.AddTenant(tenant).ok());
 
@@ -109,17 +112,29 @@ TEST_F(DrainTest, DrainFlushesCheckpointAndRejectsLateArrivals) {
   EXPECT_EQ(server.inflight(), 0u);
   EXPECT_DOUBLE_EQ(server.metrics()->Value(kMetricServeDraining), 1.0);
 
-  // The drain flushed the tenant's feed checkpoint; a fresh pipeline can
-  // resume from it.
-  std::ifstream saved(checkpoint);
-  EXPECT_TRUE(saved.good());
-  integration::IntegrationPipeline resumed(
-      wh_.get(), &uml_, integration::LastMinuteSales::DefaultPipelineConfig());
-  EXPECT_TRUE(resumed.LoadFeedCheckpoint(checkpoint).ok());
+  // The drain snapshotted the tenant: the warehouse and the committed
+  // question come back from the snapshot, and a fresh pipeline on the
+  // same root resumes the question instead of re-asking it.
+  EXPECT_EQ(dw::ListSnapshots(dir).ValueOrDie().size(), 1u);
+  dw::RecoveryOptions options;
+  options.bootstrap_schema = integration::LastMinuteSales::MakeSchema();
+  auto recovered = dw::Recovery::Open(dir, options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->replayed, 0u);
+  EXPECT_EQ(recovered->commits.questions, std::set<std::string>{kQuestion});
+  integration::PipelineConfig config =
+      integration::LastMinuteSales::DefaultPipelineConfig();
+  config.resilience.durability.dir = dir;
+  integration::IntegrationPipeline resumed(&recovered->warehouse, &uml_,
+                                           config);
+  ASSERT_TRUE(resumed.RunAll(&web_->documents()).ok());
+  auto report = resumed.RunStep5({kQuestion}, "Weather", "temperature");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->questions_resumed, 1u);
 
   // Drain is idempotent.
   ASSERT_TRUE(server.Drain().ok());
-  std::remove(checkpoint.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(DrainTest, ConcurrentClientsAllSettleAcrossADrain) {
