@@ -120,10 +120,9 @@ std::string Date::ToLongString() const {
          ", " + std::to_string(year_);
 }
 
-int Date::MonthFromName(const std::string& name) {
-  std::string lower = ToLower(name);
+int Date::MonthFromName(std::string_view name) {
   for (size_t i = 0; i < kMonthNames.size(); ++i) {
-    if (lower == ToLower(kMonthNames[i])) return static_cast<int>(i + 1);
+    if (EqualsIgnoreCase(name, kMonthNames[i])) return static_cast<int>(i + 1);
   }
   return 0;
 }

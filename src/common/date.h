@@ -4,6 +4,7 @@
 #include <compare>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 
@@ -63,8 +64,9 @@ class Date {
   /// Gregorian leap-year rule.
   static bool IsLeapYear(int year);
 
-  /// Month name (full, case-insensitive) -> 1..12; 0 if unknown.
-  static int MonthFromName(const std::string& name);
+  /// Month name (full, ASCII case-insensitive) -> 1..12; 0 if unknown.
+  /// Compares in place; allocates nothing.
+  static int MonthFromName(std::string_view name);
 
   /// Lexicographic (year, month, day) ordering.
   auto operator<=>(const Date&) const = default;

@@ -323,6 +323,8 @@ Result<AnswerSet> AliQAn::AskWith(const std::string& question,
   auto t2 = std::chrono::steady_clock::now();
   Span extraction_span(trace, "qa.extraction");
   AnswerExtractor extractor(onto_);
+  const PreparedQuestion prepared =
+      extractor.Prepare(result.analysis, corpus_.dictionary());
   std::vector<AnswerCandidate> candidates;
   size_t sentences = 0;
   size_t cached = 0;
@@ -349,9 +351,7 @@ Result<AnswerSet> AliQAn::AskWith(const std::string& question,
       for (size_t s = p.first_sentence; s <= last; ++s) {
         view.push_back(&analysis->sentences[s]);
       }
-      found = extractor.ExtractAnalyzed(result.analysis, view,
-                                        corpus_.dictionary(), p.text,
-                                        p.doc, url);
+      found = extractor.ExtractAnalyzed(prepared, view, p.text, p.doc, url);
       sentences += view.size();
       cached += view.size();
     } else {

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <cstdint>
+#include <functional>
+#include <optional>
+#include <unordered_map>
 
 #include "common/string_util.h"
 #include "text/entities.h"
@@ -27,71 +30,51 @@ constexpr double kDefaultMaxCelsius = 60.0;
 
 double FahrenheitToCelsius(double f) { return (f - 32.0) * 5.0 / 9.0; }
 
-/// Content lemmas of one question SB, pre-resolved against the corpus
-/// dictionary so per-sentence coverage is set membership, not re-tagging.
-struct SbLemmas {
-  /// All content tokens (DT/IN/OF/"," dropped), known to the dictionary or
-  /// not — the coverage denominator.
-  size_t total = 0;
-  /// Interned ids of the known content lemmas, one entry per token
-  /// occurrence (an SB lemma absent from the whole corpus can never hit).
-  std::vector<TermId> ids;
-};
-
-/// Tags each main SB once per extraction call and resolves its content
-/// lemmas to TermIds.
-std::vector<SbLemmas> ResolveSbs(const std::vector<std::string>& sbs,
-                                 const TermDictionary& dict) {
-  text::PosTagger tagger;
-  std::vector<SbLemmas> out;
-  out.reserve(sbs.size());
-  for (const std::string& sb : sbs) {
-    text::TokenSequence toks = text::Tokenizer::Tokenize(sb);
-    tagger.Tag(&toks);
-    SbLemmas resolved;
-    for (const text::Token& t : toks) {
-      if (t.tag == "DT" || t.tag == "IN" || t.tag == "OF" || t.tag == ",") {
-        continue;
-      }
-      ++resolved.total;
-      TermId id = dict.Find(t.lemma);
-      if (id != kInvalidTermId) resolved.ids.push_back(id);
-    }
-    out.push_back(std::move(resolved));
+/// Sets the slot bit of every SB lemma among `lemma_ids` in `mask`.
+void MarkSbLemmas(const std::vector<TermId>& sb_lemma_ids,
+                  const std::vector<TermId>& lemma_ids, uint64_t* mask) {
+  if (sb_lemma_ids.empty()) return;
+  const TermId lo = sb_lemma_ids.front();
+  const TermId hi = sb_lemma_ids.back();
+  for (TermId id : lemma_ids) {
+    if (id < lo || id > hi) continue;
+    auto it = std::lower_bound(sb_lemma_ids.begin(), sb_lemma_ids.end(), id);
+    if (*it != id) continue;
+    size_t slot = static_cast<size_t>(it - sb_lemma_ids.begin());
+    mask[slot / 64] |= uint64_t{1} << (slot % 64);
   }
-  return out;
 }
 
-/// Fraction of the SB's content lemmas present in `lemmas`.
-double SbCoverage(const SbLemmas& sb,
-                  const std::unordered_set<TermId>& lemmas) {
-  if (sb.total == 0) return 0.0;
-  size_t hit = 0;
-  for (TermId id : sb.ids) {
-    if (lemmas.count(id)) ++hit;
+/// Sum over the SBs of the fraction of each SB's content lemmas whose slot
+/// is set in `mask`.
+double SbCoverage(const PreparedQuestion& pq, const uint64_t* mask) {
+  double cov = 0.0;
+  for (const PreparedQuestion::Sb& sb : pq.sbs) {
+    if (sb.total == 0) continue;
+    size_t hit = 0;
+    for (uint32_t slot : sb.slots) hit += (mask[slot / 64] >> (slot % 64)) & 1;
+    cov += static_cast<double>(hit) / static_cast<double>(sb.total);
   }
-  return static_cast<double>(hit) / static_cast<double>(sb.total);
+  return cov;
 }
 
 bool MentionEqualsAnyQuestionTerm(const std::string& mention,
-                                  const QuestionAnalysis& q) {
+                                  const PreparedQuestion& pq) {
   std::string lower = ToLower(mention);
-  for (const std::string& sb : q.main_sbs) {
+  for (const std::string& sb : pq.sbs_lower) {
     // Substring containment: "Kennedy International" is part of the
     // question term "Kennedy International Airport" and no answer.
-    if (ToLower(sb).find(lower) != std::string::npos) return true;
+    if (sb.find(lower) != std::string::npos) return true;
   }
-  if (!q.location.empty() &&
-      ToLower(q.location).find(lower) != std::string::npos) {
+  if (!pq.location_lower.empty() &&
+      pq.location_lower.find(lower) != std::string::npos) {
     return true;
   }
   // The ontology-resolved city is a retrieval expansion; for place-type
   // questions it may be the *answer* ("In which city is El Prat?"), so it
   // is only excluded for the other types.
-  if (!IsPlace(q.answer_type) && ToLower(q.resolved_city) == lower) {
-    return true;
-  }
-  return false;
+  return !IsPlace(pq.question->answer_type) &&
+         pq.resolved_city_lower == lower;
 }
 
 /// True when `d` is compatible with the question's (possibly partial) date
@@ -111,31 +94,75 @@ bool DateCompatible(const DateMention& d, const QuestionAnalysis& q) {
 
 }  // namespace
 
-bool AnswerExtractor::SatisfiesTypeConcept(const std::string& mention,
-                                           AnswerType type) const {
-  std::string lemma = TypeConceptLemma(type);
-  if (lemma.empty()) return true;
-  auto target = onto_->FindClass(lemma);
-  if (!target.ok()) return false;
-  for (ontology::ConceptId id : onto_->Find(ToLower(mention))) {
-    if (onto_->IsA(id, *target)) return true;
-  }
-  return false;
-}
+PreparedQuestion AnswerExtractor::Prepare(const QuestionAnalysis& q,
+                                          const TermDictionary& dict) const {
+  PreparedQuestion pq;
+  pq.question = &q;
 
-bool AnswerExtractor::TemperaturePlausible(double value, char scale) const {
-  double min_c = kDefaultMinCelsius;
-  double max_c = kDefaultMaxCelsius;
+  // Tag each main SB and resolve its content lemmas to TermIds; `slots`
+  // holds the ids themselves until the distinct ids are known.
+  text::PosTagger tagger;
+  for (const std::string& sb : q.main_sbs) {
+    text::TokenSequence toks = text::Tokenizer::Tokenize(sb);
+    tagger.Tag(&toks);
+    PreparedQuestion::Sb resolved;
+    for (const text::Token& t : toks) {
+      if (t.tag == "DT" || t.tag == "IN" || t.tag == "OF" || t.tag == ",") {
+        continue;
+      }
+      ++resolved.total;
+      TermId id = dict.Find(t.lemma);
+      if (id != kInvalidTermId) resolved.slots.push_back(id);
+    }
+    pq.sb_lemma_ids.insert(pq.sb_lemma_ids.end(), resolved.slots.begin(),
+                           resolved.slots.end());
+    pq.sbs.push_back(std::move(resolved));
+    pq.sbs_lower.push_back(ToLower(sb));
+  }
+  std::vector<TermId>& ids = pq.sb_lemma_ids;
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  for (PreparedQuestion::Sb& sb : pq.sbs) {
+    for (uint32_t& slot : sb.slots) {
+      slot = static_cast<uint32_t>(
+          std::lower_bound(ids.begin(), ids.end(), slot) - ids.begin());
+    }
+  }
+
+  // Step-4 plausibility bounds: the axioms on "temperature" override the
+  // defaults.
+  pq.min_celsius = kDefaultMinCelsius;
+  pq.max_celsius = kDefaultMaxCelsius;
   if (auto concept_id = onto_->FindClass("temperature"); concept_id.ok()) {
     if (auto v = onto_->GetAxiom(*concept_id, "min_celsius"); v.ok()) {
-      min_c = std::atof(v->c_str());
+      pq.min_celsius = std::atof(v->c_str());
     }
     if (auto v = onto_->GetAxiom(*concept_id, "max_celsius"); v.ok()) {
-      max_c = std::atof(v->c_str());
+      pq.max_celsius = std::atof(v->c_str());
     }
   }
-  double celsius = scale == 'F' ? FahrenheitToCelsius(value) : value;
-  return celsius >= min_c && celsius <= max_c;
+
+  if (auto city = onto_->FindClass("city"); city.ok()) pq.city = *city;
+  std::string type_lemma = TypeConceptLemma(q.answer_type);
+  pq.type_open = type_lemma.empty();
+  if (!pq.type_open) {
+    if (auto target = onto_->FindClass(type_lemma); target.ok()) {
+      pq.type_concept = *target;
+    }
+  }
+  pq.location_lower = ToLower(q.location);
+  pq.resolved_city_lower = ToLower(q.resolved_city);
+  return pq;
+}
+
+bool AnswerExtractor::SatisfiesTypeConcept(const PreparedQuestion& pq,
+                                           const std::string& mention) const {
+  if (pq.type_open) return true;
+  if (!pq.type_concept.has_value()) return false;
+  for (ontology::ConceptId id : onto_->Find(ToLower(mention))) {
+    if (onto_->IsA(id, *pq.type_concept)) return true;
+  }
+  return false;
 }
 
 std::vector<AnswerCandidate> AnswerExtractor::Extract(
@@ -154,29 +181,31 @@ std::vector<AnswerCandidate> AnswerExtractor::Extract(
   text::SentenceView view;
   view.reserve(analyzed.size());
   for (const text::AnalyzedSentence& s : analyzed) view.push_back(&s);
-  return ExtractAnalyzed(q, view, dict, passage_text, doc, url);
+  return ExtractAnalyzed(Prepare(q, dict), view, passage_text, doc, url);
 }
 
 std::vector<AnswerCandidate> AnswerExtractor::ExtractAnalyzed(
-    const QuestionAnalysis& q, const text::SentenceView& sentences,
-    const TermDictionary& dict, const std::string& passage_text,
-    ir::DocId doc, const std::string& url) const {
+    const PreparedQuestion& pq, const text::SentenceView& sentences,
+    const std::string& passage_text, ir::DocId doc,
+    const std::string& url) const {
+  const QuestionAnalysis& q = *pq.question;
   std::vector<AnswerCandidate> out;
 
-  // Resolve the question SBs once per passage; sentence analyses (tokens +
-  // per-sentence date mentions) come precomputed, so a candidate in
-  // sentence i can borrow the most recent date from i-1, i-2... — the
-  // layout of the Figure 4 weather pages (date line, then data line).
-  std::vector<SbLemmas> sb_lemmas = ResolveSbs(q.main_sbs, dict);
-  std::unordered_set<TermId> passage_lemmas;
-  for (const text::AnalyzedSentence* s : sentences) {
-    passage_lemmas.insert(s->lemma_set.begin(), s->lemma_set.end());
+  // Sentence analyses (tokens + per-sentence date mentions) come
+  // precomputed, so a candidate in sentence i can borrow the most recent
+  // date from i-1, i-2... — the layout of the Figure 4 weather pages (date
+  // line, then data line). SB coverage reads one bit mask of SB lemma
+  // slots per sentence, scanned from its lemma_ids; the passage mask (the
+  // last one) is their OR.
+  const size_t words = (pq.sb_lemma_ids.size() + 63) / 64;
+  std::vector<uint64_t> masks((sentences.size() + 1) * words);
+  uint64_t* passage_mask = masks.data() + sentences.size() * words;
+  for (size_t si = 0; si < sentences.size(); ++si) {
+    uint64_t* mask = masks.data() + si * words;
+    MarkSbLemmas(pq.sb_lemma_ids, sentences[si]->lemma_ids, mask);
+    for (size_t w = 0; w < words; ++w) passage_mask[w] |= mask[w];
   }
-
-  double passage_cov = 0.0;
-  for (const SbLemmas& sb : sb_lemmas) {
-    passage_cov += SbCoverage(sb, passage_lemmas);
-  }
+  const double passage_cov = SbCoverage(pq, passage_mask);
 
   auto nearest_date = [&](size_t sent_idx,
                           size_t tok_idx) -> const DateMention* {
@@ -197,32 +226,39 @@ std::vector<AnswerCandidate> AnswerExtractor::ExtractAnalyzed(
     return nullptr;
   };
 
-  auto resolve_location = [&](size_t sent_idx) -> std::string {
-    // A proper noun in this sentence (or an earlier one) whose sense is a
-    // city; otherwise the question's resolved city.
-    auto city = onto_->FindClass("city");
-    for (size_t i = sent_idx + 1; i-- > 0;) {
-      for (const auto& pn :
-           EntityRecognizer::FindProperNouns(sentences[i]->tokens)) {
-        if (!city.ok()) break;
-        for (ontology::ConceptId id : onto_->Find(ToLower(pn.text))) {
-          if (onto_->IsA(id, *city)) return onto_->GetConcept(id).name;
+  // The city a sentence names: its first proper noun with a city sense.
+  // Resolved lazily, at most once per sentence of the passage.
+  std::vector<std::optional<const std::string*>> sentence_city(
+      sentences.size());
+  auto city_in = [&](size_t i) -> const std::string* {
+    if (!pq.city.has_value()) return nullptr;
+    if (sentence_city[i].has_value()) return *sentence_city[i];
+    sentence_city[i] = nullptr;
+    for (const auto& pn :
+         EntityRecognizer::FindProperNouns(sentences[i]->tokens)) {
+      for (ontology::ConceptId id : onto_->Find(ToLower(pn.text))) {
+        if (onto_->IsA(id, *pq.city)) {
+          return *(sentence_city[i] = &onto_->GetConcept(id).name);
         }
       }
+    }
+    return nullptr;
+  };
+  auto resolve_location = [&](size_t sent_idx) -> const std::string& {
+    // A city named in this sentence (or one of the two before it);
+    // otherwise the question's resolved city.
+    for (size_t i = sent_idx + 1; i-- > 0;) {
+      if (const std::string* city = city_in(i)) return *city;
       if (sent_idx - i >= 2) break;  // Look back at most two sentences.
     }
-    if (!q.resolved_city.empty()) return q.resolved_city;
-    return q.location;
+    return q.resolved_city.empty() ? q.location : q.resolved_city;
   };
 
   for (size_t si = 0; si < sentences.size(); ++si) {
     const TokenSequence& toks = sentences[si]->tokens;
     const std::vector<DateMention>& dates = sentences[si]->dates;
-    double sent_cov = 0.0;
-    for (const SbLemmas& sb : sb_lemmas) {
-      sent_cov += SbCoverage(sb, sentences[si]->lemma_set);
-    }
-    double base = 2.0 * sent_cov + passage_cov;
+    double base =
+        2.0 * SbCoverage(pq, masks.data() + si * words) + passage_cov;
 
     auto push = [&](AnswerCandidate cand) {
       cand.type = q.answer_type;
@@ -250,7 +286,11 @@ std::vector<AnswerCandidate> AnswerExtractor::ExtractAnalyzed(
           // of two renderings of the same reading ("8º C around 46.4 F",
           // Table 1) the Celsius one is extracted.
           if (m.scale == 'C') c.score += 0.25;
-          if (!TemperaturePlausible(m.value, m.scale)) c.score -= 5.0;
+          double celsius =
+              m.scale == 'F' ? FahrenheitToCelsius(m.value) : m.value;
+          if (!(celsius >= pq.min_celsius && celsius <= pq.max_celsius)) {
+            c.score -= 5.0;
+          }
           if (const DateMention* d = nearest_date(si, m.begin)) {
             c.date = d->date;
             c.date_complete = d->IsComplete();
@@ -263,7 +303,7 @@ std::vector<AnswerCandidate> AnswerExtractor::ExtractAnalyzed(
           }
           c.location = resolve_location(si);
           if (!q.resolved_city.empty() &&
-              ToLower(c.location) == ToLower(q.resolved_city)) {
+              EqualsIgnoreCase(c.location, q.resolved_city)) {
             c.score += 1.0;
           }
           push(std::move(c));
@@ -347,21 +387,16 @@ std::vector<AnswerCandidate> AnswerExtractor::ExtractAnalyzed(
       }
       case AnswerType::kNumericalQuantity: {
         // Plain cardinals not consumed by a more specific recognizer.
-        std::unordered_set<size_t> taken;
-        for (const auto& m : EntityRecognizer::FindTemperatures(toks)) {
-          for (size_t i = m.begin; i < m.end; ++i) taken.insert(i);
-        }
-        for (const auto& m : EntityRecognizer::FindMoney(toks)) {
-          for (size_t i = m.begin; i < m.end; ++i) taken.insert(i);
-        }
-        for (const auto& m : EntityRecognizer::FindPercents(toks)) {
-          for (size_t i = m.begin; i < m.end; ++i) taken.insert(i);
-        }
-        for (const auto& d : dates) {
-          for (size_t i = d.begin; i < d.end; ++i) taken.insert(i);
-        }
+        std::vector<bool> taken(toks.size(), false);
+        auto take = [&](const text::EntitySpan& m) {
+          for (size_t i = m.begin; i < m.end; ++i) taken[i] = true;
+        };
+        for (const auto& m : EntityRecognizer::FindTemperatures(toks)) take(m);
+        for (const auto& m : EntityRecognizer::FindMoney(toks)) take(m);
+        for (const auto& m : EntityRecognizer::FindPercents(toks)) take(m);
+        for (const auto& d : dates) take(d);
         for (const auto& m : EntityRecognizer::FindNumbers(toks)) {
-          if (taken.count(m.begin)) continue;
+          if (taken[m.begin]) continue;
           AnswerCandidate c;
           c.answer_text = m.text;
           c.has_value = true;
@@ -383,12 +418,12 @@ std::vector<AnswerCandidate> AnswerExtractor::ExtractAnalyzed(
         }
         // A bare year is an acceptable (weaker) date answer: "When did
         // Iraq invade Kuwait?" → "1990".
-        std::unordered_set<size_t> in_date;
+        std::vector<bool> in_date(toks.size(), false);
         for (const auto& d : dates) {
-          for (size_t i = d.begin; i < d.end; ++i) in_date.insert(i);
+          for (size_t i = d.begin; i < d.end; ++i) in_date[i] = true;
         }
         for (size_t i = 0; i < toks.size(); ++i) {
-          if (in_date.count(i)) continue;
+          if (in_date[i]) continue;
           if (!EntityRecognizer::LooksLikeYear(toks[i])) continue;
           AnswerCandidate c;
           c.answer_text = toks[i].text;
@@ -471,7 +506,7 @@ std::vector<AnswerCandidate> AnswerExtractor::ExtractAnalyzed(
         if (q.answer_type == AnswerType::kProfession) {
           for (const text::Token& t : toks) {
             if (t.tag != "NN" && t.tag != "NNS") continue;
-            if (!SatisfiesTypeConcept(t.lemma, q.answer_type)) continue;
+            if (!SatisfiesTypeConcept(pq, t.lemma)) continue;
             if (t.lemma == "profession") continue;
             AnswerCandidate c;
             c.answer_text = t.text;
@@ -482,11 +517,11 @@ std::vector<AnswerCandidate> AnswerExtractor::ExtractAnalyzed(
         // Person / profession / group / object / place* / event: proper
         // nouns with a semantic preference for the type's subtree.
         for (const auto& pn : EntityRecognizer::FindProperNouns(toks)) {
-          if (MentionEqualsAnyQuestionTerm(pn.text, q)) continue;
+          if (MentionEqualsAnyQuestionTerm(pn.text, pq)) continue;
           AnswerCandidate c;
           c.answer_text = pn.text;
           c.score = base;
-          if (SatisfiesTypeConcept(pn.text, q.answer_type)) {
+          if (SatisfiesTypeConcept(pq, pn.text)) {
             c.score += 3.0;  // The paper's "semantic preference".
           } else if (IsPlace(q.answer_type) ||
                      q.answer_type == AnswerType::kPerson ||
@@ -507,21 +542,31 @@ std::vector<AnswerCandidate> AnswerExtractor::ExtractAnalyzed(
 
 std::vector<AnswerCandidate> AnswerExtractor::Rank(
     std::vector<AnswerCandidate> candidates, size_t max_answers) {
-  // Deduplicate by normalized answer text + date, keeping the best score.
-  std::vector<AnswerCandidate> merged;
-  for (AnswerCandidate& c : candidates) {
-    bool found = false;
-    for (AnswerCandidate& m : merged) {
-      bool same_date =
-          m.date.has_value() == c.date.has_value() &&
-          (!m.date.has_value() || *m.date == *c.date);
-      if (ToLower(m.answer_text) == ToLower(c.answer_text) && same_date) {
-        if (c.score > m.score) m = std::move(c);
-        found = true;
-        break;
-      }
+  // Deduplicate by normalized answer text + date, keeping the best score
+  // at the first-seen position (so the unstable sort below always sees the
+  // same input order).
+  struct Key {
+    std::string lower;
+    std::optional<Date> date;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& k) const {
+      return std::hash<std::string>{}(k.lower) * 31 +
+             (k.date ? std::hash<int64_t>{}(k.date->ToEpochDays()) : 0);
     }
-    if (!found) merged.push_back(std::move(c));
+  };
+  std::vector<AnswerCandidate> merged;
+  std::unordered_map<Key, size_t, KeyHash> position;
+  position.reserve(candidates.size());
+  for (AnswerCandidate& c : candidates) {
+    auto [it, inserted] = position.try_emplace(
+        Key{ToLower(c.answer_text), c.date}, merged.size());
+    if (inserted) {
+      merged.push_back(std::move(c));
+    } else if (c.score > merged[it->second].score) {
+      merged[it->second] = std::move(c);
+    }
   }
   std::sort(merged.begin(), merged.end(),
             [](const AnswerCandidate& a, const AnswerCandidate& b) {

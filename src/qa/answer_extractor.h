@@ -1,6 +1,8 @@
 #ifndef DWQA_QA_ANSWER_EXTRACTOR_H_
 #define DWQA_QA_ANSWER_EXTRACTOR_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -12,6 +14,45 @@
 
 namespace dwqa {
 namespace qa {
+
+/// \brief The question-level work of extraction, done once per ask by
+/// AnswerExtractor::Prepare and shared by every passage of the ask.
+///
+/// Borrows the QuestionAnalysis it was prepared from, which must outlive
+/// it; its lemma ids are only meaningful against the dictionary it was
+/// prepared with.
+struct PreparedQuestion {
+  /// One main SB's content lemmas, as slots into `sb_lemma_ids`.
+  struct Sb {
+    /// All content tokens (DT/IN/OF/"," dropped), known to the dictionary
+    /// or not: the coverage denominator.
+    size_t total = 0;
+    /// Slot of each known content lemma, one entry per token occurrence
+    /// (an SB lemma absent from the whole dictionary can never hit).
+    std::vector<uint32_t> slots;
+  };
+
+  const QuestionAnalysis* question = nullptr;
+  std::vector<Sb> sbs;
+  /// The distinct SB lemma ids, sorted; a lemma's slot is its position.
+  std::vector<TermId> sb_lemma_ids;
+
+  /// Step-4 plausible temperature interval, in Celsius.
+  double min_celsius = 0.0;
+  double max_celsius = 0.0;
+  /// The "city" concept, when the ontology has one.
+  std::optional<ontology::ConceptId> city;
+  /// The answer type's concept. `type_open` is true when the type names no
+  /// concept (every mention satisfies it); otherwise an empty
+  /// `type_concept` means the ontology lacks it (no mention does).
+  bool type_open = false;
+  std::optional<ontology::ConceptId> type_concept;
+
+  /// Lowercased question terms a candidate may not merely repeat.
+  std::vector<std::string> sbs_lower;
+  std::string location_lower;
+  std::string resolved_city_lower;
+};
 
 /// \brief AliQAn Module 3: extraction of the answer from retrieved passages
 /// using syntactic-semantic answer patterns (paper §4.1).
@@ -26,15 +67,24 @@ namespace qa {
 /// ontology (plausible temperature intervals, ºC/ºF consistency).
 ///
 /// The linguistic analysis of the passage (tokenize/tag/lemmatize, date
-/// recognition) belongs to the off-line indexation phase: the fast path
-/// (ExtractAnalyzed) only pattern-matches over cached AnalyzedSentences.
-/// Extract is the legacy entry that re-analyzes raw passage text on the fly
-/// — kept for callers without an AnalyzedCorpus and as the before/after
-/// ablation of the golden-equivalence suite; both paths produce
-/// byte-identical candidates for the same text.
+/// recognition) belongs to the off-line indexation phase, and the work that
+/// depends only on the question (SB lemmas, axioms, concept ids) is done
+/// once per ask by Prepare. The fast path (ExtractAnalyzed) then only
+/// pattern-matches over cached AnalyzedSentences: SB coverage is a bit mask
+/// built from each sentence's `lemma_ids`, and each sentence's city is
+/// resolved at most once per passage. Extract is the legacy entry that
+/// re-analyzes raw passage text on the fly — kept for callers without an
+/// AnalyzedCorpus and as the before/after ablation of the
+/// golden-equivalence suite; both paths produce byte-identical candidates
+/// for the same text.
 class AnswerExtractor {
  public:
   explicit AnswerExtractor(const ontology::Ontology* onto) : onto_(onto) {}
+
+  /// Resolves the question-level inputs of extraction against `dict` (the
+  /// dictionary of the sentences it will be matched with).
+  PreparedQuestion Prepare(const QuestionAnalysis& question,
+                           const TermDictionary& dict) const;
 
   /// Extracts and scores the candidates of one passage, re-analyzing
   /// `passage_text` sentence by sentence (the slow, pre-corpus path).
@@ -44,26 +94,25 @@ class AnswerExtractor {
                                        const std::string& url) const;
 
   /// Extracts from cached sentence analyses. `sentences` is the passage's
-  /// consecutive sentence range (views into an AnalyzedCorpus whose
-  /// dictionary is `dict`); `passage_text` is the passage's display text.
+  /// consecutive sentence range (views into the AnalyzedCorpus whose
+  /// dictionary `question` was prepared against); `passage_text` is the
+  /// passage's display text.
   std::vector<AnswerCandidate> ExtractAnalyzed(
-      const QuestionAnalysis& question, const text::SentenceView& sentences,
-      const TermDictionary& dict, const std::string& passage_text,
-      ir::DocId doc, const std::string& url) const;
+      const PreparedQuestion& question, const text::SentenceView& sentences,
+      const std::string& passage_text, ir::DocId doc,
+      const std::string& url) const;
 
-  /// Merges, deduplicates (by normalized answer text) and ranks candidate
-  /// lists from several passages.
+  /// Merges, deduplicates (by lowercased answer text and date, keeping the
+  /// first-seen position and the best score) and ranks candidate lists
+  /// from several passages, in time linear in the candidates plus the
+  /// sort.
   static std::vector<AnswerCandidate> Rank(
       std::vector<AnswerCandidate> candidates, size_t max_answers);
 
  private:
-  /// True if some sense of `lemma` is under the concept for `type`.
-  bool SatisfiesTypeConcept(const std::string& mention,
-                            AnswerType type) const;
-
-  /// Plausibility per the temperature axioms (Step 4). `scale` '?' passes
-  /// with a Celsius assumption.
-  bool TemperaturePlausible(double value, char scale) const;
+  /// True if some sense of `mention` is under the question's type concept.
+  bool SatisfiesTypeConcept(const PreparedQuestion& pq,
+                            const std::string& mention) const;
 
   const ontology::Ontology* onto_;
 };

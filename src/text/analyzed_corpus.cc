@@ -19,9 +19,7 @@ AnalyzedSentence CorpusAnalyzer::AnalyzeSentence(std::string sentence) const {
   out.lemma_ids.reserve(out.tokens.size());
   for (const Token& t : out.tokens) {
     out.token_ids.push_back(Intern(t.lower));
-    TermId lemma = Intern(t.lemma);
-    out.lemma_ids.push_back(lemma);
-    out.lemma_set.insert(lemma);
+    out.lemma_ids.push_back(Intern(t.lemma));
   }
   return out;
 }
@@ -34,8 +32,6 @@ AnalyzedDocument CorpusAnalyzer::AnalyzeDocument(std::string plain) const {
   for (std::string& s : sentences) {
     AnalyzedSentence analyzed = AnalyzeSentence(std::move(s));
     out.token_count += analyzed.tokens.size();
-    out.lemma_set.insert(analyzed.lemma_set.begin(),
-                         analyzed.lemma_set.end());
     out.sentences.push_back(std::move(analyzed));
   }
   return out;
@@ -79,16 +75,11 @@ void AnalyzedCorpus::AddBatch(const std::vector<DocKey>& keys,
   };
   for (size_t i = 0; i < n; ++i) {
     AnalyzedDocument& doc = analyzed[i];
-    doc.lemma_set.clear();
     for (AnalyzedSentence& sentence : doc.sentences) {
-      sentence.lemma_set.clear();
       for (size_t t = 0; t < sentence.token_ids.size(); ++t) {
         sentence.token_ids[t] = map_id(sentence.token_ids[t]);
         sentence.lemma_ids[t] = map_id(sentence.lemma_ids[t]);
-        sentence.lemma_set.insert(sentence.lemma_ids[t]);
       }
-      doc.lemma_set.insert(sentence.lemma_set.begin(),
-                           sentence.lemma_set.end());
     }
     if (auto it = docs_.find(keys[i]); it != docs_.end()) {
       sentence_count_ -= it->second.sentences.size();

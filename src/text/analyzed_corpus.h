@@ -5,7 +5,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/interner.h"
@@ -32,10 +31,9 @@ struct AnalyzedSentence {
   std::vector<DateMention> dates;
   /// Interned lowercase form of each token, parallel to `tokens`.
   std::vector<TermId> token_ids;
-  /// Interned lemma of each token, parallel to `tokens`.
+  /// Interned lemma of each token, parallel to `tokens` (SB-coverage
+  /// scoring scans these).
   std::vector<TermId> lemma_ids;
-  /// Distinct lemma ids of the sentence (SB-coverage scoring reads this).
-  std::unordered_set<TermId> lemma_set;
 };
 
 /// \brief A document after the one-time indexation analysis.
@@ -43,8 +41,6 @@ struct AnalyzedDocument {
   /// The preprocessed plain text the analysis ran on.
   std::string plain;
   std::vector<AnalyzedSentence> sentences;
-  /// Union of the sentences' lemma sets.
-  std::unordered_set<TermId> lemma_set;
   size_t token_count = 0;
 };
 
@@ -112,7 +108,7 @@ class AnalyzedCorpus {
   /// a shared thread-safe interner, then a serial merge remaps provisional
   /// term ids into the owned dictionary in document order — replaying the
   /// exact intern sequence of the serial path (per token: lowercase form,
-  /// then lemma) — so dictionary ids, lemma sets and every downstream
+  /// then lemma) — so dictionary ids, lemma ids and every downstream
   /// posting are byte-identical to the serial build for any worker count.
   void AddBatch(const std::vector<DocKey>& keys,
                 std::vector<std::string> plains, ThreadPool* pool);

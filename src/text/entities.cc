@@ -42,11 +42,11 @@ bool IsScaleLetter(const Token& t, char* scale) {
 
 }  // namespace
 
-bool EntityRecognizer::IsMonthName(const std::string& lower) {
+bool EntityRecognizer::IsMonthName(std::string_view lower) {
   return Date::MonthFromName(lower) != 0;
 }
 
-bool EntityRecognizer::IsWeekdayName(const std::string& lower) {
+bool EntityRecognizer::IsWeekdayName(std::string_view lower) {
   for (const char* d : {"sunday", "monday", "tuesday", "wednesday",
                         "thursday", "friday", "saturday"}) {
     if (lower == d) return true;
@@ -84,8 +84,7 @@ std::vector<DateMention> EntityRecognizer::FindDates(
     const std::string& lw = toks[i].lower;
     // Pattern A: Month [day][,] [of] [year]  — "January 31, 2004",
     // "January of 2004", "January 2004", "January 31".
-    if (IsMonthName(lw)) {
-      int month = Date::MonthFromName(lw);
+    if (int month = Date::MonthFromName(lw); month != 0) {
       size_t j = i + 1;
       int day = 0, year = 0;
       bool has_day = false, has_year = false;

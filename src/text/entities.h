@@ -2,6 +2,7 @@
 #define DWQA_TEXT_ENTITIES_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/date.h"
@@ -72,9 +73,9 @@ class EntityRecognizer {
       const TokenSequence& tokens);
 
   /// True if `lower` is a month name.
-  static bool IsMonthName(const std::string& lower);
+  static bool IsMonthName(std::string_view lower);
   /// True if `lower` is a weekday name.
-  static bool IsWeekdayName(const std::string& lower);
+  static bool IsWeekdayName(std::string_view lower);
   /// True if the token looks like a year (1000..2999).
   static bool LooksLikeYear(const Token& token);
 };

@@ -1,5 +1,8 @@
 #include "common/date.h"
 
+#include <string>
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 namespace dwqa {
@@ -77,6 +80,26 @@ TEST(DateTest, MonthFromName) {
   EXPECT_EQ(Date::MonthFromName("DECEMBER"), 12);
   EXPECT_EQ(Date::MonthFromName("Januar"), 0);
   EXPECT_EQ(Date::MonthFromName(""), 0);
+}
+
+TEST(DateTest, MonthFromNameEdgeCases) {
+  // Prefixes and extensions of a month name are not month names.
+  EXPECT_EQ(Date::MonthFromName("Ma"), 0);
+  EXPECT_EQ(Date::MonthFromName("Mayo"), 0);
+  EXPECT_EQ(Date::MonthFromName("Junes"), 0);
+  EXPECT_EQ(Date::MonthFromName("May"), 5);
+  // Mixed case.
+  EXPECT_EQ(Date::MonthFromName("sEpTeMbEr"), 9);
+  EXPECT_EQ(Date::MonthFromName("fEBRUARy"), 2);
+  // Non-ASCII bytes match nothing and compare as themselves.
+  EXPECT_EQ(Date::MonthFromName("\xC2\xBA"), 0);
+  EXPECT_EQ(Date::MonthFromName("Ma\xC2\xBA"), 0);
+  EXPECT_EQ(Date::MonthFromName("M\xC3\xA1rch"), 0);
+  // A view into a larger buffer reads only its own bytes.
+  const std::string buffer = "xMarchember";
+  EXPECT_EQ(Date::MonthFromName(std::string_view(buffer).substr(1, 5)), 3);
+  EXPECT_EQ(Date::MonthFromName(std::string_view(buffer).substr(1, 4)), 0);
+  EXPECT_EQ(Date::MonthFromName(std::string_view(buffer).substr(0, 6)), 0);
 }
 
 TEST(DateTest, ComparisonOperators) {

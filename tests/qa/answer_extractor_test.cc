@@ -1,10 +1,20 @@
 #include "qa/answer_extractor.h"
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "common/string_util.h"
 #include "ontology/enrichment.h"
 #include "ontology/wordnet.h"
 #include "qa/question_analyzer.h"
+#include "text/pos_tagger.h"
+#include "text/sentence_splitter.h"
+#include "text/tokenizer.h"
 
 namespace dwqa {
 namespace qa {
@@ -242,6 +252,165 @@ TEST_F(AnswerExtractorTest, DaySpecificQuestionSelectsThatDay) {
   EXPECT_DOUBLE_EQ(answers.front().value, 23.0);
   ASSERT_TRUE(answers.front().date.has_value());
   EXPECT_EQ(*answers.front().date, Date(1997, 5, 12));
+}
+
+/// The quadratic dedup Rank used before the hash: the reference the
+/// linear one must reproduce exactly.
+std::vector<AnswerCandidate> BruteForceRank(
+    std::vector<AnswerCandidate> candidates, size_t max_answers) {
+  std::vector<AnswerCandidate> merged;
+  for (AnswerCandidate& c : candidates) {
+    bool found = false;
+    for (AnswerCandidate& m : merged) {
+      bool same_date =
+          m.date.has_value() == c.date.has_value() &&
+          (!m.date.has_value() || *m.date == *c.date);
+      if (ToLower(m.answer_text) == ToLower(c.answer_text) && same_date) {
+        if (c.score > m.score) m = std::move(c);
+        found = true;
+        break;
+      }
+    }
+    if (!found) merged.push_back(std::move(c));
+  }
+  std::sort(merged.begin(), merged.end(),
+            [](const AnswerCandidate& a, const AnswerCandidate& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.answer_text < b.answer_text;
+            });
+  if (merged.size() > max_answers) merged.resize(max_answers);
+  return merged;
+}
+
+TEST_F(AnswerExtractorTest, RankMatchesBruteForceOnSeededLists) {
+  const std::vector<std::string> texts = {
+      "Paris", "PARIS", "paris", "Madrid", "MADRID", "8\xC2\xBA\x43",
+      "8\xC2\xBA\x63", "1990", "Kuwait", "kuwait"};
+  const std::vector<double> scores = {1.0, 2.0, 2.5, 3.0, 3.0};
+  const std::vector<Date> dates = {Date(2004, 1, 30), Date(2004, 1, 31)};
+  const std::vector<size_t> caps = {0, 1, 3, 5, 100};
+  Rng rng(17);
+  for (int round = 0; round < 500; ++round) {
+    std::vector<AnswerCandidate> list(rng.NextIndex(60));
+    for (size_t i = 0; i < list.size(); ++i) {
+      AnswerCandidate& c = list[i];
+      c.answer_text = texts[rng.NextIndex(texts.size())];
+      c.score = scores[rng.NextIndex(scores.size())];
+      if (rng.NextBool(0.5)) c.date = dates[rng.NextIndex(dates.size())];
+      // A tag that tells which input survived the dedup.
+      c.url = "c" + std::to_string(i);
+    }
+    size_t cap = caps[rng.NextIndex(caps.size())];
+    std::vector<AnswerCandidate> got = AnswerExtractor::Rank(list, cap);
+    std::vector<AnswerCandidate> want = BruteForceRank(list, cap);
+    ASSERT_EQ(got.size(), want.size()) << "round " << round;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].answer_text, want[i].answer_text) << "round " << round;
+      EXPECT_EQ(got[i].score, want[i].score) << "round " << round;
+      EXPECT_EQ(got[i].date, want[i].date) << "round " << round;
+      EXPECT_EQ(got[i].url, want[i].url) << "round " << round;
+    }
+  }
+}
+
+/// Lemmas of `text`'s content tokens (DT/IN/OF/"," dropped), one entry
+/// per token, tagged the way the extractor tags question SBs.
+std::vector<std::string> ContentLemmas(const std::string& text) {
+  text::TokenSequence toks = text::Tokenizer::Tokenize(text);
+  text::PosTagger().Tag(&toks);
+  std::vector<std::string> out;
+  for (const text::Token& t : toks) {
+    if (t.tag == "DT" || t.tag == "IN" || t.tag == "OF" || t.tag == ",") {
+      continue;
+    }
+    out.push_back(t.lemma);
+  }
+  return out;
+}
+
+/// Lemmas of every token of `text`, tagged as indexation tags a sentence.
+std::set<std::string> SentenceLemmas(const std::string& text) {
+  text::TokenSequence toks = text::Tokenizer::Tokenize(text);
+  text::PosTagger().Tag(&toks);
+  std::set<std::string> out;
+  for (const text::Token& t : toks) out.insert(t.lemma);
+  return out;
+}
+
+/// Brute-force SB coverage: per SB, the share of its content lemmas that
+/// occur in `lemmas`, summed in SB order.
+double BruteForceCoverage(const std::vector<std::string>& sbs,
+                          const std::set<std::string>& lemmas) {
+  double cov = 0.0;
+  for (const std::string& sb : sbs) {
+    std::vector<std::string> content = ContentLemmas(sb);
+    if (content.empty()) continue;
+    size_t hit = 0;
+    for (const std::string& l : content) hit += lemmas.count(l);
+    cov += static_cast<double>(hit) / static_cast<double>(content.size());
+  }
+  return cov;
+}
+
+TEST_F(AnswerExtractorTest, CoverageBeyondSixtyFourSbLemmasMatchesBruteForce) {
+  // 90 distinct made-up lemmas ("qab", "qac", ...), spread over one- and
+  // two-word SBs, some repeated across SBs, some absent from the passage.
+  std::vector<std::string> words;
+  for (char a = 'a'; a <= 'j'; ++a) {
+    for (char b = 'b'; b <= 'j'; ++b) words.push_back(std::string("q") + a + b);
+  }
+  ASSERT_EQ(words.size(), 90u);
+  QuestionAnalysis q;
+  q.answer_type = AnswerType::kNumericalPercentage;
+  for (size_t i = 0; i < words.size(); i += 3) {
+    q.main_sbs.push_back(words[i]);
+    q.main_sbs.push_back(words[i + 1] + " " + words[i + 2]);
+  }
+  q.main_sbs.push_back(words[5] + " the " + words[77]);
+  std::set<std::string> distinct;
+  for (const std::string& sb : q.main_sbs) {
+    for (const std::string& l : ContentLemmas(sb)) distinct.insert(l);
+  }
+  ASSERT_GT(distinct.size(), 64u);
+
+  // Sentence k mentions words k, k+7, k+14, ... below 80; the last ten
+  // words never occur.
+  std::string passage;
+  for (size_t k = 0; k < 5; ++k) {
+    for (size_t w = k; w < 80; w += 7) passage += words[w] + " ";
+    passage += "rose " + std::to_string(10 + k) + " percent.\n";
+  }
+
+  std::vector<std::set<std::string>> sentence_lemmas;
+  std::set<std::string> passage_lemmas;
+  for (const std::string& s : text::SentenceSplitter::Split(passage)) {
+    sentence_lemmas.push_back(SentenceLemmas(s));
+    passage_lemmas.insert(sentence_lemmas.back().begin(),
+                          sentence_lemmas.back().end());
+  }
+  ASSERT_EQ(sentence_lemmas.size(), 5u);
+  const double passage_cov = BruteForceCoverage(q.main_sbs, passage_lemmas);
+
+  // The legacy path (a passage-local dictionary) and the corpus path.
+  AnswerExtractor extractor(&wn_);
+  std::vector<AnswerCandidate> legacy = extractor.Extract(q, passage, 0, "");
+  text::AnalyzedCorpus corpus;
+  const text::AnalyzedDocument& doc = corpus.Add(0, passage);
+  text::SentenceView view;
+  for (const text::AnalyzedSentence& s : doc.sentences) view.push_back(&s);
+  std::vector<AnswerCandidate> cached = extractor.ExtractAnalyzed(
+      extractor.Prepare(q, corpus.dictionary()), view, passage, 0, "");
+
+  for (const std::vector<AnswerCandidate>* found : {&legacy, &cached}) {
+    ASSERT_EQ(found->size(), 5u);
+    for (size_t k = 0; k < found->size(); ++k) {
+      const double want =
+          2.0 * BruteForceCoverage(q.main_sbs, sentence_lemmas[k]) +
+          passage_cov + 2.0;
+      EXPECT_DOUBLE_EQ((*found)[k].score, want) << "sentence " << k;
+      EXPECT_EQ((*found)[k].value, 10.0 + static_cast<double>(k));
+    }
+  }
 }
 
 }  // namespace

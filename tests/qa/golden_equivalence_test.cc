@@ -5,7 +5,6 @@
 // fact. The chaos-label fault-injection counterpart lives in
 // tests/integration/chaos_pipeline_test.cc.
 
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -14,37 +13,13 @@
 #include "ontology/wordnet.h"
 #include "qa/aliqan.h"
 #include "qa/structured.h"
+#include "tests/qa/answer_set_render.h"
 #include "web/question_factory.h"
 #include "web/synthetic_web.h"
 
 namespace dwqa {
 namespace qa {
 namespace {
-
-/// Full-fidelity rendering of an AnswerSet: any behavioural drift between
-/// the two analysis modes must show up as a string diff.
-std::string Serialize(const AnswerSet& set, bool with_sentence_count = true) {
-  std::ostringstream out;
-  out.precision(17);
-  out << "type=" << static_cast<int>(set.analysis.answer_type)
-      << " degradation=" << static_cast<int>(set.degradation)
-      << " reason=" << set.unanswered_reason;
-  // The sentence counter is part of the contract on the retrieval-filtered
-  // path; the unfiltered ablation's legacy path estimates it from newlines
-  // (off by the trailing newline), so that test compares answers only.
-  if (with_sentence_count) out << " sentences=" << set.sentences_analyzed;
-  out << "\n";
-  for (const std::string& p : set.passages) out << "P|" << p << "\n";
-  for (const AnswerCandidate& a : set.answers) {
-    out << "A|" << a.answer_text << "|" << static_cast<int>(a.type) << "|"
-        << a.score << "|" << static_cast<int>(a.level) << "|" << a.sentence
-        << "|" << a.doc << "|" << a.url << "|" << a.has_value << "|"
-        << a.value << "|" << a.unit << "|"
-        << (a.date.has_value() ? a.date->ToIsoString() : "-") << "|"
-        << a.date_complete << "|" << a.location << "\n";
-  }
-  return out.str();
-}
 
 class GoldenEquivalenceTest : public ::testing::Test {
  protected:

@@ -1,5 +1,7 @@
 #include "text/analyzed_corpus.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/string_util.h"
@@ -19,7 +21,8 @@ TEST(CorpusAnalyzerTest, SentenceFieldsAreParallelToTokens) {
   for (size_t i = 0; i < s.tokens.size(); ++i) {
     EXPECT_EQ(dict.Term(s.token_ids[i]), ToLower(s.tokens[i].text));
     EXPECT_EQ(dict.Term(s.lemma_ids[i]), s.tokens[i].lemma);
-    EXPECT_TRUE(s.lemma_set.count(s.lemma_ids[i]));
+    // SB-coverage scoring finds a question lemma by this lookup.
+    EXPECT_EQ(dict.Find(s.tokens[i].lemma), s.lemma_ids[i]);
   }
 }
 
@@ -47,12 +50,15 @@ TEST(CorpusAnalyzerTest, DocumentSplitsIntoSentences) {
       "Iraq invaded Kuwait in 1990.\nThe invasion started a war.\n");
   EXPECT_EQ(doc.sentences.size(), 2u);
   EXPECT_GT(doc.token_count, 0u);
-  // The document lemma set is the union of the sentence sets.
+  // Every sentence lemma belongs to a token the document counts.
+  size_t lemmas = 0;
   for (const AnalyzedSentence& s : doc.sentences) {
-    for (TermId id : s.lemma_set) {
-      EXPECT_TRUE(doc.lemma_set.count(id));
-    }
+    EXPECT_NE(doc.plain.find(s.text), std::string::npos);
+    EXPECT_EQ(s.lemma_ids.size(), s.tokens.size());
+    for (TermId id : s.lemma_ids) EXPECT_NE(id, kInvalidTermId);
+    lemmas += s.lemma_ids.size();
   }
+  EXPECT_EQ(lemmas, doc.token_count);
 }
 
 TEST(AnalyzedCorpusTest, AddFindContains) {

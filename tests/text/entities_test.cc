@@ -1,5 +1,8 @@
 #include "text/entities.h"
 
+#include <string>
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 #include "text/pos_tagger.h"
@@ -171,6 +174,20 @@ TEST(EntitiesProperNounTest, MonthsAndWeekdaysExcluded) {
 TEST(EntitiesHelpersTest, MonthWeekdayYearPredicates) {
   EXPECT_TRUE(EntityRecognizer::IsMonthName("january"));
   EXPECT_FALSE(EntityRecognizer::IsMonthName("janua"));
+  EXPECT_FALSE(EntityRecognizer::IsMonthName("ma"));
+  EXPECT_FALSE(EntityRecognizer::IsMonthName("mayo"));
+  EXPECT_FALSE(EntityRecognizer::IsMonthName("junes"));
+  EXPECT_TRUE(EntityRecognizer::IsMonthName("June"));
+  EXPECT_TRUE(EntityRecognizer::IsMonthName("oCTOBER"));
+  EXPECT_FALSE(EntityRecognizer::IsMonthName("\xC2\xBA"));
+  EXPECT_FALSE(EntityRecognizer::IsMonthName("may\xC2\xBA"));
+  const std::string buffer = "the july heat";
+  EXPECT_TRUE(
+      EntityRecognizer::IsMonthName(std::string_view(buffer).substr(4, 4)));
+  EXPECT_FALSE(
+      EntityRecognizer::IsMonthName(std::string_view(buffer).substr(4, 5)));
+  EXPECT_FALSE(
+      EntityRecognizer::IsMonthName(std::string_view(buffer).substr(4, 3)));
   EXPECT_TRUE(EntityRecognizer::IsWeekdayName("sunday"));
   EXPECT_FALSE(EntityRecognizer::IsWeekdayName("someday"));
   Token year("2004", 0, 4);
