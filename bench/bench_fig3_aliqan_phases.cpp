@@ -6,62 +6,32 @@
 // Part 1 (corpus sweep): corpus size × {IR filter ON, OFF}; per phase
 // wall-clock plus the amount of text the expensive extraction module sees.
 //
-// Part 2 (off-line indexation): the AnalyzedCorpus refactor moved the
-// linguistic pipeline (tokenize/tag/lemmatize/chunk) from the per-question
-// search phase into one-time indexation. Over the E10 CLEF-style question
-// set, the cached path is compared against the reanalyze_per_question
-// ablation (the pre-refactor behaviour); the per-question
-// analysis+extraction speedup must be ≥ 2×. Results are appended to the
-// shared bench-JSON artifact ($DWQA_BENCH_JSON, default BENCH_phase3.json).
+// Part 2 (parallel indexation scaling): serial vs N-thread off-line
+// indexation (the linguistic analysis every ask later reads) over one
+// corpus. The parallel build must stay byte-identical to the serial one
+// (postings and answers are compared inline); on hardware with ≥ 4 cores
+// the 4-thread build must also be > 1.5× faster — on smaller machines the
+// numbers are recorded without the speedup gate.
 //
-// Part 3 (parallel indexation scaling): serial vs N-thread off-line
-// indexation over the same corpus. The parallel build must stay
-// byte-identical to the serial one (postings and answers are compared
-// inline); on hardware with ≥ 4 cores the 4-thread build must also be
-// > 1.5× faster — on smaller machines the numbers are recorded without
-// the speedup gate.
-//
-// `--smoke` shrinks all parts for the `perf`-labeled ctest smoke and gates
-// only the deterministic invariants (identical builds, full cache hits);
-// the speedup thresholds are judged by the full run alone.
+// Results are appended to the shared bench-JSON artifact
+// ($DWQA_BENCH_JSON, default BENCH_phase3.json). `--smoke` shrinks both
+// parts for the `perf`-labeled ctest smoke and gates only the
+// deterministic invariant (identical builds); the speedup threshold is
+// judged by the full run alone.
 
-#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <thread>
 
 #include "bench/bench_json.h"
-#include "bench/bench_util.h"
+#include "common/string_util.h"
 #include "common/table_printer.h"
 #include "ontology/enrichment.h"
 #include "ontology/wordnet.h"
 #include "qa/aliqan.h"
-#include "web/question_factory.h"
 #include "web/synthetic_web.h"
 
 using namespace dwqa;
-
-namespace {
-
-/// Sum of extraction-phase wall-clock over one pass of the question set.
-/// Every question must produce an answer (the golden-equivalence suite
-/// guarantees both modes produce the *same* ones).
-bool AskAll(qa::AliQAn* aliqan, const std::vector<web::GoldQuestion>& qs,
-            double* extraction_ms, size_t* sentences, size_t* cached) {
-  for (const web::GoldQuestion& gq : qs) {
-    auto answers = aliqan->Ask(gq.question);
-    if (!answers.ok()) {
-      std::cerr << "E10 question failed: " << gq.question << std::endl;
-      return false;
-    }
-    *extraction_ms += aliqan->last_timings().extraction_ms;
-    *sentences += aliqan->last_timings().sentences_analyzed;
-    *cached += aliqan->last_timings().sentences_analyzed_cached;
-  }
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
@@ -129,84 +99,12 @@ int main(int argc, char** argv) {
                "with corpus size when the\nfilter is OFF and stay flat "
                "when it is ON.\n";
 
-  // ----- Part 2: off-line indexation vs per-question re-analysis (E10) ----
-  PrintBanner(std::cout,
-              "AnalyzedCorpus — one-time indexation analysis vs. "
-              "per-question re-analysis (E10 set)");
-  web::WebConfig config;
-  config.cities = {"Barcelona", "Madrid"};
-  config.months = {1};
-  auto webb = web::SyntheticWeb::Build(config).ValueOrDie();
   ontology::Ontology wn = ontology::MiniWordNet::Build();
   std::vector<ontology::InstanceSeed> seeds = {{"El Prat", {}, "Barcelona",
                                                 ""}};
   if (!ontology::Enricher::Enrich(&wn, "airport", seeds).ok()) return 1;
-  auto questions = web::QuestionFactory::ClefStyleQuestions();
 
-  const int kPasses = smoke ? 1 : 5;
-  struct ModeResult {
-    double index_ms = 0;
-    double extraction_ms = 0;
-    size_t sentences = 0;
-    size_t cached = 0;
-  };
-  ModeResult modes[2];  // [0] = cached path, [1] = reanalyze ablation.
-  for (int mode = 0; mode < 2; ++mode) {
-    qa::AliQAnConfig qa_config;
-    qa_config.reanalyze_per_question = (mode == 1);
-    qa::AliQAn aliqan(&wn, qa_config);
-    if (!aliqan.IndexCorpus(&webb.documents()).ok()) return 1;
-    modes[mode].index_ms = aliqan.last_timings().indexation_ms;
-    // Warm-up pass, then measured passes.
-    double warm = 0;
-    size_t w1 = 0, w2 = 0;
-    if (!AskAll(&aliqan, questions, &warm, &w1, &w2)) return 1;
-    for (int pass = 0; pass < kPasses; ++pass) {
-      if (!AskAll(&aliqan, questions, &modes[mode].extraction_ms,
-                  &modes[mode].sentences, &modes[mode].cached)) {
-        return 1;
-      }
-    }
-  }
-
-  const size_t asked = questions.size() * size_t(kPasses);
-  const double cached_per_q = modes[0].extraction_ms / double(asked);
-  const double reanalyze_per_q = modes[1].extraction_ms / double(asked);
-  const double speedup =
-      cached_per_q > 0 ? reanalyze_per_q / cached_per_q : 0.0;
-  const double hit_rate = modes[0].sentences > 0
-                              ? double(modes[0].cached) /
-                                    double(modes[0].sentences)
-                              : 0.0;
-
-  TablePrinter e10({"mode", "index ms", "extraction ms/question",
-                    "questions/s", "cache hit rate"});
-  const char* names[2] = {"cached (analyze-once)", "reanalyze per question"};
-  for (int mode = 0; mode < 2; ++mode) {
-    double per_q = modes[mode].extraction_ms / double(asked);
-    e10.AddRow({names[mode], FormatDouble(modes[mode].index_ms, 1),
-                FormatDouble(per_q, 3),
-                per_q > 0 ? FormatDouble(1000.0 / per_q, 0) : "inf",
-                bench::Pct(modes[mode].cached, modes[mode].sentences)});
-  }
-  e10.Print(std::cout);
-  std::cout << "\nPer-question analysis+extraction speedup (reanalyze / "
-               "cached): "
-            << FormatDouble(speedup, 2) << "x\n"
-            << "The linguistic cost moved off-line: indexation "
-            << FormatDouble(modes[0].index_ms, 1) << " ms (cached) vs "
-            << FormatDouble(modes[1].index_ms, 1)
-            << " ms (raw string indexing only).\n";
-
-  json.Add("e10_questions", double(questions.size()), "questions");
-  json.Add("e10_indexation_ms_cached", modes[0].index_ms, "ms");
-  json.Add("e10_indexation_ms_reanalyze", modes[1].index_ms, "ms");
-  json.Add("e10_extraction_ms_per_q_cached", cached_per_q, "ms");
-  json.Add("e10_extraction_ms_per_q_reanalyze", reanalyze_per_q, "ms");
-  json.Add("e10_speedup", speedup, "x");
-  json.Add("e10_cache_hit_rate", hit_rate, "ratio");
-
-  // ----- Part 3: serial vs N-thread off-line indexation scaling ----------
+  // ----- Part 2: serial vs N-thread off-line indexation scaling ----------
   PrintBanner(std::cout,
               "Parallel indexation — ThreadPool scaling of the off-line "
               "analysis phase");
@@ -273,19 +171,12 @@ int main(int argc, char** argv) {
   std::cout << "[bench-json] wrote section bench_fig3_aliqan_phases to "
             << bench::BenchJsonPath() << "\n";
 
-  // Shape checks: (1) every extraction sentence is served from the cache
-  // and (2) parallel indexation is byte-identical to serial at every thread
-  // count. The full run also gates the speedups: (3) the indexation-time
-  // analysis must pay for itself >= 2x in the search phase, and (4) on
-  // hardware with >= 4 cores, 4 threads must index > 1.5x faster. --smoke
-  // runs under `ctest -j` beside other tests, where timings are noise, so
-  // it reports the speedups without gating them.
-  bool shape_ok = hit_rate == 1.0 && identical;
-  if (!smoke && speedup < 2.0) {
-    std::cout << "[shape check] reanalyze/cached speedup "
-              << FormatDouble(speedup, 2) << "x < 2x\n";
-    shape_ok = false;
-  }
+  // Shape checks: (1) parallel indexation is byte-identical to serial at
+  // every thread count, and, in the full run only, (2) on hardware with
+  // >= 4 cores, 4 threads must index > 1.5x faster. --smoke runs under
+  // `ctest -j` beside other tests, where timings are noise, so it reports
+  // the speedup without gating it.
+  bool shape_ok = identical;
   if (!smoke && hw_threads >= 4 && speedup_4t <= 1.5) {
     std::cout << "[shape check] 4-thread speedup " << FormatDouble(speedup_4t, 2)
               << "x <= 1.5x on " << hw_threads << "-thread hardware\n";

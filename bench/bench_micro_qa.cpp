@@ -72,13 +72,7 @@ void BM_AnswerExtraction(benchmark::State& state) {
   const text::AnalyzedCorpus& corpus = aliqan.corpus();
   std::vector<text::SentenceView> views;
   for (const auto& p : passages) {
-    const text::AnalyzedDocument* doc = corpus.Find(p.doc);
-    text::SentenceView view;
-    for (size_t s = p.first_sentence;
-         s <= p.last_sentence && s < doc->sentences.size(); ++s) {
-      view.push_back(&doc->sentences[s]);
-    }
-    views.push_back(std::move(view));
+    views.push_back(corpus.View(p.doc, p.first_sentence, p.last_sentence));
   }
   qa::AnswerExtractor extractor(&MergedOntology());
   for (auto _ : state) {
@@ -91,22 +85,6 @@ void BM_AnswerExtraction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AnswerExtraction);
-
-// The legacy path that re-analyzes each passage's raw text (no live ask
-// runs it; kept as the reference cost of per-question analysis).
-void BM_AnswerExtractionReanalyze(benchmark::State& state) {
-  qa::AliQAn& aliqan = IndexedAliqan();
-  auto analysis = aliqan.AnalyzeQuestion(kQuestion).ValueOrDie();
-  auto passages = aliqan.SelectPassages(analysis).ValueOrDie();
-  qa::AnswerExtractor extractor(&MergedOntology());
-  for (auto _ : state) {
-    for (const auto& p : passages) {
-      benchmark::DoNotOptimize(
-          extractor.Extract(analysis, p.text, p.doc, ""));
-    }
-  }
-}
-BENCHMARK(BM_AnswerExtractionReanalyze);
 
 void BM_FullAsk(benchmark::State& state) {
   qa::AliQAn& aliqan = IndexedAliqan();

@@ -34,7 +34,7 @@ ctest --test-dir "$ROOT/$BUILD_DIR" --output-on-failure
 # Perf smoke: the fig3 phase study (--smoke) plus one repetition of each
 # microbench, all merging into one bench-JSON artifact. Fails when a bench
 # breaks, when the JSON reporter breaks, or when a smoke's deterministic
-# shape check fails (fig3: identical parallel builds, full cache hits).
+# shape check fails (fig3: identical parallel builds).
 echo
 echo "##### perf smoke (ctest -L perf) → $BUILD_DIR/BENCH_phase3.json #####"
 DWQA_BENCH_JSON="$ROOT/$BUILD_DIR/BENCH_phase3.json" \

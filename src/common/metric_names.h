@@ -103,7 +103,7 @@ inline constexpr char kMetricQaAnswers[] = "dwqa_qa_answers_total";
 /// modules (phase = "analysis" | "retrieval" | "extraction").
 inline constexpr char kMetricQaPhaseLatency[] = "dwqa_qa_phase_latency_ms";
 /// Counter, labels {source}: sentences the extraction module processed
-/// (source = "cached" from the AnalyzedCorpus, "fresh" re-analyzed).
+/// (source = "cached": every sentence is read from the AnalyzedCorpus).
 inline constexpr char kMetricQaSentencesAnalyzed[] =
     "dwqa_qa_sentences_analyzed_total";
 /// Counter: documents put through off-line indexation.

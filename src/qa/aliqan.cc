@@ -1,6 +1,5 @@
 #include "qa/aliqan.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "common/logging.h"
@@ -69,90 +68,70 @@ Status AliQAn::IndexCorpus(const ir::DocumentStore* docs) {
   auto start = std::chrono::steady_clock::now();
   docs_ = docs;
   corpus_.Clear();
-  plain_.clear();
-  if (config_.reanalyze_per_question) {
-    // Ablation: raw-string indexing, all linguistic analysis deferred to
-    // the per-question search phase (the pre-AnalyzedCorpus behaviour).
-    plain_.reserve(docs->size());
-    passage_index_ =
-        ir::PassageIndex(config_.passage_window, corpus_.mutable_dictionary(),
-                         EffectiveIndexOptions());
-    doc_index_ = ir::InvertedIndex(corpus_.mutable_dictionary(),
-                                   EffectiveIndexOptions());
-    passage_index_.set_metrics(metrics_);
-    doc_index_.set_metrics(metrics_);
-    for (const ir::Document& doc : docs->documents()) {
-      std::string plain = preprocessor_(doc);
-      passage_index_.AddDocument(doc.id, plain);
-      doc_index_.AddDocument(doc.id, plain);
-      plain_.push_back(std::move(plain));
-    }
-  } else {
-    passage_index_ =
-        ir::PassageIndex(config_.passage_window, corpus_.mutable_dictionary(),
-                         EffectiveIndexOptions());
-    doc_index_ = ir::InvertedIndex(corpus_.mutable_dictionary(),
-                                   EffectiveIndexOptions());
-    passage_index_.set_metrics(metrics_);
-    doc_index_.set_metrics(metrics_);
-    // Parallel analysis needs an unlimited budget: with a finite one, the
-    // point of mid-run exhaustion depends on completion order, so the
-    // serial path is the only deterministic choice.
-    bool parallel = config_.threads > 1 &&
-                    (deadline_ == nullptr || deadline_->unlimited());
-    if (config_.threads > 1 && !parallel) {
-      DWQA_LOG(Info) << "qa.index: threads=" << config_.threads
-                     << " ignored under a finite deadline budget;"
-                     << " indexing serially";
-    }
-    if (parallel) {
-      // Preprocessing and linguistic analysis fan out over the pool; the
-      // dictionary remap, deadline charges and both AddAnalyzed index
-      // builds stay serialized in document order, so every id and posting
-      // is byte-identical to the serial build.
-      const auto& documents = docs->documents();
-      std::vector<text::AnalyzedCorpus::DocKey> keys(documents.size());
-      std::vector<std::string> plains(documents.size());
-      ThreadPool pool(config_.threads);
-      pool.ParallelFor(documents.size(), [&](size_t i) {
-        keys[i] = documents[i].id;
-        plains[i] = preprocessor_(documents[i]);
-      });
-      corpus_.AddBatch(keys, std::move(plains), &pool);
-      std::vector<std::pair<ir::DocId, const text::AnalyzedDocument*>> batch;
-      batch.reserve(documents.size());
-      for (const ir::Document& doc : documents) {
-        const text::AnalyzedDocument* analysis = corpus_.Find(doc.id);
-        if (deadline_ != nullptr) {
-          DWQA_RETURN_NOT_OK(deadline_->Spend(
-              "qa.index.analysis",
-              static_cast<double>(analysis->sentences.size())));
-        }
-        batch.emplace_back(doc.id, analysis);
-      }
-      // Both indexes build their postings shards concurrently on the same
-      // pool — one sealed segment per shard, byte-identical to the serial
-      // AddAnalyzed loop (AddAnalyzedBatch's contract).
-      passage_index_.AddAnalyzedBatch(batch, &pool);
-      doc_index_.AddAnalyzedBatch(batch, &pool);
-    } else {
-      for (const ir::Document& doc : docs->documents()) {
-        const text::AnalyzedDocument& analysis =
-            corpus_.Add(doc.id, preprocessor_(doc));
-        // The linguistic cost now lives off-line: one unit per analyzed
-        // sentence, charged where the work happens (Figure 3's indexation
-        // phase), so the search phase only pays for pattern matching.
-        if (deadline_ != nullptr) {
-          DWQA_RETURN_NOT_OK(deadline_->Spend(
-              "qa.index.analysis",
-              static_cast<double>(analysis.sentences.size())));
-        }
-        passage_index_.AddAnalyzed(doc.id, analysis);
-        doc_index_.AddAnalyzed(doc.id, analysis);
-      }
-    }
-    timings_.indexation_sentences = corpus_.sentence_count();
+  passage_index_ =
+      ir::PassageIndex(config_.passage_window, corpus_.mutable_dictionary(),
+                       EffectiveIndexOptions());
+  doc_index_ = ir::InvertedIndex(corpus_.mutable_dictionary(),
+                                 EffectiveIndexOptions());
+  passage_index_.set_metrics(metrics_);
+  doc_index_.set_metrics(metrics_);
+  // Parallel analysis needs an unlimited budget: with a finite one, the
+  // point of mid-run exhaustion depends on completion order, so the
+  // serial path is the only deterministic choice.
+  bool parallel = config_.threads > 1 &&
+                  (deadline_ == nullptr || deadline_->unlimited());
+  if (config_.threads > 1 && !parallel) {
+    DWQA_LOG(Info) << "qa.index: threads=" << config_.threads
+                   << " ignored under a finite deadline budget;"
+                   << " indexing serially";
   }
+  if (parallel) {
+    // Preprocessing and linguistic analysis fan out over the pool; the
+    // dictionary remap, deadline charges and both AddAnalyzed index
+    // builds stay serialized in document order, so every id and posting
+    // is byte-identical to the serial build.
+    const auto& documents = docs->documents();
+    std::vector<text::AnalyzedCorpus::DocKey> keys(documents.size());
+    std::vector<std::string> plains(documents.size());
+    ThreadPool pool(config_.threads);
+    pool.ParallelFor(documents.size(), [&](size_t i) {
+      keys[i] = documents[i].id;
+      plains[i] = preprocessor_(documents[i]);
+    });
+    corpus_.AddBatch(keys, std::move(plains), &pool);
+    std::vector<std::pair<ir::DocId, const text::AnalyzedDocument*>> batch;
+    batch.reserve(documents.size());
+    for (const ir::Document& doc : documents) {
+      const text::AnalyzedDocument* analysis = corpus_.Find(doc.id);
+      if (deadline_ != nullptr) {
+        DWQA_RETURN_NOT_OK(deadline_->Spend(
+            "qa.index.analysis",
+            static_cast<double>(analysis->sentences.size())));
+      }
+      batch.emplace_back(doc.id, analysis);
+    }
+    // Both indexes build their postings shards concurrently on the same
+    // pool — one sealed segment per shard, byte-identical to the serial
+    // AddAnalyzed loop (AddAnalyzedBatch's contract).
+    passage_index_.AddAnalyzedBatch(batch, &pool);
+    doc_index_.AddAnalyzedBatch(batch, &pool);
+  } else {
+    for (const ir::Document& doc : docs->documents()) {
+      const text::AnalyzedDocument& analysis =
+          corpus_.Add(doc.id, preprocessor_(doc));
+      // The linguistic cost lives off-line: one unit per analyzed
+      // sentence, charged where the work happens (Figure 3's indexation
+      // phase), so the search phase only pays for pattern matching.
+      if (deadline_ != nullptr) {
+        DWQA_RETURN_NOT_OK(deadline_->Spend(
+            "qa.index.analysis",
+            static_cast<double>(analysis.sentences.size())));
+      }
+      passage_index_.AddAnalyzed(doc.id, analysis);
+      doc_index_.AddAnalyzed(doc.id, analysis);
+    }
+  }
+  timings_.indexation_sentences = corpus_.sentence_count();
   indexed_docs_ = docs->size();
   timings_.indexation_ms = MsSince(start);
   if (metrics_ != nullptr) {
@@ -184,13 +163,6 @@ Result<size_t> AliQAn::IngestNewDocuments() {
     const ir::Document& doc = documents[indexed_docs_];
     ++indexed_docs_;
     ++added;
-    if (config_.reanalyze_per_question) {
-      std::string plain = preprocessor_(doc);
-      passage_index_.AddDocument(doc.id, plain);
-      doc_index_.AddDocument(doc.id, plain);
-      plain_.push_back(std::move(plain));
-      continue;
-    }
     const text::AnalyzedDocument& analysis =
         corpus_.Add(doc.id, preprocessor_(doc));
     passage_index_.AddAnalyzed(doc.id, analysis);
@@ -233,13 +205,6 @@ Result<std::vector<ir::Passage>> AliQAn::SelectPassages(
 }
 
 Result<std::string> AliQAn::PlainText(ir::DocId doc) const {
-  if (config_.reanalyze_per_question) {
-    if (doc < 0 || static_cast<size_t>(doc) >= plain_.size()) {
-      return Status::NotFound("document " + std::to_string(doc) +
-                              " is not indexed");
-    }
-    return plain_[static_cast<size_t>(doc)];
-  }
   const text::AnalyzedDocument* analysis = corpus_.Find(doc);
   if (analysis == nullptr) {
     return Status::NotFound("document " + std::to_string(doc) +
@@ -267,7 +232,6 @@ Result<AnswerSet> AliQAn::AskWith(const std::string& question,
   timings->retrieval_ms = 0.0;
   timings->extraction_ms = 0.0;
   timings->sentences_analyzed = 0;
-  timings->sentences_analyzed_cached = 0;
   AnswerSet result;
   Span ask_span(trace, "qa.ask");
   ask_span.Annotate("question", question);
@@ -299,18 +263,19 @@ Result<AnswerSet> AliQAn::AskWith(const std::string& question,
   if (config_.use_ir_filter) {
     DWQA_ASSIGN_OR_RETURN(passages, SelectPassages(result.analysis));
   } else {
-    for (const ir::Document& doc : docs_->documents()) {
+    // Every indexed document, whole. Documents appended to the store but
+    // not yet ingested have no analysis and are invisible here, exactly
+    // as they are to the filtered path.
+    const auto& documents = docs_->documents();
+    for (size_t i = 0; i < indexed_docs_; ++i) {
+      const text::AnalyzedDocument* analysis =
+          corpus_.Find(documents[i].id);
       ir::Passage p;
-      p.doc = doc.id;
+      p.doc = documents[i].id;
       p.first_sentence = 0;
-      if (config_.reanalyze_per_question) {
-        p.text = plain_[static_cast<size_t>(doc.id)];
-      } else {
-        const text::AnalyzedDocument* analysis = corpus_.Find(doc.id);
-        p.text = analysis->plain;
-        p.last_sentence =
-            analysis->sentences.empty() ? 0 : analysis->sentences.size() - 1;
-      }
+      p.text = analysis->plain;
+      p.last_sentence =
+          analysis->sentences.empty() ? 0 : analysis->sentences.size() - 1;
       passages.push_back(std::move(p));
     }
   }
@@ -318,8 +283,7 @@ Result<AnswerSet> AliQAn::AskWith(const std::string& question,
   retrieval_span.End();
   timings->retrieval_ms = MsSince(t1);
 
-  // Module 3: pattern matching over the cached indexation-time analyses
-  // (or full re-analysis under the reanalyze_per_question ablation).
+  // Module 3: pattern matching over the cached indexation-time analyses.
   auto t2 = std::chrono::steady_clock::now();
   Span extraction_span(trace, "qa.extraction");
   AnswerExtractor extractor(onto_);
@@ -327,7 +291,6 @@ Result<AnswerSet> AliQAn::AskWith(const std::string& question,
       extractor.Prepare(result.analysis, corpus_.dictionary());
   std::vector<AnswerCandidate> candidates;
   size_t sentences = 0;
-  size_t cached = 0;
   for (const ir::Passage& p : passages) {
     // One budget unit per analyzed passage. An exhausted budget does not
     // fail the question: extraction stops and the ladder answers from
@@ -339,27 +302,11 @@ Result<AnswerSet> AliQAn::AskWith(const std::string& question,
     result.passages.push_back(p.text);
     const std::string& url =
         docs_->IsValid(p.doc) ? docs_->Get(p.doc).url : "";
-    std::vector<AnswerCandidate> found;
-    const text::AnalyzedDocument* analysis =
-        config_.reanalyze_per_question ? nullptr : corpus_.Find(p.doc);
-    if (analysis != nullptr &&
-        p.first_sentence < analysis->sentences.size()) {
-      size_t last =
-          std::min(p.last_sentence, analysis->sentences.size() - 1);
-      text::SentenceView view;
-      view.reserve(last - p.first_sentence + 1);
-      for (size_t s = p.first_sentence; s <= last; ++s) {
-        view.push_back(&analysis->sentences[s]);
-      }
-      found = extractor.ExtractAnalyzed(prepared, view, p.text, p.doc, url);
-      sentences += view.size();
-      cached += view.size();
-    } else {
-      found = extractor.Extract(result.analysis, p.text, p.doc, url);
-      for (char c : p.text) sentences += (c == '\n') ? 1 : 0;
-      ++sentences;
-    }
-    for (AnswerCandidate& cand : found) {
+    const text::SentenceView view =
+        corpus_.View(p.doc, p.first_sentence, p.last_sentence);
+    sentences += view.size();
+    for (AnswerCandidate& cand :
+         extractor.ExtractAnalyzed(prepared, view, p.text, p.doc, url)) {
       candidates.push_back(std::move(cand));
     }
   }
@@ -376,9 +323,8 @@ Result<AnswerSet> AliQAn::AskWith(const std::string& question,
   if (result.answers.empty() && config_.degradation.enable_relaxed) {
     Span span(trace, "qa.ladder.relaxed");
     result.answers = AnswerExtractor::Rank(
-        RelaxedExtract(result.analysis, passages, docs_,
-                       config_.degradation, config_.max_answers,
-                       config_.reanalyze_per_question ? nullptr : &corpus_),
+        RelaxedExtract(result.analysis, passages, docs_, corpus_,
+                       config_.degradation, config_.max_answers),
         config_.max_answers);
     if (!result.answers.empty()) {
       result.degradation = DegradationLevel::kRelaxedPattern;
@@ -406,7 +352,6 @@ Result<AnswerSet> AliQAn::AskWith(const std::string& question,
   result.sentences_analyzed = sentences;
   timings->extraction_ms = MsSince(t2);
   timings->sentences_analyzed = sentences;
-  timings->sentences_analyzed_cached = cached;
   ask_span.Annotate("level", DegradationLevelName(result.degradation));
   if (metrics_ != nullptr) {
     metrics_
@@ -427,19 +372,12 @@ Result<AnswerSet> AliQAn::AskWith(const std::string& question,
         ->GetHistogram(kMetricQaPhaseLatency, {{"phase", "extraction"}},
                        MetricRegistry::LatencyBucketsMs())
         ->Observe(timings->extraction_ms);
-    if (cached > 0) {
+    if (sentences > 0) {
       metrics_
           ->GetCounter(kMetricQaSentencesAnalyzed, {{"source", "cached"}},
                        "Sentences the extraction module consumed, by "
                        "analysis source")
-          ->Increment(static_cast<double>(cached));
-    }
-    if (sentences > cached) {
-      metrics_
-          ->GetCounter(kMetricQaSentencesAnalyzed, {{"source", "fresh"}},
-                       "Sentences the extraction module consumed, by "
-                       "analysis source")
-          ->Increment(static_cast<double>(sentences - cached));
+          ->Increment(static_cast<double>(sentences));
     }
   }
   return result;

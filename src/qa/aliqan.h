@@ -38,18 +38,12 @@ struct AliQAnConfig {
   size_t max_answers = 5;
   /// Answer ladder (qa/degradation.h). Both rungs default off.
   DegradationConfig degradation;
-  /// Ablation flag: when true, IndexCorpus skips the AnalyzedCorpus build
-  /// and the search phase re-tokenizes/tags/chunks every passage sentence
-  /// per question — the pre-refactor behaviour. The golden-equivalence
-  /// suite asserts both modes answer byte-identically;
-  /// bench_fig3_aliqan_phases reports the cached-path speedup.
-  bool reanalyze_per_question = false;
   /// Worker threads for the off-line indexation phase. 1 (the default) is
   /// the serial path; N > 1 analyzes documents concurrently and merges
   /// deterministically (AnalyzedCorpus::AddBatch), producing byte-identical
   /// dictionaries and postings. Ignored — with a log line — when a finite
   /// deadline budget is installed (mid-indexation exhaustion is inherently
-  /// order-dependent) or under the reanalyze_per_question ablation.
+  /// order-dependent).
   size_t threads = 1;
   /// Segment policy for both indexes (ir/segmented_index.h): memtable seal
   /// threshold, merge trigger, posting-block size. `merge_pool` is ignored
@@ -68,21 +62,18 @@ struct AliQAnConfig {
 /// Reset contract (tested by aliqan_test): IndexCorpus() zeroes
 /// `indexation_ms` and `indexation_sentences` on entry; Ask() zeroes the
 /// search-phase fields (`analysis_ms`, `retrieval_ms`, `extraction_ms`,
-/// `sentences_analyzed`, `sentences_analyzed_cached`) on entry. Each field
-/// therefore always describes the *last* call of its phase, never an
-/// accumulation or a stale previous question.
+/// `sentences_analyzed`) on entry. Each field therefore always describes the
+/// *last* call of its phase, never an accumulation or a stale previous
+/// question.
 struct PhaseTimings {
   double indexation_ms = 0.0;
   double analysis_ms = 0.0;
   double retrieval_ms = 0.0;
   double extraction_ms = 0.0;
-  /// Sentences the extraction module processed for the last Ask().
+  /// Sentences the extraction module processed for the last Ask(), all
+  /// read from the AnalyzedCorpus.
   size_t sentences_analyzed = 0;
-  /// Of those, how many were served from the AnalyzedCorpus cache instead
-  /// of being re-analyzed — the bench's cache hit rate. Equal to
-  /// sentences_analyzed on the cached path, 0 under reanalyze_per_question.
-  size_t sentences_analyzed_cached = 0;
-  /// Sentences analyzed (tokenize/tag/lemmatize/chunk/dates) by the last
+  /// Sentences analyzed (tokenize/tag/lemmatize/dates) by the last
   /// IndexCorpus() — the one-time off-line cost the paper's Figure 3 puts
   /// in the indexation phase.
   size_t indexation_sentences = 0;
@@ -94,8 +85,8 @@ struct PhaseTimings {
 /// Indexation phase (off-line): documents are normalized to plain text (a
 /// pluggable preprocessor handles HTML/XML; the integration layer plugs the
 /// table-aware preprocessor here), linguistically analyzed exactly once
-/// into the AnalyzedCorpus (sentence split, POS tags, lemmas, Syntactic
-/// Blocks, date mentions, interned term ids), and indexed twice from that
+/// into the AnalyzedCorpus (sentence split, POS tags, lemmas, date
+/// mentions, interned term ids), and indexed twice from that
 /// analysis — the IR-n passage index for filtering and a document-level
 /// index for the IR baseline comparisons. Indexation is deliberately the
 /// expensive phase, exactly the paper's off-line/on-line split.
@@ -171,9 +162,8 @@ class AliQAn {
   const ir::InvertedIndex& document_index() const { return doc_index_; }
   const ir::PassageIndex& passage_index() const { return passage_index_; }
 
-  /// The analyze-once corpus built by IndexCorpus (empty under the
-  /// reanalyze_per_question ablation). Consumers wanting the same term ids
-  /// — e.g. integration::MultidimIr — attach to this object.
+  /// The analyze-once corpus built by IndexCorpus. Consumers wanting the
+  /// same term ids — e.g. integration::MultidimIr — attach to this object.
   const text::AnalyzedCorpus& corpus() const { return corpus_; }
   text::AnalyzedCorpus* mutable_corpus() { return &corpus_; }
 
@@ -199,9 +189,6 @@ class AliQAn {
   /// Owns the shared TermDictionary; declared before the indexes that
   /// borrow its pointer so destruction order stays safe.
   text::AnalyzedCorpus corpus_;
-  /// Raw plain text per doc — only populated under reanalyze_per_question
-  /// (the corpus stores plain text on the cached path).
-  std::vector<std::string> plain_;
   ir::PassageIndex passage_index_;
   ir::InvertedIndex doc_index_;
   PhaseTimings timings_;

@@ -10,7 +10,6 @@
 #include "common/string_util.h"
 #include "text/entities.h"
 #include "text/pos_tagger.h"
-#include "text/sentence_splitter.h"
 #include "text/tokenizer.h"
 
 namespace dwqa {
@@ -163,25 +162,6 @@ bool AnswerExtractor::SatisfiesTypeConcept(const PreparedQuestion& pq,
     if (onto_->IsA(id, *pq.type_concept)) return true;
   }
   return false;
-}
-
-std::vector<AnswerCandidate> AnswerExtractor::Extract(
-    const QuestionAnalysis& q, const std::string& passage_text,
-    ir::DocId doc, const std::string& url) const {
-  // Legacy path: run the indexation-time analysis here and now, against a
-  // throwaway dictionary, then extract exactly as the fast path does. An SB
-  // lemma unknown to this passage-local dictionary cannot occur in any of
-  // its sentences, so coverage is unchanged.
-  TermDictionary dict;
-  text::CorpusAnalyzer analyzer(&dict, {.chunk = false});
-  std::vector<text::AnalyzedSentence> analyzed;
-  for (std::string& s : text::SentenceSplitter::Split(passage_text)) {
-    analyzed.push_back(analyzer.AnalyzeSentence(std::move(s)));
-  }
-  text::SentenceView view;
-  view.reserve(analyzed.size());
-  for (const text::AnalyzedSentence& s : analyzed) view.push_back(&s);
-  return ExtractAnalyzed(Prepare(q, dict), view, passage_text, doc, url);
 }
 
 std::vector<AnswerCandidate> AnswerExtractor::ExtractAnalyzed(

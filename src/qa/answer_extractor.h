@@ -67,16 +67,13 @@ struct PreparedQuestion {
 /// ontology (plausible temperature intervals, ºC/ºF consistency).
 ///
 /// The linguistic analysis of the passage (tokenize/tag/lemmatize, date
-/// recognition) belongs to the off-line indexation phase, and the work that
+/// recognition) belongs to the off-line indexation phase: the only input is
+/// the AnalyzedCorpus built there, never raw passage text. The work that
 /// depends only on the question (SB lemmas, axioms, concept ids) is done
-/// once per ask by Prepare. The fast path (ExtractAnalyzed) then only
-/// pattern-matches over cached AnalyzedSentences: SB coverage is a bit mask
-/// built from each sentence's `lemma_ids`, and each sentence's city is
-/// resolved at most once per passage. Extract is the legacy entry that
-/// re-analyzes raw passage text on the fly — kept for callers without an
-/// AnalyzedCorpus and as the before/after ablation of the
-/// golden-equivalence suite; both paths produce byte-identical candidates
-/// for the same text.
+/// once per ask by Prepare. ExtractAnalyzed then only pattern-matches over
+/// the cached AnalyzedSentences: SB coverage is a bit mask built from each
+/// sentence's `lemma_ids`, and each sentence's city is resolved at most
+/// once per passage.
 class AnswerExtractor {
  public:
   explicit AnswerExtractor(const ontology::Ontology* onto) : onto_(onto) {}
@@ -86,17 +83,10 @@ class AnswerExtractor {
   PreparedQuestion Prepare(const QuestionAnalysis& question,
                            const TermDictionary& dict) const;
 
-  /// Extracts and scores the candidates of one passage, re-analyzing
-  /// `passage_text` sentence by sentence (the slow, pre-corpus path).
-  std::vector<AnswerCandidate> Extract(const QuestionAnalysis& question,
-                                       const std::string& passage_text,
-                                       ir::DocId doc,
-                                       const std::string& url) const;
-
-  /// Extracts from cached sentence analyses. `sentences` is the passage's
-  /// consecutive sentence range (views into the AnalyzedCorpus whose
-  /// dictionary `question` was prepared against); `passage_text` is the
-  /// passage's display text.
+  /// Extracts and scores the candidates of one passage from its cached
+  /// sentence analyses. `sentences` is the passage's consecutive sentence
+  /// range (AnalyzedCorpus::View of the corpus whose dictionary `question`
+  /// was prepared against); `passage_text` is the passage's display text.
   std::vector<AnswerCandidate> ExtractAnalyzed(
       const PreparedQuestion& question, const text::SentenceView& sentences,
       const std::string& passage_text, ir::DocId doc,

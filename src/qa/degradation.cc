@@ -1,6 +1,5 @@
 #include "qa/degradation.h"
 
-#include <algorithm>
 
 #include "common/string_util.h"
 #include "ir/document.h"
@@ -9,7 +8,6 @@
 #include "qa/question.h"
 #include "text/analyzed_corpus.h"
 #include "text/entities.h"
-#include "text/sentence_splitter.h"
 
 namespace dwqa {
 namespace qa {
@@ -60,8 +58,7 @@ bool WantsNumber(AnswerType type) {
 
 namespace {
 
-/// The rung-2 pattern pass over one passage's sentence analyses — shared
-/// between the cached-corpus path and the legacy re-analysis path.
+/// The rung-2 pattern pass over one passage's sentence analyses.
 void RelaxedExtractFromSentences(
     const QuestionAnalysis& q, const ir::Passage& p, const std::string& url,
     const text::SentenceView& sentences, const DegradationConfig& config,
@@ -121,8 +118,8 @@ void RelaxedExtractFromSentences(
 
 std::vector<AnswerCandidate> RelaxedExtract(
     const QuestionAnalysis& q, const std::vector<ir::Passage>& passages,
-    const ir::DocumentStore* docs, const DegradationConfig& config,
-    size_t max_answers, const text::AnalyzedCorpus* corpus) {
+    const ir::DocumentStore* docs, const text::AnalyzedCorpus& corpus,
+    const DegradationConfig& config, size_t max_answers) {
   std::vector<AnswerCandidate> out;
   std::string fallback_location =
       q.resolved_city.empty() ? q.location : q.resolved_city;
@@ -130,35 +127,9 @@ std::vector<AnswerCandidate> RelaxedExtract(
   for (const ir::Passage& p : passages) {
     const std::string& url =
         (docs != nullptr && docs->IsValid(p.doc)) ? docs->Get(p.doc).url : "";
-
-    const text::AnalyzedDocument* analysis =
-        corpus != nullptr ? corpus->Find(p.doc) : nullptr;
-    if (analysis != nullptr &&
-        p.first_sentence < analysis->sentences.size()) {
-      // Cached path: the passage is a sentence range of an analyzed doc.
-      size_t last =
-          std::min(p.last_sentence, analysis->sentences.size() - 1);
-      text::SentenceView view;
-      view.reserve(last - p.first_sentence + 1);
-      for (size_t s = p.first_sentence; s <= last; ++s) {
-        view.push_back(&analysis->sentences[s]);
-      }
-      RelaxedExtractFromSentences(q, p, url, view, config,
-                                  fallback_location, &out);
-    } else {
-      // Legacy path: analyze the passage text here and now.
-      TermDictionary dict;
-      text::CorpusAnalyzer analyzer(&dict, {.chunk = false});
-      std::vector<text::AnalyzedSentence> analyzed;
-      for (std::string& s : text::SentenceSplitter::Split(p.text)) {
-        analyzed.push_back(analyzer.AnalyzeSentence(std::move(s)));
-      }
-      text::SentenceView view;
-      view.reserve(analyzed.size());
-      for (const text::AnalyzedSentence& s : analyzed) view.push_back(&s);
-      RelaxedExtractFromSentences(q, p, url, view, config,
-                                  fallback_location, &out);
-    }
+    RelaxedExtractFromSentences(
+        q, p, url, corpus.View(p.doc, p.first_sentence, p.last_sentence),
+        config, fallback_location, &out);
   }
   if (out.size() > max_answers) out.resize(max_answers);
   return out;

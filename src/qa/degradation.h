@@ -71,15 +71,13 @@ struct DegradationConfig {
 /// the strict answer patterns. Candidates carry `config.relaxed_score` and
 /// DegradationLevel::kRelaxedPattern.
 ///
-/// When `corpus` is non-null and holds the passage's document, the rung
-/// pattern-matches over the cached indexation-time sentence analyses (the
-/// passage's [first_sentence, last_sentence] range); otherwise it
-/// re-analyzes the passage text on the fly. Both paths are byte-identical
-/// on the same text.
+/// The rung pattern-matches over the cached indexation-time analyses of
+/// each passage's [first_sentence, last_sentence] range in `corpus`; a
+/// passage whose document `corpus` lacks yields no candidates.
 std::vector<AnswerCandidate> RelaxedExtract(
     const QuestionAnalysis& q, const std::vector<ir::Passage>& passages,
-    const ir::DocumentStore* docs, const DegradationConfig& config,
-    size_t max_answers, const text::AnalyzedCorpus* corpus = nullptr);
+    const ir::DocumentStore* docs, const text::AnalyzedCorpus& corpus,
+    const DegradationConfig& config, size_t max_answers);
 
 /// Rung 3: wraps the best retrieved passage as a valueless answer carrying
 /// `config.ir_only_score` and DegradationLevel::kIrOnly. Empty when there

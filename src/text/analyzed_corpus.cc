@@ -13,7 +13,6 @@ AnalyzedSentence CorpusAnalyzer::AnalyzeSentence(std::string sentence) const {
   out.text = std::move(sentence);
   out.tokens = Tokenizer::Tokenize(out.text);
   tagger_.Tag(&out.tokens);
-  if (options_.chunk) out.blocks = Chunker::Chunk(out.tokens);
   out.dates = EntityRecognizer::FindDates(out.tokens);
   out.token_ids.reserve(out.tokens.size());
   out.lemma_ids.reserve(out.tokens.size());
@@ -92,6 +91,17 @@ void AnalyzedCorpus::AddBatch(const std::vector<DocKey>& keys,
 const AnalyzedDocument* AnalyzedCorpus::Find(DocKey doc) const {
   auto it = docs_.find(doc);
   return it == docs_.end() ? nullptr : &it->second;
+}
+
+SentenceView AnalyzedCorpus::View(DocKey doc, size_t first,
+                                  size_t last) const {
+  SentenceView view;
+  const AnalyzedDocument* analysis = Find(doc);
+  if (analysis == nullptr) return view;
+  for (size_t s = first; s <= last && s < analysis->sentences.size(); ++s) {
+    view.push_back(&analysis->sentences[s]);
+  }
+  return view;
 }
 
 void AnalyzedCorpus::Clear() {

@@ -9,7 +9,6 @@
 
 #include "common/interner.h"
 #include "common/thread_pool.h"
-#include "text/chunker.h"
 #include "text/entities.h"
 #include "text/pos_tagger.h"
 #include "text/token.h"
@@ -22,10 +21,9 @@ namespace text {
 /// pattern-matches over their output).
 struct AnalyzedSentence {
   std::string text;
-  /// Tokenized, POS-tagged and lemmatized.
+  /// Tokenized, POS-tagged and lemmatized. No Syntactic Blocks: no
+  /// extraction pattern reads passage SBs, so only questions are chunked.
   TokenSequence tokens;
-  /// Shallow parse into Syntactic Blocks (SUPAR's role in AliQAn).
-  std::vector<SyntacticBlock> blocks;
   /// Date mentions (the extraction module's cross-sentence date borrowing
   /// reads these instead of re-running the recognizer).
   std::vector<DateMention> dates;
@@ -45,32 +43,22 @@ struct AnalyzedDocument {
 };
 
 /// Borrowed per-passage view: the cached analyses of a consecutive
-/// sentence range. Pointees are owned by an AnalyzedCorpus (or by a local
-/// buffer in the legacy re-analysis paths) and must outlive the view.
+/// sentence range. Pointees are owned by an AnalyzedCorpus and must outlive
+/// the view.
 using SentenceView = std::vector<const AnalyzedSentence*>;
 
-struct AnalyzeOptions {
-  /// Shallow-parse each sentence into SyntacticBlocks. The corpus keeps
-  /// this on (it is the paper's indexation-phase parse); transient
-  /// re-analysis paths that never read blocks turn it off.
-  bool chunk = true;
-};
-
 /// \brief Runs the full per-sentence pipeline: tokenize → POS-tag/lemmatize
-/// → chunk → date recognition → intern. Stateless apart from the dictionary
-/// it interns into; cheap to construct.
+/// → date recognition → intern. Stateless apart from the dictionary it
+/// interns into; cheap to construct.
 class CorpusAnalyzer {
  public:
-  explicit CorpusAnalyzer(TermDictionary* dict, AnalyzeOptions options = {})
-      : dict_(dict), options_(options) {}
+  explicit CorpusAnalyzer(TermDictionary* dict) : dict_(dict) {}
 
   /// Parallel-indexation variant: interns into the thread-safe shared
   /// interner instead of a TermDictionary. The resulting ids are
   /// provisional and must be remapped before they meet any consumer (see
   /// AnalyzedCorpus::AddBatch).
-  explicit CorpusAnalyzer(ShardedTermInterner* shared,
-                          AnalyzeOptions options = {})
-      : shared_(shared), options_(options) {}
+  explicit CorpusAnalyzer(ShardedTermInterner* shared) : shared_(shared) {}
 
   AnalyzedSentence AnalyzeSentence(std::string sentence) const;
   AnalyzedDocument AnalyzeDocument(std::string plain) const;
@@ -82,7 +70,6 @@ class CorpusAnalyzer {
 
   TermDictionary* dict_ = nullptr;
   ShardedTermInterner* shared_ = nullptr;
-  AnalyzeOptions options_;
   PosTagger tagger_;
 };
 
@@ -115,6 +102,11 @@ class AnalyzedCorpus {
 
   /// The cached analysis, or nullptr when `doc` was never added.
   const AnalyzedDocument* Find(DocKey doc) const;
+
+  /// The analyses of sentences [first, last] of `doc`, clamped to the
+  /// document; empty when `doc` was never added or `first` is past its
+  /// end.
+  SentenceView View(DocKey doc, size_t first, size_t last) const;
 
   bool Contains(DocKey doc) const { return docs_.count(doc) > 0; }
 

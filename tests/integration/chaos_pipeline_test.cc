@@ -85,14 +85,12 @@ class ChaosPipelineTest : public ::testing::Test {
 
   Result<FeedReport> Feed(dw::Warehouse* wh, const ResilienceConfig& res,
                           IntegrationPipeline** out_pipeline = nullptr,
-                          bool reanalyze_per_question = false,
                           size_t parallel = 1) {
     PipelineConfig config = LastMinuteSales::DefaultPipelineConfig();
     // Wider extraction than the default so each question yields several
     // facts — the per-source breaker needs a stream of loads to trip on.
     config.qa.max_answers = 10;
     config.qa.passages_to_analyze = 8;
-    config.qa.reanalyze_per_question = reanalyze_per_question;
     config.qa.threads = parallel;
     config.parallel_questions = parallel;
     config.resilience = res;
@@ -361,43 +359,6 @@ TEST_F(ChaosPipelineTest, UnlimitedDeadlineChangesNothing) {
   EXPECT_EQ(WeatherRows(a_wh), WeatherRows(b_wh));
 }
 
-/// Golden equivalence under chaos: at 10% transient faults with the same
-/// seed, the cached AnalyzedCorpus path and the reanalyze_per_question
-/// ablation (the pre-refactor per-question analysis) must load identical
-/// warehouse rows and report identical feed accounting. The fault RNG draws
-/// once per Hit() call, so any control-flow divergence between the two
-/// analysis modes would desynchronize the injected-fault sequence and show
-/// up as a row or counter diff.
-TEST_F(ChaosPipelineTest, TenPercentFaultsFeedIdenticallyInBothModes) {
-  ResilienceConfig res;
-  res.fault = FaultConfig::TransientEverywhere(0.10, 77);
-  res.retry = FastRetry();
-
-  auto cached_wh = LastMinuteSales::MakeWarehouse().ValueOrDie();
-  auto cached = Feed(&cached_wh, res, nullptr, false);
-  ASSERT_TRUE(cached.ok());
-
-  auto ablation_wh = LastMinuteSales::MakeWarehouse().ValueOrDie();
-  auto ablation = Feed(&ablation_wh, res, nullptr, true);
-  ASSERT_TRUE(ablation.ok());
-
-  EXPECT_EQ(WeatherRows(cached_wh), WeatherRows(ablation_wh));
-  EXPECT_EQ(cached->questions_asked, ablation->questions_asked);
-  EXPECT_EQ(cached->questions_answered, ablation->questions_answered);
-  EXPECT_EQ(cached->questions_failed, ablation->questions_failed);
-  EXPECT_EQ(cached->facts_extracted, ablation->facts_extracted);
-  EXPECT_EQ(cached->rows_loaded, ablation->rows_loaded);
-  EXPECT_EQ(cached->rows_deduplicated, ablation->rows_deduplicated);
-  EXPECT_EQ(cached->rows_quarantined, ablation->rows_quarantined);
-  EXPECT_EQ(cached->retries, ablation->retries);
-  EXPECT_EQ(cached->transient_failures, ablation->transient_failures);
-  // The accounting identity holds in both modes.
-  for (const FeedReport* r : {&*cached, &*ablation}) {
-    EXPECT_EQ(r->rows_loaded + r->rows_deduplicated + r->rows_quarantined,
-              r->facts_extracted);
-  }
-}
-
 /// Golden equivalence under chaos, serial vs batched: with 10% transient
 /// faults and the same seed, parallel indexation (threads=4) plus the
 /// batched Step-5 ask phase (parallel_questions=4) must load identical
@@ -410,11 +371,11 @@ TEST_F(ChaosPipelineTest, TenPercentFaultsFeedIdenticallySerialAndBatched) {
   res.retry = FastRetry();
 
   auto serial_wh = LastMinuteSales::MakeWarehouse().ValueOrDie();
-  auto serial = Feed(&serial_wh, res, nullptr, false, /*parallel=*/1);
+  auto serial = Feed(&serial_wh, res, nullptr, /*parallel=*/1);
   ASSERT_TRUE(serial.ok());
 
   auto batched_wh = LastMinuteSales::MakeWarehouse().ValueOrDie();
-  auto batched = Feed(&batched_wh, res, nullptr, false, /*parallel=*/4);
+  auto batched = Feed(&batched_wh, res, nullptr, /*parallel=*/4);
   ASSERT_TRUE(batched.ok());
 
   EXPECT_EQ(WeatherRows(serial_wh), WeatherRows(batched_wh));

@@ -38,11 +38,24 @@ class AnswerExtractorTest : public ::testing::Test {
     return analyzer.Analyze(q).ValueOrDie();
   }
 
+  /// Extracts from `passage` the way a live ask does: the passage is
+  /// analyzed once into a one-document corpus, then Prepare +
+  /// ExtractAnalyzed run over all of its sentences.
+  std::vector<AnswerCandidate> ExtractFrom(const QuestionAnalysis& q,
+                                           const std::string& passage,
+                                           const std::string& url) {
+    text::AnalyzedCorpus corpus;
+    const text::AnalyzedDocument& doc = corpus.Add(0, passage);
+    AnswerExtractor extractor(&wn_);
+    return extractor.ExtractAnalyzed(
+        extractor.Prepare(q, corpus.dictionary()),
+        corpus.View(0, 0, doc.sentences.size()), passage, 0, url);
+  }
+
   std::vector<AnswerCandidate> Extract(const std::string& question,
                                        const std::string& passage) {
-    AnswerExtractor extractor(&wn_);
     return AnswerExtractor::Rank(
-        extractor.Extract(Analyze(question), passage, 0, "web://test"), 10);
+        ExtractFrom(Analyze(question), passage, "web://test"), 10);
   }
 
   ontology::Ontology wn_;
@@ -196,9 +209,8 @@ TEST_F(AnswerExtractorTest, Definition) {
 }
 
 TEST_F(AnswerExtractorTest, Abbreviation) {
-  auto a = Analyze("What does DW stand for?");
-  AnswerExtractor extractor(&wn_);
-  auto found = extractor.Extract(a, "DW stands for Data Warehouse.", 0, "");
+  auto found = ExtractFrom(Analyze("What does DW stand for?"),
+                           "DW stands for Data Warehouse.", "");
   bool ok = false;
   for (const auto& c : found) {
     if (c.answer_text.find("Data Warehouse") != std::string::npos) ok = true;
@@ -391,25 +403,14 @@ TEST_F(AnswerExtractorTest, CoverageBeyondSixtyFourSbLemmasMatchesBruteForce) {
   ASSERT_EQ(sentence_lemmas.size(), 5u);
   const double passage_cov = BruteForceCoverage(q.main_sbs, passage_lemmas);
 
-  // The legacy path (a passage-local dictionary) and the corpus path.
-  AnswerExtractor extractor(&wn_);
-  std::vector<AnswerCandidate> legacy = extractor.Extract(q, passage, 0, "");
-  text::AnalyzedCorpus corpus;
-  const text::AnalyzedDocument& doc = corpus.Add(0, passage);
-  text::SentenceView view;
-  for (const text::AnalyzedSentence& s : doc.sentences) view.push_back(&s);
-  std::vector<AnswerCandidate> cached = extractor.ExtractAnalyzed(
-      extractor.Prepare(q, corpus.dictionary()), view, passage, 0, "");
-
-  for (const std::vector<AnswerCandidate>* found : {&legacy, &cached}) {
-    ASSERT_EQ(found->size(), 5u);
-    for (size_t k = 0; k < found->size(); ++k) {
-      const double want =
-          2.0 * BruteForceCoverage(q.main_sbs, sentence_lemmas[k]) +
-          passage_cov + 2.0;
-      EXPECT_DOUBLE_EQ((*found)[k].score, want) << "sentence " << k;
-      EXPECT_EQ((*found)[k].value, 10.0 + static_cast<double>(k));
-    }
+  std::vector<AnswerCandidate> found = ExtractFrom(q, passage, "");
+  ASSERT_EQ(found.size(), 5u);
+  for (size_t k = 0; k < found.size(); ++k) {
+    const double want =
+        2.0 * BruteForceCoverage(q.main_sbs, sentence_lemmas[k]) +
+        passage_cov + 2.0;
+    EXPECT_DOUBLE_EQ(found[k].score, want) << "sentence " << k;
+    EXPECT_EQ(found[k].value, 10.0 + static_cast<double>(k));
   }
 }
 

@@ -15,18 +15,13 @@ namespace qa {
 
 /// Every AnswerSet field except the candidates' passage_text (the
 /// equivalence suites compare passages through the `P|` lines).
-inline std::string Serialize(const AnswerSet& set,
-                             bool with_sentence_count = true) {
+inline std::string Serialize(const AnswerSet& set) {
   std::ostringstream out;
   out.precision(17);
   out << "type=" << static_cast<int>(set.analysis.answer_type)
       << " degradation=" << static_cast<int>(set.degradation)
-      << " reason=" << set.unanswered_reason;
-  // The sentence counter is part of the contract on the retrieval-filtered
-  // path; the unfiltered ablation's legacy path estimates it from newlines
-  // (off by the trailing newline), so that test compares answers only.
-  if (with_sentence_count) out << " sentences=" << set.sentences_analyzed;
-  out << "\n";
+      << " reason=" << set.unanswered_reason
+      << " sentences=" << set.sentences_analyzed << "\n";
   for (const std::string& p : set.passages) out << "P|" << p << "\n";
   for (const AnswerCandidate& a : set.answers) {
     out << "A|" << a.answer_text << "|" << static_cast<int>(a.type) << "|"

@@ -2,9 +2,12 @@
 // and CLEF-style questions) over the full synthetic web, asked with the
 // answer ladder off and on, must reproduce the checked-in digest of every
 // AnswerSet field, every candidate's passage_text and the structured-fact
-// CSV. Unlike the cached ≡ reanalyze suite, whose two modes share one
-// extractor, this pins the answers themselves, so any rewrite of analysis,
-// retrieval, extraction or ranking that changes a byte fails here.
+// CSV. A third mode, `unfiltered`, bypasses IR-n (use_ir_filter = false) so
+// whole documents go through extraction; it covers a slice of the pool
+// (the CLEF-style questions plus every tenth weather question) because each
+// of its asks reads the entire corpus. The digests pin the answers
+// themselves, so any rewrite of analysis, retrieval, extraction or ranking
+// that changes a byte fails here.
 //
 // To re-record after an intentional answer change, run the test with
 // DWQA_UPDATE_GOLDEN_DIGESTS=1 and commit the rewritten file.
@@ -88,6 +91,11 @@ TEST(GoldenDigestTest, PerfbenchAskPoolMatchesRecordedDigests) {
 
   std::vector<web::GoldQuestion> pool =
       web::QuestionFactory::WeatherQuestions(web);
+  std::vector<web::GoldQuestion> unfiltered_pool =
+      web::QuestionFactory::ClefStyleQuestions();
+  for (size_t i = 0; i < pool.size(); i += 10) {
+    unfiltered_pool.push_back(pool[i]);
+  }
   std::vector<std::pair<std::string, std::string>> airport_of_city;
   for (const auto& airport : LastMinuteSales::Airports()) {
     airport_of_city.push_back({ToLower(airport.city), airport.name});
@@ -100,20 +108,31 @@ TEST(GoldenDigestTest, PerfbenchAskPoolMatchesRecordedDigests) {
     pool.push_back(std::move(q));
   }
 
+  struct Mode {
+    const char* name;
+    bool ladder;
+    bool ir_filter;
+    const std::vector<web::GoldQuestion>* questions;
+  };
+  const Mode modes[] = {{"plain", false, true, &pool},
+                        {"ladder", true, true, &pool},
+                        {"unfiltered", false, false, &unfiltered_pool}};
+
   ontology::UmlModel uml = LastMinuteSales::MakeUmlModel();
   std::vector<GoldenLine> actual;
-  for (bool ladder : {false, true}) {
+  for (const Mode& mode : modes) {
     dw::Warehouse wh = LastMinuteSales::MakeWarehouse().ValueOrDie();
     integration::PipelineConfig config =
         LastMinuteSales::DefaultPipelineConfig();
-    config.qa.degradation.enable_relaxed = ladder;
-    config.qa.degradation.enable_ir_only = ladder;
+    config.qa.degradation.enable_relaxed = mode.ladder;
+    config.qa.degradation.enable_ir_only = mode.ladder;
+    config.qa.use_ir_filter = mode.ir_filter;
     IntegrationPipeline pipeline(&wh, &uml, config);
     ASSERT_TRUE(pipeline.RunAll(&web.documents()).ok());
-    for (const web::GoldQuestion& gq : pool) {
+    for (const web::GoldQuestion& gq : *mode.questions) {
       Result<AnswerSet> set = pipeline.aliqan()->Ask(gq.question);
       GoldenLine line;
-      line.mode = ladder ? "ladder" : "plain";
+      line.mode = mode.name;
       line.question = gq.question;
       line.rendering = set.ok() ? Render(*set) : set.status().ToString();
       line.digest = Hex(Digest(line.rendering));

@@ -26,15 +26,6 @@ TEST(CorpusAnalyzerTest, SentenceFieldsAreParallelToTokens) {
   }
 }
 
-TEST(CorpusAnalyzerTest, ChunkOptionControlsSyntacticBlocks) {
-  TermDictionary dict;
-  CorpusAnalyzer chunked(&dict, {.chunk = true});
-  CorpusAnalyzer flat(&dict, {.chunk = false});
-  const char kSentence[] = "The weather in Madrid was cloudy.";
-  EXPECT_FALSE(chunked.AnalyzeSentence(kSentence).blocks.empty());
-  EXPECT_TRUE(flat.AnalyzeSentence(kSentence).blocks.empty());
-}
-
 TEST(CorpusAnalyzerTest, DateMentionsAreCached) {
   TermDictionary dict;
   CorpusAnalyzer analyzer(&dict);
@@ -80,6 +71,20 @@ TEST(AnalyzedCorpusTest, ReAddingADocReplacesItsSentenceCount) {
   corpus.Add(1, "Only one now.");
   EXPECT_EQ(corpus.document_count(), 1u);
   EXPECT_EQ(corpus.sentence_count(), 1u);
+}
+
+TEST(AnalyzedCorpusTest, ViewClampsToTheDocument) {
+  AnalyzedCorpus corpus;
+  const AnalyzedDocument& doc = corpus.Add(1, "First.\nSecond.\nThird.");
+  SentenceView middle = corpus.View(1, 1, 1);
+  ASSERT_EQ(middle.size(), 1u);
+  EXPECT_EQ(middle[0], &doc.sentences[1]);
+  // A range running past the end stops at the last sentence.
+  SentenceView tail = corpus.View(1, 1, 99);
+  ASSERT_EQ(tail.size(), 2u);
+  EXPECT_EQ(tail[1], &doc.sentences[2]);
+  EXPECT_TRUE(corpus.View(1, 3, 5).empty());
+  EXPECT_TRUE(corpus.View(2, 0, 0).empty());
 }
 
 TEST(AnalyzedCorpusTest, ClearResetsDictionaryInPlace) {
