@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -11,8 +13,12 @@
 
 #include "bench/bench_json_main.h"
 
+#include "common/string_util.h"
+#include "integration/last_minute_sales.h"
+#include "integration/pipeline.h"
 #include "ir/inverted_index.h"
 #include "ir/passage_index.h"
+#include "web/question_factory.h"
 #include "web/synthetic_web.h"
 
 namespace {
@@ -69,6 +75,76 @@ void BM_PassageSearchWindow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PassageSearchWindow)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+
+/// The live ask's retrieval set-up as the end-to-end benchmark builds it:
+/// the full synthetic web (12 months, 40 distractor pages) indexed by the
+/// Last Minute Sales pipeline (Steps 1-4), and the main-SB query
+/// (AliQAn::SelectPassages') of every question of the ask pool — weather,
+/// airport-phrased weather and CLEF-style questions.
+struct AskPool {
+  std::unique_ptr<dwqa::web::SyntheticWeb> web;
+  dwqa::ontology::UmlModel uml;
+  std::unique_ptr<dwqa::dw::Warehouse> wh;
+  std::unique_ptr<dwqa::integration::IntegrationPipeline> pipeline;
+  std::vector<std::string> queries;
+};
+
+const AskPool& AskPoolFixture() {
+  static const AskPool* fixture = [] {
+    using dwqa::integration::LastMinuteSales;
+    auto* fx = new AskPool();
+    dwqa::web::WebConfig web_config;
+    web_config.year = 2004;
+    web_config.months = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
+    web_config.noise_pages = 40;
+    fx->web = std::make_unique<dwqa::web::SyntheticWeb>(
+        dwqa::web::SyntheticWeb::Build(web_config).ValueOrDie());
+    std::vector<dwqa::web::GoldQuestion> pool =
+        dwqa::web::QuestionFactory::WeatherQuestions(*fx->web);
+    std::vector<std::pair<std::string, std::string>> airport_of_city;
+    for (const auto& airport : LastMinuteSales::Airports()) {
+      airport_of_city.push_back({dwqa::ToLower(airport.city), airport.name});
+    }
+    for (auto& q : dwqa::web::QuestionFactory::AirportWeatherQuestions(
+             *fx->web, airport_of_city)) {
+      pool.push_back(std::move(q));
+    }
+    for (auto& q : dwqa::web::QuestionFactory::ClefStyleQuestions()) {
+      pool.push_back(std::move(q));
+    }
+    fx->uml = LastMinuteSales::MakeUmlModel();
+    fx->wh = std::make_unique<dwqa::dw::Warehouse>(
+        LastMinuteSales::MakeWarehouse().ValueOrDie());
+    fx->pipeline = std::make_unique<dwqa::integration::IntegrationPipeline>(
+        fx->wh.get(), &fx->uml, LastMinuteSales::DefaultPipelineConfig());
+    if (!fx->pipeline->RunAll(&fx->web->documents()).ok()) std::abort();
+    const dwqa::qa::AliQAn& aliqan = *fx->pipeline->aliqan();
+    for (const auto& q : pool) {
+      auto analysis = aliqan.AnalyzeQuestion(q.question).ValueOrDie();
+      std::string query = dwqa::Join(analysis.main_sbs, " ");
+      if (dwqa::Trim(query).empty()) query = analysis.question;
+      fx->queries.push_back(std::move(query));
+    }
+    return fx;
+  }();
+  return *fixture;
+}
+
+/// The live ask's retrieval step: one PassageIndex::Search (k = 5, the
+/// pipeline's passages_to_analyze) per ask-pool query. One iteration
+/// searches the whole pool.
+void BM_PassageSearchAskPool(benchmark::State& state) {
+  const AskPool& fx = AskPoolFixture();
+  const PassageIndex& index = fx.pipeline->aliqan()->passage_index();
+  for (auto _ : state) {
+    for (const std::string& query : fx.queries) {
+      benchmark::DoNotOptimize(index.Search(query, 5));
+    }
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()) *
+                          int64_t(fx.queries.size()));
+}
+BENCHMARK(BM_PassageSearchAskPool)->Unit(benchmark::kMicrosecond);
 
 void BM_PassageIndexBuild(benchmark::State& state) {
   const auto& docs = Corpus().documents();

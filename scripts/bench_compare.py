@@ -45,6 +45,10 @@ GATED = [
     # 8-sentence window, and the merged-segment passage query at 10k docs.
     ("bench_micro_ir", "BM_PassageSearchWindow/8"),
     ("bench_micro_ir", "BM_SegmentedMergedQueryPassage/10000"),
+    # The live ask's own retrieval: every ask-pool query over the full
+    # synthetic web. Decoding the refs of documents the bound prunes
+    # would show here.
+    ("bench_micro_ir", "BM_PassageSearchAskPool"),
     # Answer extraction on the live path (one prepared question, cached
     # sentence analyses) drifting back toward per-candidate re-derivation.
     ("bench_micro_qa", "BM_AnswerExtraction"),

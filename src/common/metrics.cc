@@ -289,11 +289,14 @@ size_t MetricRegistry::series_count() const {
 }
 
 std::string MetricRegistry::ExportPrometheus() const {
+  return RenderPrometheus(Snapshot());
+}
+
+std::string RenderPrometheus(const std::vector<MetricSnapshot>& snapshots) {
   std::ostringstream out;
-  std::string current_family;
-  for (const MetricSnapshot& snap : Snapshot()) {
-    if (snap.name != current_family) {
-      current_family = snap.name;
+  for (size_t i = 0; i < snapshots.size(); ++i) {
+    const MetricSnapshot& snap = snapshots[i];
+    if (i == 0 || snap.name != snapshots[i - 1].name) {
       if (!snap.help.empty()) {
         out << "# HELP " << snap.name << " " << snap.help << "\n";
       }

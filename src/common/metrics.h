@@ -167,6 +167,12 @@ struct MetricSnapshot {
 /// non-histogram snapshot.
 double HistogramQuantile(const MetricSnapshot& snapshot, double q);
 
+/// Prometheus text exposition of `snapshots`, which must be sorted by
+/// (name, labels): one HELP/TYPE block per family, then its series. The
+/// one renderer behind MetricRegistry::ExportPrometheus and exports that
+/// merge several registries.
+std::string RenderPrometheus(const std::vector<MetricSnapshot>& snapshots);
+
 /// \brief Thread-safe registry of named counters, gauges and histograms.
 ///
 /// One registry per pipeline (IntegrationPipeline owns one); components

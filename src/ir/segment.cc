@@ -82,6 +82,70 @@ bool PostingCursor::SkipBlock() {
   return !done();
 }
 
+PostingList EncodeRefGroups(
+    const std::vector<std::pair<uint32_t, uint32_t>>& refs,
+    size_t block_postings) {
+  if (block_postings < 1) block_postings = 1;
+  PostingList list;
+  list.count = static_cast<uint32_t>(refs.size());
+  std::string group_refs;
+  for (size_t begin = 0; begin < refs.size();) {
+    uint32_t ordinal = refs[begin].first;
+    size_t end = begin;
+    group_refs.clear();
+    for (uint32_t prev = 0; end < refs.size() && refs[end].first == ordinal;
+         ++end) {
+      AppendVarint(&group_refs, refs[end].second - prev);
+      prev = refs[end].second;
+    }
+    uint32_t count = static_cast<uint32_t>(end - begin);
+    bool block_start = list.blocks.empty() ||
+                       list.blocks.back().count + count > block_postings;
+    if (block_start) {
+      PostingBlock block;
+      block.offset = static_cast<uint32_t>(list.bytes.size());
+      list.blocks.push_back(block);
+    }
+    PostingBlock& block = list.blocks.back();
+    AppendVarint(&list.bytes,
+                 block_start ? ordinal : ordinal - block.last_ordinal);
+    AppendVarint(&list.bytes, count);
+    AppendVarint(&list.bytes, group_refs.size());
+    list.bytes += group_refs;
+    block.count += count;
+    block.last_ordinal = ordinal;
+    begin = end;
+  }
+  return list;
+}
+
+RefGroupCursor::RefGroupCursor(const PostingList* list) : list_(list) {
+  LoadGroup(/*block_start=*/true);
+}
+
+void RefGroupCursor::LoadGroup(bool block_start) {
+  if (done()) return;
+  if (block_start) {
+    next_pos_ = list_->blocks[block_].offset;
+    block_end_ = block_ + 1 < list_->blocks.size()
+                     ? list_->blocks[block_ + 1].offset
+                     : list_->bytes.size();
+    ordinal_ = 0;
+  }
+  size_t pos = next_pos_;
+  ordinal_ += static_cast<uint32_t>(ReadVarint(list_->bytes, &pos));
+  count_ = static_cast<uint32_t>(ReadVarint(list_->bytes, &pos));
+  size_t refs_bytes = ReadVarint(list_->bytes, &pos);
+  refs_pos_ = pos;
+  next_pos_ = pos + refs_bytes;
+}
+
+void RefGroupCursor::Next() {
+  bool block_start = next_pos_ >= block_end_;
+  if (block_start) ++block_;
+  LoadGroup(block_start);
+}
+
 namespace {
 
 /// `tf / sqrt(len)` with the zero-length guard the monolithic index used —
@@ -98,6 +162,16 @@ std::vector<std::pair<uint32_t, uint32_t>> DecodePostings(
   pairs.reserve(list.count);
   ForEachPosting(list, [&pairs](uint32_t ordinal, uint32_t payload) {
     pairs.push_back({ordinal, payload});
+  });
+  return pairs;
+}
+
+std::vector<std::pair<uint32_t, uint32_t>> DecodeRefGroups(
+    const PostingList& list) {
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  pairs.reserve(list.count);
+  ForEachGroupedRef(list, [&pairs](uint32_t ordinal, uint32_t sentence) {
+    pairs.push_back({ordinal, sentence});
   });
   return pairs;
 }
@@ -205,7 +279,6 @@ std::shared_ptr<const PassageSegment> PassageSegment::Seal(
     Builder builder, size_t block_postings) {
   std::shared_ptr<PassageSegment> seg(new PassageSegment());
   seg->docs_ = std::move(builder.docs);
-  auto zero_weight = [](size_t) { return 0.0; };
   for (auto& [term, pairs] : builder.postings) {
     TermInfo info;
     // Refs of one document are contiguous (ordinals are non-decreasing);
@@ -216,7 +289,7 @@ std::shared_ptr<const PassageSegment> PassageSegment::Seal(
       if (run == 1) ++info.doc_freq;
       info.max_occurrences = std::max(info.max_occurrences, run);
     }
-    info.list = EncodePostings(pairs, block_postings, zero_weight);
+    info.list = EncodeRefGroups(pairs, block_postings);
     seg->postings_bytes_ += info.list.bytes.size();
     seg->terms_.emplace(term, std::move(info));
   }
@@ -233,7 +306,7 @@ PassageSegment::Builder PassageSegment::Unseal() const {
   Builder builder;
   builder.docs = docs_;
   for (const auto& [term, info] : terms_) {
-    builder.postings[term] = DecodePostings(info.list);
+    builder.postings[term] = DecodeRefGroups(info.list);
   }
   return builder;
 }

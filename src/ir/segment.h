@@ -55,13 +55,12 @@ struct PostingBlock {
   double max_weight = 0.0;
 };
 
-/// \brief One compressed postings list: (ordinal, payload) pairs —
-/// payload is the term frequency for document postings and the sentence
-/// number for passage postings — delta+varint coded in fixed-size blocks.
-///
-/// Within a block the first posting stores its ordinal absolutely and the
+/// \brief One compressed postings list. Document postings are (ordinal,
+/// tf) pairs delta+varint coded in fixed-size blocks (EncodePostings):
+/// within a block the first posting stores its ordinal absolutely and the
 /// rest store the (non-negative) delta from the previous posting, so every
-/// block decodes independently of its predecessors.
+/// block decodes independently of its predecessors. Passage refs use the
+/// same container with the refs grouped by document (EncodeRefGroups).
 struct PostingList {
   std::string bytes;
   std::vector<PostingBlock> blocks;
@@ -114,6 +113,67 @@ template <typename Fn>
 void ForEachPosting(const PostingList& list, Fn fn) {
   for (PostingCursor c(&list); !c.done(); c.Next()) {
     fn(c.ordinal(), c.payload());
+  }
+}
+
+/// Seals passage refs — (ordinal, sentence) pairs, ordinals non-decreasing
+/// and sentences increasing within one ordinal — grouped by document. Each
+/// group is a header of three varints (ordinal delta, matched-sentence
+/// count, byte length of the refs that follow) and then the group's
+/// sentences, the first absolute and the rest as deltas. A block holds
+/// whole groups: it closes before a group that would take it past
+/// `block_postings` refs (clamped to ≥ 1), so a larger group sits alone in
+/// its block. The first group of a block stores its ordinal absolutely.
+/// `count` and each block's `count` are refs; `max_weight` stays 0.
+PostingList EncodeRefGroups(
+    const std::vector<std::pair<uint32_t, uint32_t>>& refs,
+    size_t block_postings);
+
+/// \brief Forward cursor over the document groups of an EncodeRefGroups
+/// list: a group's ordinal and ref count come from its header, and Next
+/// steps over its refs without decoding them.
+class RefGroupCursor {
+ public:
+  explicit RefGroupCursor(const PostingList* list);
+
+  bool done() const { return block_ >= list_->blocks.size(); }
+  uint32_t ordinal() const { return ordinal_; }
+  /// Refs (matched sentences) of the current group.
+  uint32_t count() const { return count_; }
+
+  /// Calls `fn(sentence)` for each ref of the current group, in order.
+  template <typename Fn>
+  void ForEachRef(Fn fn) const {
+    size_t pos = refs_pos_;
+    uint32_t sentence = 0;
+    for (uint32_t i = 0; i < count_; ++i) {
+      sentence += static_cast<uint32_t>(ReadVarint(list_->bytes, &pos));
+      fn(sentence);
+    }
+  }
+  /// Advances to the next group.
+  void Next();
+
+ private:
+  void LoadGroup(bool block_start);
+
+  const PostingList* list_;
+  size_t block_ = 0;
+  /// Offset where the current block ends (the next block's offset).
+  size_t block_end_ = 0;
+  /// Offset of the current group's first ref, and of the next group.
+  size_t refs_pos_ = 0;
+  size_t next_pos_ = 0;
+  uint32_t ordinal_ = 0;
+  uint32_t count_ = 0;
+};
+
+/// Invokes `fn(ordinal, sentence)` for every ref of an EncodeRefGroups
+/// list, in order.
+template <typename Fn>
+void ForEachGroupedRef(const PostingList& list, Fn fn) {
+  for (RefGroupCursor c(&list); !c.done(); c.Next()) {
+    c.ForEachRef([&](uint32_t sentence) { fn(c.ordinal(), sentence); });
   }
 }
 
@@ -192,7 +252,9 @@ class DocSegment {
 };
 
 /// \brief Immutable passage-level segment: an ordinal→DocId table plus
-/// compressed (ordinal, sentence) refs per term.
+/// compressed (ordinal, sentence) refs per term, grouped by document
+/// (EncodeRefGroups) so a search reads a document's per-term match count
+/// before, and often instead of, its refs.
 ///
 /// Sentence *text* deliberately lives outside segments (in the segmented
 /// index's doc→sentences table): PassageIndex::Sentences hands out
@@ -220,6 +282,7 @@ class PassageSegment {
 
   /// \brief Per-term statistics sealed alongside the refs.
   struct TermInfo {
+    /// The refs, grouped by document (read with RefGroupCursor).
     PostingList list;
     /// Distinct documents of this segment containing the term.
     uint32_t doc_freq = 0;

@@ -117,24 +117,42 @@ struct KindInfo<PassageSegment> {
       "Candidate documents skipped unscored by the score bound";
   static constexpr const char* kPrunedKind = kMetricIndexPrunedWindows;
   static constexpr const char* kPrunedKindHelp =
-      "Candidate sentence windows skipped unscored by the score bound";
+      "Sentence refs of candidate documents skipped undecoded by the score "
+      "bound";
 };
 
-/// Forward cursor over the memtable's uncompressed (ordinal, sentence)
-/// refs — the PostingCursor interface, so one merge loop reads both kinds
-/// of source.
-class MemtableCursor {
+/// Forward cursor over the document groups of the memtable's uncompressed
+/// (ordinal, sentence) refs — the RefGroupCursor interface, so one scan
+/// reads both kinds of source. A document's refs are contiguous, so a
+/// group is an index range.
+class MemtableGroupCursor {
  public:
   using Refs = std::vector<std::pair<uint32_t, uint32_t>>;
-  explicit MemtableCursor(const Refs* refs) : refs_(refs) {}
-  bool done() const { return pos_ >= refs_->size(); }
-  uint32_t ordinal() const { return (*refs_)[pos_].first; }
-  uint32_t payload() const { return (*refs_)[pos_].second; }
-  void Next() { ++pos_; }
+  explicit MemtableGroupCursor(const Refs* refs) : refs_(refs) { FindEnd(); }
+  bool done() const { return begin_ >= refs_->size(); }
+  uint32_t ordinal() const { return (*refs_)[begin_].first; }
+  uint32_t count() const { return static_cast<uint32_t>(end_ - begin_); }
+  template <typename Fn>
+  void ForEachRef(Fn fn) const {
+    for (size_t i = begin_; i < end_; ++i) fn((*refs_)[i].second);
+  }
+  void Next() {
+    begin_ = end_;
+    FindEnd();
+  }
 
  private:
+  void FindEnd() {
+    end_ = begin_;
+    while (end_ < refs_->size() &&
+           (*refs_)[end_].first == (*refs_)[begin_].first) {
+      ++end_;
+    }
+  }
+
   const Refs* refs_;
-  size_t pos_ = 0;
+  size_t begin_ = 0;
+  size_t end_ = 0;
 };
 
 /// One query term's cursor over one source; `term` indexes the query.
@@ -552,6 +570,16 @@ const std::vector<std::string>& SegmentedPassageIndex::Sentences(
   return it == sentences_.end() ? kEmpty : it->second;
 }
 
+void SegmentedPassageIndex::SetSentences(DocId doc,
+                                         std::vector<std::string> sentences) {
+  if (doc >= 0) {
+    size_t slot = static_cast<size_t>(doc);
+    if (slot >= sentence_counts_.size()) sentence_counts_.resize(slot + 1, 0);
+    sentence_counts_[slot] = static_cast<uint32_t>(sentences.size());
+  }
+  sentences_[doc] = std::move(sentences);
+}
+
 std::vector<Passage> SegmentedPassageIndex::SearchTopK(
     const std::vector<TermId>& ids, size_t k) const {
   std::vector<std::shared_ptr<const PassageSegment>> sealed = Snapshot();
@@ -582,8 +610,21 @@ std::vector<Passage> SegmentedPassageIndex::SearchTopK(
     return score;
   };
 
+  // A term has at most one ref per sentence and a window spans at most
+  // `window_` sentences, so no window count exceeds this cap.
+  const uint32_t window_cap = static_cast<uint32_t>(
+      std::min<size_t>(window_, std::numeric_limits<uint32_t>::max()));
+
   TopKThreshold theta(k);
-  std::vector<Passage> candidates;
+  // A scored window: sentences [first, last] of `doc`. The text is built
+  // only for the k windows returned.
+  struct Window {
+    double score;
+    DocId doc;
+    uint32_t first;
+    uint32_t last;
+  };
+  std::vector<Window> candidates;
 
   // One matched sentence of the current document: which sentence, which
   // query term.
@@ -591,37 +632,35 @@ std::vector<Passage> SegmentedPassageIndex::SearchTopK(
     uint32_t sentence;
     uint32_t term;
   };
-  // Buffers reused across documents: the document's hits in (sentence,
-  // term) order, per-term counts over the document and over the sliding
-  // window, and the document's scored windows.
+  // One query term's refs within term_hits: [pos, end).
+  struct Run {
+    size_t pos;
+    size_t end;
+  };
+  // Buffers reused across documents: the document's hits term by term
+  // and then in (sentence, term) order, per-term counts over the document
+  // and over the sliding window, and the document's scored windows.
+  std::vector<Hit> term_hits;
+  std::vector<Run> runs;
   std::vector<Hit> doc_hits;
   std::vector<uint32_t> doc_counts(query.size());
   std::vector<uint32_t> window_counts(query.size());
-  std::vector<Passage> windows;
-  std::vector<const Passage*> selected;
+  std::vector<Window> windows;
+  std::vector<const Window*> selected;
+  // Pruning tallies, added to the shared counters once per search.
+  size_t pruned_segments = 0;
+  size_t pruned_docs = 0;
+  size_t skipped_refs = 0;
 
-  // Scores one candidate document's windows — one per matched sentence —
+  // Scores one surviving document's windows — one per matched sentence —
   // then greedily keeps its non-overlapping best windows (score desc,
   // start asc — the global selection order restricted to this document),
   // feeding them to the global candidate pool and the pruning threshold.
   auto score_document = [&](DocId doc) {
-    std::fill(doc_counts.begin(), doc_counts.end(), 0);
-    size_t starts = 0;
-    for (size_t i = 0; i < doc_hits.size(); ++i) {
-      ++doc_counts[doc_hits[i].term];
-      if (i == 0 || doc_hits[i].sentence != doc_hits[i - 1].sentence) {
-        ++starts;
-      }
-    }
-    // A window's occurrence counts are bounded by the whole document's,
-    // and the per-term score is monotone in the count — the document
-    // bound is the window formula evaluated on the whole document.
-    if (theta.full() && score_counts(doc_counts) < theta.value()) {
-      Bump(metrics_.pruned_candidates);
-      Bump(metrics_.pruned_kind, static_cast<double>(starts));
-      return;
-    }
-    size_t n_sents = Sentences(doc).size();
+    // A negative DocId casts past the table and takes the hash lookup.
+    size_t slot = static_cast<size_t>(doc);
+    size_t n_sents = slot < sentence_counts_.size() ? sentence_counts_[slot]
+                                                    : Sentences(doc).size();
     windows.clear();
     // Two pointers over the sentence-ordered hits: window_counts holds
     // the hits in [lo, hi), which is exactly the hits of [first, last].
@@ -642,25 +681,25 @@ std::vector<Passage> SegmentedPassageIndex::SearchTopK(
       for (; lo < hi && doc_hits[lo].sentence < first; ++lo) {
         --window_counts[doc_hits[lo].term];
       }
-      Passage p;
-      p.doc = doc;
-      p.first_sentence = first;
-      p.last_sentence = last;
-      p.score = score_counts(window_counts);
-      windows.push_back(p);
+      double score = score_counts(window_counts);
+      // A window strictly below the threshold can neither be returned
+      // nor move the threshold, and it could only block windows scored
+      // no higher than itself: dropping it leaves the selection exact.
+      if (!theta.full() || score >= theta.value()) {
+        windows.push_back({score, doc, first, static_cast<uint32_t>(last)});
+      }
       while (i < doc_hits.size() && doc_hits[i].sentence == first) ++i;
     }
     std::sort(windows.begin(), windows.end(),
-              [](const Passage& a, const Passage& b) {
+              [](const Window& a, const Window& b) {
                 if (a.score != b.score) return a.score > b.score;
-                return a.first_sentence < b.first_sentence;
+                return a.first < b.first;
               });
     selected.clear();
-    for (const Passage& w : windows) {
+    for (const Window& w : windows) {
       bool overlaps = false;
-      for (const Passage* sel : selected) {
-        if (w.first_sentence <= sel->last_sentence &&
-            sel->first_sentence <= w.last_sentence) {
+      for (const Window* sel : selected) {
+        if (w.first <= sel->last && sel->first <= w.last) {
           overlaps = true;
           break;
         }
@@ -672,10 +711,13 @@ std::vector<Passage> SegmentedPassageIndex::SearchTopK(
     }
   };
 
-  // Walks one source's per-term cursors together in ordinal order. Each
-  // document's refs are merged across the terms into (sentence, term)
-  // order and scored at once — a document lives in exactly one source, so
-  // pruning decisions always see its full hit set.
+  // Walks one source's per-term group cursors together in ordinal order.
+  // A document's per-term counts come from the group headers, and the
+  // document bound — the window formula on those counts capped at
+  // window_cap, which bound every window's counts, with the per-term
+  // score monotone in the count — is tested before any ref is read. Only a surviving document
+  // has its refs decoded and merged into (sentence, term) order. A
+  // document lives in exactly one source, so its counts are complete.
   auto scan_source = [&](auto& cursors, const auto& doc_of) {
     while (true) {
       uint32_t ordinal = std::numeric_limits<uint32_t>::max();
@@ -683,21 +725,45 @@ std::vector<Passage> SegmentedPassageIndex::SearchTopK(
         if (!c.cursor.done()) ordinal = std::min(ordinal, c.cursor.ordinal());
       }
       if (ordinal == std::numeric_limits<uint32_t>::max()) return;
+      std::fill(doc_counts.begin(), doc_counts.end(), 0);
+      for (const auto& c : cursors) {
+        if (!c.cursor.done() && c.cursor.ordinal() == ordinal) {
+          doc_counts[c.term] = std::min(c.cursor.count(), window_cap);
+        }
+      }
+      bool pruned = theta.full() && score_counts(doc_counts) < theta.value();
+      if (pruned) ++pruned_docs;
+      term_hits.clear();
+      runs.clear();
+      for (auto& c : cursors) {
+        if (c.cursor.done() || c.cursor.ordinal() != ordinal) continue;
+        if (pruned) {
+          skipped_refs += c.cursor.count();
+        } else {
+          uint32_t term = static_cast<uint32_t>(c.term);
+          size_t begin = term_hits.size();
+          c.cursor.ForEachRef([&](uint32_t sentence) {
+            term_hits.push_back({sentence, term});
+          });
+          runs.push_back({begin, term_hits.size()});
+        }
+        c.cursor.Next();
+      }
+      if (pruned) continue;
+      // Merge the per-term runs (each in sentence order, runs in query
+      // order) into (sentence, term) order: ties go to the earlier run.
       doc_hits.clear();
       while (true) {
-        // The lowest sentence among the terms still at this document;
-        // ties go to the earlier query term.
-        auto* next = &cursors.front();
-        bool any = false;
-        for (auto& c : cursors) {
-          if (c.cursor.done() || c.cursor.ordinal() != ordinal) continue;
-          if (!any || c.cursor.payload() < next->cursor.payload()) next = &c;
-          any = true;
+        Run* next = nullptr;
+        for (Run& run : runs) {
+          if (run.pos < run.end &&
+              (next == nullptr ||
+               term_hits[run.pos].sentence < term_hits[next->pos].sentence)) {
+            next = &run;
+          }
         }
-        if (!any) break;
-        doc_hits.push_back({next->cursor.payload(),
-                            static_cast<uint32_t>(next->term)});
-        next->cursor.Next();
+        if (next == nullptr) break;
+        doc_hits.push_back(term_hits[next->pos++]);
       }
       score_document(doc_of(ordinal));
     }
@@ -705,55 +771,65 @@ std::vector<Passage> SegmentedPassageIndex::SearchTopK(
 
   // Memtable first (cheapest threshold warm-up), sealed segments after.
   {
-    std::vector<TermCursor<MemtableCursor>> cursors;
+    std::vector<TermCursor<MemtableGroupCursor>> cursors;
     for (size_t t = 0; t < query.size(); ++t) {
       auto it = memtable_.postings.find(query[t].id);
       if (it == memtable_.postings.end()) continue;
-      cursors.push_back({t, MemtableCursor(&it->second)});
+      cursors.push_back({t, MemtableGroupCursor(&it->second)});
     }
     scan_source(cursors,
                 [&](uint32_t ordinal) { return memtable_.docs[ordinal]; });
   }
+  std::vector<TermCursor<RefGroupCursor>> cursors;
+  std::vector<uint32_t> max_counts(query.size());
   for (const auto& segment : sealed) {
     // Segment-level bound: the window formula at each term's max
     // matched sentences in any one document of the segment.
-    std::vector<TermCursor<PostingCursor>> cursors;
-    std::vector<uint32_t> max_counts(query.size(), 0);
+    cursors.clear();
+    std::fill(max_counts.begin(), max_counts.end(), 0);
     for (size_t t = 0; t < query.size(); ++t) {
       const PassageSegment::TermInfo* info = segment->Find(query[t].id);
       if (info == nullptr) continue;
-      max_counts[t] = info->max_occurrences;
-      cursors.push_back({t, PostingCursor(&info->list)});
+      max_counts[t] = std::min(info->max_occurrences, window_cap);
+      cursors.push_back({t, RefGroupCursor(&info->list)});
     }
     if (cursors.empty()) continue;
     if (theta.full() && score_counts(max_counts) < theta.value()) {
-      Bump(metrics_.pruned_segments);
+      ++pruned_segments;
       continue;
     }
     scan_source(cursors,
                 [&](uint32_t ordinal) { return segment->doc(ordinal); });
   }
+  Bump(metrics_.pruned_segments, static_cast<double>(pruned_segments));
+  Bump(metrics_.pruned_candidates, static_cast<double>(pruned_docs));
+  Bump(metrics_.pruned_kind, static_cast<double>(skipped_refs));
 
-  // Global rank over every selected window — a total order, so the
-  // per-source visit order above cannot leak into the result.
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Passage& a, const Passage& b) {
-              if (a.score != b.score) return a.score > b.score;
-              if (a.doc != b.doc) return a.doc < b.doc;
-              return a.first_sentence < b.first_sentence;
-            });
-  if (candidates.size() > k) candidates.resize(k);
-  for (Passage& p : candidates) {
-    const std::vector<std::string>& sents = Sentences(p.doc);
-    std::string text;
-    for (size_t s = p.first_sentence; s <= p.last_sentence && s < sents.size();
-         ++s) {
-      if (!text.empty()) text += '\n';
-      text += sents[s];
+  // Global rank over every selected window — a total order, so neither
+  // the per-source visit order above nor partial_sort's instability can
+  // leak into the result.
+  size_t top = std::min(k, candidates.size());
+  std::partial_sort(candidates.begin(), candidates.begin() + top,
+                    candidates.end(), [](const Window& a, const Window& b) {
+                      if (a.score != b.score) return a.score > b.score;
+                      if (a.doc != b.doc) return a.doc < b.doc;
+                      return a.first < b.first;
+                    });
+  std::vector<Passage> passages(top);
+  for (size_t i = 0; i < top; ++i) {
+    const Window& w = candidates[i];
+    Passage& p = passages[i];
+    p.doc = w.doc;
+    p.first_sentence = w.first;
+    p.last_sentence = w.last;
+    p.score = w.score;
+    const std::vector<std::string>& sents = Sentences(w.doc);
+    for (size_t s = w.first; s <= w.last && s < sents.size(); ++s) {
+      if (!p.text.empty()) p.text += '\n';
+      p.text += sents[s];
     }
-    p.text = std::move(text);
   }
-  return candidates;
+  return passages;
 }
 
 std::string SegmentedPassageIndex::DebugString(
@@ -769,7 +845,7 @@ std::string SegmentedPassageIndex::DebugString(
     for (const auto& segment : sealed) {
       const PassageSegment::TermInfo* info = segment->Find(term);
       if (info == nullptr) continue;
-      ForEachPosting(info->list, [&](uint32_t ordinal, uint32_t sentence) {
+      ForEachGroupedRef(info->list, [&](uint32_t ordinal, uint32_t sentence) {
         out << ' ' << segment->doc(ordinal) << '.' << sentence;
       });
     }

@@ -210,14 +210,17 @@ class SegmentedDocIndex : public SegmentManifest<DocSegment> {
 ///
 /// Sentence text lives in an index-level doc→sentences table (never inside
 /// segments), so the references PassageIndex::Sentences hands out survive
-/// seals and merges. Pruning is per candidate document: the sum of
-/// idf + repeat-bonus upper bounds over the document's matched terms
-/// bounds every window score, so documents strictly below the current
-/// k-th selected window score are skipped without scoring any window.
-/// Scoring is linear in the postings (times the query length): per
-/// source, one cursor per query term merges each document's refs into
-/// sentence order, and a two-pointer window slides over them with one
-/// reused occurrence-count vector.
+/// seals and merges. Pruning runs in three steps: a segment whose per-term
+/// max matched sentences cannot reach the current k-th selected window
+/// score is skipped whole; then, per candidate document, the window
+/// formula on the document's per-term match counts — read from the group
+/// headers (EncodeRefGroups) and capped at the window length, since a
+/// term has at most one ref per sentence — bounds every window score, and
+/// a document strictly below the threshold is stepped over with its refs
+/// undecoded; only a surviving document's refs are decoded. Scoring is
+/// linear in the decoded refs (times the query length): the refs are
+/// merged into sentence order and a two-pointer window slides over them
+/// with one reused occurrence-count vector.
 class SegmentedPassageIndex : public SegmentManifest<PassageSegment> {
  public:
   SegmentedPassageIndex(size_t window, SegmentedIndexOptions options)
@@ -225,9 +228,7 @@ class SegmentedPassageIndex : public SegmentManifest<PassageSegment> {
 
   /// Stores the sentence text of `doc` (writer API), whose terms are
   /// added through Add/AddBatch.
-  void SetSentences(DocId doc, std::vector<std::string> sentences) {
-    sentences_[doc] = std::move(sentences);
-  }
+  void SetSentences(DocId doc, std::vector<std::string> sentences);
 
   /// Exact top-`k` passages, best first (score desc, DocId asc, first
   /// sentence asc), windows of `window()` sentences, overlapping windows
@@ -245,6 +246,10 @@ class SegmentedPassageIndex : public SegmentManifest<PassageSegment> {
   size_t window_;
   /// doc → sentences; address-stable across seals and merges.
   std::unordered_map<DocId, std::vector<std::string>> sentences_;
+  /// Sentence count per non-negative DocId (0 for a document without
+  /// sentences), so scoring a document reads its window clamp without a
+  /// hash lookup.
+  std::vector<uint32_t> sentence_counts_;
 };
 
 }  // namespace ir

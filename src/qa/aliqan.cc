@@ -50,8 +50,16 @@ void AliQAn::set_preprocessor(Preprocessor preprocessor) {
   preprocessor_ = std::move(preprocessor);
 }
 
+void AliQAn::AskInstruments::Reset() {
+  questions.Reset();
+  for (MetricSlot<Counter>& slot : answers) slot.Reset();
+  for (MetricSlot<Histogram>& slot : phase_latency) slot.Reset();
+  sentences_cached.Reset();
+}
+
 void AliQAn::set_metrics(MetricRegistry* metrics) {
   metrics_ = metrics;
+  ask_metrics_.Reset();
   passage_index_.set_metrics(metrics);
   doc_index_.set_metrics(metrics);
 }
@@ -236,8 +244,11 @@ Result<AnswerSet> AliQAn::AskWith(const std::string& question,
   Span ask_span(trace, "qa.ask");
   ask_span.Annotate("question", question);
   if (metrics_ != nullptr) {
-    metrics_
-        ->GetCounter(kMetricQaQuestions, {}, "Questions the QA engine ran")
+    ask_metrics_.questions
+        .Get([&] {
+          return metrics_->GetCounter(kMetricQaQuestions, {},
+                                      "Questions the QA engine ran");
+        })
         ->Increment();
   }
 
@@ -354,29 +365,36 @@ Result<AnswerSet> AliQAn::AskWith(const std::string& question,
   timings->sentences_analyzed = sentences;
   ask_span.Annotate("level", DegradationLevelName(result.degradation));
   if (metrics_ != nullptr) {
-    metrics_
-        ->GetCounter(kMetricQaAnswers,
-                     {{"level", DegradationLevelName(result.degradation)}},
-                     "Answer sets produced, by degradation level")
+    ask_metrics_.answers[static_cast<size_t>(result.degradation)]
+        .Get([&] {
+          return metrics_->GetCounter(
+              kMetricQaAnswers,
+              {{"level", DegradationLevelName(result.degradation)}},
+              "Answer sets produced, by degradation level");
+        })
         ->Increment();
-    Histogram* phase = metrics_->GetHistogram(
-        kMetricQaPhaseLatency, {{"phase", "analysis"}},
-        MetricRegistry::LatencyBucketsMs(),
-        "Latency of the three search-phase modules");
-    phase->Observe(timings->analysis_ms);
-    metrics_
-        ->GetHistogram(kMetricQaPhaseLatency, {{"phase", "retrieval"}},
-                       MetricRegistry::LatencyBucketsMs())
-        ->Observe(timings->retrieval_ms);
-    metrics_
-        ->GetHistogram(kMetricQaPhaseLatency, {{"phase", "extraction"}},
-                       MetricRegistry::LatencyBucketsMs())
-        ->Observe(timings->extraction_ms);
+    static const char* const kPhases[] = {"analysis", "retrieval",
+                                          "extraction"};
+    const double phase_ms[] = {timings->analysis_ms, timings->retrieval_ms,
+                               timings->extraction_ms};
+    for (size_t i = 0; i < 3; ++i) {
+      ask_metrics_.phase_latency[i]
+          .Get([&] {
+            return metrics_->GetHistogram(
+                kMetricQaPhaseLatency, {{"phase", kPhases[i]}},
+                MetricRegistry::LatencyBucketsMs(),
+                "Latency of the three search-phase modules");
+          })
+          ->Observe(phase_ms[i]);
+    }
     if (sentences > 0) {
-      metrics_
-          ->GetCounter(kMetricQaSentencesAnalyzed, {{"source", "cached"}},
-                       "Sentences the extraction module consumed, by "
-                       "analysis source")
+      ask_metrics_.sentences_cached
+          .Get([&] {
+            return metrics_->GetCounter(
+                kMetricQaSentencesAnalyzed, {{"source", "cached"}},
+                "Sentences the extraction module consumed, by analysis "
+                "source");
+          })
           ->Increment(static_cast<double>(sentences));
     }
   }

@@ -1,6 +1,7 @@
 #ifndef DWQA_QA_ALIQAN_H_
 #define DWQA_QA_ALIQAN_H_
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -176,12 +177,29 @@ class AliQAn {
   /// config_.index_options with the owned merge pool injected.
   ir::SegmentedIndexOptions EffectiveIndexOptions() const;
 
+  /// The per-ask series, resolved on first use after set_metrics, so an
+  /// ask takes no registry mutex (AskWith runs concurrently on shared
+  /// engines).
+  struct AskInstruments {
+    MetricSlot<Counter> questions;
+    /// answers_total, one slot per DegradationLevel.
+    std::array<MetricSlot<Counter>,
+               static_cast<size_t>(DegradationLevel::kUnanswered) + 1>
+        answers;
+    /// phase_latency_ms for analysis, retrieval, extraction.
+    std::array<MetricSlot<Histogram>, 3> phase_latency;
+    MetricSlot<Counter> sentences_cached;
+
+    void Reset();
+  };
+
   const ontology::Ontology* onto_;
   AliQAnConfig config_;
   Preprocessor preprocessor_;
   const ir::DocumentStore* docs_ = nullptr;
   Deadline* deadline_ = nullptr;
   MetricRegistry* metrics_ = nullptr;
+  mutable AskInstruments ask_metrics_;
   /// Background merge pool (null when index_merge_threads == 0). Declared
   /// before the indexes that submit work to it: index destructors wait for
   /// in-flight merges, so the pool must be destroyed after them.

@@ -7,6 +7,7 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "common/metric_names.h"
@@ -687,14 +688,21 @@ Response QaServer::HandleHealth(const Request& request) {
 
 Response QaServer::HandleMetrics(const Request& request) {
   Response response = MakeBase(request);
-  std::ostringstream body;
-  body << metrics_.ExportPrometheus();
+  // One exposition: each tenant's pipeline series carry a `tenant` label,
+  // so the families of all registries merge into one block each.
+  std::vector<MetricSnapshot> series = metrics_.Snapshot();
   for (auto& [name, tenant] : tenants_) {
     if (!request.tenant.empty() && request.tenant != name) continue;
-    body << "# tenant: " << name << "\n"
-         << tenant->pipeline->metrics()->ExportPrometheus();
+    for (MetricSnapshot& snap : tenant->pipeline->metrics()->Snapshot()) {
+      snap.labels["tenant"] = name;
+      series.push_back(std::move(snap));
+    }
   }
-  response.payload = body.str();
+  std::sort(series.begin(), series.end(),
+            [](const MetricSnapshot& a, const MetricSnapshot& b) {
+              return std::tie(a.name, a.labels) < std::tie(b.name, b.labels);
+            });
+  response.payload = RenderPrometheus(series);
   return response;
 }
 

@@ -5,6 +5,9 @@
 // document's hits — and must agree with SearchTopK on seeded random
 // corpora down to the last score bit. (The segmented≡monolithic suites
 // cannot catch a scoring bug: both of their sides run the same scorer.)
+// A second suite runs the oracle over each storage layout — memtable only,
+// all sealed, mixed, merged in the background — at k = 1, 5 and 50, with
+// repeated query terms and refs past the end of a sentence table.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "ir/passage_index.h"
 #include "ir/segmented_index.h"
 
@@ -165,6 +169,38 @@ OracleDoc RandomDoc(Rng* rng, DocId id) {
   return doc;
 }
 
+/// Sorted-unique ids (the ResolvePassageQuery order), some of them absent
+/// from the whole corpus.
+std::vector<TermId> RandomQuery(Rng* rng) {
+  std::set<TermId> picked;
+  for (size_t n = 1 + rng->NextBelow(4); n > 0; --n) {
+    picked.insert(static_cast<TermId>(rng->NextBelow(kVocabulary + 2)));
+  }
+  return std::vector<TermId>(picked.begin(), picked.end());
+}
+
+/// SearchTopK against the oracle, down to the score bits. Returns what
+/// SearchTopK returned.
+std::vector<Passage> ExpectOracleResults(const SegmentedPassageIndex& index,
+                                         const std::vector<OracleDoc>& docs,
+                                         size_t window,
+                                         const std::vector<TermId>& ids,
+                                         size_t k) {
+  std::vector<Passage> got = index.SearchTopK(ids, k);
+  std::vector<Passage> want = OracleSearch(docs, window, ids, k);
+  EXPECT_EQ(got.size(), want.size()) << "k=" << k;
+  for (size_t i = 0; i < got.size() && i < want.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "k=" << k << " rank " << i);
+    EXPECT_EQ(got[i].doc, want[i].doc);
+    EXPECT_EQ(got[i].first_sentence, want[i].first_sentence);
+    EXPECT_EQ(got[i].last_sentence, want[i].last_sentence);
+    EXPECT_EQ(ScoreBits(got[i].score), ScoreBits(want[i].score))
+        << got[i].score << " vs " << want[i].score;
+    EXPECT_EQ(got[i].text, want[i].text);
+  }
+  return got;
+}
+
 void RunOracleTrial(uint64_t seed) {
   Rng rng(seed);
   size_t window = 1 + rng.NextBelow(16);
@@ -191,26 +227,10 @@ void RunOracleTrial(uint64_t seed) {
     if (rng.NextBelow(8) == 0) index.SealMemtable();
   }
   for (size_t q = 0; q < 6; ++q) {
-    // Sorted-unique ids (the ResolvePassageQuery order), some of them
-    // absent from the whole corpus.
-    std::set<TermId> picked;
-    for (size_t n = 1 + rng.NextBelow(4); n > 0; --n) {
-      picked.insert(static_cast<TermId>(rng.NextBelow(kVocabulary + 2)));
-    }
-    std::vector<TermId> ids(picked.begin(), picked.end());
+    SCOPED_TRACE(::testing::Message() << "query " << q);
+    std::vector<TermId> ids = RandomQuery(&rng);
     size_t k = rng.NextBelow(9);
-    std::vector<Passage> got = index.SearchTopK(ids, k);
-    std::vector<Passage> want = OracleSearch(docs, window, ids, k);
-    ASSERT_EQ(got.size(), want.size()) << "query " << q << " k=" << k;
-    for (size_t i = 0; i < got.size(); ++i) {
-      SCOPED_TRACE(::testing::Message() << "query " << q << " rank " << i);
-      EXPECT_EQ(got[i].doc, want[i].doc);
-      EXPECT_EQ(got[i].first_sentence, want[i].first_sentence);
-      EXPECT_EQ(got[i].last_sentence, want[i].last_sentence);
-      EXPECT_EQ(ScoreBits(got[i].score), ScoreBits(want[i].score))
-          << got[i].score << " vs " << want[i].score;
-      EXPECT_EQ(got[i].text, want[i].text);
-    }
+    ExpectOracleResults(index, docs, window, ids, k);
   }
 }
 
@@ -219,6 +239,92 @@ TEST(PassageScoringOracleTest, SearchTopKMatchesBruteForceOnRandomCorpora) {
     RunOracleTrial(seed);
     if (::testing::Test::HasFailure()) return;
   }
+}
+
+/// Where the corpus of a layout trial lives when it is searched.
+enum class Layout {
+  kMemtable,          ///< seal_every = 0: the monolithic index.
+  kSealed,            ///< Every document in a sealed segment.
+  kMixed,             ///< Sealed segments of uneven sizes plus a memtable.
+  kBackgroundMerged,  ///< Segments merged on a pool, then a memtable.
+};
+
+const char* LayoutName(Layout layout) {
+  switch (layout) {
+    case Layout::kMemtable:
+      return "memtable";
+    case Layout::kSealed:
+      return "sealed";
+    case Layout::kMixed:
+      return "mixed";
+    case Layout::kBackgroundMerged:
+      return "background-merged";
+  }
+  return "?";
+}
+
+/// One seeded corpus in `layout`, searched at k = 1, 5 and 50 with
+/// queries that sometimes repeat a term. Counts into `*past_end` the
+/// returned passages that start past their document's sentence table.
+void RunLayoutTrial(uint64_t seed, Layout layout, ThreadPool* pool,
+                    size_t* past_end) {
+  Rng rng(seed);
+  size_t window = 1 + rng.NextBelow(16);
+  SegmentedIndexOptions options;
+  options.seal_every = layout == Layout::kMemtable ? 0 : 1 + rng.NextBelow(6);
+  options.merge_trigger = 1 + rng.NextBelow(3);
+  options.block_postings = 1 + rng.NextBelow(8);
+  if (layout == Layout::kBackgroundMerged) options.merge_pool = pool;
+  SCOPED_TRACE(::testing::Message()
+               << "seed=" << seed << " layout=" << LayoutName(layout)
+               << " window=" << window << " seal_every=" << options.seal_every
+               << " merge_trigger=" << options.merge_trigger
+               << " block_postings=" << options.block_postings);
+  SegmentedPassageIndex index(window, options);
+  std::vector<OracleDoc> docs;
+  size_t n_docs = 1 + rng.NextBelow(40);
+  for (size_t i = 0; i < n_docs; ++i) {
+    DocId id = static_cast<DocId>((i * 17 + seed) % 41);
+    docs.push_back(RandomDoc(&rng, id));
+    index.Add(docs.back().id, docs.back().sentence_terms);
+    index.SetSentences(docs.back().id, docs.back().sentences);
+    if (layout == Layout::kMixed && rng.NextBelow(6) == 0) {
+      index.SealMemtable();
+    }
+  }
+  if (layout == Layout::kSealed) index.SealMemtable();
+  index.WaitForMerges();
+  const size_t kTopK[] = {1, 5, 50};
+  for (size_t q = 0; q < 9; ++q) {
+    std::vector<TermId> ids = RandomQuery(&rng);
+    // A repeated term counts as two query terms, each with its own idf
+    // share, on both sides.
+    if (rng.NextBelow(3) == 0) {
+      ids.insert(ids.begin() + 1, ids.front());
+    }
+    SCOPED_TRACE(::testing::Message() << "query " << q);
+    for (const Passage& p :
+         ExpectOracleResults(index, docs, window, ids, kTopK[q % 3])) {
+      const OracleDoc& doc = *std::find_if(
+          docs.begin(), docs.end(),
+          [&](const OracleDoc& d) { return d.id == p.doc; });
+      if (p.first_sentence >= doc.sentences.size()) ++*past_end;
+    }
+  }
+}
+
+TEST(PassageScoringOracleTest, EveryLayoutAndTopKMatchesBruteForce) {
+  ThreadPool pool(2);
+  size_t past_end = 0;
+  for (Layout layout : {Layout::kMemtable, Layout::kSealed, Layout::kMixed,
+                        Layout::kBackgroundMerged}) {
+    for (uint64_t seed = 0; seed < 150; ++seed) {
+      RunLayoutTrial(seed, layout, &pool, &past_end);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  // Refs past the end of a sentence table were searched and returned.
+  EXPECT_GT(past_end, 0u);
 }
 
 }  // namespace

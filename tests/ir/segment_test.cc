@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -234,6 +235,112 @@ TEST(PassageSegmentTest, MergeMatchesDirectSeal) {
     EXPECT_EQ(a->list.bytes, b->list.bytes);
     EXPECT_EQ(a->doc_freq, b->doc_freq);
     EXPECT_EQ(a->max_occurrences, b->max_occurrences);
+  }
+}
+
+/// Passage refs per term, decoded from every group of the segment.
+std::map<TermId, std::vector<std::pair<uint32_t, uint32_t>>> DecodeRefs(
+    const PassageSegment& segment) {
+  std::map<TermId, std::vector<std::pair<uint32_t, uint32_t>>> out;
+  for (const auto& [term, info] : segment.terms()) {
+    ForEachGroupedRef(info.list, [&, term = term](uint32_t ordinal,
+                                                  uint32_t sentence) {
+      out[term].emplace_back(ordinal, sentence);
+    });
+  }
+  return out;
+}
+
+TEST(PassageSegmentTest, UnsealInvertsSeal) {
+  PassageSegment::Builder builder = MakePassageBuilder(0, 6);
+  // Sparse refs too: a term in a late sentence of one document only.
+  std::vector<std::vector<TermId>> sparse(40);
+  sparse[37].push_back(TermId(3));
+  builder.Add(6, sparse);
+  const PassageSegment::Builder original = builder;
+  PassageSegment::Builder unsealed =
+      PassageSegment::Seal(std::move(builder), 3)->Unseal();
+  EXPECT_EQ(unsealed.docs, original.docs);
+  ASSERT_EQ(unsealed.postings.size(), original.postings.size());
+  for (const auto& [term, refs] : original.postings) {
+    EXPECT_EQ(unsealed.postings.at(term), refs) << "term " << term;
+  }
+}
+
+TEST(PassageSegmentTest, GroupHeadersGiveCountsWithoutDecoding) {
+  auto segment = PassageSegment::Seal(MakePassageBuilder(0, 4), 2);
+  const PassageSegment::TermInfo* info = segment->Find(TermId(1));
+  ASSERT_NE(info, nullptr);
+  // Doc `id` holds term 1 in each of its id+1 sentences.
+  RefGroupCursor cursor(&info->list);
+  for (uint32_t ordinal = 0; ordinal < 4; ++ordinal) {
+    ASSERT_FALSE(cursor.done());
+    EXPECT_EQ(cursor.ordinal(), ordinal);
+    EXPECT_EQ(cursor.count(), ordinal + 1);
+    cursor.Next();  // Steps over the refs without reading them.
+  }
+  EXPECT_TRUE(cursor.done());
+}
+
+TEST(PassageSegmentTest, GroupLargerThanABlockSitsAloneInItsBlock) {
+  PassageSegment::Builder builder;
+  std::vector<std::vector<TermId>> one(1, {TermId(1)});
+  std::vector<std::vector<TermId>> many(10, {TermId(1)});
+  builder.Add(0, one);
+  builder.Add(1, many);  // 10 refs against block_postings = 3.
+  builder.Add(2, one);
+  builder.Add(3, one);
+  auto segment = PassageSegment::Seal(builder, 3);
+  const PassageSegment::TermInfo* info = segment->Find(TermId(1));
+  ASSERT_NE(info, nullptr);
+  EXPECT_EQ(info->list.count, 13u);
+  EXPECT_EQ(info->max_occurrences, 10u);
+  ASSERT_EQ(info->list.blocks.size(), 3u);
+  EXPECT_EQ(info->list.blocks[0].count, 1u);
+  EXPECT_EQ(info->list.blocks[1].count, 10u);
+  EXPECT_EQ(info->list.blocks[1].last_ordinal, 1u);
+  EXPECT_EQ(info->list.blocks[2].count, 2u);
+  EXPECT_EQ(info->list.blocks[2].last_ordinal, 3u);
+  RefGroupCursor cursor(&info->list);
+  cursor.Next();
+  ASSERT_EQ(cursor.ordinal(), 1u);
+  ASSERT_EQ(cursor.count(), 10u);
+  std::vector<uint32_t> sentences;
+  cursor.ForEachRef([&](uint32_t s) { sentences.push_back(s); });
+  EXPECT_EQ(sentences,
+            (std::vector<uint32_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  cursor.Next();
+  EXPECT_EQ(cursor.ordinal(), 2u);  // First group of the next block.
+  EXPECT_EQ(DecodeRefs(*segment).at(TermId(1)), builder.postings.at(TermId(1)));
+}
+
+TEST(PassageSegmentTest, MergeMatchesDirectSealAcrossBlockLayouts) {
+  for (size_t block_postings : {1, 2, 5, 128}) {
+    SCOPED_TRACE(block_postings);
+    auto merged = PassageSegment::Merge(
+        *PassageSegment::Seal(MakePassageBuilder(0, 3), block_postings),
+        *PassageSegment::Seal(MakePassageBuilder(3, 4), block_postings),
+        block_postings);
+    auto direct =
+        PassageSegment::Seal(MakePassageBuilder(0, 7), block_postings);
+    ASSERT_EQ(merged->doc_count(), direct->doc_count());
+    ASSERT_EQ(merged->terms().size(), direct->terms().size());
+    for (const auto& [term, b] : direct->terms()) {
+      const PassageSegment::TermInfo* a = merged->Find(term);
+      ASSERT_NE(a, nullptr);
+      EXPECT_EQ(a->list.bytes, b.list.bytes);
+      ASSERT_EQ(a->list.blocks.size(), b.list.blocks.size());
+      for (size_t i = 0; i < a->list.blocks.size(); ++i) {
+        EXPECT_EQ(a->list.blocks[i].offset, b.list.blocks[i].offset);
+        EXPECT_EQ(a->list.blocks[i].count, b.list.blocks[i].count);
+        EXPECT_EQ(a->list.blocks[i].last_ordinal,
+                  b.list.blocks[i].last_ordinal);
+      }
+      EXPECT_EQ(a->doc_freq, b.doc_freq);
+      EXPECT_EQ(a->max_occurrences, b.max_occurrences);
+    }
+    EXPECT_EQ(DecodeRefs(*merged), DecodeRefs(*direct));
+    EXPECT_EQ(merged->postings_bytes(), direct->postings_bytes());
   }
 }
 

@@ -128,6 +128,22 @@ TEST_F(HotPathTest, AskOnlyServerExportsNoOtherEndpointSeries) {
 }
 
 TEST_F(HotPathTest, MetricsExpositionPassesTheMetricsLint) {
+  // A second tenant with its own pipeline registry: its families are the
+  // same as tenant a's, so only a `tenant` label keeps the merged
+  // exposition valid.
+  auto wh_b = std::make_unique<dw::Warehouse>(
+      integration::LastMinuteSales::MakeWarehouse().ValueOrDie());
+  ServeTenantConfig tenant_b;
+  tenant_b.name = "b";
+  tenant_b.warehouse = wh_b.get();
+  tenant_b.uml = &uml_;
+  tenant_b.docs = &web_->documents();
+  tenant_b.pipeline = integration::LastMinuteSales::DefaultPipelineConfig();
+  tenant_b.retry.sleep = false;
+  ASSERT_TRUE(server_.AddTenant(tenant_b).ok());
+  Request ask_b = Ask(999);
+  ask_b.tenant = "b";
+  ASSERT_EQ(server_.Handle(ask_b).status, "ok");
   ServeCachedAsks();
   Request request;
   request.id = 1000;
@@ -159,8 +175,16 @@ TEST_F(HotPathTest, MetricsExpositionPassesTheMetricsLint) {
   }
   EXPECT_GT(type_lines.count(kMetricServeCacheLookups), 0u);
   EXPECT_GT(type_lines.count(kMetricServeRequests), 0u);
+  EXPECT_GT(type_lines.count(kMetricQaQuestions), 0u);
   for (const auto& [family, count] : type_lines) {
     EXPECT_EQ(count, 1) << family;
+  }
+  // Each tenant's pipeline series are told apart by the label.
+  for (const char* tenant : {"a", "b"}) {
+    EXPECT_EQ(series.count(std::string(kMetricQaQuestions) + "{tenant=\"" +
+                           tenant + "\"}"),
+              1u)
+        << tenant;
   }
 }
 

@@ -401,8 +401,7 @@ TEST_F(ServeTest, HealthAndMetricsBypassAdmissionAndReportTheServer) {
   ASSERT_EQ(exported.status, "ok");
   EXPECT_NE(exported.payload.find("dwqa_serve_requests_total"),
             std::string::npos);
-  EXPECT_NE(exported.payload.find("# tenant: a"), std::string::npos);
-  EXPECT_NE(exported.payload.find("dwqa_qa_questions_total"),
+  EXPECT_NE(exported.payload.find("dwqa_qa_questions_total{tenant=\"a\"}"),
             std::string::npos);
 }
 
