@@ -11,11 +11,14 @@
 // destination from *all* staged sections via a tmp-file + rename — the
 // destination is always a complete, valid JSON document no matter which
 // subset of benches has run, and re-running a bench replaces only its own
-// section.
+// section. The document also records the host that merged it last (nproc,
+// build type, compiler), so a comparison can tell when two artifacts come
+// from different machines.
 
 #include <dirent.h>
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -25,6 +28,14 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+// The build's CMAKE_BUILD_TYPE and compiler, set by bench/targets.cmake.
+#ifndef DWQA_BENCH_BUILD_TYPE
+#define DWQA_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef DWQA_BENCH_COMPILER
+#define DWQA_BENCH_COMPILER "unknown"
+#endif
 
 namespace dwqa {
 namespace bench {
@@ -52,6 +63,18 @@ inline std::string JsonEscape(const std::string& s) {
     }
   }
   return out;
+}
+
+/// The `"host"` member of the artifact: online CPUs, build type and
+/// compiler of this binary.
+inline std::string HostJson() {
+  std::string build_type = DWQA_BENCH_BUILD_TYPE;
+  if (build_type.empty()) build_type = "unknown";
+  std::ostringstream out;
+  out << "{\"nproc\": " << ::sysconf(_SC_NPROCESSORS_ONLN)
+      << ", \"build_type\": \"" << JsonEscape(build_type)
+      << "\", \"compiler\": \"" << JsonEscape(DWQA_BENCH_COMPILER) << "\"}";
+  return out.str();
 }
 
 /// The destination path: $DWQA_BENCH_JSON or ./BENCH_phase3.json.
@@ -124,7 +147,8 @@ class JsonSectionWriter {
     {
       std::ofstream out(tmp);
       if (!out) return false;
-      out << "{\n  \"schema\": \"dwqa-bench-v1\",\n  \"benchmarks\": {\n";
+      out << "{\n  \"schema\": \"dwqa-bench-v1\",\n  \"host\": " << HostJson()
+          << ",\n  \"benchmarks\": {\n";
       for (size_t i = 0; i < sections.size(); ++i) {
         std::ifstream in(staging + "/" + sections[i]);
         out << in.rdbuf() << (i + 1 < sections.size() ? ",\n" : "\n");

@@ -6,6 +6,10 @@ function(dwqa_bench name)
   add_executable(${name} ${CMAKE_SOURCE_DIR}/bench/${name}.cpp)
   target_link_libraries(${name} PRIVATE dwqa_integration)
   target_include_directories(${name} PRIVATE ${CMAKE_SOURCE_DIR})
+  # The host fingerprint bench_json.h writes into the artifact.
+  target_compile_definitions(${name} PRIVATE
+    DWQA_BENCH_BUILD_TYPE="${CMAKE_BUILD_TYPE}"
+    DWQA_BENCH_COMPILER="${CMAKE_CXX_COMPILER_ID} ${CMAKE_CXX_COMPILER_VERSION}")
   set_target_properties(${name} PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${DWQA_BENCH_DIR})
 endfunction()

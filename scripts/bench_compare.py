@@ -18,6 +18,11 @@ Exit status: 0 when every gated bench is within threshold, 1 on any gated
 regression or a gated bench missing from either side. --update rewrites
 the baseline from the current artifact instead of comparing (use after an
 intentional perf change, then commit the new baseline).
+
+Each artifact records the host that produced it (`host`: nproc, build
+type, compiler). When the baseline's host and the current run's differ,
+the report says so above the table: the ratios then compare two machines,
+not two commits. The notice changes no threshold and no exit status.
 """
 
 import argparse
@@ -54,17 +59,37 @@ GATED = [
     ("bench_micro_qa", "BM_AnswerExtraction"),
 ]
 
+HOST_FIELDS = ("nproc", "build_type", "compiler")
+
 # Everything normalises to seconds before the ratio so a unit change in a
 # bench (ns -> us) cannot masquerade as a 1000x regression.
 UNIT_SECONDS = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 
 
 def load(path):
+    """Returns (host, benchmarks); a host field the file lacks is
+    "unknown"."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("schema") != "dwqa-bench-v1":
         raise ValueError(f"{path}: unexpected schema {doc.get('schema')!r}")
-    return doc.get("benchmarks", {})
+    recorded = doc.get("host", {})
+    host = {field: recorded.get(field, "unknown") for field in HOST_FIELDS}
+    return host, doc.get("benchmarks", {})
+
+
+def describe(host):
+    return ", ".join(f"{field} {host[field]}" for field in HOST_FIELDS)
+
+
+def host_notice(current_host, baseline_host):
+    """The report lines saying the two artifacts come from different
+    hosts (none when they match)."""
+    if current_host == baseline_host:
+        return []
+    return [f"**Host differs.** Baseline: {describe(baseline_host)}. "
+            f"This run: {describe(current_host)}. The ratios compare "
+            "different machines, not only different commits.", ""]
 
 
 def seconds(metric):
@@ -142,22 +167,24 @@ def main():
                              "of comparing")
     args = parser.parse_args()
 
-    current = load(args.current)
+    current_host, current = load(args.current)
     if args.update:
-        doc = {"schema": "dwqa-bench-v1", "benchmarks": current}
+        doc = {"schema": "dwqa-bench-v1", "host": current_host,
+               "benchmarks": current}
         with open(args.baseline, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
         print(f"bench_compare: baseline rewritten at {args.baseline}")
         return 0
 
-    baseline = load(args.baseline)
+    baseline_host, baseline = load(args.baseline)
     rows, failures = compare(current, baseline, args.threshold)
 
-    lines = ["# Bench diff vs committed baseline", "",
-             f"Threshold: gated benches fail above {args.threshold:g}x.", "",
-             "| bench | baseline | current | ratio | status |",
-             "|---|---|---|---|---|"]
+    lines = ["# Bench diff vs committed baseline", ""]
+    lines += host_notice(current_host, baseline_host)
+    lines += [f"Threshold: gated benches fail above {args.threshold:g}x.", "",
+              "| bench | baseline | current | ratio | status |",
+              "|---|---|---|---|---|"]
     lines += rows
     lines.append("")
     if failures:

@@ -39,10 +39,19 @@ void AnswerCache::CountLookup(LookupResult result) {
       ->Increment();
 }
 
-CacheLookup AnswerCache::Get(const std::string& key, uint64_t now_tick) {
+CacheLookup AnswerCache::Get(const std::string& key, uint64_t now_tick,
+                             uint64_t generation) {
   std::lock_guard<std::mutex> lock(mu_);
   CacheLookup lookup;
   auto it = entries_.find(key);
+  if (it != entries_.end() && it->second.answer.negative &&
+      it->second.answer.generation < generation) {
+    // An ingest since: the corpus may now answer this question. (A newer
+    // entry than the caller's generation read is valid: generations only
+    // grow.)
+    Erase(it);
+    it = entries_.end();
+  }
   if (it == entries_.end()) {
     CountLookup(kMiss);
     return lookup;
@@ -51,7 +60,7 @@ CacheLookup AnswerCache::Get(const std::string& key, uint64_t now_tick) {
   lookup.found = true;
   // A tick taken before a concurrent Put of this entry reads it at age 0,
   // not as a wrapped-around unsigned age.
-  lookup.stale = now_tick > entry.inserted_tick &&
+  lookup.stale = !entry.answer.negative && now_tick > entry.inserted_tick &&
                  now_tick - entry.inserted_tick > config_.ttl_ticks;
   lookup.entry = entry.answer;
   lru_.splice(lru_.begin(), lru_, entry.lru_pos);
@@ -66,9 +75,8 @@ void AnswerCache::Put(const std::string& key, CachedAnswer answer,
   if (bytes > config_.max_bytes) return;  // Can never fit.
   auto it = entries_.find(key);
   if (it != entries_.end()) {
-    bytes_ -= it->second.bytes;
-    lru_.erase(it->second.lru_pos);
-    entries_.erase(it);
+    if (it->second.answer.generation > answer.generation) return;
+    Erase(it);
   }
   lru_.push_front(key);
   Entry entry;
@@ -78,36 +86,48 @@ void AnswerCache::Put(const std::string& key, CachedAnswer answer,
   entry.lru_pos = lru_.begin();
   entries_.emplace(key, std::move(entry));
   bytes_ += bytes;
-  if (metrics_ != nullptr) {
-    metrics_
-        ->GetCounter(kMetricServeCacheInsertions, {{"tenant", tenant_}},
-                     "Answers inserted into the cache")
-        ->Increment();
-  }
   EvictToFit();
-  if (metrics_ != nullptr) {
-    metrics_
-        ->GetGauge(kMetricServeCacheBytes, {{"tenant", tenant_}},
-                   "Estimated bytes the answer cache holds")
-        ->Set(static_cast<double>(bytes_));
-    metrics_
-        ->GetGauge(kMetricServeCacheEntries, {{"tenant", tenant_}},
-                   "Entries the answer cache holds")
-        ->Set(static_cast<double>(entries_.size()));
-  }
+  if (metrics_ == nullptr) return;
+  insertions_
+      .Get([&] {
+        return metrics_->GetCounter(kMetricServeCacheInsertions,
+                                    {{"tenant", tenant_}},
+                                    "Answers inserted into the cache");
+      })
+      ->Increment();
+  bytes_gauge_
+      .Get([&] {
+        return metrics_->GetGauge(kMetricServeCacheBytes,
+                                  {{"tenant", tenant_}},
+                                  "Estimated bytes the answer cache holds");
+      })
+      ->Set(static_cast<double>(bytes_));
+  entries_gauge_
+      .Get([&] {
+        return metrics_->GetGauge(kMetricServeCacheEntries,
+                                  {{"tenant", tenant_}},
+                                  "Entries the answer cache holds");
+      })
+      ->Set(static_cast<double>(entries_.size()));
+}
+
+void AnswerCache::Erase(
+    std::unordered_map<std::string, Entry>::iterator it) {
+  bytes_ -= it->second.bytes;
+  lru_.erase(it->second.lru_pos);
+  entries_.erase(it);
 }
 
 void AnswerCache::EvictToFit() {
   while (bytes_ > config_.max_bytes && !lru_.empty()) {
-    const std::string& victim = lru_.back();
-    auto it = entries_.find(victim);
-    bytes_ -= it->second.bytes;
-    entries_.erase(it);
-    lru_.pop_back();
+    Erase(entries_.find(lru_.back()));
     if (metrics_ != nullptr) {
-      metrics_
-          ->GetCounter(kMetricServeCacheEvictions, {{"tenant", tenant_}},
-                       "Entries evicted by the LRU memory cap")
+      evictions_
+          .Get([&] {
+            return metrics_->GetCounter(
+                kMetricServeCacheEvictions, {{"tenant", tenant_}},
+                "Entries evicted by the LRU memory cap");
+          })
           ->Increment();
     }
   }
@@ -129,6 +149,10 @@ void AnswerCache::set_metrics(MetricRegistry* metrics,
   metrics_ = metrics;
   tenant_ = tenant;
   for (MetricSlot<Counter>& slot : lookups_) slot.Reset();
+  insertions_.Reset();
+  evictions_.Reset();
+  bytes_gauge_.Reset();
+  entries_gauge_.Reset();
 }
 
 }  // namespace serve

@@ -4,9 +4,9 @@
 #include <array>
 #include <cstdint>
 #include <list>
-#include <map>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -38,13 +38,20 @@ struct AnswerCacheConfig {
 
 /// \brief One cached answer: the deterministic answer block of the
 /// response (exactly what the cold path would serialize — byte-identical
-/// hits), plus the ladder rung that produced it.
+/// hits), plus the ladder rung and corpus generation that produced it.
 struct CachedAnswer {
   /// Ordered answer fields, as in serve::Response::answer.
   std::vector<std::pair<std::string, std::string>> answer;
   /// Rung of the cached answer; stale-while-degraded only serves entries
   /// whose rung beats the live result's.
   qa::DegradationLevel level = qa::DegradationLevel::kFull;
+  /// Corpus generation the answer was computed at (see QaServer: each
+  /// ingest starts a new one).
+  uint64_t generation = 0;
+  /// An unanswered or IR-only set. Only a newer corpus can improve it, so
+  /// it is valid exactly while the tenant stays at `generation`, and the
+  /// TTL does not apply. Positive entries live by the TTL alone.
+  bool negative = false;
 };
 
 /// \brief Outcome of one cache lookup.
@@ -65,15 +72,20 @@ class AnswerCache {
  public:
   explicit AnswerCache(AnswerCacheConfig config = {});
 
-  /// Looks up `key` at time `now_tick`. A found entry is moved to the
+  /// Looks up `key` at time `now_tick` for a tenant at corpus
+  /// `generation`. A negative entry from an older generation is outdated:
+  /// it is dropped and counted as a miss. A found entry is moved to the
   /// front of the LRU order, fresh or stale — a stale entry being used as
   /// a degraded fallback is exactly the entry worth keeping around.
-  CacheLookup Get(const std::string& key, uint64_t now_tick);
+  CacheLookup Get(const std::string& key, uint64_t now_tick,
+                  uint64_t generation = 0);
 
   /// Inserts (or replaces) the entry under `key`, then evicts from the LRU
   /// tail until the byte cap holds. An entry larger than the whole cap is
   /// dropped on the floor (with a lookup-miss worth of nothing — it cannot
-  /// fit, and evicting everything else for it would empty the cache).
+  /// fit, and evicting everything else for it would empty the cache), and
+  /// so is one computed at an older generation than the entry it would
+  /// replace (a slow ask must not overwrite a newer corpus's answer).
   void Put(const std::string& key, CachedAnswer answer, uint64_t now_tick);
 
   /// Entries currently held.
@@ -102,6 +114,9 @@ class AnswerCache {
   /// Lookup results, in `dwqa_serve_cache_lookups_total` label order.
   enum LookupResult { kHit, kStale, kMiss };
 
+  /// Unlinks one entry from the map, the LRU order and the byte count.
+  /// Caller holds mu_.
+  void Erase(std::unordered_map<std::string, Entry>::iterator it);
   /// Evicts LRU-tail entries until bytes_ <= config_.max_bytes.
   /// Caller holds mu_.
   void EvictToFit();
@@ -110,15 +125,20 @@ class AnswerCache {
 
   AnswerCacheConfig config_;
   mutable std::mutex mu_;
-  std::map<std::string, Entry> entries_;
+  std::unordered_map<std::string, Entry> entries_;
   /// Keys in recency order, most recent first.
   std::list<std::string> lru_;
   size_t bytes_ = 0;
   MetricRegistry* metrics_ = nullptr;
   std::string tenant_;
-  /// The lookup counters by LookupResult, resolved on first use (cleared
-  /// by set_metrics) so a lookup takes no registry lock.
+  /// The lookup counters by LookupResult and the insertion, eviction and
+  /// footprint series, resolved on first use (cleared by set_metrics) so a
+  /// lookup or an insertion takes no registry lock.
   std::array<MetricSlot<Counter>, 3> lookups_;
+  MetricSlot<Counter> insertions_;
+  MetricSlot<Counter> evictions_;
+  MetricSlot<Gauge> bytes_gauge_;
+  MetricSlot<Gauge> entries_gauge_;
 };
 
 }  // namespace serve

@@ -1,10 +1,14 @@
 #include "serve/protocol.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "common/string_util.h"
 
@@ -14,6 +18,9 @@ namespace serve {
 namespace {
 
 constexpr char kMagic[] = "DWQA1 ";
+/// Longest frame header read: the magic plus the 20 digits of the largest
+/// uint64 count, with room for leading zeros.
+constexpr size_t kMaxHeaderBytes = 64;
 
 /// Splits `body` into `key=value` header lines and the post-blank-line
 /// payload. Lines without '=' before the blank line are reported invalid.
@@ -56,7 +63,13 @@ Result<uint64_t> ParseU64(const std::string& value, const char* what) {
       return Status::InvalidArgument(std::string("protocol: bad ") + what +
                                      " '" + value + "'");
     }
-    out = out * 10 + uint64_t(c - '0');
+    const uint64_t digit = uint64_t(c - '0');
+    if (out > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
+      // Wrapping would read a huge count as a small one.
+      return Status::InvalidArgument(std::string("protocol: ") + what +
+                                     " '" + value + "' out of range");
+    }
+    out = out * 10 + digit;
   }
   return out;
 }
@@ -103,7 +116,15 @@ std::string Request::Serialize() const {
   out << "endpoint=" << EndpointName(endpoint) << "\n";
   out << "id=" << id << "\n";
   if (!tenant.empty()) out << "tenant=" << tenant << "\n";
-  if (budget > 0.0) out << "budget=" << budget << "\n";
+  if (budget > 0.0) {
+    // Shortest fixed-point spelling that parses back to the same double
+    // (Parse takes no exponent).
+    char digits[400];
+    auto written = std::to_chars(digits, digits + sizeof(digits), budget,
+                                 std::chars_format::fixed);
+    out << "budget=" << std::string_view(digits, written.ptr - digits)
+        << "\n";
+  }
   if (no_cache) out << "nocache=1\n";
   if (!scope.empty()) out << "scope=" << scope << "\n";
   if (fact_name != "Weather") out << "fact=" << fact_name << "\n";
@@ -134,6 +155,10 @@ Result<Request> Request::Parse(const std::string& body) {
                                        "'");
       }
       req.budget = std::strtod(value.c_str(), nullptr);
+      if (!std::isfinite(req.budget)) {
+        return Status::InvalidArgument("protocol: budget '" + value +
+                                       "' out of range");
+      }
       if (!(req.budget >= 0.0)) {
         return Status::InvalidArgument("protocol: negative budget '" +
                                        value + "'");
@@ -240,12 +265,30 @@ Status Framing::WriteFrame(std::ostream& out,
 
 Result<std::string> Framing::ReadFrame(std::istream& in) const {
   std::string header;
-  if (!std::getline(in, header)) {
+  char c = 0;
+  bool terminated = false;
+  while (in.get(c)) {
+    if (c == '\n') {
+      terminated = true;
+      break;
+    }
+    if (header.size() == kMaxHeaderBytes) {
+      return Status::InvalidArgument("protocol: frame header longer than " +
+                                     std::to_string(kMaxHeaderBytes) +
+                                     " bytes");
+    }
+    header += c;
+  }
+  if (!terminated && header.empty()) {
     return Status::NotFound("protocol: end of stream");
   }
-  if (!StartsWith(header, "DWQA1 ")) {
+  if (!StartsWith(header, kMagic)) {
     return Status::InvalidArgument("protocol: bad frame magic '" + header +
                                    "'");
+  }
+  if (!terminated) {
+    return Status::IOError("protocol: stream truncated mid-header '" +
+                           header + "'");
   }
   DWQA_ASSIGN_OR_RETURN(uint64_t length,
                         ParseU64(header.substr(6), "frame length"));

@@ -198,12 +198,12 @@ Response QaServer::MakeError(const Request& request,
   return response;
 }
 
-Response QaServer::MakeCached(const Request& request,
-                              const CacheLookup& lookup, Tenant* tenant) {
+Response QaServer::MakeCached(const Request& request, CacheLookup lookup,
+                              Tenant* tenant) {
   Response response = MakeBase(request);
   response.cached = true;
   response.stale = lookup.stale;
-  response.answer = lookup.entry.answer;
+  response.answer = std::move(lookup.entry.answer);
   if (lookup.stale) {
     metrics_
         .GetCounter(kMetricServeStaleServed, {{"tenant", tenant->config.name}},
@@ -337,9 +337,11 @@ Response QaServer::ExecuteAsk(Tenant* tenant, const Request& request,
   const std::string key = NormalizeQuestion(question);
 
   CacheLookup lookup;
-  if (!request.no_cache) lookup = tenant->cache.Get(key, tick);
+  if (!request.no_cache) {
+    lookup = tenant->cache.Get(key, tick, tenant->generation.load());
+  }
   if (lookup.found && !lookup.stale) {
-    return MakeCached(request, lookup, tenant);
+    return MakeCached(request, std::move(lookup), tenant);
   }
 
   // Breaker admission before any live work. A half-open probe gets exactly
@@ -355,7 +357,7 @@ Response QaServer::ExecuteAsk(Tenant* tenant, const Request& request,
   }
   if (!allowed) {
     // Fast-fail — but a cached answer, even a stale one, beats a refusal.
-    if (lookup.found) return MakeCached(request, lookup, tenant);
+    if (lookup.found) return MakeCached(request, std::move(lookup), tenant);
     return MakeReject(request, RejectKind::kCircuitOpen, "circuit_open",
                       "tenant '" + request.tenant +
                           "' ask breaker is open (cool-down in progress)");
@@ -377,6 +379,9 @@ Response QaServer::ExecuteAsk(Tenant* tenant, const Request& request,
   // Shared corpus lock: concurrent asks proceed together, an in-flight
   // ingest's index append is never observed half-done.
   std::shared_lock<std::shared_mutex> corpus_lock(tenant->corpus_mu);
+  // Ingest bumps the generation under the exclusive lock, so this is the
+  // generation of the corpus the answer is computed on.
+  const uint64_t generation = tenant->generation.load();
   Result<qa::AnswerSet> asked = RetryResultCall<qa::AnswerSet>(
       policy,
       [&]() -> Result<qa::AnswerSet> {
@@ -410,7 +415,7 @@ Response QaServer::ExecuteAsk(Tenant* tenant, const Request& request,
   if (!asked.ok()) {
     // Stale-while-degraded: an expired answer beats both a deadline trip
     // and a transient-exhausted failure.
-    if (lookup.found) return MakeCached(request, lookup, tenant);
+    if (lookup.found) return MakeCached(request, std::move(lookup), tenant);
     if (asked.status().IsDeadlineExceeded()) {
       return MakeReject(request, RejectKind::kDeadlineExceeded,
                         "deadline_exceeded", asked.status().message());
@@ -419,23 +424,28 @@ Response QaServer::ExecuteAsk(Tenant* tenant, const Request& request,
   }
 
   const qa::AnswerSet& set = *asked;
-  Response response = MakeBase(request);
-  response.answer = AnswerFields(set);
-  if (!set.empty() &&
-      set.degradation <= qa::DegradationLevel::kRelaxedPattern) {
-    // Only the top two ladder rungs are worth caching: an IR-only pointer
-    // or an unanswered set would poison later requests that could do
-    // better.
-    if (!request.no_cache) {
-      CachedAnswer entry;
-      entry.answer = response.answer;
-      entry.level = set.degradation;
-      tenant->cache.Put(key, std::move(entry), tick);
-    }
-  } else if (lookup.found && lookup.entry.level < set.degradation) {
+  // An IR-only pointer or an unanswered set (an empty one at any rung):
+  // only a newer corpus generation can improve it.
+  const bool negative =
+      set.empty() || set.degradation > qa::DegradationLevel::kRelaxedPattern;
+  if (negative && lookup.found && lookup.entry.level < set.degradation) {
     // The live ladder dropped below the cached rung — stale-while-degraded
     // serves the better (if older) answer.
-    return MakeCached(request, lookup, tenant);
+    return MakeCached(request, std::move(lookup), tenant);
+  }
+  Response response = MakeBase(request);
+  response.answer = AnswerFields(set);
+  // Cache only what the corpus answers: a set the deadline cut short is
+  // what a starved request could afford, and must never be served to an
+  // unstarved one. A negative entry is stamped with its generation and
+  // stops being served at the next ingest; a positive one lives by the TTL.
+  if (!request.no_cache && !deadline.exhausted()) {
+    CachedAnswer entry;
+    entry.answer = response.answer;
+    entry.level = set.degradation;
+    entry.generation = generation;
+    entry.negative = negative;
+    tenant->cache.Put(key, std::move(entry), tick);
   }
   return response;
 }
@@ -617,12 +627,17 @@ Response QaServer::ExecuteIngest(Tenant* tenant, const Request& request) {
   if (request.doc_format == "xml") format = ir::DocFormat::kXml;
   // Exclusive corpus lock: the append and its indexation are atomic with
   // respect to asks/feeds — either the document is fully searchable or not
-  // yet visible. Cached answers are not invalidated; they age out via TTL
-  // (or a client asks with nocache=1 for a live-fresh view).
+  // yet visible. The new corpus is a new generation, bumped before the
+  // lock is released and whatever the ingest returned (a failed one may
+  // have indexed part of its work): cached unanswered and IR-only answers
+  // stop being served, since the new page may answer them. Positive
+  // answers are not invalidated; they age out via TTL (or a client asks
+  // with nocache=1 for a live-fresh view).
   std::unique_lock<std::shared_mutex> corpus_lock(tenant->corpus_mu);
   store->Add(request.doc_url, request.doc_title, format,
              request.doc_content);
   Result<size_t> ingested = tenant->pipeline->IngestNewDocuments();
+  tenant->generation.fetch_add(1);
   if (!ingested.ok()) return MakeError(request, ingested.status());
   Response response = MakeBase(request);
   response.answer.emplace_back("ingested", std::to_string(*ingested));
@@ -655,6 +670,7 @@ Response QaServer::HandleHealth(const Request& request) {
     body << "tenant " << name << ": ask_breaker=" << ask_breaker
          << " breakers_open=" << health.breakers_open
          << " inflight=" << admission_.tenant_inflight(name)
+         << " generation=" << tenant->generation.load()
          << " cache_entries=" << tenant->cache.size()
          << " cache_bytes=" << tenant->cache.bytes();
     for (const char* result : {"hit", "stale", "miss"}) {

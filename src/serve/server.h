@@ -120,7 +120,8 @@ struct ServerConfig {
 /// tenants are registered (`AddTenant` itself is not concurrent with
 /// serving). `ask` requests of one tenant run concurrently under a shared
 /// corpus lock; `ingest` takes that lock exclusively while it appends to
-/// the segmented indexes, so asks never observe a half-indexed document;
+/// the segmented indexes and bumps the tenant's corpus generation, so asks
+/// never observe a half-indexed document;
 /// `feed` and `bi` serialize on a per-tenant mutex because they touch the
 /// warehouse.
 class QaServer {
@@ -192,6 +193,11 @@ class QaServer {
     std::mutex breaker_mu;
     /// Serializes the fault injector's RNG stream on the ask path.
     std::mutex chaos_mu;
+    /// Corpus generation: each ingest bumps it under the exclusive
+    /// corpus_mu, so an ask reading it under the shared lock learns which
+    /// corpus its answer was computed on. Negative cache entries are valid
+    /// for exactly one generation.
+    std::atomic<uint64_t> generation{0};
 
     Tenant(AnswerCacheConfig cache_config, BreakerConfig breaker_config,
            FaultConfig fault_config)
@@ -226,8 +232,8 @@ class QaServer {
   Response MakeReject(const Request& request, RejectKind kind,
                       const std::string& reason, const std::string& detail);
   Response MakeError(const Request& request, const Status& status) const;
-  /// A response carrying a cached answer block.
-  Response MakeCached(const Request& request, const CacheLookup& lookup,
+  /// A response carrying a cached answer block (moved out of `lookup`).
+  Response MakeCached(const Request& request, CacheLookup lookup,
                       Tenant* tenant);
   /// @}
 

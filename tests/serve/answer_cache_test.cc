@@ -1,5 +1,6 @@
 // Answer-cache tests: tick-counted TTL expiry, LRU eviction at the byte
-// cap, replacement, and the cache metrics.
+// cap, replacement, generation-bound negative entries, and the cache
+// metrics.
 
 #include "serve/answer_cache.h"
 
@@ -22,6 +23,16 @@ CachedAnswer MakeAnswer(const std::string& text,
                    {"answered", "1"},
                    {"answer", text}};
   answer.level = level;
+  return answer;
+}
+
+/// An unanswered set computed at corpus `generation`.
+CachedAnswer MakeNegative(uint64_t generation) {
+  CachedAnswer answer;
+  answer.answer = {{"degradation", "Unanswered"}, {"answered", "0"}};
+  answer.level = qa::DegradationLevel::kUnanswered;
+  answer.generation = generation;
+  answer.negative = true;
   return answer;
 }
 
@@ -156,6 +167,72 @@ TEST(AnswerCacheTest, MetricsCountLookupsInsertionsAndEvictions) {
       static_cast<double>(cache.size()));
   EXPECT_EQ(metrics.Value(kMetricServeCacheBytes, {{"tenant", "acme"}}),
             static_cast<double>(cache.bytes()));
+}
+
+TEST(AnswerCacheTest, NegativeEntryServesExactlyItsGeneration) {
+  AnswerCacheConfig config;
+  config.ttl_ticks = 5;
+  AnswerCache cache(config);
+  MetricRegistry metrics;
+  cache.set_metrics(&metrics, "acme");
+  cache.Put("q", MakeNegative(3), 1);
+
+  // The TTL does not apply: only a new corpus generation can change an
+  // unanswered result.
+  CacheLookup same = cache.Get("q", 100, 3);
+  ASSERT_TRUE(same.found);
+  EXPECT_FALSE(same.stale);
+  EXPECT_TRUE(same.entry.negative);
+  EXPECT_EQ(same.entry.generation, 3u);
+  // A caller whose generation read predates the entry's still gets it:
+  // generations only grow, so the entry is at least as new as its corpus.
+  EXPECT_TRUE(cache.Get("q", 100, 2).found);
+
+  // After an ingest the entry is outdated: a miss, and it is dropped.
+  EXPECT_FALSE(cache.Get("q", 101, 4).found);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.bytes(), 0u);
+  auto lookups = [&](const char* result) {
+    return metrics.Value(kMetricServeCacheLookups,
+                         {{"tenant", "acme"}, {"result", result}});
+  };
+  EXPECT_DOUBLE_EQ(lookups("hit"), 2.0);
+  EXPECT_DOUBLE_EQ(lookups("stale"), 0.0);
+  EXPECT_DOUBLE_EQ(lookups("miss"), 1.0);
+}
+
+TEST(AnswerCacheTest, PositiveEntryOutlivesItsGenerationUntilTheTtl) {
+  AnswerCacheConfig config;
+  config.ttl_ticks = 10;
+  AnswerCache cache(config);
+  CachedAnswer answer = MakeAnswer("8C");
+  answer.generation = 1;
+  cache.Put("q", answer, 1);
+  CacheLookup later = cache.Get("q", 5, 7);
+  ASSERT_TRUE(later.found);
+  EXPECT_FALSE(later.stale);
+  CacheLookup expired = cache.Get("q", 50, 7);
+  ASSERT_TRUE(expired.found);
+  EXPECT_TRUE(expired.stale);
+}
+
+TEST(AnswerCacheTest, AnOlderGenerationNeverReplacesANewerEntry) {
+  AnswerCache cache;
+  cache.Put("q", MakeNegative(5), 1);
+  // A slow ask computed before the last ingest lands after the newer one.
+  CachedAnswer older = MakeAnswer("old");
+  older.generation = 4;
+  cache.Put("q", older, 2);
+  CacheLookup kept = cache.Get("q", 3, 5);
+  ASSERT_TRUE(kept.found);
+  EXPECT_TRUE(kept.entry.negative);
+
+  CachedAnswer same = MakeAnswer("new");
+  same.generation = 5;
+  cache.Put("q", same, 4);
+  CacheLookup replaced = cache.Get("q", 5, 5);
+  ASSERT_TRUE(replaced.found);
+  EXPECT_EQ(replaced.entry.answer[2].second, "new");
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Cached-ask hot path tests: the serving layer's per-request series are
 // resolved once and kept (common/metrics MetricSlot), so these pin what
 // that must not change — exact counts under concurrent clients, series
-// created only when first used, and a valid, catalogued exposition.
+// created only when first used, and a valid, catalogued exposition — and
+// cached negative answers stay consistent while ingests race with asks.
 // Runs under the `threads` label too: three clients share one server.
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/date.h"
 #include "common/metric_names.h"
@@ -186,6 +188,63 @@ TEST_F(HotPathTest, MetricsExpositionPassesTheMetricsLint) {
               1u)
         << tenant;
   }
+}
+
+TEST_F(HotPathTest, NegativeEntriesConvergeWhileIngestsRaceAsks) {
+  // A tenant whose corpus cannot yet answer the El Prat question. One
+  // client ingests the page that answers it (and two more) while the
+  // others keep asking; however the asks and ingests interleave, once the
+  // last ingest is done a cached ask must equal a live one.
+  constexpr char kElPrat[] = "In which city is El Prat located?";
+  web::WebConfig config;
+  config.seed = 42;
+  config.encyclopedia = false;
+  config.noise_pages = 0;
+  web::SyntheticWeb bare = web::SyntheticWeb::Build(config).ValueOrDie();
+  ir::DocumentStore docs;
+  for (const ir::Document& d : bare.documents().documents()) {
+    docs.Add(d.url, d.title, d.format, d.raw);
+  }
+  ServeTenantConfig tenant;
+  tenant.name = "g";
+  tenant.warehouse = wh_.get();
+  tenant.uml = &uml_;
+  tenant.docs = &docs;
+  tenant.ingest_docs = &docs;
+  tenant.pipeline = integration::LastMinuteSales::DefaultPipelineConfig();
+  tenant.retry.sleep = false;
+  ASSERT_TRUE(server_.AddTenant(tenant).ok());
+  const std::vector<std::string> pages = {
+      "The library of Paris holds 9 million books.",
+      "El Prat airport is located in the city of Barcelona.",
+      "A chess tournament with 46 players was held in Valencia."};
+
+  ThreadPool clients(kClients);
+  clients.ParallelFor(kClients, [&](size_t client) {
+    for (size_t i = 0; i < kAsksPerClient; ++i) {
+      Request request;
+      request.id = client * kAsksPerClient + i;
+      request.tenant = "g";
+      if (client == 0 && i % 10 == 5 && i / 10 < pages.size()) {
+        request.endpoint = Endpoint::kIngest;
+        request.doc_url = "http://synthetic.test/race" + std::to_string(i);
+        request.doc_content = pages[i / 10];
+      } else {
+        request.questions = {i % 2 == 0 ? kElPrat : kQuestion};
+      }
+      EXPECT_EQ(server_.Handle(request).status, "ok");
+    }
+  });
+
+  Request cached;
+  cached.tenant = "g";
+  cached.questions = {kElPrat};
+  Request live = cached;
+  live.no_cache = true;
+  Response from_cache = server_.Handle(cached);
+  Response from_corpus = server_.Handle(live);
+  EXPECT_EQ(from_corpus.AnswerField("answer"), "Barcelona");
+  EXPECT_EQ(from_cache.AnswerBlock(), from_corpus.AnswerBlock());
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 // QaServer tests: multi-tenant serving over real pipelines — ask with
-// caching and byte-identical hits, stale-while-degraded fallbacks, typed
+// caching and byte-identical hits, negative entries bound to the corpus
+// generation (and the seeded cached ≡ live oracle over interleaved asks
+// and ingests), stale-while-degraded fallbacks, typed
 // rejections (Overloaded / DeadlineExceeded / CircuitOpen / UnknownTenant /
 // BadRequest), the feed and BI endpoints, health/metrics bypassing
 // admission, and the retry-pressure mirroring of served asks.
@@ -8,11 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/date.h"
 #include "common/metric_names.h"
+#include "common/rng.h"
 #include "dw/federation/federated_engine.h"
 #include "dw/federation/partner_warehouse.h"
 #include "dw/materialized_view.h"
@@ -25,6 +31,19 @@ namespace {
 
 constexpr char kQuestion[] =
     "What is the temperature in Barcelona in January of 2004?";
+/// Unanswered over a corpus without the encyclopedia pages, until the El
+/// Prat page below is ingested.
+constexpr char kElPratQuestion[] = "In which city is El Prat located?";
+constexpr char kElPratPage[] =
+    "El Prat airport is located in the city of Barcelona.\nEl Prat serves "
+    "flights to the whole of Europe.";
+
+/// An answer block the server caches only for its corpus generation.
+bool IsNegative(const Response& response) {
+  const std::string level = response.AnswerField("degradation");
+  return response.AnswerField("answered") == "0" || level == "IrOnly" ||
+         level == "Unanswered";
+}
 
 class ServeTest : public ::testing::Test {
  protected:
@@ -64,6 +83,50 @@ class ServeTest : public ::testing::Test {
     request.endpoint = Endpoint::kAsk;
     request.questions = {question};
     return request;
+  }
+
+  Request LiveAsk(const std::string& tenant, const std::string& question,
+                  uint64_t id = 1) {
+    Request request = Ask(tenant, question, id);
+    request.no_cache = true;
+    return request;
+  }
+
+  Request Ingest(const std::string& tenant, const std::string& url,
+                 const std::string& content, uint64_t id = 1) {
+    Request request;
+    request.id = id;
+    request.tenant = tenant;
+    request.endpoint = Endpoint::kIngest;
+    request.doc_url = url;
+    request.doc_title = url;
+    request.doc_content = content;
+    return request;
+  }
+
+  /// Registers tenant `name` with ingest enabled over `docs`, filled with
+  /// the synthetic web minus its encyclopedia and distractor pages (so
+  /// kElPratQuestion has no answer yet).
+  Status AddIngestTenant(QaServer* server, const std::string& name,
+                         ir::DocumentStore* docs) {
+    web::WebConfig config;
+    config.seed = 42;
+    config.encyclopedia = false;
+    config.noise_pages = 0;
+    DWQA_ASSIGN_OR_RETURN(web::SyntheticWeb web,
+                          web::SyntheticWeb::Build(config));
+    for (const ir::Document& d : web.documents().documents()) {
+      docs->Add(d.url, d.title, d.format, d.raw);
+    }
+    ServeTenantConfig tenant = TenantConfig(name, wh_a_.get());
+    tenant.docs = docs;
+    tenant.ingest_docs = docs;
+    return server->AddTenant(tenant);
+  }
+
+  double CacheLookups(QaServer* server, const char* result) {
+    return server->metrics()->Value(kMetricServeCacheLookups,
+                                    {{"tenant", "a"}, {"result", result}});
   }
 
   std::unique_ptr<web::SyntheticWeb> web_;
@@ -369,6 +432,177 @@ TEST_F(ServeTest, IngestRejectsWhenDisabledEmptyOrMisconfigured) {
   Response disabled = server.Handle(ingest);
   EXPECT_EQ(disabled.status, "rejected");
   EXPECT_EQ(disabled.code, "BadRequest");
+}
+
+TEST_F(ServeTest, UnansweredAskIsCachedUntilAnIngestAnswersIt) {
+  ir::DocumentStore docs;
+  QaServer server;
+  ASSERT_TRUE(AddIngestTenant(&server, "a", &docs).ok());
+  AnswerCache* cache = server.tenant_cache("a");
+
+  Response cold = server.Handle(Ask("a", kElPratQuestion, 1));
+  ASSERT_EQ(cold.status, "ok") << cold.payload;
+  EXPECT_FALSE(cold.cached);
+  ASSERT_TRUE(IsNegative(cold)) << cold.AnswerBlock();
+  EXPECT_EQ(cache->size(), 1u);
+
+  // The negative entry is served while the corpus stays as it was, however
+  // many ticks pass: the TTL does not apply to it.
+  server.AdvanceTicks(10'000);
+  Response again = server.Handle(Ask("a", kElPratQuestion, 2));
+  EXPECT_TRUE(again.cached);
+  EXPECT_FALSE(again.stale);
+  EXPECT_EQ(again.AnswerBlock(), cold.AnswerBlock());
+  EXPECT_DOUBLE_EQ(CacheLookups(&server, "hit"), 1.0);
+  EXPECT_DOUBLE_EQ(CacheLookups(&server, "miss"), 1.0);
+
+  Response ingested = server.Handle(
+      Ingest("a", "http://synthetic.test/el-prat", kElPratPage, 3));
+  ASSERT_EQ(ingested.status, "ok") << ingested.payload;
+
+  // The ingest made the entry outdated: a counted miss, then a live ask
+  // over the grown corpus, which now answers.
+  Response answered = server.Handle(Ask("a", kElPratQuestion, 4));
+  ASSERT_EQ(answered.status, "ok");
+  EXPECT_FALSE(answered.cached);
+  EXPECT_EQ(answered.AnswerField("answered"), "1");
+  EXPECT_NE(answered.AnswerField("answer").find("Barcelona"),
+            std::string::npos)
+      << answered.AnswerBlock();
+  EXPECT_DOUBLE_EQ(CacheLookups(&server, "hit"), 1.0);
+  EXPECT_DOUBLE_EQ(CacheLookups(&server, "miss"), 2.0);
+  Response hit = server.Handle(Ask("a", kElPratQuestion, 5));
+  EXPECT_TRUE(hit.cached);
+  EXPECT_EQ(hit.AnswerBlock(), answered.AnswerBlock());
+
+  Request health;
+  health.id = 6;
+  health.endpoint = Endpoint::kHealth;
+  EXPECT_NE(server.Handle(health).payload.find(" generation=1 "),
+            std::string::npos);
+}
+
+TEST_F(ServeTest, StarvedAskIsNeverCached) {
+  QaServer server;
+  ASSERT_TRUE(server.AddTenant(TenantConfig("a", wh_a_.get())).ok());
+
+  // Budgets 1 and 2 end in the typed rejection, 3 in a degraded set (an
+  // unanswered one, which is a negative entry and outlives any TTL if
+  // cached). None of them may be stored.
+  for (double budget : {1.0, 2.0, 3.0}) {
+    Request starved = Ask("a", kQuestion, 1);
+    starved.budget = budget;
+    Response response = server.Handle(starved);
+    EXPECT_TRUE(response.status == "rejected" ||
+                response.AnswerField("degradation") != "Full")
+        << "budget " << budget << " was not starved";
+    EXPECT_EQ(server.tenant_cache("a")->size(), 0u) << "budget " << budget;
+  }
+
+  // So an unstarved ask gets the full answer, never the degraded one.
+  Response full = server.Handle(Ask("a", kQuestion, 2));
+  ASSERT_EQ(full.status, "ok");
+  EXPECT_FALSE(full.cached);
+  EXPECT_EQ(full.AnswerField("degradation"), "Full");
+  EXPECT_EQ(server.tenant_cache("a")->size(), 1u);
+}
+
+TEST_F(ServeTest, NoCacheAskNeverFillsTheCache) {
+  ir::DocumentStore docs;
+  QaServer server;
+  ASSERT_TRUE(AddIngestTenant(&server, "a", &docs).ok());
+
+  for (const char* question : {kQuestion, kElPratQuestion}) {
+    ASSERT_EQ(server.Handle(LiveAsk("a", question)).status, "ok");
+  }
+  EXPECT_EQ(server.tenant_cache("a")->size(), 0u);
+  EXPECT_DOUBLE_EQ(server.metrics()->Value(kMetricServeCacheInsertions,
+                                           {{"tenant", "a"}}),
+                   0.0);
+  EXPECT_FALSE(server.Handle(Ask("a", kElPratQuestion, 2)).cached);
+}
+
+TEST_F(ServeTest, CachedAnswersEqualLiveAnswersAcrossIngests) {
+  // The cached ≡ live oracle. Seeded interleavings of cached asks,
+  // nocache asks and ingests on one tenant: every cached negative answer
+  // equals a nocache ask at the same generation, every cached positive one
+  // equals the live answer of some generation at or before the current
+  // one, and live answers at one generation agree.
+  const std::vector<std::string> questions = {
+      kQuestion,
+      kElPratQuestion,
+      "What is the capital of Spain?",
+      "Which event took place in Barcelona in 1992?",
+      "What is the temperature in Madrid in January of 2004?",
+      "Who painted the blue horses of the lighthouse?",
+  };
+  const std::vector<std::string> pages = {
+      kElPratPage,
+      "Madrid is the capital of Spain.\nMadrid is the largest city of the "
+      "country.",
+      "The Olympic Games took place in Barcelona in 1992.\nThe Olympic "
+      "Games are a famous competition.",
+      "The library of Paris holds 9 million books.",
+  };
+  for (uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ir::DocumentStore docs;
+    QaServer server;
+    ASSERT_TRUE(AddIngestTenant(&server, "a", &docs).ok());
+    Rng rng(seed);
+    uint64_t generation = 0;
+    size_t next_page = 0;
+    // (question, generation) -> the live answer block.
+    std::map<std::pair<std::string, uint64_t>, std::string> live;
+    auto record = [&](const std::string& question, const Response& r) {
+      auto [it, inserted] =
+          live.emplace(std::make_pair(question, generation), r.AnswerBlock());
+      EXPECT_EQ(it->second, r.AnswerBlock())
+          << "two live answers at generation " << generation << " to "
+          << question;
+    };
+    size_t cached_negative = 0;
+    size_t cached_positive = 0;
+    for (uint64_t id = 1; id <= 120; ++id) {
+      double draw = rng.NextDouble();
+      if (draw < 0.1 && next_page < pages.size()) {
+        Response r = server.Handle(Ingest(
+            "a", "http://synthetic.test/page" + std::to_string(next_page),
+            pages[next_page], id));
+        ASSERT_EQ(r.status, "ok") << r.payload;
+        ++next_page;
+        ++generation;
+        continue;
+      }
+      const std::string& question = questions[rng.NextIndex(questions.size())];
+      bool no_cache = draw > 0.8;
+      Response r = server.Handle(no_cache ? LiveAsk("a", question, id)
+                                          : Ask("a", question, id));
+      ASSERT_EQ(r.status, "ok") << r.payload;
+      if (!r.cached) {
+        record(question, r);
+      } else if (IsNegative(r)) {
+        ++cached_negative;
+        Response now = server.Handle(LiveAsk("a", question, id));
+        record(question, now);
+        EXPECT_EQ(r.AnswerBlock(), now.AnswerBlock())
+            << question << " at generation " << generation;
+      } else {
+        ++cached_positive;
+        bool seen = false;
+        for (uint64_t g = 0; g <= generation && !seen; ++g) {
+          auto it = live.find({question, g});
+          seen = it != live.end() && it->second == r.AnswerBlock();
+        }
+        EXPECT_TRUE(seen) << question << " at generation " << generation;
+      }
+    }
+    // The oracle is not vacuous: both entry kinds were served, and some
+    // negative entry went out of date.
+    EXPECT_GT(cached_negative, 0u);
+    EXPECT_GT(cached_positive, 0u);
+    EXPECT_GT(generation, 0u);
+  }
 }
 
 TEST_F(ServeTest, HealthAndMetricsBypassAdmissionAndReportTheServer) {
