@@ -1,18 +1,28 @@
 // Microbenchmarks of the OLAP engine over the Last Minute Sales cube:
 // scan+aggregate cost by grouping level, slice selectivity and roll-up —
 // plus the materialized-view sweep: view read vs recompute at 1k/10k-fact
-// scale and the per-insert cost of incremental view maintenance.
+// scale and the per-insert cost of incremental view maintenance — and the
+// Step-5 sales-vs-temperature analysis read from views, recomputed, and
+// federated with the partner airline.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "bench/bench_json_main.h"
 
 #include "common/logging.h"
+#include "common/string_util.h"
+#include "common/thread_pool.h"
+#include "dw/etl.h"
+#include "dw/federation/federated_engine.h"
+#include "dw/federation/partner_warehouse.h"
 #include "dw/materialized_view.h"
 #include "dw/olap.h"
+#include "integration/bi_analysis.h"
 #include "integration/last_minute_sales.h"
 #include "web/weather_model.h"
 
@@ -214,6 +224,119 @@ void BM_InsertFactMaintenance(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()));
 }
 BENCHMARK(BM_InsertFactMaintenance)->Arg(0)->Arg(1);
+
+// ---------------------------------------------------------------------------
+// The Step-5 BI analysis (BiAnalysis::SalesVsTemperature) over an archive of
+// three years of sales and Weather facts (about 10.5k sales facts) — read
+// from the derived views, recomputed from base facts, and federated with the
+// partner airline's warehouse (a year of partner sales and weather, mapped
+// by the schema matcher, two fan-out threads).
+// ---------------------------------------------------------------------------
+
+/// Three years of sales plus a Weather history of every airline city,
+/// loaded the way the Step-5 feed loads a fact.
+std::unique_ptr<Warehouse> MakeArchive() {
+  auto wh = std::make_unique<Warehouse>(
+      LastMinuteSales::MakeWarehouse().ValueOrDie());
+  dwqa::web::WeatherModel weather(42);
+  const dwqa::Date start(2002, 1, 1);
+  const int days = 1096;
+  LastMinuteSales::GenerateSales(wh.get(), weather, start, days)
+      .ValueOrDie();
+  std::set<std::string> cities;
+  for (const auto& airport : LastMinuteSales::Airports()) {
+    cities.insert(airport.city);
+  }
+  dwqa::dw::EtlLoader loader(wh.get());
+  for (const std::string& city : cities) {
+    dwqa::Date date = start;
+    for (int d = 0; d < days; ++d, date = date.NextDay()) {
+      auto celsius = weather.TemperatureCelsius(city, date);
+      if (!celsius.ok()) continue;
+      dwqa::dw::FactRecord record;
+      record.role_paths = {{city},
+                           dwqa::dw::DateMemberPath(date),
+                           {"web://history/" + dwqa::ToLower(city)}};
+      record.measures = {Value(*celsius)};
+      DWQA_CHECK(loader.LoadRecord("Weather", record).ok());
+    }
+  }
+  return wh;
+}
+
+struct BiWorld {
+  std::unique_ptr<Warehouse> archive;  ///< No views (recompute, federated).
+  std::unique_ptr<Warehouse> viewed;   ///< The same data, views bound.
+  std::unique_ptr<ViewCatalog> views;
+  std::unique_ptr<Warehouse> partner;
+  std::unique_ptr<dwqa::ThreadPool> pool;
+  std::unique_ptr<dwqa::dw::fed::FederatedEngine> federation;
+
+  BiWorld() {
+    namespace fed = dwqa::dw::fed;
+    archive = MakeArchive();
+    viewed = MakeArchive();
+    views = std::make_unique<ViewCatalog>();
+    DWQA_CHECK(views->DefineAll(DeriveViewsFromSchema(viewed->schema())).ok());
+    viewed->AttachViews(views.get());
+    DWQA_CHECK(views->Bind(*viewed).ok());
+    partner = std::make_unique<Warehouse>(
+        fed::PartnerAirline::MakeWarehouse().ValueOrDie());
+    fed::PartnerAirline::GeneratePartnerSales(partner.get(),
+                                              dwqa::Date(2004, 1, 1), 366)
+        .ValueOrDie();
+    fed::PartnerAirline::GeneratePartnerWeather(partner.get(),
+                                                dwqa::Date(2004, 1, 1), 366)
+        .ValueOrDie();
+    fed::SchemaMatcher matcher(fed::PartnerAirline::DefaultMatcherOptions());
+    fed::SchemaMapping mapping =
+        matcher.Match(*archive, *partner).ValueOrDie();
+    pool = std::make_unique<dwqa::ThreadPool>(2);
+    federation =
+        std::make_unique<fed::FederatedEngine>(archive.get(), "archive");
+    DWQA_CHECK(federation->AddRemote("partner", partner.get(), mapping).ok());
+    federation->set_pool(pool.get());
+  }
+};
+
+BiWorld& Bi() {
+  static auto* world = new BiWorld();
+  return *world;
+}
+
+using dwqa::integration::BiAnalysis;
+using dwqa::integration::BiMode;
+
+void BM_SalesVsTemperatureView(benchmark::State& state) {
+  const Warehouse& wh = *Bi().viewed;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        BiAnalysis::SalesVsTemperature(wh, "LastMinuteSales", "Weather", 5.0,
+                                       BiMode::kViewOnly)
+            .ValueOrDie());
+  }
+}
+BENCHMARK(BM_SalesVsTemperatureView);
+
+void BM_SalesVsTemperatureRecompute(benchmark::State& state) {
+  const Warehouse& wh = *Bi().archive;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        BiAnalysis::SalesVsTemperature(wh, "LastMinuteSales", "Weather", 5.0,
+                                       BiMode::kRecompute)
+            .ValueOrDie());
+  }
+}
+BENCHMARK(BM_SalesVsTemperatureRecompute);
+
+void BM_SalesVsTemperatureFederated(benchmark::State& state) {
+  const dwqa::dw::fed::FederatedEngine& engine = *Bi().federation;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        BiAnalysis::SalesVsTemperatureFederated(engine).ValueOrDie());
+  }
+}
+BENCHMARK(BM_SalesVsTemperatureFederated);
 
 }  // namespace
 

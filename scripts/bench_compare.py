@@ -40,6 +40,12 @@ GATED = [
     ("bench_micro_olap", "BM_GroupByLevelAtScale/10000"),
     ("bench_micro_olap", "BM_InsertFactMaintenance/0"),
     ("bench_micro_olap", "BM_InsertFactMaintenance/1"),
+    # The Step-5 BI analysis end to end, read from views, recomputed and
+    # federated: joining rendered rows on strings again, or resolving
+    # federated conflicts per query, would show here.
+    ("bench_micro_olap", "BM_SalesVsTemperatureView"),
+    ("bench_micro_olap", "BM_SalesVsTemperatureRecompute"),
+    ("bench_micro_olap", "BM_SalesVsTemperatureFederated"),
     ("bench_recovery", "cold_replay_200_ms"),
     # Federated answering decaying toward (or past) the merged-oracle cost
     # would mean the fan-out/merge path lost its reason to exist.

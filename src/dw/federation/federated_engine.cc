@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <future>
 #include <map>
+#include <memory>
 #include <set>
 #include <utility>
 
@@ -41,7 +42,9 @@ struct SubPlan {
   OlapQuery subquery;
   std::vector<AxisPlan> axes;       ///< One per original group-by axis.
   std::vector<double> conversions;  ///< Per underlying measure, remote→local.
-  std::set<size_t> excluded;        ///< Fact rows a conflict policy removed.
+  /// Fact rows a conflict policy removed (null: none), shared with the
+  /// engine's cached resolution.
+  std::shared_ptr<const std::set<size_t>> excluded;
   /// A filter proved this member's share empty: exact zero contribution,
   /// no sub-query dispatched.
   bool zero_contribution = false;
@@ -53,12 +56,23 @@ struct SubPlan {
 /// otherwise it is view-first (each member honors its own
 /// materialized-view catalog) with a scan fallback.
 Result<GroupedStates> RunSubquery(const SubPlan& plan) {
-  if (plan.excluded.empty() && plan.warehouse->views() != nullptr) {
-    Result<GroupedStates> from_view =
-        plan.warehouse->views()->Group(plan.subquery);
-    if (from_view.ok()) return from_view;
+  if (plan.excluded == nullptr) {
+    if (plan.warehouse->views() != nullptr) {
+      Result<GroupedStates> from_view =
+          plan.warehouse->views()->Group(plan.subquery);
+      if (from_view.ok()) return from_view;
+    }
+    return GroupFacts(*plan.warehouse, plan.subquery);
   }
-  return GroupFacts(*plan.warehouse, plan.subquery, plan.excluded);
+  return GroupFacts(*plan.warehouse, plan.subquery, *plan.excluded);
+}
+
+/// `rows` as a shared set that keeps `owner` alive, or null when empty.
+std::shared_ptr<const std::set<size_t>> SharedRows(
+    const std::shared_ptr<const ConflictResolution>& owner,
+    const std::set<size_t>& rows) {
+  if (rows.empty()) return nullptr;
+  return std::shared_ptr<const std::set<size_t>>(owner, &rows);
 }
 
 }  // namespace
@@ -92,8 +106,50 @@ Status FederatedEngine::AddRemote(std::string name, const Warehouse* remote,
   return Status::OK();
 }
 
+void FederatedEngine::set_policy(MergePolicy policy) {
+  std::lock_guard<std::mutex> lock(resolutions_mu_);
+  policy_ = std::move(policy);
+  resolutions_.clear();
+}
+
+Result<std::shared_ptr<const ConflictResolution>> FederatedEngine::Resolution(
+    size_t remote, size_t fact) const {
+  const Remote& r = remotes_[remote];
+  const uint64_t local_stamp = local_->stamp();
+  const uint64_t remote_stamp = r.warehouse->stamp();
+  const std::pair<size_t, size_t> key(remote, fact);
+  {
+    std::lock_guard<std::mutex> lock(resolutions_mu_);
+    auto it = resolutions_.find(key);
+    if (it != resolutions_.end() && it->second.local_stamp == local_stamp &&
+        it->second.remote_stamp == remote_stamp) {
+      return it->second.resolution;
+    }
+  }
+  // Resolved outside the lock: concurrent plans of other facts do not wait
+  // on this one. Two plans racing on the same states compute equal values.
+  DWQA_ASSIGN_OR_RETURN(ConflictResolution resolution,
+                        ResolveConflicts(*local_, *r.warehouse, r.mapping,
+                                         r.mapping.facts[fact], policy_));
+  resolution.quarantine.clear();
+  auto shared =
+      std::make_shared<const ConflictResolution>(std::move(resolution));
+  std::lock_guard<std::mutex> lock(resolutions_mu_);
+  resolutions_[key] = {local_stamp, remote_stamp, shared};
+  return shared;
+}
+
 Result<FederatedResult> FederatedEngine::Execute(
     const OlapQuery& query) const {
+  DWQA_ASSIGN_OR_RETURN(FederatedGroups groups, Group(query));
+  FederatedResult out;
+  DWQA_ASSIGN_OR_RETURN(out.result,
+                        Render(query, groups.grouped, groups.slots));
+  out.coverage = std::move(groups.coverage);
+  return out;
+}
+
+Result<FederatedGroups> FederatedEngine::Group(const OlapQuery& query) const {
   if (local_ == nullptr) {
     return Status::InvalidArgument("federation has no local warehouse");
   }
@@ -101,7 +157,7 @@ Result<FederatedResult> FederatedEngine::Execute(
     return Status::InvalidArgument("OLAP query needs at least one measure");
   }
 
-  FederatedResult out;
+  FederatedGroups out;
   auto count_subquery = [&](const std::string& member, const char* outcome) {
     if (metrics_ == nullptr) return;
     metrics_
@@ -200,7 +256,8 @@ Result<FederatedResult> FederatedEngine::Execute(
   local_plan.conversions.assign(underlying.size(), 1.0);
   plans.push_back(std::move(local_plan));
 
-  for (const Remote& r : remotes_) {
+  for (size_t ri = 0; ri < remotes_.size(); ++ri) {
+    const Remote& r = remotes_[ri];
     const FactMapping* fm = r.mapping.FindLocalFact(query.fact);
     if (fm == nullptr) {
       out.coverage.missing.push_back(
@@ -285,8 +342,9 @@ Result<FederatedResult> FederatedEngine::Execute(
 
     if (fm->key_complete) {
       DWQA_ASSIGN_OR_RETURN(
-          ConflictResolution resolution,
-          ResolveConflicts(*local_, *r.warehouse, r.mapping, *fm, policy_));
+          std::shared_ptr<const ConflictResolution> resolution,
+          Resolution(ri, static_cast<size_t>(fm - r.mapping.facts.data())));
+      // Counted per query from the cached stats, as if resolved afresh.
       if (metrics_ != nullptr) {
         const std::string policy_name =
             ConflictPolicyName(policy_.conflicts);
@@ -297,16 +355,25 @@ Result<FederatedResult> FederatedEngine::Execute(
                                                  {"resolution", resolved}})
               ->Increment(static_cast<double>(n));
         };
-        bump("deduplicated", resolution.stats.deduplicated_rows);
-        bump("quarantined", resolution.stats.quarantined_rows);
+        bump("deduplicated", resolution->stats.deduplicated_rows);
+        bump("quarantined", resolution->stats.quarantined_rows);
         if (policy_.conflicts != ConflictPolicy::kQuarantine) {
-          bump("remote", resolution.stats.remote_rows_dropped);
-          bump("local", resolution.stats.local_rows_dropped);
+          bump("remote", resolution->stats.remote_rows_dropped);
+          bump("local", resolution->stats.local_rows_dropped);
         }
       }
-      plan.excluded = std::move(resolution.remote_excluded);
-      for (size_t row : resolution.local_excluded) {
-        plans.front().excluded.insert(row);
+      plan.excluded = SharedRows(resolution, resolution->remote_excluded);
+      // The local member skips the union of every remote's local
+      // exclusions; a single contributor is shared, not copied.
+      auto local_rows = SharedRows(resolution, resolution->local_excluded);
+      std::shared_ptr<const std::set<size_t>>& local_excluded =
+          plans.front().excluded;
+      if (local_excluded == nullptr) {
+        local_excluded = std::move(local_rows);
+      } else if (local_rows != nullptr) {
+        auto rows = std::make_shared<std::set<size_t>>(*local_excluded);
+        rows->insert(local_rows->begin(), local_rows->end());
+        local_excluded = std::move(rows);
       }
     }
     plans.push_back(std::move(plan));
@@ -419,9 +486,10 @@ Result<FederatedResult> FederatedEngine::Execute(
     std::vector<LevelDictionary> names(arity);  // of_member unused.
     OrdinalGroups merged(arity, underlying.size());
     std::vector<uint32_t> key(arity);
+    size_t facts_scanned = 0, facts_matched = 0;
     for (const auto& [plan, sub] : sub_results) {
-      out.result.facts_scanned += sub.facts_scanned;
-      out.result.facts_matched += sub.facts_matched;
+      facts_scanned += sub.facts_scanned;
+      facts_matched += sub.facts_matched;
       // Per query axis: the merged ordinal of each of the sub-result's
       // values, or of the one constant an absent axis contributes.
       std::vector<std::vector<uint32_t>> translated(arity);
@@ -468,11 +536,10 @@ Result<FederatedResult> FederatedEngine::Execute(
     }
     std::vector<const std::vector<std::string>*> name_ptrs;
     for (const LevelDictionary& dict : names) name_ptrs.push_back(&dict.values);
-    GroupedStates grouped = Finish(merged, name_ptrs);
-    grouped.facts_scanned = out.result.facts_scanned;
-    grouped.facts_matched = out.result.facts_matched;
-    DWQA_ASSIGN_OR_RETURN(out.result,
-                          Render(query, grouped, orig_to_underlying));
+    out.grouped = Finish(merged, name_ptrs);
+    out.grouped.facts_scanned = facts_scanned;
+    out.grouped.facts_matched = facts_matched;
+    out.slots = std::move(orig_to_underlying);
   }
   if (metrics_ != nullptr) {
     metrics_->GetCounter(kMetricFedGroupsMerged)
@@ -482,7 +549,7 @@ Result<FederatedResult> FederatedEngine::Execute(
                      {{"coverage", CoverageName(out.coverage)}})
         ->Increment();
   }
-  merge_span.Annotate("groups", static_cast<double>(out.result.rows.size()));
+  merge_span.Annotate("groups", static_cast<double>(out.grouped.size()));
   merge_span.Annotate("coverage", CoverageName(out.coverage));
   merge_span.End();
   return out;

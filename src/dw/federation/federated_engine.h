@@ -1,8 +1,11 @@
 #ifndef DWQA_DW_FEDERATION_FEDERATED_ENGINE_H_
 #define DWQA_DW_FEDERATION_FEDERATED_ENGINE_H_
 
+#include <map>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fault.h"
@@ -12,6 +15,7 @@
 #include "common/trace.h"
 #include "dw/federation/merge_warehouses.h"
 #include "dw/federation/schema_mapping.h"
+#include "dw/grouping.h"
 #include "dw/olap.h"
 #include "dw/warehouse.h"
 
@@ -57,12 +61,27 @@ struct FederatedResult {
   FederatedCoverage coverage;   ///< Which members the rows cover.
 };
 
+/// \brief A federated answer before rendering: the merged groups, which
+/// state column each query measure reads, and the coverage.
+/// Render(query, grouped, slots) is FederatedResult::result.
+struct FederatedGroups {
+  GroupedStates grouped;       ///< Merged groups, in rendered-key order.
+  std::vector<size_t> slots;   ///< Per query measure: its state column.
+  FederatedCoverage coverage;  ///< Which members the groups cover.
+};
+
 /// \brief The federation planner/executor over one local warehouse and any
 /// number of mapped remote warehouses.
 ///
-/// Thread-safety: Execute is const and safe to call concurrently (chaos
-/// injectors are probed under an internal mutex; metrics instruments are
-/// lock-free; sub-queries go through the view catalogs' shared locks). The
+/// Conflict resolution runs once per pair of warehouse states: the plan
+/// keeps each (remote, fact mapping)'s ConflictResolution keyed by the
+/// Warehouse::stamp() of both sides and reuses it until either warehouse
+/// changes or set_policy() replaces the policy.
+///
+/// Thread-safety: Group/Execute are const and safe to call concurrently
+/// (chaos injectors are probed, and the conflict cache is read and filled,
+/// under internal mutexes; metrics instruments are lock-free; sub-queries
+/// go through the view catalogs' shared locks). The
 /// trace recorder is the exception — TraceRecorder parenting assumes one
 /// logical flow of control, so set one only where Execute calls are
 /// serialized (the serving layer holds its tenant lock) and leave it null
@@ -97,7 +116,8 @@ class FederatedEngine {
 
   /// Conflict policy applied to key-complete fact mappings at query time —
   /// keep it equal to the MergeWarehouses policy for oracle identity.
-  void set_policy(MergePolicy policy) { policy_ = std::move(policy); }
+  /// Drops every cached conflict resolution.
+  void set_policy(MergePolicy policy);
 
   /// Registered remote members.
   size_t remote_count() const { return remotes_.size(); }
@@ -105,9 +125,13 @@ class FederatedEngine {
   const SchemaMapping& mapping(size_t i) const { return remotes_[i].mapping; }
 
   /// Plans, fans out and merges `query` (spelled against the *local*
-  /// schema). Headers, group ordering and values are byte-identical to
-  /// OlapEngine::Execute over the MergeWarehouses oracle when coverage is
-  /// full. Fails only on an invalid query or when no member could answer.
+  /// schema) into finished groups, without rendering them. Fails only on
+  /// an invalid query or when no member could answer.
+  Result<FederatedGroups> Group(const OlapQuery& query) const;
+
+  /// Group() then Render(). Headers, group ordering and values are
+  /// byte-identical to OlapEngine::Execute over the MergeWarehouses oracle
+  /// when coverage is full.
   Result<FederatedResult> Execute(const OlapQuery& query) const;
 
  private:
@@ -117,6 +141,20 @@ class FederatedEngine {
     SchemaMapping mapping;
     FaultInjector* chaos = nullptr;
   };
+
+  /// A conflict resolution and the warehouse states it was computed from.
+  struct CachedResolution {
+    uint64_t local_stamp = 0;
+    uint64_t remote_stamp = 0;
+    std::shared_ptr<const ConflictResolution> resolution;
+  };
+
+  /// The conflict resolution of fact mapping `fact` of remote `remote`
+  /// against the current local and remote states: cached, or computed and
+  /// cached. Its quarantine records are dropped (the engine never routes
+  /// them anywhere).
+  Result<std::shared_ptr<const ConflictResolution>> Resolution(
+      size_t remote, size_t fact) const;
 
   const Warehouse* local_;
   std::string local_name_;
@@ -128,6 +166,10 @@ class FederatedEngine {
   MergePolicy policy_;
   /// Serializes chaos-injector probes (FaultInjector mutates its RNG).
   mutable std::mutex chaos_mu_;
+  /// Guards `resolutions_`.
+  mutable std::mutex resolutions_mu_;
+  /// (remote index, fact-mapping index) -> its latest conflict resolution.
+  mutable std::map<std::pair<size_t, size_t>, CachedResolution> resolutions_;
 };
 
 }  // namespace fed

@@ -356,6 +356,8 @@ Result<Warehouse> MergeWarehouses(const Warehouse& local,
 
   // 6. Insert every kept remote fact row, members translated through the
   // member maps (or the sentinel) and measures converted into local units.
+  // Each remote member is translated once, into a per-role table of merged
+  // ids (kInvalidMember: no merged member carries its base value).
   for (const FactMapping& fm : mapping.facts) {
     DWQA_ASSIGN_OR_RETURN(const FactDef* lf,
                           local.schema().FindFact(fm.local_fact));
@@ -363,43 +365,65 @@ Result<Warehouse> MergeWarehouses(const Warehouse& local,
                           remote.schema().FindFact(fm.remote_fact));
     DWQA_ASSIGN_OR_RETURN(const Table* rtab,
                           remote.FactTable(fm.remote_fact));
+    if (rtab->row_count() == 0) continue;
+    struct RoleTranslation {
+      const Column* fk = nullptr;          ///< Remote fk (null: sentinel).
+      MemberId sentinel = kInvalidMember;  ///< Unmapped role's member.
+      std::vector<MemberId> merged_of;     ///< Remote member -> merged.
+    };
+    std::vector<RoleTranslation> roles;
+    for (const DimRole& role : lf->roles) {
+      const std::string& dim_name = role.dimension;
+      RoleTranslation t;
+      const RoleMapping* rm = fm.FindLocalRole(role.role);
+      if (rm == nullptr) {
+        DWQA_ASSIGN_OR_RETURN(t.sentinel,
+                              merged.FindMember(dim_name, kUnattributedMember));
+        roles.push_back(std::move(t));
+        continue;
+      }
+      DWQA_ASSIGN_OR_RETURN(size_t rri, rf->RoleIndex(rm->remote_role));
+      DWQA_ASSIGN_OR_RETURN(size_t rdi,
+                            remote.DimIndex(rf->roles[rri].dimension));
+      const LevelDictionary& base = remote.Dictionary(rdi, 0);
+      const DimensionMapping* dm = mapping.FindLocalDimension(dim_name);
+      t.fk = &rtab->column(rri);
+      for (uint32_t ordinal : base.of_member) {
+        const std::string* base_value = &base.values[ordinal];
+        if (dm != nullptr) {
+          auto it = dm->member_map.find(ToLower(*base_value));
+          if (it != dm->member_map.end()) base_value = &it->second;
+        }
+        auto found = merged.FindMember(dim_name, *base_value);
+        t.merged_of.push_back(found.ok() ? *found : kInvalidMember);
+      }
+      roles.push_back(std::move(t));
+    }
+    struct MeasureTranslation {
+      const Column* column;  ///< Remote measure column.
+      double conversion;     ///< Remote unit -> local unit.
+      bool integral;         ///< The local measure is int64 (rounded).
+    };
+    std::vector<MeasureTranslation> measure_cols;
+    for (const MeasureDef& md : lf->measures) {
+      const MeasureMapping* mm = fm.FindLocalMeasure(md.name);
+      DWQA_ASSIGN_OR_RETURN(size_t rmi, rf->MeasureIndex(mm->remote_measure));
+      measure_cols.push_back({&rtab->column(rf->roles.size() + rmi),
+                              mm->conversion,
+                              md.type == ColumnType::kInt64});
+    }
     const ConflictResolution& resolution =
         resolutions[ToLower(fm.local_fact)];
+    std::vector<MemberId> members(roles.size());
     for (size_t r = 0; r < rtab->row_count(); ++r) {
       if (resolution.remote_excluded.count(r)) continue;
-      std::vector<MemberId> members;
       bool resolvable = true;
-      for (const DimRole& role : lf->roles) {
-        const std::string& dim_name = role.dimension;
-        const RoleMapping* rm = fm.FindLocalRole(role.role);
-        if (rm == nullptr) {
-          DWQA_ASSIGN_OR_RETURN(
-              MemberId sentinel,
-              merged.FindMember(dim_name, kUnattributedMember));
-          members.push_back(sentinel);
-          continue;
-        }
-        DWQA_ASSIGN_OR_RETURN(size_t rri, rf->RoleIndex(rm->remote_role));
-        MemberId remote_member =
-            static_cast<MemberId>(rtab->Get(r, rri).as_int());
-        DWQA_ASSIGN_OR_RETURN(
-            const DimensionDef* rd,
-            remote.schema().FindDimension(rf->roles[rri].dimension));
-        DWQA_ASSIGN_OR_RETURN(
-            std::string base_value,
-            remote.MemberLevelValue(rf->roles[rri].dimension, remote_member,
-                                    rd->levels.front().name));
-        const DimensionMapping* dm = mapping.FindLocalDimension(dim_name);
-        if (dm != nullptr) {
-          auto it = dm->member_map.find(ToLower(base_value));
-          if (it != dm->member_map.end()) base_value = it->second;
-        }
-        auto found = merged.FindMember(dim_name, base_value);
-        if (!found.ok()) {
-          resolvable = false;
-          break;
-        }
-        members.push_back(*found);
+      for (size_t c = 0; c < roles.size() && resolvable; ++c) {
+        const RoleTranslation& t = roles[c];
+        members[c] = t.fk == nullptr
+                         ? t.sentinel
+                         : t.merged_of[static_cast<size_t>(t.fk->GetInt(r))];
+        resolvable = members[c] != kInvalidMember;
       }
       if (!resolvable) {
         local_report.notes.push_back(
@@ -408,13 +432,10 @@ Result<Warehouse> MergeWarehouses(const Warehouse& local,
         continue;
       }
       std::vector<Value> measures;
-      for (const MeasureDef& md : lf->measures) {
-        const MeasureMapping* mm = fm.FindLocalMeasure(md.name);
-        DWQA_ASSIGN_OR_RETURN(size_t rmi, rf->MeasureIndex(mm->remote_measure));
-        double v = rtab->column(rf->roles.size() + rmi).GetDouble(r) *
-                   mm->conversion;
+      for (const MeasureTranslation& m : measure_cols) {
+        double v = m.column->GetDouble(r) * m.conversion;
         // An int64 local measure keeps its column type (rounded).
-        measures.push_back(md.type == ColumnType::kInt64
+        measures.push_back(m.integral
                                ? Value(static_cast<int64_t>(std::llround(v)))
                                : Value(v));
       }

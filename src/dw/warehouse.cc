@@ -1,5 +1,7 @@
 #include "dw/warehouse.h"
 
+#include <atomic>
+
 #include "common/string_util.h"
 #include "dw/materialized_view.h"
 
@@ -11,6 +13,11 @@ uint32_t LevelDictionary::Intern(const std::string& value) {
       ordinal_of.try_emplace(value, static_cast<uint32_t>(values.size()));
   if (fresh) values.push_back(value);
   return it->second;
+}
+
+uint64_t Warehouse::NextStamp() {
+  static std::atomic<uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 Result<Warehouse> Warehouse::Create(MdSchema schema) {
@@ -85,6 +92,7 @@ Result<MemberId> Warehouse::AddMember(std::string_view dimension,
     LevelDictionary& dict = dictionaries_[di][i];
     dict.of_member.push_back(dict.Intern(i < path.size() ? path[i] : ""));
   }
+  stamp_ = NextStamp();
   return id;
 }
 
@@ -160,6 +168,7 @@ Status Warehouse::InsertFact(std::string_view fact,
   }
   for (const Value& m : measures) row.push_back(m);
   DWQA_RETURN_NOT_OK(fact_tables_[fi].AppendRow(row));
+  stamp_ = NextStamp();
   // Incremental view maintenance: the delta of this one fact, applied to
   // every bound view of the fact, before the insert returns — views are
   // never staler than the fact tables.

@@ -108,10 +108,22 @@ class Warehouse {
   /// the cost estimator reads its cardinalities.
   ViewCatalog* views() const { return views_; }
 
+  /// A process-wide tag of the warehouse's content. Create, every AddMember
+  /// that registers a member and every InsertFact take a fresh one from one
+  /// counter, so two different contents never share a stamp — not even a
+  /// warehouse move-assigned over another at the same address. A copy
+  /// shares its source's stamp until either changes. Caches of derived
+  /// state (the federation's conflict resolutions) key on it.
+  uint64_t stamp() const { return stamp_; }
+
  private:
   Warehouse() = default;
 
+  /// The next value of the process-wide stamp counter.
+  static uint64_t NextStamp();
+
   ViewCatalog* views_ = nullptr;
+  uint64_t stamp_ = NextStamp();
 
   MdSchema schema_;
   /// Parallel to schema_.dimensions().

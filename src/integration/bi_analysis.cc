@@ -1,12 +1,13 @@
 #include "integration/bi_analysis.h"
 
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <unordered_map>
 
 #include "common/string_util.h"
+#include "dw/grouping.h"
 #include "dw/materialized_view.h"
-#include "dw/olap.h"
 
 namespace dwqa {
 namespace integration {
@@ -25,19 +26,38 @@ const char* BiModeName(BiMode mode) {
 
 namespace {
 
-/// Answers `query` from the warehouse's view catalog when `mode` allows and
-/// a view covers it (byte-identical to the recompute by the catalog's
+constexpr uint32_t kNone = UINT32_MAX;
+
+/// One aggregate of the analysis before rendering: groups keyed by (city,
+/// day) and the state column and function of the query's one measure.
+struct Aggregate {
+  dw::GroupedStates grouped;
+  size_t slot = 0;
+  dw::AggFn agg = dw::AggFn::kSum;
+
+  /// Group `g`'s measure, read exactly as Render() renders it.
+  double Measure(size_t g) const {
+    return grouped.states[g * grouped.width + slot].Finish(agg).ToDouble();
+  }
+  /// Group `g`'s value ordinal on axis `a` (0 = city, 1 = day).
+  uint32_t Key(size_t g, size_t a) const { return grouped.keys[g * 2 + a]; }
+};
+
+/// Groups `query` from the warehouse's view catalog when `mode` allows and
+/// a view covers it (identical to the recompute by the catalog's
 /// contract), recomputing otherwise. kViewOnly never scans base facts.
-Result<dw::OlapResult> RunQuery(const dw::Warehouse& wh,
-                                const dw::OlapEngine& engine,
-                                const dw::OlapQuery& query, BiMode mode,
-                                bool* from_view) {
+Result<Aggregate> RunQuery(const dw::Warehouse& wh,
+                           const dw::OlapQuery& query, BiMode mode,
+                           bool* from_view) {
   *from_view = false;
+  Aggregate out;
+  out.agg = query.measures.front().agg;
   if (mode != BiMode::kRecompute && wh.views() != nullptr) {
-    auto viewed = wh.views()->Answer(query);
+    auto viewed = wh.views()->Group(query);
     if (viewed.ok()) {
       *from_view = true;
-      return viewed;
+      out.grouped = std::move(*viewed);
+      return out;
     }
     if (!viewed.status().IsNotFound()) return viewed.status();
   }
@@ -46,50 +66,73 @@ Result<dw::OlapResult> RunQuery(const dw::Warehouse& wh,
         "no materialized view covers the '" + query.fact +
         "' aggregate and view-only mode never recomputes from base facts");
   }
-  return engine.Execute(query);
+  DWQA_ASSIGN_OR_RETURN(out.grouped, dw::GroupFacts(wh, query));
+  return out;
 }
 
 /// The shared tail of both analyses: joins the two aggregates on (city,
 /// day), buckets tickets by temperature and computes the correlation. The
 /// local and federated paths differ only in where the aggregates came from.
-Result<BiReport> JoinAndBucket(const dw::OlapResult& sales,
-                               const dw::OlapResult& weather,
+///
+/// The join runs on value ordinals. Cities match case-insensitively: each
+/// distinct weather spelling is lowercased once into a city class, each
+/// distinct sales spelling looked up once. Days match exactly: both day
+/// axes are sorted, so one merge pass pairs them. A dense (class, day)
+/// table then holds the weather group each pair reads — the later group
+/// in rendered order where two spellings of one class share a day — and
+/// the sales groups are walked in rendered order, so every sum accumulates
+/// in the order the rendered rows would give.
+Result<BiReport> JoinAndBucket(const Aggregate& sales,
+                               const Aggregate& weather,
                                const std::string& sales_fact,
                                const std::string& weather_fact,
                                double bucket_width_c) {
-  // (lowercased city, day) -> temperature, a later row overwriting an
-  // earlier one. Rows come grouped by city, so each run of one city is
-  // lowercased and looked up once.
-  std::unordered_map<std::string, std::unordered_map<std::string, double>>
-      temp_by_city_day;
-  std::string city;
-  std::unordered_map<std::string, double>* days = nullptr;
-  for (const auto& row : weather.rows) {
-    if (days == nullptr || row[0].ToString() != city) {
-      city = row[0].ToString();
-      days = &temp_by_city_day[ToLower(city)];
-    }
-    (*days)[row[1].ToString()] = row[2].ToDouble();
+  const std::vector<std::string>& weather_cities = weather.grouped.values[0];
+  const std::vector<std::string>& weather_days = weather.grouped.values[1];
+  std::unordered_map<std::string, uint32_t> class_of;
+  std::vector<uint32_t> weather_class;
+  weather_class.reserve(weather_cities.size());
+  for (const std::string& city : weather_cities) {
+    weather_class.push_back(
+        class_of.try_emplace(ToLower(city), class_of.size()).first->second);
+  }
+  const size_t days = weather_days.size();
+  std::vector<uint32_t> cell(class_of.size() * days, kNone);
+  for (size_t g = 0; g < weather.grouped.size(); ++g) {
+    cell[weather_class[weather.Key(g, 0)] * days + weather.Key(g, 1)] =
+        static_cast<uint32_t>(g);
   }
 
-  // Join and bucket, in sales-row order.
+  const std::vector<std::string>& sales_cities = sales.grouped.values[0];
+  const std::vector<std::string>& sales_days = sales.grouped.values[1];
+  std::vector<uint32_t> sales_class(sales_cities.size(), kNone);
+  for (size_t c = 0; c < sales_cities.size(); ++c) {
+    auto found = class_of.find(ToLower(sales_cities[c]));
+    if (found != class_of.end()) sales_class[c] = found->second;
+  }
+  std::vector<uint32_t> sales_day(sales_days.size(), kNone);
+  for (size_t s = 0, w = 0; s < sales_days.size() && w < days;) {
+    if (sales_days[s] < weather_days[w]) {
+      ++s;
+    } else if (weather_days[w] < sales_days[s]) {
+      ++w;
+    } else {
+      sales_day[s++] = static_cast<uint32_t>(w++);
+    }
+  }
+
+  // Join and bucket, in sales-group order.
   std::map<int64_t, TempRangeStat> buckets;
   double sum_t = 0, sum_k = 0, sum_tt = 0, sum_kk = 0, sum_tk = 0;
   size_t n = 0;
-  days = nullptr;
-  bool city_known = false;
-  for (const auto& row : sales.rows) {
-    if (!city_known || row[0].ToString() != city) {
-      city = row[0].ToString();
-      city_known = true;
-      auto found = temp_by_city_day.find(ToLower(city));
-      days = found == temp_by_city_day.end() ? nullptr : &found->second;
-    }
-    if (days == nullptr) continue;
-    auto it = days->find(row[1].ToString());
-    if (it == days->end()) continue;
-    double temp = it->second;
-    double tickets = row[2].ToDouble();
+  for (size_t g = 0; g < sales.grouped.size(); ++g) {
+    const uint32_t city = sales_class[sales.Key(g, 0)];
+    const uint32_t day = sales_day[sales.Key(g, 1)];
+    if (city == kNone || day == kNone) continue;
+    const uint32_t partner = cell[city * days + day];
+    if (partner == kNone) continue;
+    double temp = weather.Measure(partner);
+    double tickets = sales.Measure(g);
     int64_t bucket = static_cast<int64_t>(
         std::floor(temp / bucket_width_c));
     TempRangeStat& stat = buckets[bucket];
@@ -178,17 +221,15 @@ Result<BiReport> BiAnalysis::SalesVsTemperature(
   if (bucket_width_c <= 0.0) {
     return Status::InvalidArgument("bucket width must be positive");
   }
-  dw::OlapEngine engine(&wh);
-
   bool sales_from_view = false;
   DWQA_ASSIGN_OR_RETURN(
-      dw::OlapResult sales,
-      RunQuery(wh, engine, SalesQuery(sales_fact), mode, &sales_from_view));
+      Aggregate sales,
+      RunQuery(wh, SalesQuery(sales_fact), mode, &sales_from_view));
 
   bool weather_from_view = false;
-  DWQA_ASSIGN_OR_RETURN(dw::OlapResult weather,
-                        RunQuery(wh, engine, WeatherQuery(weather_fact),
-                                 mode, &weather_from_view));
+  DWQA_ASSIGN_OR_RETURN(
+      Aggregate weather,
+      RunQuery(wh, WeatherQuery(weather_fact), mode, &weather_from_view));
 
   DWQA_ASSIGN_OR_RETURN(BiReport report,
                         JoinAndBucket(sales, weather, sales_fact,
@@ -204,17 +245,23 @@ Result<FederatedBiReport> BiAnalysis::SalesVsTemperatureFederated(
   if (bucket_width_c <= 0.0) {
     return Status::InvalidArgument("bucket width must be positive");
   }
-  DWQA_ASSIGN_OR_RETURN(dw::fed::FederatedResult sales,
-                        engine.Execute(SalesQuery(sales_fact)));
-  DWQA_ASSIGN_OR_RETURN(dw::fed::FederatedResult weather,
-                        engine.Execute(WeatherQuery(weather_fact)));
   FederatedBiReport out;
-  out.sales_coverage = std::move(sales.coverage);
-  out.weather_coverage = std::move(weather.coverage);
+  auto group = [&](const dw::OlapQuery& query,
+                   dw::fed::FederatedCoverage* coverage) -> Result<Aggregate> {
+    DWQA_ASSIGN_OR_RETURN(dw::fed::FederatedGroups groups,
+                          engine.Group(query));
+    *coverage = std::move(groups.coverage);
+    return Aggregate{std::move(groups.grouped), groups.slots.front(),
+                     query.measures.front().agg};
+  };
+  DWQA_ASSIGN_OR_RETURN(Aggregate sales,
+                        group(SalesQuery(sales_fact), &out.sales_coverage));
+  DWQA_ASSIGN_OR_RETURN(
+      Aggregate weather,
+      group(WeatherQuery(weather_fact), &out.weather_coverage));
   DWQA_ASSIGN_OR_RETURN(out.report,
-                        JoinAndBucket(sales.result, weather.result,
-                                      sales_fact, weather_fact,
-                                      bucket_width_c));
+                        JoinAndBucket(sales, weather, sales_fact,
+                                      weather_fact, bucket_width_c));
   return out;
 }
 

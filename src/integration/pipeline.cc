@@ -323,7 +323,9 @@ Result<FeedReport> IntegrationPipeline::RunStep5(
   // before any of it loads, not at its commit.
   for (const std::string& question : questions) {
     if (wal_ == nullptr) break;
-    DWQA_RETURN_NOT_OK(dw::WalCommitSerde::ToPayload({question}).status());
+    dw::WalCommit commit;
+    commit.question = question;
+    DWQA_RETURN_NOT_OK(dw::WalCommitSerde::ToPayload(commit).status());
   }
   if (resilience.validate_facts) {
     // The Step-4 axioms (temperature intervals, unit lists) become the

@@ -314,7 +314,7 @@ std::vector<AnswerCandidate> AnswerExtractor::ExtractAnalyzed(
           c.answer_text = m.text;
           c.has_value = true;
           c.value = m.value;
-          c.unit = "%";
+          c.unit = '%';
           c.score = base + 2.0;
           push(std::move(c));
         }

@@ -103,8 +103,14 @@ std::string SyntacticBlock::Annotated() const {
     header += "," + role + "," + subtype + ",,";
   }
   std::string out = "<@" + header + ">";
-  for (const Token& t : tokens) out += " " + t.Annotated();
-  for (const auto& child : children) out += " " + child.Annotated();
+  for (const Token& t : tokens) {
+    out += ' ';
+    out += t.Annotated();
+  }
+  for (const auto& child : children) {
+    out += ' ';
+    out += child.Annotated();
+  }
   out += " <@/" + header + ">";
   return out;
 }
