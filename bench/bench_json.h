@@ -143,7 +143,9 @@ class JsonSectionWriter {
     }
     ::closedir(dir);
     std::sort(sections.begin(), sections.end());
-    const std::string tmp = dest + ".tmp";
+    // One tmp file per process: under `ctest -j` several smokes merge into
+    // `dest` at once, and a shared tmp name lets one rename another's file.
+    const std::string tmp = dest + ".tmp." + std::to_string(::getpid());
     {
       std::ofstream out(tmp);
       if (!out) return false;

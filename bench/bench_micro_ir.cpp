@@ -247,7 +247,6 @@ void BM_SegmentedMergedQuery(benchmark::State& state) {
   for (size_t i = 0; i < n; ++i) {
     index.AddDocument(dwqa::ir::DocId(i), SweepDoc(i));
   }
-  index.WaitForMerges();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         index.Search("temperature Barcelona January degrees"));

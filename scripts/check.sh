@@ -8,7 +8,9 @@
 #   DWQA_SANITIZE       sanitizer list for the sanitizer pass
 #                       (default "address,undefined"; "" skips the pass;
 #                       "thread" runs the TSan flavour CI uses for the
-#                       threads-labeled suite)
+#                       threads-labeled suite: thread pool, parallel
+#                       indexation, views, federation and the concurrent
+#                       serve drain and hot-path suites)
 #   DWQA_SKIP_BENCHES=1 skip the bench sweep
 #   DWQA_JOBS           bound build/test parallelism (default: unbounded -j,
 #                       which OOMs small CI runners)
@@ -63,10 +65,10 @@ if [ -n "$SANITIZE" ]; then
   # Each labeled suite once more under the sanitizers, alone and loudly:
   # the label is the contract that the suite exists and runs sanitized.
   #   chaos       fault-injection sweeps over the whole pipeline
-  #   serve       admission, answer cache and drain
+  #   serve       admission, answer cache, drain and concurrent asks
   #   durability  the WAL parser, recovery replay and the crash-point sweep
   #               (torn and bit-flipped inputs walk parsers off buffers)
-  #   index       delta+varint decoding, block skipping, merge/query races
+  #   index       delta+varint decoding, block skipping, inline merges
   #   views       delta maintenance of shared AggStates under the catalog
   #               lock, the chaos-fed and crash-point view sweeps
   #   federation  cross-warehouse merges of partial aggregates, pool

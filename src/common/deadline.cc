@@ -59,13 +59,4 @@ Status Deadline::Check(const std::string& stage) {
   return Status::OK();
 }
 
-Status Deadline::Absorb(const Deadline& other) {
-  Status first = Status::OK();
-  for (const auto& [stage, units] : other.spent_by_stage()) {
-    Status st = Spend(stage, units);
-    if (first.ok() && !st.ok()) first = st;
-  }
-  return first;
-}
-
 }  // namespace dwqa

@@ -15,8 +15,8 @@ namespace dwqa {
 /// The unit is "one attempted operation" (one retry attempt, one probed
 /// stage) rather than milliseconds: wall clocks are banned from the test
 /// suite, and an attempt-counted budget makes deadline behaviour exactly
-/// reproducible. Callers that do want wall-clock semantics can install a
-/// clock via Deadline::set_clock.
+/// reproducible. There is no clock: a stage that wants a larger share of
+/// the budget charges more units per attempt through Deadline::Spend.
 struct DeadlineConfig {
   /// Units the run may spend; infinity (the default) disables the deadline.
   double budget = std::numeric_limits<double>::infinity();
@@ -25,7 +25,7 @@ struct DeadlineConfig {
   Status Validate() const;
 };
 
-/// \brief Cooperative, injectable-clock cost budget shared across pipeline
+/// \brief Cooperative, attempt-counted cost budget shared across pipeline
 /// stages.
 ///
 /// One Deadline object is threaded through a whole run (AliQAn::Ask →
@@ -65,15 +65,6 @@ class Deadline {
   /// `stage` once it is gone.
   Status Check(const std::string& stage);
 
-  /// Replays every charge tallied by `other` into this deadline, stage by
-  /// stage, as if the work had been charged here directly. This is the
-  /// merge half of speculative execution: a parallel worker runs against a
-  /// private unlimited ledger, and the serial merge point absorbs that
-  /// ledger so spent/spent_by_stage match the serial run exactly. Returns
-  /// the first non-OK status a replayed charge produced (OK otherwise);
-  /// later charges are still applied so accounting never diverges.
-  Status Absorb(const Deadline& other);
-
   /// Stage that first observed exhaustion ("" while budget remains).
   const std::string& exhausted_stage() const { return exhausted_stage_; }
 
@@ -85,8 +76,7 @@ class Deadline {
   /// Attaches a metrics registry (owned by the caller, may be null): every
   /// subsequent Spend mirrors its charge into
   /// `dwqa_deadline_spent_units_total{stage}` and exhaustion flips the
-  /// `dwqa_deadline_exhausted` gauge. Private speculation ledgers stay
-  /// unattached, so Absorb-replayed charges are counted exactly once.
+  /// `dwqa_deadline_exhausted` gauge.
   void set_metrics(MetricRegistry* metrics);
 
  private:

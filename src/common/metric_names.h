@@ -61,8 +61,7 @@ inline constexpr char kMetricIrDocLookupLatency[] =
 inline constexpr char kMetricIndexSegments[] = "dwqa_index_segments";
 /// Counter, labels {index}: memtables sealed into immutable segments.
 inline constexpr char kMetricIndexSeals[] = "dwqa_index_seals_total";
-/// Counter, labels {index}: tiered segment merges run (background or
-/// inline).
+/// Counter, labels {index}: tiered segment merges run.
 inline constexpr char kMetricIndexMerges[] = "dwqa_index_merges_total";
 /// Histogram, labels {index}: wall-clock latency of one segment merge.
 inline constexpr char kMetricIndexMergeLatency[] =
@@ -94,8 +93,7 @@ inline constexpr char kMetricIndexIngestDocs[] =
 
 /// \name QA search and indexation phases (qa/aliqan.h)
 /// @{
-/// Counter: questions put through the search phase (Ask/AskWith calls,
-/// speculative batch asks included).
+/// Counter: questions put through the search phase (Ask/AskWith calls).
 inline constexpr char kMetricQaQuestions[] = "dwqa_qa_questions_total";
 /// Counter, labels {level}: answers produced per degradation-ladder rung.
 inline constexpr char kMetricQaAnswers[] = "dwqa_qa_answers_total";

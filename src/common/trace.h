@@ -74,9 +74,7 @@ class Span {
 ///
 /// Parenting uses an open-span stack, so spans recorded through one
 /// recorder must nest properly on one logical flow of control — the serial
-/// Step-5 loop and the live Ask path. Speculative pool workers are not
-/// traced (they pass a null recorder); their consumed answers surface as a
-/// `speculative=true` annotation on the serial `qa.ask` span instead.
+/// Step-5 loop and the live Ask path.
 /// Internals are mutex-guarded anyway so a misuse cannot corrupt memory.
 class TraceRecorder {
  public:

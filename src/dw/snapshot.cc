@@ -34,6 +34,15 @@ bool ParseUint64(const std::string& s, uint64_t* out) {
   return true;
 }
 
+/// The form Crc32Hex writes: eight lowercase hex digits.
+bool IsCrcHex(const std::string& s) {
+  if (s.size() != 8) return false;
+  for (char c : s) {
+    if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return false;
+  }
+  return true;
+}
+
 bool IsSnapshotDirName(const std::string& name, Lsn* lsn) {
   if (!StartsWith(name, "snap-") || EndsWith(name, ".tmp")) return false;
   std::string digits = name.substr(5);
@@ -83,7 +92,7 @@ Result<SnapshotManifest> ManifestSerde::FromText(const std::string& text) {
     } else if (fields[0] == "file") {
       ManifestEntry entry;
       if (fields.size() != 4 || fields[1].empty() ||
-          !ParseUint64(fields[2], &entry.size) || fields[3].size() != 8) {
+          !ParseUint64(fields[2], &entry.size) || !IsCrcHex(fields[3])) {
         return malformed(line_no, "bad 'file' line");
       }
       entry.file = fields[1];

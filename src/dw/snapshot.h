@@ -30,8 +30,9 @@ struct SnapshotManifest {
 };
 
 /// Serializes/parses the MANIFEST file (`dwqa-snapshot<TAB>1` magic, one
-/// `lsn` line, one `file<TAB><name><TAB><size><TAB><crc>` line per entry).
-/// Parse errors carry the offending line number and never crash.
+/// `lsn` line, one `file<TAB><name><TAB><size><TAB><crc>` line per entry,
+/// `<crc>` as Crc32Hex writes it). Parse errors carry the offending line
+/// number and never crash.
 class ManifestSerde {
  public:
   static std::string ToText(const SnapshotManifest& manifest);

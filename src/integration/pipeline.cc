@@ -3,7 +3,6 @@
 #include "common/logging.h"
 #include "common/metric_names.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "dw/etl.h"
 #include "dw/materialized_view.h"
 #include "dw/recovery.h"
@@ -380,40 +379,7 @@ Result<FeedReport> IntegrationPipeline::RunStep5(
   // load again.
   const bool resume_semantics = wal_ != nullptr;
 
-  // Batched ask phase: answer the batch speculatively on a pool. Ask() is a
-  // pure read of the quiescent index, so only it moves off-thread; every
-  // order-dependent effect — fault draws, retry/backoff, breaker admission,
-  // deadline accounting, validation, dedup, ETL, WAL commits — still
-  // happens in the serial loop below, which consumes a speculative answer
-  // (absorbing its private deadline ledger) exactly where the serial code
-  // would have computed it. A finite budget disables speculation: which
-  // question hits mid-batch exhaustion depends on completion order.
-  struct SpeculativeAsk {
-    bool valid = false;
-    Result<qa::AnswerSet> answers{Status::Unavailable("not speculated")};
-    Deadline ledger;
-  };
-  std::vector<SpeculativeAsk> speculative(questions.size());
-  if (config_.parallel_questions > 1 && deadline_.unlimited()) {
-    ThreadPool pool(config_.parallel_questions);
-    pool.ParallelFor(questions.size(), [&](size_t i) {
-      if (resume_semantics &&
-          progress_.questions.count(questions[i]) > 0) {
-        return;
-      }
-      speculative[i].answers =
-          aliqan_->AskWith(questions[i], nullptr, &speculative[i].ledger);
-      speculative[i].valid = true;
-    });
-  } else if (config_.parallel_questions > 1) {
-    DWQA_LOG(Info) << "Step 5: parallel_questions="
-                   << config_.parallel_questions
-                   << " ignored under a finite deadline budget;"
-                   << " asking serially";
-  }
-
-  for (size_t qi = 0; qi < questions.size(); ++qi) {
-    const std::string& question = questions[qi];
+  for (const std::string& question : questions) {
     if (resume_semantics && progress_.questions.count(question) > 0) {
       ++report.questions_resumed;
       count_outcome("resumed");
@@ -461,18 +427,6 @@ Result<FeedReport> IntegrationPipeline::RunStep5(
         ask_policy,
         [&]() -> Result<qa::AnswerSet> {
           DWQA_RETURN_NOT_OK(fault_.Hit(kFaultPointFetch));
-          // Merge point of the batched ask phase: the first attempt that
-          // survives the fault draw consumes the speculative answer and
-          // replays its deadline ledger here, as if Ask had just run.
-          // Later attempts (a retried transient) fall through to a live
-          // Ask — deterministic, so the answer is the same either way.
-          SpeculativeAsk& spec = speculative[qi];
-          if (spec.valid) {
-            spec.valid = false;
-            DWQA_RETURN_NOT_OK(deadline_.Absorb(spec.ledger));
-            question_span.Annotate("speculative", "true");
-            return std::move(spec.answers);
-          }
           return aliqan_->Ask(question, trace);
         },
         &ask_stats, &deadline_, kFaultPointFetch);

@@ -125,15 +125,6 @@ struct PipelineConfig {
   /// re-asking (or overlapping month questions) does not double facts in
   /// the warehouse.
   bool dedup_feed = true;
-  /// Worker threads for the batched Step-5 ask phase. 1 (the default) is
-  /// the serial loop; N > 1 speculatively answers the batch's questions on
-  /// a pool (AliQAn::AskWith against private deadline ledgers) while fault
-  /// draws, retries, breaker admission, validation, dedup, ETL and
-  /// WAL commits all stay serialized in question order at a single merge
-  /// point — so FeedReport accounting and chaos semantics are byte-for-byte
-  /// those of the serial run. Ignored — with a log line — under a finite
-  /// deadline budget (mid-batch exhaustion is order-dependent).
-  size_t parallel_questions = 1;
   /// When true, RunStep5 records one trace tree per processed question
   /// (step5.question → qa.ask → analysis/retrieval/extraction → per-fact
   /// validate/load spans), retrievable via question_traces() /

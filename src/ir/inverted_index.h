@@ -86,8 +86,7 @@ class InvertedIndex {
 
   /// Ranks documents for a keyword query (stopwords dropped, lowercased,
   /// TF-IDF with length normalization). Top `k` hits, best first; ties
-  /// break on ascending DocId. Safe concurrently with other searches and
-  /// with background merges.
+  /// break on ascending DocId. Safe concurrently with other searches.
   std::vector<DocHit> Search(const std::string& query, size_t k = 10) const;
 
   size_t document_count() const { return core_->document_count(); }
@@ -110,8 +109,6 @@ class InvertedIndex {
   }
   /// Compressed postings bytes across sealed segments.
   size_t postings_bytes() const { return core_->postings_bytes(); }
-  /// Blocks until no background merge is scheduled or running.
-  void WaitForMerges() const { core_->WaitForMerges(); }
 
   /// Attaches a metrics registry (may be null): every Search records
   /// `dwqa_ir_doc_lookups_total` and a `dwqa_ir_doc_lookup_latency_ms`
@@ -120,7 +117,7 @@ class InvertedIndex {
   /// are safe.
   void set_metrics(MetricRegistry* metrics);
 
-  /// Trace sink for `index.seal` / inline `index.merge` spans (null off).
+  /// Trace sink for `index.seal` / `index.merge` spans (null off).
   void set_trace(TraceRecorder* trace) { core_->set_trace(trace); }
 
  private:

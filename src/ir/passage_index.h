@@ -92,7 +92,7 @@ class PassageIndex {
 
   /// Top-k passages for the query terms, best first. Adjacent overlapping
   /// windows of the same document are deduplicated (the best one is kept).
-  /// Safe concurrently with other searches and with background merges.
+  /// Safe concurrently with other searches.
   std::vector<Passage> Search(const std::string& query, size_t k = 5) const;
 
   /// The stored sentences of a document. The reference stays valid across
@@ -116,8 +116,6 @@ class PassageIndex {
   }
   /// Compressed postings bytes across sealed segments.
   size_t postings_bytes() const { return core_->postings_bytes(); }
-  /// Blocks until no background merge is scheduled or running.
-  void WaitForMerges() const { core_->WaitForMerges(); }
 
   /// Attaches a metrics registry (may be null): every Search records
   /// `dwqa_ir_passage_lookups_total` and a
@@ -126,7 +124,7 @@ class PassageIndex {
   /// Recording is lock-free, so concurrent searchers are safe.
   void set_metrics(MetricRegistry* metrics);
 
-  /// Trace sink for `index.seal` / inline `index.merge` spans (null off).
+  /// Trace sink for `index.seal` / `index.merge` spans (null off).
   void set_trace(TraceRecorder* trace) { core_->set_trace(trace); }
 
  private:

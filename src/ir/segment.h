@@ -22,8 +22,8 @@ namespace ir {
 /// A segment is built once from a batch of documents, sealed into
 /// delta+varint-compressed postings with per-block max-score metadata, and
 /// never mutated again; readers share it through `shared_ptr<const ...>`,
-/// so a background merge can swap the manifest under live queries without
-/// invalidating anything a reader already holds.
+/// so a merge can swap the manifest without invalidating anything a
+/// reader already holds.
 ///
 /// Documents inside a segment are addressed by a dense local *ordinal*
 /// (0-based insertion order) rather than their global DocId: ordinals are

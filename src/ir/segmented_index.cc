@@ -175,17 +175,6 @@ SegmentManifest<Segment>::SegmentManifest(SegmentedIndexOptions options)
 }
 
 template <typename Segment>
-SegmentManifest<Segment>::~SegmentManifest() {
-  WaitForMerges();
-}
-
-template <typename Segment>
-void SegmentManifest<Segment>::WaitForMerges() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  merge_cv_.wait(lock, [this] { return !merge_inflight_; });
-}
-
-template <typename Segment>
 void SegmentManifest<Segment>::SealMemtable() {
   if (memtable_.empty() || options_.seal_every == 0) return;
   Span span(trace_, "index.seal");
@@ -254,22 +243,16 @@ void SegmentManifest<Segment>::AppendSealed(
   sealed_.push_back(std::move(segment));
   Bump(metrics_.seals);
   UpdateManifestGaugesLocked();
-  StartMergesLocked(&lock);
+  MergeToTriggerLocked(&lock);
 }
 
 template <typename Segment>
-void SegmentManifest<Segment>::StartMergesLocked(
+void SegmentManifest<Segment>::MergeToTriggerLocked(
     std::unique_lock<std::mutex>* lock) {
-  while (!merge_inflight_ && sealed_.size() > options_.merge_trigger) {
+  while (sealed_.size() > options_.merge_trigger) {
     size_t i = PickMergePair(sealed_);
     auto left = sealed_[i];
     auto right = sealed_[i + 1];
-    merge_inflight_ = true;
-    if (options_.merge_pool != nullptr) {
-      options_.merge_pool->Submit(
-          [this, left, right] { RunMerge(left, right); });
-      return;  // RunMerge chains the next merge itself.
-    }
     lock->unlock();
     {
       Span span(trace_, "index.merge");
@@ -287,7 +270,7 @@ void SegmentManifest<Segment>::RunMerge(std::shared_ptr<const Segment> left,
                                         std::shared_ptr<const Segment> right) {
   auto start = std::chrono::steady_clock::now();
   auto merged = Segment::Merge(*left, *right, options_.block_postings);
-  std::unique_lock<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   sealed_bytes_ += merged->postings_bytes();
   sealed_bytes_ -= left->postings_bytes() + right->postings_bytes();
   SpliceMerged(&sealed_, left.get(), std::move(merged));
@@ -296,9 +279,6 @@ void SegmentManifest<Segment>::RunMerge(std::shared_ptr<const Segment> left,
     metrics_.merge_latency->Observe(MsSince(start));
   }
   UpdateManifestGaugesLocked();
-  merge_inflight_ = false;
-  if (options_.merge_pool != nullptr) StartMergesLocked(&lock);
-  merge_cv_.notify_all();
 }
 
 template <typename Segment>

@@ -1,7 +1,6 @@
 #ifndef DWQA_IR_SEGMENTED_INDEX_H_
 #define DWQA_IR_SEGMENTED_INDEX_H_
 
-#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -27,7 +26,7 @@ struct Passage;
 /// \file segmented_index.h
 /// \brief LSM-style segmented index cores: a mutable memtable plus a
 /// manifest of immutable sealed segments (ir/segment.h), with tiered
-/// background merging and block-max top-k pruning.
+/// merging and block-max top-k pruning.
 ///
 /// One lifecycle serves both index kinds: `SegmentManifest<Segment>` owns
 /// the memtable → seal → tiered merge → snapshot-reader cycle, the global
@@ -42,20 +41,20 @@ struct Passage;
 /// searchable without a rebuild), and Search fans out across segments,
 /// merging top-k results with exact score-bound pruning.
 ///
-/// **Determinism.** Results are byte-identical regardless of segment count
-/// or merge timing: segments keep documents in insertion order, merges
-/// concatenate adjacent segments (preserving manifest order), per-document
-/// scores accumulate in the same sorted-unique query-term order as the
-/// monolithic code, pruning only ever discards candidates strictly below
-/// the current top-k threshold, and the final (score, id) sort is a total
-/// order. `seal_every = 0` disables sealing entirely — the pure-memtable
+/// **Determinism.** Results are byte-identical regardless of segment count:
+/// segments keep documents in insertion order, merges concatenate adjacent
+/// segments (preserving manifest order), per-document scores accumulate in
+/// the same sorted-unique query-term order as the monolithic code, pruning
+/// only ever discards candidates strictly below the current top-k
+/// threshold, and the final (score, id) sort is a total order.
+/// `seal_every = 0` disables sealing entirely — the pure-memtable
 /// configuration *is* the old monolithic index.
 ///
 /// **Concurrency contract.** Reads (Search*/DebugString/counters) are safe
-/// concurrently with each other and with background merges; writers
-/// (Add*/Seal*) require external exclusion from both readers and other
-/// writers — the same quiescent-index contract the serving layer already
-/// relies on. The destructor blocks until in-flight merges finish.
+/// concurrently with each other; writers (Add*/Seal*) require external
+/// exclusion from both readers and other writers — the same quiescent-index
+/// contract the serving layer already relies on. Merges run inline on the
+/// writer at the seal point that pushed the manifest over the trigger.
 struct SegmentedIndexOptions {
   /// Memtable documents per sealed segment. 0 = never seal (monolithic
   /// mode: one mutable memtable, no merges, no pruning metadata).
@@ -68,10 +67,6 @@ struct SegmentedIndexOptions {
   size_t merge_trigger = 8;
   /// Postings per block of the sealed lists (block-max skip granularity).
   size_t block_postings = 128;
-  /// When non-null, merges run on this pool in the background (the pool
-  /// must outlive the index; the index's destructor drains its own merge
-  /// before returning). Null = merges run inline at the seal point.
-  ThreadPool* merge_pool = nullptr;
 };
 
 /// \brief The lifecycle shared by both index kinds: memtable appends,
@@ -85,9 +80,6 @@ class SegmentManifest {
   /// Clamps `merge_trigger` to at least 1: a manifest of one segment has
   /// no adjacent pair to merge.
   explicit SegmentManifest(SegmentedIndexOptions options);
-  /// Waits for the in-flight background merge (if any) before releasing
-  /// the manifest.
-  ~SegmentManifest();
 
   SegmentManifest(const SegmentManifest&) = delete;
   SegmentManifest& operator=(const SegmentManifest&) = delete;
@@ -124,15 +116,11 @@ class SegmentManifest {
   size_t sealed_segment_count() const;
   /// Compressed postings bytes across sealed segments.
   size_t postings_bytes() const;
-  /// Blocks until no merge is in flight (scheduled or running).
-  void WaitForMerges() const;
 
   /// Attaches the `dwqa_index_*` instruments under the label
   /// {index="doc"|"passage"}; null turns instrumentation off.
   void set_metrics(MetricRegistry* metrics);
-  /// Trace sink for `index.seal` / inline `index.merge` spans (null off).
-  /// Background merges are never traced: TraceRecorder parents spans off
-  /// one serial stack.
+  /// Trace sink for `index.seal` / `index.merge` spans (null off).
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
 
  protected:
@@ -164,9 +152,9 @@ class SegmentManifest {
  private:
   void AddSealedShards(std::vector<Builder> shards, ThreadPool* pool);
   void AppendSealed(std::shared_ptr<const Segment> segment);
-  /// Starts (and, without a pool, runs) merges until the manifest is at or
-  /// below the trigger. Requires `lock` held on mu_.
-  void StartMergesLocked(std::unique_lock<std::mutex>* lock);
+  /// Runs merges until the manifest is at or below the trigger. Requires
+  /// `lock` held on mu_; released around each merge.
+  void MergeToTriggerLocked(std::unique_lock<std::mutex>* lock);
   void RunMerge(std::shared_ptr<const Segment> left,
                 std::shared_ptr<const Segment> right);
   void UpdateManifestGaugesLocked();
@@ -178,8 +166,6 @@ class SegmentManifest {
   size_t sealed_bytes_ = 0;
 
   mutable std::mutex mu_;
-  mutable std::condition_variable merge_cv_;
-  bool merge_inflight_ = false;
 
   TraceRecorder* trace_ = nullptr;
 };

@@ -33,18 +33,9 @@ AliQAn::AliQAn(const ontology::Ontology* onto, AliQAnConfig config)
     : onto_(onto),
       config_(config),
       preprocessor_(DefaultPreprocess),
-      merge_pool_(config.index_merge_threads > 0
-                      ? std::make_unique<ThreadPool>(config.index_merge_threads)
-                      : nullptr),
       passage_index_(config.passage_window, corpus_.mutable_dictionary(),
-                     EffectiveIndexOptions()),
-      doc_index_(corpus_.mutable_dictionary(), EffectiveIndexOptions()) {}
-
-ir::SegmentedIndexOptions AliQAn::EffectiveIndexOptions() const {
-  ir::SegmentedIndexOptions options = config_.index_options;
-  options.merge_pool = merge_pool_.get();
-  return options;
-}
+                     config.index_options),
+      doc_index_(corpus_.mutable_dictionary(), config.index_options) {}
 
 void AliQAn::set_preprocessor(Preprocessor preprocessor) {
   preprocessor_ = std::move(preprocessor);
@@ -78,9 +69,9 @@ Status AliQAn::IndexCorpus(const ir::DocumentStore* docs) {
   corpus_.Clear();
   passage_index_ =
       ir::PassageIndex(config_.passage_window, corpus_.mutable_dictionary(),
-                       EffectiveIndexOptions());
+                       config_.index_options);
   doc_index_ = ir::InvertedIndex(corpus_.mutable_dictionary(),
-                                 EffectiveIndexOptions());
+                                 config_.index_options);
   passage_index_.set_metrics(metrics_);
   doc_index_.set_metrics(metrics_);
   // Parallel analysis needs an unlimited budget: with a finite one, the

@@ -3,14 +3,12 @@
 
 #include <array>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/deadline.h"
 #include "common/metrics.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "ir/document.h"
 #include "ir/inverted_index.h"
@@ -47,14 +45,8 @@ struct AliQAnConfig {
   /// order-dependent).
   size_t threads = 1;
   /// Segment policy for both indexes (ir/segmented_index.h): memtable seal
-  /// threshold, merge trigger, posting-block size. `merge_pool` is ignored
-  /// here — set index_merge_threads instead and AliQAn owns the pool.
+  /// threshold, merge trigger, posting-block size.
   ir::SegmentedIndexOptions index_options;
-  /// Background threads for segment merges. 0 (the default) merges inline
-  /// on the writer thread; N > 0 runs merges on an AliQAn-owned pool so
-  /// ingest returns before compaction finishes. Either way searches stay
-  /// byte-identical — merge timing never changes results.
-  size_t index_merge_threads = 0;
 };
 
 /// \brief Wall-clock of the last Ask()/IndexCorpus() call, by phase — used
@@ -117,8 +109,8 @@ class AliQAn {
   /// records per-question counters and phase latencies into the `dwqa_qa_*`
   /// families; the registry is also propagated to both indexes (including
   /// the fresh ones IndexCorpus builds), so retrieval feeds the
-  /// `dwqa_ir_*` families. Recording is lock-free, so speculative AskWith
-  /// workers may run concurrently against the same registry.
+  /// `dwqa_ir_*` families. Recording is lock-free, so concurrent AskWith
+  /// callers may share the registry.
   void set_metrics(MetricRegistry* metrics);
 
   const AliQAnConfig& config() const { return config_; }
@@ -147,14 +139,12 @@ class AliQAn {
                         TraceRecorder* trace = nullptr);
 
   /// The same search phase against caller-supplied timing and deadline
-  /// sinks, leaving the instance untouched. This is the speculation
-  /// primitive behind Pipeline's batched Step-5: workers run AskWith
-  /// against private unlimited Deadline ledgers concurrently (safe — the
-  /// index is quiescent and this method only reads it), and the serial
-  /// merge point later absorbs each ledger into the shared deadline.
-  /// `timings`, `deadline` and `trace` may all be null; speculative
-  /// workers must pass a null `trace` (TraceRecorder parents spans off a
-  /// single serial stack).
+  /// sinks, leaving the instance untouched: this method only reads the
+  /// index, so concurrent callers may run it at once while no ingest
+  /// writes (the serving layer holds its corpus lock shared around it).
+  /// `timings`, `deadline` and `trace` may all be null; concurrent callers
+  /// must not share a `trace` (TraceRecorder parents spans off a single
+  /// serial stack).
   Result<AnswerSet> AskWith(const std::string& question,
                             PhaseTimings* timings, Deadline* deadline,
                             TraceRecorder* trace = nullptr) const;
@@ -174,9 +164,6 @@ class AliQAn {
   const PhaseTimings& last_timings() const { return timings_; }
 
  private:
-  /// config_.index_options with the owned merge pool injected.
-  ir::SegmentedIndexOptions EffectiveIndexOptions() const;
-
   /// The per-ask series, resolved on first use after set_metrics, so an
   /// ask takes no registry mutex (AskWith runs concurrently on shared
   /// engines).
@@ -200,10 +187,6 @@ class AliQAn {
   Deadline* deadline_ = nullptr;
   MetricRegistry* metrics_ = nullptr;
   mutable AskInstruments ask_metrics_;
-  /// Background merge pool (null when index_merge_threads == 0). Declared
-  /// before the indexes that submit work to it: index destructors wait for
-  /// in-flight merges, so the pool must be destroyed after them.
-  std::unique_ptr<ThreadPool> merge_pool_;
   /// Owns the shared TermDictionary; declared before the indexes that
   /// borrow its pointer so destruction order stays safe.
   text::AnalyzedCorpus corpus_;

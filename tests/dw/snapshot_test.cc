@@ -8,6 +8,7 @@
 
 #include "dw/persistence.h"
 #include "integration/last_minute_sales.h"
+#include "tests/dw/text_mutation.h"
 #include "web/weather_model.h"
 
 namespace dwqa {
@@ -62,6 +63,10 @@ TEST(ManifestSerdeTest, AdversarialInputRejectedWithLineNumbers) {
       "dwqa-snapshot\t1\nlsn\t1\nlsn\t2\n",       // Duplicate lsn.
       "dwqa-snapshot\t1\nlsn\t1\nfile\ta\t3\n",   // Short file line.
       "dwqa-snapshot\t1\nlsn\t1\nfile\ta\t3\tzz\n",  // Bad CRC width.
+      // CRCs Crc32Hex cannot write (found by the fuzz property below).
+      "dwqa-snapshot\t1\nlsn\t1\nfile\ta\t3\t0axb2c3d\n",
+      "dwqa-snapshot\t1\nlsn\t1\nfile\ta\t3\tde\rdbeef\n",
+      "dwqa-snapshot\t1\nlsn\t1\nfile\ta\t3\tCBF43926\n",
       "dwqa-snapshot\t1\nlsn\t1\nzap\tx\n",       // Unknown tag.
       "dwqa-snapshot\t1\nlsn\t99999999999999999999\n",  // u64 overflow.
   };
@@ -71,6 +76,47 @@ TEST(ManifestSerdeTest, AdversarialInputRejectedWithLineNumbers) {
     EXPECT_TRUE(parsed.status().IsCorruption()) << parsed.status().ToString();
     EXPECT_NE(parsed.status().message().find("line"), std::string::npos);
   }
+}
+
+void ExpectSameManifest(const SnapshotManifest& a, const SnapshotManifest& b) {
+  EXPECT_EQ(a.lsn, b.lsn);
+  ASSERT_EQ(a.entries.size(), b.entries.size());
+  for (size_t i = 0; i < a.entries.size(); ++i) {
+    EXPECT_EQ(a.entries[i].file, b.entries[i].file) << "entry " << i;
+    EXPECT_EQ(a.entries[i].size, b.entries[i].size) << "entry " << i;
+    EXPECT_EQ(a.entries[i].crc_hex, b.entries[i].crc_hex) << "entry " << i;
+  }
+}
+
+// Parser fuzz: a mutated MANIFEST either fails with a typed Corruption
+// error or parses to a manifest that survives ToText → FromText unchanged
+// and whose CRCs have the form Crc32Hex writes.
+TEST(ManifestFuzzProperty, MutatedManifestsFailTypedOrRoundTrip) {
+  SnapshotManifest manifest;
+  manifest.lsn = 1209;
+  manifest.entries = {{"commits.txt", 97, "0a1b2c3d"},
+                      {"dim_City.csv", 410, "deadbeef"},
+                      {"fact_Weather.csv", 0, "00000000"},
+                      {"schema.txt", 1520, "cbf43926"}};
+  FuzzMutations(ManifestSerde::ToText(manifest), 17,
+                [](const std::string& text) {
+                  auto parsed = ManifestSerde::FromText(text);
+                  if (!parsed.ok()) {
+                    EXPECT_TRUE(parsed.status().IsCorruption())
+                        << parsed.status().ToString();
+                    return;
+                  }
+                  for (const ManifestEntry& entry : parsed->entries) {
+                    EXPECT_EQ(entry.crc_hex.find_first_not_of(
+                                  "0123456789abcdef"),
+                              std::string::npos)
+                        << entry.crc_hex;
+                  }
+                  auto again =
+                      ManifestSerde::FromText(ManifestSerde::ToText(*parsed));
+                  ASSERT_TRUE(again.ok()) << again.status().ToString();
+                  ExpectSameManifest(*again, *parsed);
+                });
 }
 
 TEST_F(SnapshotTest, WriteCommitVerifyRoundTrip) {

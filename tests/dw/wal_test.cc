@@ -9,7 +9,7 @@
 #include "common/io.h"
 #include "common/metrics.h"
 #include "common/metric_names.h"
-#include "common/rng.h"
+#include "tests/dw/text_mutation.h"
 
 namespace dwqa {
 namespace dw {
@@ -455,41 +455,6 @@ TEST(CommitSetSerdeTest, GarbageLinesAreRejectedWithLineNumbers) {
   parsed = CommitSetSerde::FromText("dwqa-commits\t1\nzap\tk\n");
   ASSERT_FALSE(parsed.ok());
   EXPECT_NE(parsed.status().message().find("line 2"), std::string::npos);
-}
-
-/// One random edit of `text` — overwrite, insert or erase a byte drawn
-/// from the characters the line/tab framing and the escapes care about.
-void Mutate(Rng* rng, std::string* text) {
-  const char kChars[] = "\t\n\r\\01239-|nqx";
-  const char c = kChars[rng->NextIndex(sizeof(kChars) - 1)];
-  if (text->empty()) {
-    text->push_back(c);
-    return;
-  }
-  const size_t pos = rng->NextIndex(text->size());
-  switch (rng->NextBelow(3)) {
-    case 0:
-      (*text)[pos] = c;
-      break;
-    case 1:
-      text->insert(pos, 1, c);
-      break;
-    default:
-      text->erase(pos, 1);
-      break;
-  }
-}
-
-/// Runs `trials` mutations of `base` (1–4 edits each) through `check`.
-template <typename Check>
-void FuzzMutations(const std::string& base, uint64_t seed, Check check) {
-  Rng rng(seed);
-  for (int trial = 0; trial < 2000; ++trial) {
-    std::string mutated = base;
-    const size_t edits = 1 + rng.NextBelow(4);
-    for (size_t e = 0; e < edits; ++e) Mutate(&rng, &mutated);
-    check(mutated);
-  }
 }
 
 // Parser fuzz: mutated payloads parse to a value that re-serializes to a

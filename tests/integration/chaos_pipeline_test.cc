@@ -85,14 +85,13 @@ class ChaosPipelineTest : public ::testing::Test {
 
   Result<FeedReport> Feed(dw::Warehouse* wh, const ResilienceConfig& res,
                           IntegrationPipeline** out_pipeline = nullptr,
-                          size_t parallel = 1) {
+                          size_t qa_threads = 1) {
     PipelineConfig config = LastMinuteSales::DefaultPipelineConfig();
     // Wider extraction than the default so each question yields several
     // facts — the per-source breaker needs a stream of loads to trip on.
     config.qa.max_answers = 10;
     config.qa.passages_to_analyze = 8;
-    config.qa.threads = parallel;
-    config.parallel_questions = parallel;
+    config.qa.threads = qa_threads;
     config.resilience = res;
     pipeline_ = std::make_unique<IntegrationPipeline>(wh, &uml_, config);
     if (out_pipeline != nullptr) *out_pipeline = pipeline_.get();
@@ -359,41 +358,56 @@ TEST_F(ChaosPipelineTest, UnlimitedDeadlineChangesNothing) {
   EXPECT_EQ(WeatherRows(a_wh), WeatherRows(b_wh));
 }
 
-/// Golden equivalence under chaos, serial vs batched: with 10% transient
-/// faults and the same seed, parallel indexation (threads=4) plus the
-/// batched Step-5 ask phase (parallel_questions=4) must load identical
-/// warehouse rows and report identical feed accounting as the fully serial
-/// run. All fault draws, retries and breaker decisions stay serialized at
-/// the merge point, so the injected-fault schedule cannot diverge.
+/// Golden equivalence under chaos, serial vs batched indexation: with 10%
+/// transient faults and the same seed, parallel batched indexation
+/// (qa.threads=4) must load identical warehouse rows and report identical
+/// feed accounting as the fully serial run. The parallel build is
+/// byte-identical and the Step-5 loop is serial either way, so the
+/// injected-fault schedule cannot diverge.
 TEST_F(ChaosPipelineTest, TenPercentFaultsFeedIdenticallySerialAndBatched) {
   ResilienceConfig res;
   res.fault = FaultConfig::TransientEverywhere(0.10, 77);
   res.retry = FastRetry();
 
   auto serial_wh = LastMinuteSales::MakeWarehouse().ValueOrDie();
-  auto serial = Feed(&serial_wh, res, nullptr, /*parallel=*/1);
+  auto serial = Feed(&serial_wh, res, nullptr, /*qa_threads=*/1);
   ASSERT_TRUE(serial.ok());
 
   auto batched_wh = LastMinuteSales::MakeWarehouse().ValueOrDie();
-  auto batched = Feed(&batched_wh, res, nullptr, /*parallel=*/4);
+  auto batched = Feed(&batched_wh, res, nullptr, /*qa_threads=*/4);
   ASSERT_TRUE(batched.ok());
 
   EXPECT_EQ(WeatherRows(serial_wh), WeatherRows(batched_wh));
   EXPECT_EQ(serial->questions_asked, batched->questions_asked);
   EXPECT_EQ(serial->questions_answered, batched->questions_answered);
   EXPECT_EQ(serial->questions_failed, batched->questions_failed);
+  EXPECT_EQ(serial->questions_resumed, batched->questions_resumed);
   EXPECT_EQ(serial->facts_extracted, batched->facts_extracted);
   EXPECT_EQ(serial->rows_loaded, batched->rows_loaded);
+  EXPECT_EQ(serial->rows_rejected, batched->rows_rejected);
   EXPECT_EQ(serial->rows_deduplicated, batched->rows_deduplicated);
   EXPECT_EQ(serial->rows_quarantined, batched->rows_quarantined);
   EXPECT_EQ(serial->quarantined_by_reason, batched->quarantined_by_reason);
   EXPECT_EQ(serial->retries, batched->retries);
   EXPECT_EQ(serial->transient_failures, batched->transient_failures);
+  EXPECT_EQ(serial->corpus_index_retries, batched->corpus_index_retries);
   EXPECT_EQ(serial->wasted_retries, batched->wasted_retries);
   EXPECT_EQ(serial->breaker_rejections, batched->breaker_rejections);
-  // Even the per-stage deadline ledger matches: the speculative workers'
-  // private ledgers were absorbed exactly where serial Ask() would have
-  // charged.
+  EXPECT_EQ(serial->questions_deadline_skipped,
+            batched->questions_deadline_skipped);
+  EXPECT_EQ(serial->deadline_exhausted, batched->deadline_exhausted);
+  EXPECT_EQ(serial->questions_by_degradation,
+            batched->questions_by_degradation);
+  ASSERT_EQ(serial->facts.size(), batched->facts.size());
+  for (size_t i = 0; i < serial->facts.size(); ++i) {
+    EXPECT_EQ(qa::StructuredFactsToCsv({serial->facts[i]}),
+              qa::StructuredFactsToCsv({batched->facts[i]}))
+        << "fact " << i;
+    EXPECT_EQ(serial->facts[i].disposition, batched->facts[i].disposition)
+        << "fact " << i;
+  }
+  // Even the per-stage deadline ledger matches: the parallel build charges
+  // its indexation units in document order, as the serial build does.
   EXPECT_EQ(serial->health.budget_spent, batched->health.budget_spent);
   for (const FeedReport* r : {&*serial, &*batched}) {
     EXPECT_EQ(r->rows_loaded + r->rows_deduplicated + r->rows_quarantined,

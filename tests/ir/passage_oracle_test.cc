@@ -6,8 +6,8 @@
 // corpora down to the last score bit. (The segmented≡monolithic suites
 // cannot catch a scoring bug: both of their sides run the same scorer.)
 // A second suite runs the oracle over each storage layout — memtable only,
-// all sealed, mixed, merged in the background — at k = 1, 5 and 50, with
-// repeated query terms and refs past the end of a sentence table.
+// all sealed, mixed — at k = 1, 5 and 50, with repeated query terms and
+// refs past the end of a sentence table.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "ir/passage_index.h"
 #include "ir/segmented_index.h"
 
@@ -243,10 +242,9 @@ TEST(PassageScoringOracleTest, SearchTopKMatchesBruteForceOnRandomCorpora) {
 
 /// Where the corpus of a layout trial lives when it is searched.
 enum class Layout {
-  kMemtable,          ///< seal_every = 0: the monolithic index.
-  kSealed,            ///< Every document in a sealed segment.
-  kMixed,             ///< Sealed segments of uneven sizes plus a memtable.
-  kBackgroundMerged,  ///< Segments merged on a pool, then a memtable.
+  kMemtable,  ///< seal_every = 0: the monolithic index.
+  kSealed,    ///< Every document in a sealed segment.
+  kMixed,     ///< Sealed segments of uneven sizes plus a memtable.
 };
 
 const char* LayoutName(Layout layout) {
@@ -257,8 +255,6 @@ const char* LayoutName(Layout layout) {
       return "sealed";
     case Layout::kMixed:
       return "mixed";
-    case Layout::kBackgroundMerged:
-      return "background-merged";
   }
   return "?";
 }
@@ -266,15 +262,13 @@ const char* LayoutName(Layout layout) {
 /// One seeded corpus in `layout`, searched at k = 1, 5 and 50 with
 /// queries that sometimes repeat a term. Counts into `*past_end` the
 /// returned passages that start past their document's sentence table.
-void RunLayoutTrial(uint64_t seed, Layout layout, ThreadPool* pool,
-                    size_t* past_end) {
+void RunLayoutTrial(uint64_t seed, Layout layout, size_t* past_end) {
   Rng rng(seed);
   size_t window = 1 + rng.NextBelow(16);
   SegmentedIndexOptions options;
   options.seal_every = layout == Layout::kMemtable ? 0 : 1 + rng.NextBelow(6);
   options.merge_trigger = 1 + rng.NextBelow(3);
   options.block_postings = 1 + rng.NextBelow(8);
-  if (layout == Layout::kBackgroundMerged) options.merge_pool = pool;
   SCOPED_TRACE(::testing::Message()
                << "seed=" << seed << " layout=" << LayoutName(layout)
                << " window=" << window << " seal_every=" << options.seal_every
@@ -293,7 +287,6 @@ void RunLayoutTrial(uint64_t seed, Layout layout, ThreadPool* pool,
     }
   }
   if (layout == Layout::kSealed) index.SealMemtable();
-  index.WaitForMerges();
   const size_t kTopK[] = {1, 5, 50};
   for (size_t q = 0; q < 9; ++q) {
     std::vector<TermId> ids = RandomQuery(&rng);
@@ -314,12 +307,10 @@ void RunLayoutTrial(uint64_t seed, Layout layout, ThreadPool* pool,
 }
 
 TEST(PassageScoringOracleTest, EveryLayoutAndTopKMatchesBruteForce) {
-  ThreadPool pool(2);
   size_t past_end = 0;
-  for (Layout layout : {Layout::kMemtable, Layout::kSealed, Layout::kMixed,
-                        Layout::kBackgroundMerged}) {
+  for (Layout layout : {Layout::kMemtable, Layout::kSealed, Layout::kMixed}) {
     for (uint64_t seed = 0; seed < 150; ++seed) {
-      RunLayoutTrial(seed, layout, &pool, &past_end);
+      RunLayoutTrial(seed, layout, &past_end);
       if (::testing::Test::HasFailure()) return;
     }
   }

@@ -1,8 +1,9 @@
 // Golden-equivalence suite for the segmented-index refactor at the QA
 // level: every segment layout — monolithic memtable, one-doc segments,
-// aggressive merging, background merge pool — must answer byte-identically
-// over the full question-factory set, and incremental ingest must be
-// indistinguishable from having indexed the whole corpus up front.
+// aggressive merging, a parallel sharded build — must answer
+// byte-identically over the full question-factory set, and incremental
+// ingest must be indistinguishable from having indexed the whole corpus up
+// front.
 
 #include <memory>
 #include <sstream>
@@ -121,32 +122,6 @@ TEST_F(SegmentedEquivalenceTest, SegmentLayoutsAnswerIdentically) {
               monolithic.passage_index().DebugString());
     ExpectIdentical(&segmented, &monolithic, AllQuestions());
   }
-}
-
-TEST_F(SegmentedEquivalenceTest, BackgroundMergePoolAnswersIdentically) {
-  AliQAn golden(&wn_, BaseConfig());
-  ASSERT_TRUE(golden.IndexCorpus(&web_->documents()).ok());
-
-  AliQAnConfig pooled_config = BaseConfig();
-  pooled_config.index_options.seal_every = 2;
-  pooled_config.index_options.merge_trigger = 2;
-  pooled_config.index_merge_threads = 2;
-  AliQAn pooled(&wn_, pooled_config);
-  ASSERT_TRUE(pooled.IndexCorpus(&web_->documents()).ok());
-  // Merge timing never changes results: ask *before* waiting, then verify
-  // the settled manifest dumps identically to an inline-merged build.
-  ExpectIdentical(&pooled, &golden, AllQuestions());
-  pooled.document_index().WaitForMerges();
-  pooled.passage_index().WaitForMerges();
-
-  AliQAnConfig inline_config = pooled_config;
-  inline_config.index_merge_threads = 0;
-  AliQAn inlined(&wn_, inline_config);
-  ASSERT_TRUE(inlined.IndexCorpus(&web_->documents()).ok());
-  EXPECT_EQ(pooled.document_index().DebugString(),
-            inlined.document_index().DebugString());
-  EXPECT_EQ(pooled.passage_index().DebugString(),
-            inlined.passage_index().DebugString());
 }
 
 TEST_F(SegmentedEquivalenceTest, ParallelShardedBuildMatchesSerialBuild) {

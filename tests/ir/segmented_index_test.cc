@@ -1,15 +1,13 @@
 // Behavioural suite of the LSM-style segmented index cores, driven through
 // the InvertedIndex/PassageIndex façades: byte-identical results for every
 // segment layout (the golden-equivalence contract), pinned tie-breaks,
-// adversarial segment shapes, searches racing background merges, and
-// seeded random operation sequences against the monolithic index. The
-// target carries the `index` ctest label so scripts/check.sh can rerun it
-// under ASan/UBSan and ci.yml under TSan.
+// adversarial segment shapes, and seeded random operation sequences
+// against the monolithic index. The target carries the `index` ctest label
+// so scripts/check.sh can rerun it under ASan/UBSan and ci.yml under TSan.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <future>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -256,101 +254,6 @@ TEST(SegmentedPassageIndexTest, SentencesSurviveSealsAndMerges) {
   EXPECT_EQ(*first, "Keep this reference.");
 }
 
-template <typename Index>
-void ExpectBackgroundMergesMatchInlineMerges() {
-  SCOPED_TRACE(KindLabel<Index>());
-  const size_t kDocs = 50;
-  SegmentedIndexOptions inline_options;
-  inline_options.seal_every = 3;
-  inline_options.merge_trigger = 2;
-  Index inline_merged = BuildIndex<Index>(inline_options, kDocs);
-
-  ThreadPool pool(2);
-  SegmentedIndexOptions background = inline_options;
-  background.merge_pool = &pool;
-  Index background_merged = BuildIndex<Index>(background, kDocs);
-  background_merged.WaitForMerges();
-
-  EXPECT_EQ(background_merged.DebugString(), inline_merged.DebugString());
-  EXPECT_EQ(background_merged.sealed_segment_count(),
-            inline_merged.sealed_segment_count());
-  for (const char* query : kQueries) {
-    EXPECT_EQ(Serialize(background_merged.Search(query, 10)),
-              Serialize(inline_merged.Search(query, 10)))
-        << query;
-  }
-}
-
-// This and the other lifecycle tests below run both index kinds.
-TEST(SegmentedDocIndexTest, BackgroundMergesMatchInlineMerges) {
-  ExpectBackgroundMergesMatchInlineMerges<InvertedIndex>();
-  ExpectBackgroundMergesMatchInlineMerges<PassageIndex>();
-}
-
-TEST(SegmentedDocIndexTest, SearchesRacingBackgroundMergesStayGolden) {
-  const size_t kDocs = 60;
-  InvertedIndex golden = BuildDocIndex(Monolithic(), kDocs);
-  std::string expected[6];
-  for (size_t q = 0; q < 6; ++q) {
-    expected[q] = Serialize(golden.Search(kQueries[q], 10));
-  }
-
-  ThreadPool merge_pool(2);
-  SegmentedIndexOptions options;
-  options.seal_every = 2;
-  options.merge_trigger = 2;
-  options.merge_pool = &merge_pool;
-  InvertedIndex index = BuildDocIndex(options, kDocs);
-  // Writers are done; merges are (likely) still running. Query from many
-  // threads without waiting — results must already be golden, and TSan
-  // must see no races between the readers and the merge thread.
-  ThreadPool query_pool(4);
-  std::vector<std::future<std::string>> results;
-  for (int round = 0; round < 4; ++round) {
-    for (size_t q = 0; q < 6; ++q) {
-      results.push_back(query_pool.Submit([&index, q] {
-        return Serialize(index.Search(kQueries[q], 10));
-      }));
-    }
-  }
-  for (size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].get(), expected[i % 6]);
-  }
-  index.WaitForMerges();
-  for (size_t q = 0; q < 6; ++q) {
-    EXPECT_EQ(Serialize(index.Search(kQueries[q], 10)), expected[q]);
-  }
-}
-
-TEST(SegmentedPassageIndexTest, SearchesRacingBackgroundMergesStayGolden) {
-  const size_t kDocs = 40;
-  PassageIndex golden = BuildPassageIndex(Monolithic(), kDocs);
-  std::string expected[6];
-  for (size_t q = 0; q < 6; ++q) {
-    expected[q] = Serialize(golden.Search(kQueries[q], 5));
-  }
-
-  ThreadPool merge_pool(2);
-  SegmentedIndexOptions options;
-  options.seal_every = 2;
-  options.merge_trigger = 2;
-  options.merge_pool = &merge_pool;
-  PassageIndex index = BuildPassageIndex(options, kDocs);
-  ThreadPool query_pool(4);
-  std::vector<std::future<std::string>> results;
-  for (int round = 0; round < 4; ++round) {
-    for (size_t q = 0; q < 6; ++q) {
-      results.push_back(query_pool.Submit([&index, q] {
-        return Serialize(index.Search(kQueries[q], 5));
-      }));
-    }
-  }
-  for (size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].get(), expected[i % 6]);
-  }
-  index.WaitForMerges();
-}
-
 TEST(SegmentedDocIndexTest, PruningFiresAndResultsStayExact) {
   MetricRegistry metrics;
   SegmentedIndexOptions options;
@@ -414,7 +317,7 @@ void ExpectSealAndInlineMergeEmitSpans() {
   TraceRecorder trace;
   SegmentedIndexOptions options;
   options.seal_every = 1;
-  options.merge_trigger = 2;  // Inline merges (no pool) are traced.
+  options.merge_trigger = 2;
   Index index = BuildIndex<Index>(options, 0);
   index.set_trace(&trace);
   for (DocId d = 0; d < 5; ++d) {
@@ -503,9 +406,9 @@ TEST(SegmentedIndexTest, ZeroKReturnsNothing) {
 
 // ---------------------------------------------------------------------------
 // Seeded segmented≡monolithic operation sequences. Each seed draws segment
-// options (seal_every 1–9, merge_trigger 1–4, block_postings 1–8, inline
-// merges or a 2-thread merge pool) and a random interleaving of
-// AddDocument, AddAnalyzedBatch and SealMemtable. After every step the
+// options (seal_every 1–9, merge_trigger 1–4, block_postings 1–8) and a
+// random interleaving of AddDocument, AddAnalyzedBatch (serial or on a
+// 2-thread pool) and SealMemtable. After every step the
 // segmented index must dump and answer byte-identically to a
 // `seal_every = 0` index fed the same documents one at a time.
 
@@ -550,13 +453,11 @@ void RunOperationSequence(uint64_t seed, ThreadPool* pool) {
   options.seal_every = 1 + rng.NextBelow(9);
   options.merge_trigger = 1 + rng.NextBelow(4);
   options.block_postings = 1 + rng.NextBelow(8);
-  if (rng.NextBelow(2) == 1) options.merge_pool = pool;
   SCOPED_TRACE(::testing::Message()
                << KindLabel<Index>() << " seed=" << seed
                << " seal_every=" << options.seal_every
                << " merge_trigger=" << options.merge_trigger
-               << " block_postings=" << options.block_postings
-               << " pool=" << (options.merge_pool != nullptr));
+               << " block_postings=" << options.block_postings);
   // One dictionary for both indexes, so their dumps share term ids.
   text::AnalyzedCorpus corpus;
   Index segmented = MakeIndex<Index>(&corpus, options);
