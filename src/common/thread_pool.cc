@@ -100,8 +100,12 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     std::unique_lock<std::mutex> lock(round->mu);
     round->done_cv.wait(lock, [&]() { return round->done == n; });
   }
-  for (size_t i = 0; i < n; ++i) {
-    if (round->errors[i]) std::rethrow_exception(round->errors[i]);
+  // A worker may still hold the round after the join, and the last owner of
+  // an exception frees it. Moving the errors out makes the caller that
+  // owner, so no worker frees the exception the caller is reading.
+  const std::vector<std::exception_ptr> errors = std::move(round->errors);
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
 }
 

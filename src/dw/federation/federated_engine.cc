@@ -1,8 +1,8 @@
 #include "dw/federation/federated_engine.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <future>
-#include <map>
 #include <memory>
 #include <set>
 #include <utility>
@@ -29,9 +29,9 @@ enum class AxisKind {
 
 struct AxisPlan {
   AxisKind kind = AxisKind::kValue;
-  /// Lowercased remote base name → canonical local spelling
-  /// (kValueTranslated only).
-  const std::map<std::string, std::string>* member_map = nullptr;
+  /// The dimension mapping whose member map canonicalizes remote base
+  /// spellings (kValueTranslated only).
+  const DimensionMapping* dim = nullptr;
 };
 
 /// One member warehouse's share of a federated query.
@@ -66,6 +66,29 @@ Result<GroupedStates> RunSubquery(const SubPlan& plan) {
   }
   return GroupFacts(*plan.warehouse, plan.subquery, *plan.excluded);
 }
+
+/// The merged spelling of remote base value `value` of mapped dimension
+/// `dim`, as MergeWarehouses gives it: the member map's canonical spelling
+/// when the map names the value, and then, when a local member matches
+/// case-insensitively, that member's own spelling — the merge folds the
+/// remote member into it, because AddMember and FindMember ignore case.
+/// A remote-only value keeps its spelling.
+const std::string& MergedSpelling(const Warehouse& local,
+                                  const DimensionMapping& dim,
+                                  const std::string& value) {
+  const std::string* spelling = &value;
+  auto mapped = dim.member_map.find(ToLower(value));
+  if (mapped != dim.member_map.end()) spelling = &mapped->second;
+  auto member = local.FindMember(dim.local_dimension, *spelling);
+  if (!member.ok()) return *spelling;
+  const LevelDictionary& base =
+      local.Dictionary(*local.DimIndex(dim.local_dimension), 0);
+  return base.values[base.of_member[static_cast<size_t>(*member)]];
+}
+
+/// At most this many query shapes keep a stored answer (BiAnalysis reads
+/// two).
+constexpr size_t kMaxStoredReads = 16;
 
 /// `rows` as a shared set that keeps `owner` alive, or null when empty.
 std::shared_ptr<const std::set<size_t>> SharedRows(
@@ -103,13 +126,47 @@ Status FederatedEngine::AddRemote(std::string name, const Warehouse* remote,
     }
   }
   remotes_.push_back({std::move(name), remote, std::move(mapping), chaos});
+  std::lock_guard<std::mutex> lock(reads_mu_);
+  reads_.clear();
   return Status::OK();
 }
 
 void FederatedEngine::set_policy(MergePolicy policy) {
-  std::lock_guard<std::mutex> lock(resolutions_mu_);
-  policy_ = std::move(policy);
-  resolutions_.clear();
+  {
+    std::lock_guard<std::mutex> lock(resolutions_mu_);
+    policy_ = std::move(policy);
+    resolutions_.clear();
+  }
+  std::lock_guard<std::mutex> lock(reads_mu_);
+  reads_.clear();
+}
+
+std::shared_ptr<const FederatedGroups> FederatedEngine::FindRead(
+    const OlapQuery& query, const std::vector<uint64_t>& stamps) const {
+  std::lock_guard<std::mutex> lock(reads_mu_);
+  for (auto it = reads_.begin(); it != reads_.end(); ++it) {
+    if (it->query != query) continue;
+    if (it->stamps != stamps) return nullptr;
+    std::rotate(reads_.begin(), it, it + 1);
+    return reads_.front().groups;
+  }
+  return nullptr;
+}
+
+void FederatedEngine::StoreRead(
+    const OlapQuery& query, std::vector<uint64_t> stamps,
+    std::shared_ptr<const FederatedGroups> groups) const {
+  std::lock_guard<std::mutex> lock(reads_mu_);
+  auto it = std::find_if(reads_.begin(), reads_.end(),
+                         [&](const StoredRead& r) { return r.query == query; });
+  if (it == reads_.end()) {
+    if (reads_.size() == kMaxStoredReads) reads_.pop_back();
+    reads_.push_back({query, {}, nullptr});
+    it = reads_.end() - 1;
+  }
+  it->stamps = std::move(stamps);
+  it->groups = std::move(groups);
+  std::rotate(reads_.begin(), it, it + 1);
 }
 
 Result<std::shared_ptr<const ConflictResolution>> FederatedEngine::Resolution(
@@ -141,21 +198,33 @@ Result<std::shared_ptr<const ConflictResolution>> FederatedEngine::Resolution(
 
 Result<FederatedResult> FederatedEngine::Execute(
     const OlapQuery& query) const {
-  DWQA_ASSIGN_OR_RETURN(FederatedGroups groups, Group(query));
+  DWQA_ASSIGN_OR_RETURN(std::shared_ptr<const FederatedGroups> groups,
+                        GroupShared(query));
   FederatedResult out;
   DWQA_ASSIGN_OR_RETURN(out.result,
-                        Render(query, groups.grouped, groups.slots));
-  out.coverage = std::move(groups.coverage);
+                        Render(query, groups->grouped, groups->slots));
+  out.coverage = groups->coverage;
   return out;
 }
 
 Result<FederatedGroups> FederatedEngine::Group(const OlapQuery& query) const {
+  DWQA_ASSIGN_OR_RETURN(std::shared_ptr<const FederatedGroups> groups,
+                        GroupShared(query));
+  return *groups;
+}
+
+Result<std::shared_ptr<const FederatedGroups>> FederatedEngine::GroupShared(
+    const OlapQuery& query) const {
   if (local_ == nullptr) {
     return Status::InvalidArgument("federation has no local warehouse");
   }
   if (query.measures.empty()) {
     return Status::InvalidArgument("OLAP query needs at least one measure");
   }
+
+  // The federation state this read answers: every member's stamp.
+  std::vector<uint64_t> stamps = {local_->stamp()};
+  for (const Remote& r : remotes_) stamps.push_back(r.warehouse->stamp());
 
   FederatedGroups out;
   auto count_subquery = [&](const std::string& member, const char* outcome) {
@@ -296,7 +365,7 @@ Result<FederatedGroups> FederatedEngine::Group(const OlapQuery& query) const {
           {l.role->remote_role, l.level->remote_level});
       plan.axes.push_back({l.base_pair ? AxisKind::kValueTranslated
                                        : AxisKind::kValue,
-                           l.base_pair ? &l.dim->member_map : nullptr});
+                           l.base_pair ? l.dim : nullptr});
     }
 
     for (const Filter& f : query.filters) {
@@ -389,17 +458,12 @@ Result<FederatedGroups> FederatedEngine::Group(const OlapQuery& query) const {
       }
     }
   }
-  plan_span.End();
 
-  // ---- Fan-out: probe each member's chaos injector serially (injectors
-  // are not thread-safe), then dispatch the surviving sub-queries on the
-  // pool. Workers receive no recorder and no injector.
-  Span fanout_span(trace_, "fed.fanout");
-  struct Dispatched {
-    const SubPlan* plan;
-    std::future<Result<GroupedStates>> future;
-  };
-  std::vector<Dispatched> dispatched;
+  // ---- Probes: each member's chaos injector, serially (injectors are not
+  // thread-safe) and in plan order on every read, reused or not, so fault
+  // streams and coverage do not depend on what the engine stored.
+  std::vector<const SubPlan*> live;
+  bool lost_member = false;
   for (const SubPlan& plan : plans) {
     if (plan.zero_contribution) {
       // The translated filter proved this member's share empty: exact.
@@ -416,21 +480,53 @@ Result<FederatedGroups> FederatedEngine::Group(const OlapQuery& query) const {
       if (!chaos_status.ok()) {
         out.coverage.missing.push_back({plan.name, chaos_status.message()});
         count_subquery(plan.name, "error");
+        lost_member = true;
         continue;
       }
     }
+    live.push_back(&plan);
+  }
+
+  // ---- Reuse: every member is reachable and none changed since this
+  // query was last answered without losing a member, so that answer is
+  // this one.
+  if (!lost_member) {
+    if (std::shared_ptr<const FederatedGroups> stored =
+            FindRead(query, stamps)) {
+      for (const SubPlan* plan : live) count_subquery(plan->name, "reused");
+      if (metrics_ != nullptr) {
+        metrics_
+            ->GetCounter(kMetricFedQueries,
+                         {{"coverage", CoverageName(stored->coverage)}})
+            ->Increment();
+      }
+      plan_span.Annotate("reused", 1.0);
+      return stored;
+    }
+  }
+  plan_span.End();
+
+  // ---- Fan-out: dispatch the probed sub-queries on the pool. Workers
+  // receive no recorder and no injector.
+  Span fanout_span(trace_, "fed.fanout");
+  struct Dispatched {
+    const SubPlan* plan;
+    std::future<Result<GroupedStates>> future;
+  };
+  std::vector<Dispatched> dispatched;
+  for (const SubPlan* plan : live) {
     Histogram* latency =
         metrics_ == nullptr
             ? nullptr
             : metrics_->GetHistogram(kMetricFedSubqueryLatency,
-                                     {{"warehouse", plan.name}});
-    auto task = [&plan, latency]() -> Result<GroupedStates> {
+                                     {{"warehouse", plan->name}});
+    auto task = [plan, latency]() -> Result<GroupedStates> {
       ScopedLatencyTimer timer(latency);
-      return RunSubquery(plan);
+      return RunSubquery(*plan);
     };
-    Dispatched d{&plan, pool_ != nullptr
-                            ? pool_->Submit(task)
-                            : std::async(std::launch::deferred, task)};
+    Dispatched d{plan, pool_ != nullptr
+                           ? pool_->Submit(task)
+                           : std::async(std::launch::deferred, task)};
     dispatched.push_back(std::move(d));
   }
 
@@ -441,6 +537,7 @@ Result<FederatedGroups> FederatedEngine::Group(const OlapQuery& query) const {
       out.coverage.missing.push_back(
           {d.plan->name, result.status().message()});
       count_subquery(d.plan->name, "error");
+      lost_member = true;
       continue;
     }
     ++out.coverage.answered;
@@ -469,11 +566,12 @@ Result<FederatedGroups> FederatedEngine::Group(const OlapQuery& query) const {
   }
 
   // ---- Merge: translate each sub-result's distinct values into one merged
-  // dictionary per axis (remote spellings canonicalized through the member
-  // map once per value, not once per row), convert remote units, and fold
-  // with AggState::Merge — the exact arithmetic a single-warehouse scan
-  // would have run. Sub-results arrive sorted, so groups that canonicalize
-  // together fold in rendered-key order.
+  // dictionary per axis (remote base spellings canonicalized through the
+  // member map and the local members once per value, not once per row),
+  // convert remote units, and fold with AggState::Merge — the exact
+  // arithmetic a single-warehouse scan would have run. Sub-results arrive
+  // sorted, so groups that canonicalize together fold in rendered-key
+  // order.
   Span merge_span(trace_, "fed.merge");
   Histogram* merge_latency =
       metrics_ == nullptr
@@ -505,12 +603,10 @@ Result<FederatedGroups> FederatedEngine::Group(const OlapQuery& query) const {
         }
         sub_axis[a] = pos;
         for (const std::string& v : sub.values[pos]) {
-          const std::string* canonical = &v;
-          if (axis.kind == AxisKind::kValueTranslated) {
-            auto it = axis.member_map->find(ToLower(v));
-            if (it != axis.member_map->end()) canonical = &it->second;
-          }
-          translated[a].push_back(names[a].Intern(*canonical));
+          translated[a].push_back(names[a].Intern(
+              axis.kind == AxisKind::kValueTranslated
+                  ? MergedSpelling(*local_, *axis.dim, v)
+                  : v));
         }
         ++pos;
       }
@@ -552,7 +648,10 @@ Result<FederatedGroups> FederatedEngine::Group(const OlapQuery& query) const {
   merge_span.Annotate("groups", static_cast<double>(out.grouped.size()));
   merge_span.Annotate("coverage", CoverageName(out.coverage));
   merge_span.End();
-  return out;
+  auto merged = std::make_shared<const FederatedGroups>(std::move(out));
+  // A read that lost a member is not this state's answer: never stored.
+  if (!lost_member) StoreRead(query, std::move(stamps), merged);
+  return merged;
 }
 
 }  // namespace fed

@@ -73,20 +73,28 @@ struct FederatedGroups {
 /// \brief The federation planner/executor over one local warehouse and any
 /// number of mapped remote warehouses.
 ///
-/// Conflict resolution runs once per pair of warehouse states: the plan
-/// keeps each (remote, fact mapping)'s ConflictResolution keyed by the
-/// Warehouse::stamp() of both sides and reuses it until either warehouse
-/// changes or set_policy() replaces the policy.
+/// A query is answered once per federation state. The engine keeps the
+/// finished groups of the last few query shapes, each with the
+/// Warehouse::stamp() of the local and of every remote member it was
+/// computed from, and hands them out again while no member changed. Every
+/// read still plans (conflict counters, structural gaps) and probes each
+/// member's chaos injector in plan order; only when every probe passes and
+/// the stamps match are the stored groups returned, with no sub-query and
+/// no merge. A read that lost a member (chaos or a failed sub-query) is
+/// never stored. Conflict resolution follows the same rule per pair of
+/// warehouse states: each (remote, fact mapping)'s ConflictResolution is
+/// kept under the stamps of both sides. set_policy() and AddRemote() drop
+/// both caches.
 ///
-/// Thread-safety: Group/Execute are const and safe to call concurrently
-/// (chaos injectors are probed, and the conflict cache is read and filled,
-/// under internal mutexes; metrics instruments are lock-free; sub-queries
-/// go through the view catalogs' shared locks). The
-/// trace recorder is the exception — TraceRecorder parenting assumes one
-/// logical flow of control, so set one only where Execute calls are
-/// serialized (the serving layer holds its tenant lock) and leave it null
-/// for concurrent use. Pool workers never touch the recorder or the
-/// injectors.
+/// Thread-safety: GroupShared/Group/Execute are const and safe to call
+/// concurrently (chaos injectors are probed, and both caches are read and
+/// filled, under internal mutexes; metrics instruments are lock-free;
+/// sub-queries go through the view catalogs' shared locks; a stored answer
+/// is immutable and shared). The trace recorder is the exception —
+/// TraceRecorder parenting assumes one logical flow of control, so set one
+/// only where Execute calls are serialized (the serving layer holds its
+/// tenant lock) and leave it null for concurrent use. Pool workers never
+/// touch the recorder or the injectors.
 class FederatedEngine {
  public:
   /// Engine over `local` (not owned, must outlive the engine), reported in
@@ -97,7 +105,8 @@ class FederatedEngine {
   /// Registers a remote member warehouse (not owned) under `name`, reached
   /// through `mapping` (local→remote). `chaos` (optional, not owned) is
   /// probed at `fed.subquery` before each dispatch — NOT thread-safe by
-  /// itself, so the engine serializes all probes internally.
+  /// itself, so the engine serializes all probes internally. Drops every
+  /// stored answer.
   Status AddRemote(std::string name, const Warehouse* remote,
                    SchemaMapping mapping, FaultInjector* chaos = nullptr);
 
@@ -116,7 +125,7 @@ class FederatedEngine {
 
   /// Conflict policy applied to key-complete fact mappings at query time —
   /// keep it equal to the MergeWarehouses policy for oracle identity.
-  /// Drops every cached conflict resolution.
+  /// Drops every cached conflict resolution and stored answer.
   void set_policy(MergePolicy policy);
 
   /// Registered remote members.
@@ -125,11 +134,17 @@ class FederatedEngine {
   const SchemaMapping& mapping(size_t i) const { return remotes_[i].mapping; }
 
   /// Plans, fans out and merges `query` (spelled against the *local*
-  /// schema) into finished groups, without rendering them. Fails only on
+  /// schema) into finished groups, without rendering them — or hands out
+  /// the stored groups of the same query while no member changed. The
+  /// result is shared with the engine's store, never copied. Fails only on
   /// an invalid query or when no member could answer.
+  Result<std::shared_ptr<const FederatedGroups>> GroupShared(
+      const OlapQuery& query) const;
+
+  /// GroupShared(), copied out for a caller that owns its groups.
   Result<FederatedGroups> Group(const OlapQuery& query) const;
 
-  /// Group() then Render(). Headers, group ordering and values are
+  /// GroupShared() then Render(). Headers, group ordering and values are
   /// byte-identical to OlapEngine::Execute over the MergeWarehouses oracle
   /// when coverage is full.
   Result<FederatedResult> Execute(const OlapQuery& query) const;
@@ -148,6 +163,22 @@ class FederatedEngine {
     uint64_t remote_stamp = 0;
     std::shared_ptr<const ConflictResolution> resolution;
   };
+
+  /// The finished groups of one query and the member stamps (local first,
+  /// then each remote's) they were computed from.
+  struct StoredRead {
+    OlapQuery query;
+    std::vector<uint64_t> stamps;
+    std::shared_ptr<const FederatedGroups> groups;
+  };
+
+  /// The stored groups of `query` computed at exactly `stamps`, or null.
+  std::shared_ptr<const FederatedGroups> FindRead(
+      const OlapQuery& query, const std::vector<uint64_t>& stamps) const;
+  /// Stores `groups` as the answer to `query` at `stamps`, evicting the
+  /// least recently used shape beyond the bound.
+  void StoreRead(const OlapQuery& query, std::vector<uint64_t> stamps,
+                 std::shared_ptr<const FederatedGroups> groups) const;
 
   /// The conflict resolution of fact mapping `fact` of remote `remote`
   /// against the current local and remote states: cached, or computed and
@@ -170,6 +201,10 @@ class FederatedEngine {
   mutable std::mutex resolutions_mu_;
   /// (remote index, fact-mapping index) -> its latest conflict resolution.
   mutable std::map<std::pair<size_t, size_t>, CachedResolution> resolutions_;
+  /// Guards `reads_`.
+  mutable std::mutex reads_mu_;
+  /// Stored answers, one per query shape, most recently used first.
+  mutable std::vector<StoredRead> reads_;
 };
 
 }  // namespace fed

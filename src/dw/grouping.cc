@@ -1,21 +1,48 @@
 #include "dw/grouping.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <unordered_set>
+#include <utility>
 
 #include "common/string_util.h"
 
 namespace dwqa {
 namespace dw {
 
+uint32_t OrdinalGroups::Level::Insert(uint64_t key) {
+  if (slots_.empty()) Grow();
+  for (;;) {
+    const size_t mask = slots_.size() - 1;
+    size_t i = Home(key);
+    for (; slots_[i].id != kFree; i = (i + 1) & mask) {
+      if (slots_[i].key == key) return slots_[i].id;
+    }
+    if (2 * (size_t{size_} + 1) <= slots_.size()) {
+      slots_[i] = {key, size_};
+      return size_++;
+    }
+    Grow();  // Then probe again: the free slot moved.
+  }
+}
+
+void OrdinalGroups::Level::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 16 : 2 * old.size(), Slot{});
+  shift_ = 64 - std::countr_zero(slots_.size());
+  const size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.id == kFree) continue;
+    size_t i = Home(slot.key);
+    while (slots_[i].id != kFree) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
 uint32_t OrdinalGroups::Insert(const uint32_t* key) {
   uint64_t id = 0;
-  for (auto& level : levels_) {
-    id = level.try_emplace((id << 32) | *key++,
-                           static_cast<uint32_t>(level.size()))
-             .first->second;
-  }
+  for (Level& level : levels_) id = level.Insert((id << 32) | *key++);
   if (id == size_) {  // A new group.
     ++size_;
     keys_.insert(keys_.end(), key - arity(), key);

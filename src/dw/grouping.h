@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -33,6 +32,9 @@ namespace dw {
 /// The index has one hash level per axis, mapping (id of the key prefix,
 /// next ordinal) to the id of the longer prefix: a lookup is one integer
 /// probe per axis whatever the arity. Arity 0 has exactly one group.
+/// Each level is a flat open-addressing table (linear probing, power-of-two
+/// capacity, at most half full), so a new group allocates nothing but the
+/// amortized growth of flat arrays.
 class OrdinalGroups {
  public:
   /// Groups keyed by `arity` ordinals, each holding `width` states.
@@ -60,7 +62,33 @@ class OrdinalGroups {
   }
 
  private:
-  std::vector<std::unordered_map<uint64_t, uint32_t>> levels_;
+  /// One axis of the index: (prefix id << 32 | ordinal) -> prefix id, ids
+  /// numbered in first-seen order.
+  class Level {
+   public:
+    /// The id of `key`, the next id when new.
+    uint32_t Insert(uint64_t key);
+
+   private:
+    static constexpr uint32_t kFree = UINT32_MAX;
+    struct Slot {
+      uint64_t key = 0;
+      uint32_t id = kFree;
+    };
+    /// The first slot probed for `key` (Fibonacci hashing: the product's
+    /// high bits mix prefix and ordinal).
+    size_t Home(uint64_t key) const {
+      return (key * 0x9E3779B97F4A7C15ull) >> shift_;
+    }
+    /// Doubles the table (16 slots when empty) and re-places every entry.
+    void Grow();
+
+    std::vector<Slot> slots_;
+    uint32_t size_ = 0;  ///< Entries, and so the next id.
+    int shift_ = 64;     ///< 64 - log2(capacity): hash bits kept.
+  };
+
+  std::vector<Level> levels_;
   size_t width_;
   size_t size_ = 0;
   std::vector<uint32_t> keys_;

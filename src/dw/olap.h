@@ -16,6 +16,8 @@ namespace dw {
 struct QueryMeasure {
   std::string measure;
   AggFn agg = AggFn::kSum;
+
+  bool operator==(const QueryMeasure&) const = default;
 };
 
 /// One grouping axis: a hierarchy level of a dimension role
@@ -23,6 +25,8 @@ struct QueryMeasure {
 struct GroupBy {
   std::string role;
   std::string level;
+
+  bool operator==(const GroupBy&) const = default;
 };
 
 /// Slice/dice predicate: keep facts whose member value at `level` of `role`
@@ -31,6 +35,8 @@ struct Filter {
   std::string role;
   std::string level;
   std::vector<std::string> values;
+
+  bool operator==(const Filter&) const = default;
 };
 
 /// Comparison operators of HAVING predicates.
@@ -98,6 +104,8 @@ struct Having {
   size_t measure_index = 0;
   CompareOp op = CompareOp::kGreater;
   double value = 0.0;
+
+  bool operator==(const Having&) const = default;
 };
 
 /// \brief A multidimensional aggregation query over one fact.
@@ -107,6 +115,9 @@ struct OlapQuery {
   std::vector<GroupBy> group_by;
   std::vector<Filter> filters;
   std::vector<Having> having;
+
+  /// The exact same query: every name spelled alike, every value equal.
+  bool operator==(const OlapQuery&) const = default;
 };
 
 /// \brief Query result: one row per group; group columns first, then one

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <unordered_map>
 
 #include "common/string_util.h"
@@ -29,18 +30,20 @@ namespace {
 constexpr uint32_t kNone = UINT32_MAX;
 
 /// One aggregate of the analysis before rendering: groups keyed by (city,
-/// day) and the state column and function of the query's one measure.
+/// day) and the state column and function of the query's one measure. The
+/// groups are shared, so a federated answer the engine stored is read in
+/// place.
 struct Aggregate {
-  dw::GroupedStates grouped;
+  std::shared_ptr<const dw::GroupedStates> groups;
   size_t slot = 0;
   dw::AggFn agg = dw::AggFn::kSum;
 
   /// Group `g`'s measure, read exactly as Render() renders it.
   double Measure(size_t g) const {
-    return grouped.states[g * grouped.width + slot].Finish(agg).ToDouble();
+    return groups->states[g * groups->width + slot].Finish(agg).ToDouble();
   }
   /// Group `g`'s value ordinal on axis `a` (0 = city, 1 = day).
-  uint32_t Key(size_t g, size_t a) const { return grouped.keys[g * 2 + a]; }
+  uint32_t Key(size_t g, size_t a) const { return groups->keys[g * 2 + a]; }
 };
 
 /// Groups `query` from the warehouse's view catalog when `mode` allows and
@@ -56,7 +59,7 @@ Result<Aggregate> RunQuery(const dw::Warehouse& wh,
     auto viewed = wh.views()->Group(query);
     if (viewed.ok()) {
       *from_view = true;
-      out.grouped = std::move(*viewed);
+      out.groups = std::make_shared<dw::GroupedStates>(std::move(*viewed));
       return out;
     }
     if (!viewed.status().IsNotFound()) return viewed.status();
@@ -66,7 +69,9 @@ Result<Aggregate> RunQuery(const dw::Warehouse& wh,
         "no materialized view covers the '" + query.fact +
         "' aggregate and view-only mode never recomputes from base facts");
   }
-  DWQA_ASSIGN_OR_RETURN(out.grouped, dw::GroupFacts(wh, query));
+  DWQA_ASSIGN_OR_RETURN(dw::GroupedStates grouped,
+                        dw::GroupFacts(wh, query));
+  out.groups = std::make_shared<dw::GroupedStates>(std::move(grouped));
   return out;
 }
 
@@ -87,8 +92,8 @@ Result<BiReport> JoinAndBucket(const Aggregate& sales,
                                const std::string& sales_fact,
                                const std::string& weather_fact,
                                double bucket_width_c) {
-  const std::vector<std::string>& weather_cities = weather.grouped.values[0];
-  const std::vector<std::string>& weather_days = weather.grouped.values[1];
+  const std::vector<std::string>& weather_cities = weather.groups->values[0];
+  const std::vector<std::string>& weather_days = weather.groups->values[1];
   std::unordered_map<std::string, uint32_t> class_of;
   std::vector<uint32_t> weather_class;
   weather_class.reserve(weather_cities.size());
@@ -98,13 +103,13 @@ Result<BiReport> JoinAndBucket(const Aggregate& sales,
   }
   const size_t days = weather_days.size();
   std::vector<uint32_t> cell(class_of.size() * days, kNone);
-  for (size_t g = 0; g < weather.grouped.size(); ++g) {
+  for (size_t g = 0; g < weather.groups->size(); ++g) {
     cell[weather_class[weather.Key(g, 0)] * days + weather.Key(g, 1)] =
         static_cast<uint32_t>(g);
   }
 
-  const std::vector<std::string>& sales_cities = sales.grouped.values[0];
-  const std::vector<std::string>& sales_days = sales.grouped.values[1];
+  const std::vector<std::string>& sales_cities = sales.groups->values[0];
+  const std::vector<std::string>& sales_days = sales.groups->values[1];
   std::vector<uint32_t> sales_class(sales_cities.size(), kNone);
   for (size_t c = 0; c < sales_cities.size(); ++c) {
     auto found = class_of.find(ToLower(sales_cities[c]));
@@ -125,7 +130,7 @@ Result<BiReport> JoinAndBucket(const Aggregate& sales,
   std::map<int64_t, TempRangeStat> buckets;
   double sum_t = 0, sum_k = 0, sum_tt = 0, sum_kk = 0, sum_tk = 0;
   size_t n = 0;
-  for (size_t g = 0; g < sales.grouped.size(); ++g) {
+  for (size_t g = 0; g < sales.groups->size(); ++g) {
     const uint32_t city = sales_class[sales.Key(g, 0)];
     const uint32_t day = sales_day[sales.Key(g, 1)];
     if (city == kNone || day == kNone) continue;
@@ -248,10 +253,14 @@ Result<FederatedBiReport> BiAnalysis::SalesVsTemperatureFederated(
   FederatedBiReport out;
   auto group = [&](const dw::OlapQuery& query,
                    dw::fed::FederatedCoverage* coverage) -> Result<Aggregate> {
-    DWQA_ASSIGN_OR_RETURN(dw::fed::FederatedGroups groups,
-                          engine.Group(query));
-    *coverage = std::move(groups.coverage);
-    return Aggregate{std::move(groups.grouped), groups.slots.front(),
+    DWQA_ASSIGN_OR_RETURN(
+        std::shared_ptr<const dw::fed::FederatedGroups> groups,
+        engine.GroupShared(query));
+    *coverage = groups->coverage;
+    // Aliases the engine's stored answer: read in place, never copied.
+    std::shared_ptr<const dw::GroupedStates> grouped(groups,
+                                                     &groups->grouped);
+    return Aggregate{std::move(grouped), groups->slots.front(),
                      query.measures.front().agg};
   };
   DWQA_ASSIGN_OR_RETURN(Aggregate sales,

@@ -343,177 +343,198 @@ enum class Shape {
   kNullLevel,     ///< Remote places have no Country level: null axis.
 };
 
+/// One seed of the federated ≡ merged check. With `case_variants`, a shared
+/// remote member may also be spelled like its local member up to case
+/// ("s1" for "S1") and be absent from the member map: MergeWarehouses folds
+/// it into the local member, because AddMember and FindMember ignore case,
+/// so it is a shared member at every level — it carries the local coarse
+/// values and stays out of the null-level shape, like an alias. Without
+/// the flag the draws are the ones this check always made.
+void CheckFederatedAgainstMerged(uint64_t seed, bool case_variants) {
+  const Shape shape = static_cast<Shape>(seed % 3);
+  World w(seed);
+  for (size_t i = 0; i < 3; ++i) w.AddPlace();
+  for (size_t i = 0; i < 3; ++i) w.AddDay();
+  for (size_t i = 0; i < 20; ++i) w.InsertFact();
+  Rng& rng = w.rng;
+  const std::string ctx = "seed " + std::to_string(seed) +
+                          (case_variants ? " case variants" : "");
+
+  // The partner: Bookings(to, [from,] on; Total, Qty) over Location =
+  // Airport → Town [→ Nation] and When = Day → Month.
+  const size_t remote_place_levels = shape == Shape::kNullLevel ? 2 : 3;
+  MdSchema rs;
+  std::vector<LevelDef> location = {{"Airport"}, {"Town"}, {"Nation"}};
+  location.resize(remote_place_levels);
+  ASSERT_TRUE(rs.AddDimension({"Location", location}).ok());
+  ASSERT_TRUE(rs.AddDimension({"When", {{"Day"}, {"Month"}}}).ok());
+  FactDef rf;
+  rf.name = "Bookings";
+  rf.measures = {{"Total", ColumnType::kDouble, AggFn::kSum},
+                 {"Qty", ColumnType::kInt64, AggFn::kSum}};
+  rf.roles = {{"to", "Location"}, {"on", "When"}};
+  if (shape != Shape::kSentinelRole) rf.roles.push_back({"from", "Location"});
+  ASSERT_TRUE(rs.AddFact(rf).ok());
+  Warehouse remote = Warehouse::Create(std::move(rs)).ValueOrDie();
+
+  fed::SchemaMapping mapping;
+  fed::DimensionMapping place{"Place", "Location",
+                              {{"Site", "Airport"}, {"City", "Town"}}, {}};
+  if (shape != Shape::kNullLevel) {
+    place.levels.push_back({"Country", "Nation"});
+  }
+  fed::DimensionMapping day{"Day", "When",
+                            {{"Date", "Day"}, {"Month", "Month"}}, {}};
+  const double conversion = rng.NextBool(0.5) ? 0.5 : 2.0;
+  fed::FactMapping fm;
+  fm.local_fact = "Sales";
+  fm.remote_fact = "Bookings";
+  fm.roles = {{"dest", "to"}, {"day", "on"}};
+  if (shape == Shape::kSentinelRole) {
+    fm.unmapped_local_roles = {"orig"};
+  } else {
+    fm.roles.push_back({"orig", "from"});
+  }
+  for (auto [local, remote] : {std::pair{"Amount", "Total"},
+                               std::pair{"Units", "Qty"}}) {
+    fed::MeasureMapping mm;
+    mm.local_measure = local;
+    mm.remote_measure = remote;
+    fm.measures.push_back(mm);
+  }
+  fm.measures[0].conversion = conversion;
+  fm.key_complete = shape != Shape::kSentinelRole;
+
+  // Remote members: shared ones (an alias, the same spelling or a case
+  // variant; same coarse values) and remote-only ones. A local level with
+  // no remote counterpart only meets remote-only members: a shared member
+  // would carry its local value there in the oracle but a null in the
+  // federation, which the mapping model does not reconcile.
+  const Table* places = *w.wh.DimensionTable("Place");
+  std::vector<MemberId> remote_places;
+  std::map<MemberId, MemberId> shared_place;  // local -> remote
+  for (size_t p = 0; p < w.places.size(); ++p) {
+    if (shape == Shape::kNullLevel || rng.NextBool(0.4)) continue;
+    const std::string site = places->Get(p, 0).ToString();
+    std::string spelling = rng.NextBool(0.5) ? site : "Alias of " + site;
+    const bool variant = case_variants && rng.NextBool(0.5);
+    if (variant) spelling = ToLower(site);  // Sites are "S<n>".
+    std::vector<std::string> path = {spelling};
+    for (size_t l = 1; l < 3; ++l) {
+      path.push_back(places->Get(p, l).ToString());
+    }
+    while (!path.empty() && path.back().empty()) path.pop_back();
+    MemberId id = remote.AddMember("Location", path).ValueOrDie();
+    if (!variant) place.member_map[ToLower(spelling)] = site;
+    shared_place[w.places[p]] = id;
+    remote_places.push_back(id);
+    for (const char* role : {"dest.Site", "orig.Site"}) {
+      w.values[role].push_back(spelling);
+    }
+  }
+  for (size_t i = 0; i < 3; ++i) {
+    const std::string site = "R" + std::to_string(i);
+    remote_places.push_back(
+        remote
+            .AddMember("Location",
+                       PlacePath(&rng, site, remote_place_levels))
+            .ValueOrDie());
+    for (const char* role : {"dest.Site", "orig.Site"}) {
+      w.values[role].push_back(site);
+    }
+  }
+  const Table* local_days = *w.wh.DimensionTable("Day");
+  std::vector<MemberId> remote_days;
+  std::map<MemberId, MemberId> shared_day;
+  for (size_t d = 0; d < w.days.size(); ++d) {
+    if (rng.NextBool(0.3)) continue;
+    std::vector<std::string> path = {local_days->Get(d, 0).ToString(),
+                                     local_days->Get(d, 1).ToString()};
+    if (path[1].empty()) path.pop_back();
+    MemberId id = remote.AddMember("When", path).ValueOrDie();
+    day.member_map[ToLower(path[0])] = path[0];
+    shared_day[w.days[d]] = id;
+    remote_days.push_back(id);
+  }
+  remote_days.push_back(
+      remote.AddMember("When", {"2004-09-30", "2004-09"}).ValueOrDie());
+  w.values["day.Date"].push_back("2004-09-30");
+  w.values["day.Month"].push_back("2004-09");
+  mapping.dimensions = {place, day};
+  mapping.facts = {fm};
+
+  // Remote facts, plus copies of local fact keys (same or different
+  // measures) so every conflict policy has work to do.
+  auto insert_remote = [&](MemberId to, MemberId from, MemberId on,
+                           Value total, Value qty) {
+    std::vector<MemberId> members = {to, on};
+    if (shape != Shape::kSentinelRole) members.push_back(from);
+    ASSERT_TRUE(remote.InsertFact("Bookings", members, {total, qty}).ok());
+  };
+  for (size_t i = 0; i < 15; ++i) {
+    insert_remote(remote_places[rng.NextIndex(remote_places.size())],
+                  remote_places[rng.NextIndex(remote_places.size())],
+                  remote_days[rng.NextIndex(remote_days.size())],
+                  Amount(&rng), Units(&rng));
+  }
+  const Table* sales = *w.wh.FactTable("Sales");
+  for (size_t r = 0; r < sales->row_count(); ++r) {
+    auto to = shared_place.find(MemberId(sales->Get(r, 0).as_int()));
+    auto from = shared_place.find(MemberId(sales->Get(r, 1).as_int()));
+    auto on = shared_day.find(MemberId(sales->Get(r, 2).as_int()));
+    if (to == shared_place.end() || from == shared_place.end() ||
+        on == shared_day.end() || !rng.NextBool(0.6)) {
+      continue;
+    }
+    const bool same = rng.NextBool(0.5);
+    insert_remote(to->second, from->second, on->second,
+                  Value(sales->Get(r, 3).as_double() / conversion +
+                        (same ? 0.0 : 0.25)),
+                  sales->Get(r, 4));
+  }
+
+  ViewCatalog local_views, remote_views;
+  for (auto [wh, catalog] : {std::pair{&w.wh, &local_views},
+                             std::pair{&remote, &remote_views}}) {
+    if (!rng.NextBool(0.5)) continue;
+    ASSERT_TRUE(catalog->DefineAll(DeriveViewsFromSchema(wh->schema())).ok());
+    wh->AttachViews(catalog);
+    ASSERT_TRUE(catalog->Bind(*wh).ok());
+  }
+
+  fed::MergePolicy policy;
+  policy.conflicts = static_cast<fed::ConflictPolicy>(rng.NextIndex(3));
+  policy.remote_refresh_iso = rng.NextBool(0.5) ? "2004-06-01" : "1970-01-01";
+  Warehouse merged =
+      fed::MergeWarehouses(w.wh, remote, mapping, policy).ValueOrDie();
+  fed::FederatedEngine engine(&w.wh);
+  ASSERT_TRUE(engine.AddRemote("partner", &remote, mapping).ok());
+  engine.set_policy(policy);
+  OlapEngine oracle(&merged);
+  for (const char* sentinel : {"dest.Site", "orig.Site", "orig.City"}) {
+    w.values[sentinel].push_back(fed::kUnattributedMember);
+  }
+  for (int i = 0; i < 6; ++i) {
+    OlapQuery q = RandomQuery(&rng, w.values);
+    auto fed = engine.Execute(q);
+    ASSERT_TRUE(fed.ok()) << ctx << ": " << fed.status().ToString();
+    EXPECT_TRUE(fed->coverage.full()) << ctx;
+    ExpectSame(oracle.Execute(q).ValueOrDie(), fed->result,
+               ctx + " query " + std::to_string(i), /*counters=*/false);
+  }
+}
+
 TEST(GroupingDifferentialTest, FederatedMatchesTheMergedOracle) {
   for (uint64_t seed = 0; seed < kSeeds; ++seed) {
-    const Shape shape = static_cast<Shape>(seed % 3);
-    World w(seed);
-    for (size_t i = 0; i < 3; ++i) w.AddPlace();
-    for (size_t i = 0; i < 3; ++i) w.AddDay();
-    for (size_t i = 0; i < 20; ++i) w.InsertFact();
-    Rng& rng = w.rng;
-    const std::string ctx = "seed " + std::to_string(seed);
+    CheckFederatedAgainstMerged(seed, /*case_variants=*/false);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
 
-    // The partner: Bookings(to, [from,] on; Total, Qty) over Location =
-    // Airport → Town [→ Nation] and When = Day → Month.
-    const size_t remote_place_levels = shape == Shape::kNullLevel ? 2 : 3;
-    MdSchema rs;
-    std::vector<LevelDef> location = {{"Airport"}, {"Town"}, {"Nation"}};
-    location.resize(remote_place_levels);
-    ASSERT_TRUE(rs.AddDimension({"Location", location}).ok());
-    ASSERT_TRUE(rs.AddDimension({"When", {{"Day"}, {"Month"}}}).ok());
-    FactDef rf;
-    rf.name = "Bookings";
-    rf.measures = {{"Total", ColumnType::kDouble, AggFn::kSum},
-                   {"Qty", ColumnType::kInt64, AggFn::kSum}};
-    rf.roles = {{"to", "Location"}, {"on", "When"}};
-    if (shape != Shape::kSentinelRole) rf.roles.push_back({"from", "Location"});
-    ASSERT_TRUE(rs.AddFact(rf).ok());
-    Warehouse remote = Warehouse::Create(std::move(rs)).ValueOrDie();
-
-    fed::SchemaMapping mapping;
-    fed::DimensionMapping place{"Place", "Location",
-                                {{"Site", "Airport"}, {"City", "Town"}}, {}};
-    if (shape != Shape::kNullLevel) {
-      place.levels.push_back({"Country", "Nation"});
-    }
-    fed::DimensionMapping day{"Day", "When",
-                              {{"Date", "Day"}, {"Month", "Month"}}, {}};
-    const double conversion = rng.NextBool(0.5) ? 0.5 : 2.0;
-    fed::FactMapping fm;
-    fm.local_fact = "Sales";
-    fm.remote_fact = "Bookings";
-    fm.roles = {{"dest", "to"}, {"day", "on"}};
-    if (shape == Shape::kSentinelRole) {
-      fm.unmapped_local_roles = {"orig"};
-    } else {
-      fm.roles.push_back({"orig", "from"});
-    }
-    for (auto [local, remote] : {std::pair{"Amount", "Total"},
-                                 std::pair{"Units", "Qty"}}) {
-      fed::MeasureMapping mm;
-      mm.local_measure = local;
-      mm.remote_measure = remote;
-      fm.measures.push_back(mm);
-    }
-    fm.measures[0].conversion = conversion;
-    fm.key_complete = shape != Shape::kSentinelRole;
-
-    // Remote members: shared ones (an alias or the same spelling, same
-    // coarse values) and remote-only ones. A local level with no remote
-    // counterpart only meets remote-only members: a shared member would
-    // carry its local value there in the oracle but a null in the
-    // federation, which the mapping model does not reconcile.
-    const Table* places = *w.wh.DimensionTable("Place");
-    std::vector<MemberId> remote_places;
-    std::map<MemberId, MemberId> shared_place;  // local -> remote
-    for (size_t p = 0; p < w.places.size(); ++p) {
-      if (shape == Shape::kNullLevel || rng.NextBool(0.4)) continue;
-      const std::string site = places->Get(p, 0).ToString();
-      const std::string spelling =
-          rng.NextBool(0.5) ? site : "Alias of " + site;
-      std::vector<std::string> path = {spelling};
-      for (size_t l = 1; l < 3; ++l) {
-        path.push_back(places->Get(p, l).ToString());
-      }
-      while (!path.empty() && path.back().empty()) path.pop_back();
-      MemberId id = remote.AddMember("Location", path).ValueOrDie();
-      place.member_map[ToLower(spelling)] = site;
-      shared_place[w.places[p]] = id;
-      remote_places.push_back(id);
-      for (const char* role : {"dest.Site", "orig.Site"}) {
-        w.values[role].push_back(spelling);
-      }
-    }
-    for (size_t i = 0; i < 3; ++i) {
-      const std::string site = "R" + std::to_string(i);
-      remote_places.push_back(
-          remote
-              .AddMember("Location",
-                         PlacePath(&rng, site, remote_place_levels))
-              .ValueOrDie());
-      for (const char* role : {"dest.Site", "orig.Site"}) {
-        w.values[role].push_back(site);
-      }
-    }
-    const Table* local_days = *w.wh.DimensionTable("Day");
-    std::vector<MemberId> remote_days;
-    std::map<MemberId, MemberId> shared_day;
-    for (size_t d = 0; d < w.days.size(); ++d) {
-      if (rng.NextBool(0.3)) continue;
-      std::vector<std::string> path = {local_days->Get(d, 0).ToString(),
-                                       local_days->Get(d, 1).ToString()};
-      if (path[1].empty()) path.pop_back();
-      MemberId id = remote.AddMember("When", path).ValueOrDie();
-      day.member_map[ToLower(path[0])] = path[0];
-      shared_day[w.days[d]] = id;
-      remote_days.push_back(id);
-    }
-    remote_days.push_back(
-        remote.AddMember("When", {"2004-09-30", "2004-09"}).ValueOrDie());
-    w.values["day.Date"].push_back("2004-09-30");
-    w.values["day.Month"].push_back("2004-09");
-    mapping.dimensions = {place, day};
-    mapping.facts = {fm};
-
-    // Remote facts, plus copies of local fact keys (same or different
-    // measures) so every conflict policy has work to do.
-    auto insert_remote = [&](MemberId to, MemberId from, MemberId on,
-                             Value total, Value qty) {
-      std::vector<MemberId> members = {to, on};
-      if (shape != Shape::kSentinelRole) members.push_back(from);
-      ASSERT_TRUE(remote.InsertFact("Bookings", members, {total, qty}).ok());
-    };
-    for (size_t i = 0; i < 15; ++i) {
-      insert_remote(remote_places[rng.NextIndex(remote_places.size())],
-                    remote_places[rng.NextIndex(remote_places.size())],
-                    remote_days[rng.NextIndex(remote_days.size())],
-                    Amount(&rng), Units(&rng));
-    }
-    const Table* sales = *w.wh.FactTable("Sales");
-    for (size_t r = 0; r < sales->row_count(); ++r) {
-      auto to = shared_place.find(MemberId(sales->Get(r, 0).as_int()));
-      auto from = shared_place.find(MemberId(sales->Get(r, 1).as_int()));
-      auto on = shared_day.find(MemberId(sales->Get(r, 2).as_int()));
-      if (to == shared_place.end() || from == shared_place.end() ||
-          on == shared_day.end() || !rng.NextBool(0.6)) {
-        continue;
-      }
-      const bool same = rng.NextBool(0.5);
-      insert_remote(to->second, from->second, on->second,
-                    Value(sales->Get(r, 3).as_double() / conversion +
-                          (same ? 0.0 : 0.25)),
-                    sales->Get(r, 4));
-    }
-
-    ViewCatalog local_views, remote_views;
-    for (auto [wh, catalog] : {std::pair{&w.wh, &local_views},
-                               std::pair{&remote, &remote_views}}) {
-      if (!rng.NextBool(0.5)) continue;
-      ASSERT_TRUE(catalog->DefineAll(DeriveViewsFromSchema(wh->schema())).ok());
-      wh->AttachViews(catalog);
-      ASSERT_TRUE(catalog->Bind(*wh).ok());
-    }
-
-    fed::MergePolicy policy;
-    policy.conflicts = static_cast<fed::ConflictPolicy>(rng.NextIndex(3));
-    policy.remote_refresh_iso = rng.NextBool(0.5) ? "2004-06-01" : "1970-01-01";
-    Warehouse merged =
-        fed::MergeWarehouses(w.wh, remote, mapping, policy).ValueOrDie();
-    fed::FederatedEngine engine(&w.wh);
-    ASSERT_TRUE(engine.AddRemote("partner", &remote, mapping).ok());
-    engine.set_policy(policy);
-    OlapEngine oracle(&merged);
-    for (const char* sentinel : {"dest.Site", "orig.Site", "orig.City"}) {
-      w.values[sentinel].push_back(fed::kUnattributedMember);
-    }
-    for (int i = 0; i < 6; ++i) {
-      OlapQuery q = RandomQuery(&rng, w.values);
-      auto fed = engine.Execute(q);
-      ASSERT_TRUE(fed.ok()) << ctx << ": " << fed.status().ToString();
-      EXPECT_TRUE(fed->coverage.full()) << ctx;
-      ExpectSame(oracle.Execute(q).ValueOrDie(), fed->result,
-                 ctx + " query " + std::to_string(i), /*counters=*/false);
-    }
+TEST(GroupingDifferentialTest, CaseVariantMembersFederateLikeTheMerge) {
+  for (uint64_t seed = 0; seed < kSeeds; ++seed) {
+    CheckFederatedAgainstMerged(seed, /*case_variants=*/true);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 

@@ -10,8 +10,12 @@
 // get right: sales cities (Airport.City) spelled in other cases than the
 // weather cities (City.City), two federated weather spellings that
 // lowercase equal (the later one in rendered order wins), cities and days
-// with no partner, and empty joins. Measures are not dyadic, so a join that
-// walked the groups in another order would round differently.
+// with no partner, and empty joins. The federation folds a remote spelling
+// into a local member that matches it up to case, as MergeWarehouses does,
+// so two spellings of one city reach the join only from two remotes: a
+// second partner grows from its own stream, leaving every other draw as it
+// was. Measures are not dyadic, so a join that walked the groups in another
+// order would round differently.
 
 #include <gtest/gtest.h>
 
@@ -294,6 +298,8 @@ TEST(BiDifferentialTest, OrdinalJoinMatchesTheStringJoinBitForBit) {
     Rng rng(seed);
     Side local(&rng, "local");
     Side partner(&rng, "partner");
+    Rng rng2(seed + 1000);
+    Side partner2(&rng2, "partner2");
     dw::ViewCatalog views;
     ASSERT_TRUE(
         views.DefineAll(dw::DeriveViewsFromSchema(local.wh.schema())).ok());
@@ -303,6 +309,10 @@ TEST(BiDifferentialTest, OrdinalJoinMatchesTheStringJoinBitForBit) {
     dw::fed::FederatedEngine engine(&local.wh);
     ASSERT_TRUE(engine
                     .AddRemote("partner", &partner.wh,
+                               IdentityMapping(local.wh.schema()))
+                    .ok());
+    ASSERT_TRUE(engine
+                    .AddRemote("partner2", &partner2.wh,
                                IdentityMapping(local.wh.schema()))
                     .ok());
     dw::fed::MergePolicy policy;
@@ -356,6 +366,7 @@ TEST(BiDifferentialTest, OrdinalJoinMatchesTheStringJoinBitForBit) {
 
       local.Grow(4 + rng.NextIndex(12));
       partner.Grow(4 + rng.NextIndex(12));
+      partner2.Grow(4 + rng2.NextIndex(12));
     }
   }
   EXPECT_GT(coverage.case_variant_joins, 0u);
