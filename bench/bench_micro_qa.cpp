@@ -32,15 +32,21 @@ ontology::Ontology& MergedOntology() {
   return *onto;
 }
 
-qa::AliQAn& IndexedAliqan() {
-  static auto* aliqan = [] {
+const web::SyntheticWeb& Web() {
+  static auto* webb = [] {
     web::WebConfig config;
     config.cities = {"Barcelona", "Madrid"};
     config.months = {1};
-    static auto* webb = new web::SyntheticWeb(
+    return new web::SyntheticWeb(
         web::SyntheticWeb::Build(config).ValueOrDie());
+  }();
+  return *webb;
+}
+
+qa::AliQAn& IndexedAliqan() {
+  static auto* aliqan = [] {
     auto* a = new qa::AliQAn(&MergedOntology());
-    a->IndexCorpus(&webb->documents());
+    a->IndexCorpus(&Web().documents());
     return a;
   }();
   return *aliqan;
@@ -75,16 +81,47 @@ void BM_AnswerExtraction(benchmark::State& state) {
     views.push_back(corpus.View(p.doc, p.first_sentence, p.last_sentence));
   }
   qa::AnswerExtractor extractor(&MergedOntology());
+  std::vector<qa::AnswerCandidate> candidates;
   for (auto _ : state) {
     qa::PreparedQuestion prepared =
         extractor.Prepare(analysis, corpus.dictionary());
+    candidates.clear();
     for (size_t i = 0; i < passages.size(); ++i) {
-      benchmark::DoNotOptimize(extractor.ExtractAnalyzed(
-          prepared, views[i], passages[i].text, passages[i].doc, ""));
+      extractor.ExtractAnalyzed(prepared, views[i], i, passages[i].doc,
+                                &candidates);
     }
+    benchmark::DoNotOptimize(candidates.data());
   }
 }
 BENCHMARK(BM_AnswerExtraction);
+
+// All of a live ask's extraction step: BM_AnswerExtraction, then Rank and
+// the source strings of the answers it keeps (the `qa.extraction` span).
+void BM_AnswerExtractionRanked(benchmark::State& state) {
+  qa::AliQAn& aliqan = IndexedAliqan();
+  auto analysis = aliqan.AnalyzeQuestion(kQuestion).ValueOrDie();
+  auto passages = aliqan.SelectPassages(analysis).ValueOrDie();
+  const text::AnalyzedCorpus& corpus = aliqan.corpus();
+  qa::AnswerExtractor extractor(&MergedOntology());
+  for (auto _ : state) {
+    qa::PreparedQuestion prepared =
+        extractor.Prepare(analysis, corpus.dictionary());
+    std::vector<qa::AnswerCandidate> candidates;
+    for (size_t i = 0; i < passages.size(); ++i) {
+      const ir::Passage& p = passages[i];
+      extractor.ExtractAnalyzed(
+          prepared, corpus.View(p.doc, p.first_sentence, p.last_sentence), i,
+          p.doc, &candidates);
+    }
+    std::vector<qa::AnswerCandidate> answers =
+        qa::AnswerExtractor::Rank(std::move(candidates),
+                                  aliqan.config().max_answers);
+    qa::AnswerExtractor::AttachSources(passages, corpus, &Web().documents(),
+                                       &answers);
+    benchmark::DoNotOptimize(answers.data());
+  }
+}
+BENCHMARK(BM_AnswerExtractionRanked);
 
 void BM_FullAsk(benchmark::State& state) {
   qa::AliQAn& aliqan = IndexedAliqan();

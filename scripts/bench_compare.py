@@ -67,6 +67,10 @@ GATED = [
     # Answer extraction on the live path (one prepared question, cached
     # sentence analyses) drifting back toward per-candidate re-derivation.
     ("bench_micro_qa", "BM_AnswerExtraction"),
+    # All of the live extraction step, Rank and the answers' source strings
+    # included: re-running the recognizers per ask, or copying the source
+    # strings of every candidate instead of the kept answers', would show.
+    ("bench_micro_qa", "BM_AnswerExtractionRanked"),
 ]
 
 HOST_FIELDS = ("nproc", "build_type", "compiler")

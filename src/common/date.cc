@@ -1,19 +1,26 @@
 #include "common/date.h"
 
 #include <array>
+#include <cstdint>
+#include <string_view>
 
 #include "common/string_util.h"
 
 namespace dwqa {
 
 namespace {
-constexpr std::array<const char*, 12> kMonthNames = {
+constexpr std::array<std::string_view, 12> kMonthNames = {
     "January", "February", "March",     "April",   "May",      "June",
     "July",    "August",   "September", "October", "November", "December"};
 
 constexpr std::array<const char*, 7> kDayNames = {
     "Sunday", "Monday", "Tuesday", "Wednesday", "Thursday", "Friday",
     "Saturday"};
+
+/// Month numbers by name length: "May" is the only 3-letter name, and no
+/// length has more than three names.
+constexpr std::array<std::array<uint8_t, 3>, 10> kMonthsByLength = {{
+    {}, {}, {}, {5}, {6, 7}, {3, 4}, {8}, {1, 10}, {2, 11, 12}, {9}}};
 }  // namespace
 
 bool Date::IsLeapYear(int year) {
@@ -64,7 +71,7 @@ std::string Date::DayOfWeekName() const {
 
 std::string Date::MonthName() const {
   if (month_ < 1 || month_ > 12) return "?";
-  return kMonthNames[static_cast<size_t>(month_ - 1)];
+  return std::string(kMonthNames[static_cast<size_t>(month_ - 1)]);
 }
 
 int64_t Date::ToEpochDays() const {
@@ -121,8 +128,18 @@ std::string Date::ToLongString() const {
 }
 
 int Date::MonthFromName(std::string_view name) {
-  for (size_t i = 0; i < kMonthNames.size(); ++i) {
-    if (EqualsIgnoreCase(name, kMonthNames[i])) return static_cast<int>(i + 1);
+  // Dispatch on length, then on the first letter: `| 0x20` maps exactly
+  // the two cases of a letter onto its lowercase form, so only a name
+  // that can match reaches the full compare.
+  if (name.empty() || name.size() >= kMonthsByLength.size()) return 0;
+  const char first = static_cast<char>(name[0] | 0x20);
+  for (uint8_t month : kMonthsByLength[name.size()]) {
+    if (month == 0) break;
+    std::string_view candidate = kMonthNames[month - 1];
+    if ((candidate[0] | 0x20) == first &&
+        EqualsIgnoreCase(name.substr(1), candidate.substr(1))) {
+      return month;
+    }
   }
   return 0;
 }

@@ -293,6 +293,7 @@ Result<AnswerSet> AliQAn::AskWith(const std::string& question,
       extractor.Prepare(result.analysis, corpus_.dictionary());
   std::vector<AnswerCandidate> candidates;
   size_t sentences = 0;
+  size_t extracted = 0;  // Passages extraction reached.
   for (const ir::Passage& p : passages) {
     // One budget unit per analyzed passage. An exhausted budget does not
     // fail the question: extraction stops and the ladder answers from
@@ -301,21 +302,21 @@ Result<AnswerSet> AliQAn::AskWith(const std::string& question,
         !deadline->Spend("qa.extraction").ok()) {
       break;
     }
-    result.passages.push_back(p.text);
-    const std::string& url =
-        docs_->IsValid(p.doc) ? docs_->Get(p.doc).url : "";
     const text::SentenceView view =
         corpus_.View(p.doc, p.first_sentence, p.last_sentence);
     sentences += view.size();
-    for (AnswerCandidate& cand :
-         extractor.ExtractAnalyzed(prepared, view, p.text, p.doc, url)) {
-      candidates.push_back(std::move(cand));
-    }
+    extractor.ExtractAnalyzed(prepared, view, extracted, p.doc, &candidates);
+    ++extracted;
   }
+  const size_t candidate_count = candidates.size();
   result.answers =
       AnswerExtractor::Rank(std::move(candidates), config_.max_answers);
+  // Only the answers Rank kept get their source strings.
+  AnswerExtractor::AttachSources(passages, corpus_, docs_, &result.answers);
   extraction_span.Annotate("sentences", static_cast<double>(sentences));
   extraction_span.Annotate("candidates",
+                           static_cast<double>(candidate_count));
+  extraction_span.Annotate("answers",
                            static_cast<double>(result.answers.size()));
   extraction_span.End();
 
@@ -325,9 +326,11 @@ Result<AnswerSet> AliQAn::AskWith(const std::string& question,
   if (result.answers.empty() && config_.degradation.enable_relaxed) {
     Span span(trace, "qa.ladder.relaxed");
     result.answers = AnswerExtractor::Rank(
-        RelaxedExtract(result.analysis, passages, docs_, corpus_,
+        RelaxedExtract(result.analysis, passages, corpus_,
                        config_.degradation, config_.max_answers),
         config_.max_answers);
+    AnswerExtractor::AttachSources(passages, corpus_, docs_,
+                                   &result.answers);
     if (!result.answers.empty()) {
       result.degradation = DegradationLevel::kRelaxedPattern;
     }
@@ -335,12 +338,19 @@ Result<AnswerSet> AliQAn::AskWith(const std::string& question,
   }
   if (result.answers.empty() && config_.degradation.enable_ir_only) {
     Span span(trace, "qa.ladder.ir_only");
-    result.answers =
-        IrOnlyAnswers(passages, docs_, config_.degradation);
+    result.answers = IrOnlyAnswers(passages, config_.degradation);
+    AnswerExtractor::AttachSources(passages, corpus_, docs_,
+                                   &result.answers);
     if (!result.answers.empty()) {
       result.degradation = DegradationLevel::kIrOnly;
     }
     span.Annotate("answers", static_cast<double>(result.answers.size()));
+  }
+  // The answers hold copies of what they need, so the texts of the
+  // passages extraction reached move into the set.
+  result.passages.reserve(extracted);
+  for (size_t i = 0; i < extracted; ++i) {
+    result.passages.push_back(std::move(passages[i].text));
   }
   if (result.answers.empty()) {
     result.degradation = DegradationLevel::kUnanswered;

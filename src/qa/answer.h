@@ -1,6 +1,7 @@
 #ifndef DWQA_QA_ANSWER_H_
 #define DWQA_QA_ANSWER_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,11 +28,20 @@ struct AnswerCandidate {
   /// extraction path; see qa/degradation.h).
   DegradationLevel level = DegradationLevel::kFull;
 
+  /// Where the answer was found: the index of its passage in the ask's
+  /// retrieved list, the sentence within that passage (kNoSentence for an
+  /// answer that is the whole passage) and the passage's document.
+  /// Extraction and Rank carry only these; AnswerExtractor::AttachSources
+  /// fills the three strings below for the answers Rank keeps.
+  static constexpr uint32_t kNoSentence = UINT32_MAX;
+  uint32_t passage_index = 0;
+  uint32_t sentence_index = kNoSentence;
+  ir::DocId doc = ir::kInvalidDoc;
+
   /// The sentence the answer was extracted from.
   std::string sentence;
   /// The passage handed over by the retrieval module.
   std::string passage_text;
-  ir::DocId doc = ir::kInvalidDoc;
   std::string url;
 
   /// \name Structured slots (filled when applicable)

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <unordered_map>
 
 #include "common/string_util.h"
@@ -16,6 +17,7 @@ namespace dwqa {
 namespace qa {
 
 using text::DateMention;
+using text::DateSpan;
 using text::EntityRecognizer;
 using text::TokenSequence;
 
@@ -57,9 +59,9 @@ double SbCoverage(const PreparedQuestion& pq, const uint64_t* mask) {
   return cov;
 }
 
-bool MentionEqualsAnyQuestionTerm(const std::string& mention,
+/// `lower` is the lowercased mention.
+bool MentionEqualsAnyQuestionTerm(const std::string& lower,
                                   const PreparedQuestion& pq) {
-  std::string lower = ToLower(mention);
   for (const std::string& sb : pq.sbs_lower) {
     // Substring containment: "Kennedy International" is part of the
     // question term "Kennedy International Airport" and no answer.
@@ -78,7 +80,7 @@ bool MentionEqualsAnyQuestionTerm(const std::string& mention,
 
 /// True when `d` is compatible with the question's (possibly partial) date
 /// constraint.
-bool DateCompatible(const DateMention& d, const QuestionAnalysis& q) {
+bool DateCompatible(const DateSpan& d, const QuestionAnalysis& q) {
   if (!q.date_constraint.has_value()) return true;
   const DateMention& c = *q.date_constraint;
   if (c.has_year && d.has_year && c.date.year() != d.date.year()) {
@@ -158,41 +160,40 @@ bool AnswerExtractor::SatisfiesTypeConcept(const PreparedQuestion& pq,
                                            const std::string& mention) const {
   if (pq.type_open) return true;
   if (!pq.type_concept.has_value()) return false;
-  for (ontology::ConceptId id : onto_->Find(ToLower(mention))) {
+  for (ontology::ConceptId id : onto_->Find(mention)) {
     if (onto_->IsA(id, *pq.type_concept)) return true;
   }
   return false;
 }
 
-std::vector<AnswerCandidate> AnswerExtractor::ExtractAnalyzed(
-    const PreparedQuestion& pq, const text::SentenceView& sentences,
-    const std::string& passage_text, ir::DocId doc,
-    const std::string& url) const {
+void AnswerExtractor::ExtractAnalyzed(const PreparedQuestion& pq,
+                                      const text::SentenceView& sentences,
+                                      size_t passage, ir::DocId doc,
+                                      std::vector<AnswerCandidate>* out) const {
   const QuestionAnalysis& q = *pq.question;
-  std::vector<AnswerCandidate> out;
 
-  // Sentence analyses (tokens + per-sentence date mentions) come
-  // precomputed, so a candidate in sentence i can borrow the most recent
-  // date from i-1, i-2... — the layout of the Figure 4 weather pages (date
-  // line, then data line). SB coverage reads one bit mask of SB lemma
-  // slots per sentence, scanned from its lemma_ids; the passage mask (the
-  // last one) is their OR.
+  // Sentence analyses (tokens + per-sentence date, temperature and
+  // proper-noun mentions) come precomputed, so a candidate in sentence i
+  // can borrow the most recent date from i-1, i-2... — the layout of the
+  // Figure 4 weather pages (date line, then data line). SB coverage reads
+  // one bit mask of SB lemma slots per sentence, scanned from its
+  // lemma_ids; the passage mask (the last one) is their OR.
   const size_t words = (pq.sb_lemma_ids.size() + 63) / 64;
   std::vector<uint64_t> masks((sentences.size() + 1) * words);
   uint64_t* passage_mask = masks.data() + sentences.size() * words;
   for (size_t si = 0; si < sentences.size(); ++si) {
     uint64_t* mask = masks.data() + si * words;
-    MarkSbLemmas(pq.sb_lemma_ids, sentences[si]->lemma_ids, mask);
+    MarkSbLemmas(pq.sb_lemma_ids, sentences[si].lemma_ids, mask);
     for (size_t w = 0; w < words; ++w) passage_mask[w] |= mask[w];
   }
   const double passage_cov = SbCoverage(pq, passage_mask);
 
   auto nearest_date = [&](size_t sent_idx,
-                          size_t tok_idx) -> const DateMention* {
+                          size_t tok_idx) -> const DateSpan* {
     // Prefer a date in the same sentence (closest before the token, else
     // after); otherwise the latest date in a preceding sentence.
-    const DateMention* best = nullptr;
-    for (const DateMention& d : sentences[sent_idx]->dates) {
+    const DateSpan* best = nullptr;
+    for (const DateSpan& d : sentences.dates(sent_idx)) {
       if (best == nullptr ||
           (d.begin <= tok_idx &&
            (best->begin > tok_idx || d.begin >= best->begin))) {
@@ -201,22 +202,24 @@ std::vector<AnswerCandidate> AnswerExtractor::ExtractAnalyzed(
     }
     if (best != nullptr) return best;
     for (size_t i = sent_idx; i-- > 0;) {
-      if (!sentences[i]->dates.empty()) return &sentences[i]->dates.back();
+      if (!sentences.dates(i).empty()) return &sentences.dates(i).back();
     }
     return nullptr;
   };
 
   // The city a sentence names: its first proper noun with a city sense.
   // Resolved lazily, at most once per sentence of the passage.
+  std::string city_key;  // A proper noun's lowercased text, reused.
   std::vector<std::optional<const std::string*>> sentence_city(
       sentences.size());
   auto city_in = [&](size_t i) -> const std::string* {
     if (!pq.city.has_value()) return nullptr;
     if (sentence_city[i].has_value()) return *sentence_city[i];
     sentence_city[i] = nullptr;
-    for (const auto& pn :
-         EntityRecognizer::FindProperNouns(sentences[i]->tokens)) {
-      for (ontology::ConceptId id : onto_->Find(ToLower(pn.text))) {
+    for (const text::MentionSpan& pn : sentences.proper_nouns(i)) {
+      EntityRecognizer::ProperNounText(sentences[i].tokens, pn,
+                                       /*lowercase=*/true, &city_key);
+      for (ontology::ConceptId id : onto_->Find(city_key)) {
         if (onto_->IsA(id, *pq.city)) {
           return *(sentence_city[i] = &onto_->GetConcept(id).name);
         }
@@ -234,24 +237,24 @@ std::vector<AnswerCandidate> AnswerExtractor::ExtractAnalyzed(
     return q.resolved_city.empty() ? q.location : q.resolved_city;
   };
 
+  std::string lower;  // A proper-noun candidate's lowercased text, reused.
   for (size_t si = 0; si < sentences.size(); ++si) {
-    const TokenSequence& toks = sentences[si]->tokens;
-    const std::vector<DateMention>& dates = sentences[si]->dates;
+    const TokenSequence& toks = sentences[si].tokens;
+    const std::span<const DateSpan> dates = sentences.dates(si);
     double base =
         2.0 * SbCoverage(pq, masks.data() + si * words) + passage_cov;
 
     auto push = [&](AnswerCandidate cand) {
       cand.type = q.answer_type;
-      cand.sentence = sentences[si]->text;
-      cand.passage_text = passage_text;
+      cand.passage_index = static_cast<uint32_t>(passage);
+      cand.sentence_index = static_cast<uint32_t>(si);
       cand.doc = doc;
-      cand.url = url;
-      out.push_back(std::move(cand));
+      out->push_back(std::move(cand));
     };
 
     switch (q.answer_type) {
       case AnswerType::kNumericalMeasure: {
-        for (const auto& m : EntityRecognizer::FindTemperatures(toks)) {
+        for (const text::TemperatureSpan& m : sentences.temperatures(si)) {
           AnswerCandidate c;
           c.answer_text =
               FormatDouble(m.value, m.value == std::floor(m.value) ? 0 : 1);
@@ -271,7 +274,7 @@ std::vector<AnswerCandidate> AnswerExtractor::ExtractAnalyzed(
           if (!(celsius >= pq.min_celsius && celsius <= pq.max_celsius)) {
             c.score -= 5.0;
           }
-          if (const DateMention* d = nearest_date(si, m.begin)) {
+          if (const DateSpan* d = nearest_date(si, m.begin)) {
             c.date = d->date;
             c.date_complete = d->IsComplete();
             c.score += d->IsComplete() ? 1.0 : 0.5;
@@ -298,7 +301,7 @@ std::vector<AnswerCandidate> AnswerExtractor::ExtractAnalyzed(
           c.value = m.value;
           c.unit = m.currency;
           c.score = base + 2.0;
-          if (const DateMention* d = nearest_date(si, m.begin)) {
+          if (const DateSpan* d = nearest_date(si, m.begin)) {
             c.date = d->date;
             c.date_complete = d->IsComplete();
             if (DateCompatible(*d, q)) c.score += 1.0;
@@ -368,10 +371,10 @@ std::vector<AnswerCandidate> AnswerExtractor::ExtractAnalyzed(
       case AnswerType::kNumericalQuantity: {
         // Plain cardinals not consumed by a more specific recognizer.
         std::vector<bool> taken(toks.size(), false);
-        auto take = [&](const text::EntitySpan& m) {
+        auto take = [&](const auto& m) {
           for (size_t i = m.begin; i < m.end; ++i) taken[i] = true;
         };
-        for (const auto& m : EntityRecognizer::FindTemperatures(toks)) take(m);
+        for (const auto& m : sentences.temperatures(si)) take(m);
         for (const auto& m : EntityRecognizer::FindMoney(toks)) take(m);
         for (const auto& m : EntityRecognizer::FindPercents(toks)) take(m);
         for (const auto& d : dates) take(d);
@@ -387,9 +390,9 @@ std::vector<AnswerCandidate> AnswerExtractor::ExtractAnalyzed(
         break;
       }
       case AnswerType::kTemporalDate: {
-        for (const DateMention& d : dates) {
+        for (const DateSpan& d : dates) {
           AnswerCandidate c;
-          c.answer_text = d.text;
+          c.answer_text = text::TokensToText(toks, d.begin, d.end);
           c.date = d.date;
           c.date_complete = d.IsComplete();
           c.score = base + (d.IsComplete() ? 3.0 : 1.0);
@@ -496,19 +499,22 @@ std::vector<AnswerCandidate> AnswerExtractor::ExtractAnalyzed(
         }
         // Person / profession / group / object / place* / event: proper
         // nouns with a semantic preference for the type's subtree.
-        for (const auto& pn : EntityRecognizer::FindProperNouns(toks)) {
-          if (MentionEqualsAnyQuestionTerm(pn.text, pq)) continue;
+        for (const text::MentionSpan& pn : sentences.proper_nouns(si)) {
+          EntityRecognizer::ProperNounText(toks, pn, /*lowercase=*/true,
+                                           &lower);
+          if (MentionEqualsAnyQuestionTerm(lower, pq)) continue;
           AnswerCandidate c;
-          c.answer_text = pn.text;
+          EntityRecognizer::ProperNounText(toks, pn, /*lowercase=*/false,
+                                           &c.answer_text);
           c.score = base;
-          if (SatisfiesTypeConcept(pq, pn.text)) {
+          if (SatisfiesTypeConcept(pq, lower)) {
             c.score += 3.0;  // The paper's "semantic preference".
           } else if (IsPlace(q.answer_type) ||
                      q.answer_type == AnswerType::kPerson ||
                      q.answer_type == AnswerType::kGroup) {
             c.score -= 1.0;  // Off-type proper noun: weak candidate.
           }
-          if (const DateMention* d = nearest_date(si, pn.begin)) {
+          if (const DateSpan* d = nearest_date(si, pn.begin)) {
             if (DateCompatible(*d, q)) c.score += 0.5;
           }
           push(std::move(c));
@@ -517,7 +523,6 @@ std::vector<AnswerCandidate> AnswerExtractor::ExtractAnalyzed(
       }
     }
   }
-  return out;
 }
 
 std::vector<AnswerCandidate> AnswerExtractor::Rank(
@@ -536,25 +541,49 @@ std::vector<AnswerCandidate> AnswerExtractor::Rank(
              (k.date ? std::hash<int64_t>{}(k.date->ToEpochDays()) : 0);
     }
   };
-  std::vector<AnswerCandidate> merged;
+  // `merged` holds candidate indices; only the answers kept are moved.
+  std::vector<uint32_t> merged;
   std::unordered_map<Key, size_t, KeyHash> position;
   position.reserve(candidates.size());
-  for (AnswerCandidate& c : candidates) {
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const AnswerCandidate& c = candidates[i];
     auto [it, inserted] = position.try_emplace(
         Key{ToLower(c.answer_text), c.date}, merged.size());
     if (inserted) {
-      merged.push_back(std::move(c));
-    } else if (c.score > merged[it->second].score) {
-      merged[it->second] = std::move(c);
+      merged.push_back(static_cast<uint32_t>(i));
+    } else if (c.score > candidates[merged[it->second]].score) {
+      merged[it->second] = static_cast<uint32_t>(i);
     }
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const AnswerCandidate& a, const AnswerCandidate& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.answer_text < b.answer_text;
-            });
+  // Sorting the indices makes the same comparisons and moves as sorting
+  // the candidates themselves would, so ties land in the same order.
+  std::sort(merged.begin(), merged.end(), [&](uint32_t a, uint32_t b) {
+    const AnswerCandidate& x = candidates[a];
+    const AnswerCandidate& y = candidates[b];
+    if (x.score != y.score) return x.score > y.score;
+    return x.answer_text < y.answer_text;
+  });
   if (merged.size() > max_answers) merged.resize(max_answers);
-  return merged;
+  std::vector<AnswerCandidate> ranked;
+  ranked.reserve(merged.size());
+  for (uint32_t i : merged) ranked.push_back(std::move(candidates[i]));
+  return ranked;
+}
+
+void AnswerExtractor::AttachSources(const std::vector<ir::Passage>& passages,
+                                    const text::AnalyzedCorpus& corpus,
+                                    const ir::DocumentStore* docs,
+                                    std::vector<AnswerCandidate>* answers) {
+  for (AnswerCandidate& a : *answers) {
+    const ir::Passage& p = passages[a.passage_index];
+    a.passage_text = p.text;
+    if (a.sentence_index != AnswerCandidate::kNoSentence) {
+      a.sentence =
+          corpus.Find(p.doc)->sentences[p.first_sentence + a.sentence_index]
+              .text;
+    }
+    if (docs != nullptr && docs->IsValid(a.doc)) a.url = docs->Get(a.doc).url;
+  }
 }
 
 }  // namespace qa

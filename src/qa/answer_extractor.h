@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "common/interner.h"
+#include "ir/document.h"
+#include "ir/passage_index.h"
 #include "ontology/ontology.h"
 #include "qa/answer.h"
 #include "qa/question.h"
@@ -66,14 +68,17 @@ struct PreparedQuestion {
 /// question's date constraint, and (d) the Step-4 axioms attached to the
 /// ontology (plausible temperature intervals, ºC/ºF consistency).
 ///
-/// The linguistic analysis of the passage (tokenize/tag/lemmatize, date
-/// recognition) belongs to the off-line indexation phase: the only input is
-/// the AnalyzedCorpus built there, never raw passage text. The work that
-/// depends only on the question (SB lemmas, axioms, concept ids) is done
-/// once per ask by Prepare. ExtractAnalyzed then only pattern-matches over
-/// the cached AnalyzedSentences: SB coverage is a bit mask built from each
-/// sentence's `lemma_ids`, and each sentence's city is resolved at most
-/// once per passage.
+/// The linguistic analysis of the passage (tokenize/tag/lemmatize, date,
+/// temperature and proper-noun recognition) belongs to the off-line
+/// indexation phase: the only input is the AnalyzedCorpus built there,
+/// never raw passage text. The work that depends only on the question (SB
+/// lemmas, axioms, concept ids) is done once per ask by Prepare.
+/// ExtractAnalyzed then only pattern-matches over the cached
+/// AnalyzedSentences and their stored mentions: SB coverage is a bit mask
+/// built from each sentence's `lemma_ids`, and each sentence's city is
+/// resolved at most once per passage. Candidates refer to their passage and
+/// sentence by index; AttachSources copies the source strings for the few
+/// answers Rank keeps.
 class AnswerExtractor {
  public:
   explicit AnswerExtractor(const ontology::Ontology* onto) : onto_(onto) {}
@@ -84,20 +89,30 @@ class AnswerExtractor {
                            const TermDictionary& dict) const;
 
   /// Extracts and scores the candidates of one passage from its cached
-  /// sentence analyses. `sentences` is the passage's consecutive sentence
-  /// range (AnalyzedCorpus::View of the corpus whose dictionary `question`
-  /// was prepared against); `passage_text` is the passage's display text.
-  std::vector<AnswerCandidate> ExtractAnalyzed(
-      const PreparedQuestion& question, const text::SentenceView& sentences,
-      const std::string& passage_text, ir::DocId doc,
-      const std::string& url) const;
+  /// sentence analyses and appends them to `out`. `sentences` is the
+  /// passage's consecutive sentence range (AnalyzedCorpus::View of the
+  /// corpus whose dictionary `question` was prepared against), `passage` its
+  /// index in the ask's retrieved list and `doc` its document. The
+  /// candidates' source strings are left empty (see AttachSources).
+  void ExtractAnalyzed(const PreparedQuestion& question,
+                       const text::SentenceView& sentences, size_t passage,
+                       ir::DocId doc, std::vector<AnswerCandidate>* out) const;
 
   /// Merges, deduplicates (by lowercased answer text and date, keeping the
   /// first-seen position and the best score) and ranks candidate lists
   /// from several passages, in time linear in the candidates plus the
-  /// sort.
+  /// sort. Only the answers kept are moved.
   static std::vector<AnswerCandidate> Rank(
       std::vector<AnswerCandidate> candidates, size_t max_answers);
+
+  /// Fills each answer's `passage_text`, `sentence` and `url` from its
+  /// source: `passages` is the retrieved list its `passage_index` points
+  /// into, `corpus` holds the sentence analyses and `docs` the URLs (an
+  /// answer whose document `docs` lacks, or a null `docs`, gets no URL).
+  static void AttachSources(const std::vector<ir::Passage>& passages,
+                            const text::AnalyzedCorpus& corpus,
+                            const ir::DocumentStore* docs,
+                            std::vector<AnswerCandidate>* answers);
 
  private:
   /// True if some sense of `mention` is under the question's type concept.

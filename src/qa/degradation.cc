@@ -1,5 +1,6 @@
 #include "qa/degradation.h"
 
+#include <span>
 
 #include "common/string_util.h"
 #include "ir/document.h"
@@ -12,7 +13,7 @@
 namespace dwqa {
 namespace qa {
 
-using text::DateMention;
+using text::DateSpan;
 using text::EntityRecognizer;
 using text::TokenSequence;
 
@@ -58,27 +59,30 @@ bool WantsNumber(AnswerType type) {
 
 namespace {
 
-/// The rung-2 pattern pass over one passage's sentence analyses.
-void RelaxedExtractFromSentences(
-    const QuestionAnalysis& q, const ir::Passage& p, const std::string& url,
-    const text::SentenceView& sentences, const DegradationConfig& config,
-    const std::string& fallback_location,
-    std::vector<AnswerCandidate>* out) {
+/// The rung-2 pattern pass over one passage's sentence analyses; `passage`
+/// is the passage's index in the retrieved list.
+void RelaxedExtractFromSentences(const QuestionAnalysis& q, size_t passage,
+                                 ir::DocId doc,
+                                 const text::SentenceView& sentences,
+                                 const DegradationConfig& config,
+                                 const std::string& fallback_location,
+                                 std::vector<AnswerCandidate>* out) {
   // Dates carry across sentences, like the weather-page layout the full
   // extractor models (date line, then data line).
-  const DateMention* last_date = nullptr;
-  for (const text::AnalyzedSentence* s : sentences) {
-    const TokenSequence& toks = s->tokens;
-    if (!s->dates.empty()) last_date = &s->dates.back();
+  const DateSpan* last_date = nullptr;
+  for (size_t si = 0; si < sentences.size(); ++si) {
+    const text::AnalyzedSentence& s = sentences[si];
+    const TokenSequence& toks = s.tokens;
+    const std::span<const DateSpan> dates = sentences.dates(si);
+    if (!dates.empty()) last_date = &dates.back();
 
     auto push = [&](AnswerCandidate c) {
       c.type = q.answer_type;
       c.level = DegradationLevel::kRelaxedPattern;
       c.score = config.relaxed_score;
-      c.sentence = s->text;
-      c.passage_text = p.text;
-      c.doc = p.doc;
-      c.url = url;
+      c.passage_index = static_cast<uint32_t>(passage);
+      c.sentence_index = static_cast<uint32_t>(si);
+      c.doc = doc;
       if (c.location.empty()) c.location = fallback_location;
       if (!c.date.has_value() && last_date != nullptr) {
         c.date = last_date->date;
@@ -93,7 +97,7 @@ void RelaxedExtractFromSentences(
       // Cardinals inside a recognized date ("31", "2004") stay dates.
       for (const auto& m : EntityRecognizer::FindNumbers(toks)) {
         bool inside_date = false;
-        for (const DateMention& d : s->dates) {
+        for (const DateSpan& d : dates) {
           if (m.begin >= d.begin && m.begin < d.end) inside_date = true;
         }
         if (inside_date) continue;
@@ -105,9 +109,10 @@ void RelaxedExtractFromSentences(
       }
     } else {
       // Any proper noun, no semantic preference, no question-term filter.
-      for (const auto& pn : EntityRecognizer::FindProperNouns(toks)) {
+      for (const text::MentionSpan& pn : sentences.proper_nouns(si)) {
         AnswerCandidate c;
-        c.answer_text = pn.text;
+        EntityRecognizer::ProperNounText(toks, pn, /*lowercase=*/false,
+                                         &c.answer_text);
         push(std::move(c));
       }
     }
@@ -118,17 +123,16 @@ void RelaxedExtractFromSentences(
 
 std::vector<AnswerCandidate> RelaxedExtract(
     const QuestionAnalysis& q, const std::vector<ir::Passage>& passages,
-    const ir::DocumentStore* docs, const text::AnalyzedCorpus& corpus,
-    const DegradationConfig& config, size_t max_answers) {
+    const text::AnalyzedCorpus& corpus, const DegradationConfig& config,
+    size_t max_answers) {
   std::vector<AnswerCandidate> out;
   std::string fallback_location =
       q.resolved_city.empty() ? q.location : q.resolved_city;
 
-  for (const ir::Passage& p : passages) {
-    const std::string& url =
-        (docs != nullptr && docs->IsValid(p.doc)) ? docs->Get(p.doc).url : "";
+  for (size_t i = 0; i < passages.size(); ++i) {
+    const ir::Passage& p = passages[i];
     RelaxedExtractFromSentences(
-        q, p, url, corpus.View(p.doc, p.first_sentence, p.last_sentence),
+        q, i, p.doc, corpus.View(p.doc, p.first_sentence, p.last_sentence),
         config, fallback_location, &out);
   }
   if (out.size() > max_answers) out.resize(max_answers);
@@ -136,23 +140,20 @@ std::vector<AnswerCandidate> RelaxedExtract(
 }
 
 std::vector<AnswerCandidate> IrOnlyAnswers(
-    const std::vector<ir::Passage>& passages, const ir::DocumentStore* docs,
+    const std::vector<ir::Passage>& passages,
     const DegradationConfig& config) {
   std::vector<AnswerCandidate> out;
   if (passages.empty()) return out;
-  const ir::Passage* best = &passages.front();
-  for (const ir::Passage& p : passages) {
-    if (p.score > best->score) best = &p;
+  size_t best = 0;
+  for (size_t i = 0; i < passages.size(); ++i) {
+    if (passages[i].score > passages[best].score) best = i;
   }
   AnswerCandidate c;
-  c.answer_text = Trim(best->text);
+  c.answer_text = Trim(passages[best].text);
   c.level = DegradationLevel::kIrOnly;
   c.score = config.ir_only_score;
-  c.passage_text = best->text;
-  c.doc = best->doc;
-  c.url = (docs != nullptr && docs->IsValid(best->doc))
-              ? docs->Get(best->doc).url
-              : "";
+  c.passage_index = static_cast<uint32_t>(best);
+  c.doc = passages[best].doc;
   out.push_back(std::move(c));
   return out;
 }

@@ -8,7 +8,6 @@ namespace dwqa {
 
 namespace ir {
 struct Passage;
-class DocumentStore;
 }  // namespace ir
 
 namespace text {
@@ -73,17 +72,21 @@ struct DegradationConfig {
 ///
 /// The rung pattern-matches over the cached indexation-time analyses of
 /// each passage's [first_sentence, last_sentence] range in `corpus`; a
-/// passage whose document `corpus` lacks yields no candidates.
+/// passage whose document `corpus` lacks yields no candidates. Like the
+/// full extractor's, its candidates refer to their passage (an index into
+/// `passages`) and sentence; AnswerExtractor::AttachSources fills in their
+/// source strings.
 std::vector<AnswerCandidate> RelaxedExtract(
     const QuestionAnalysis& q, const std::vector<ir::Passage>& passages,
-    const ir::DocumentStore* docs, const text::AnalyzedCorpus& corpus,
-    const DegradationConfig& config, size_t max_answers);
+    const text::AnalyzedCorpus& corpus, const DegradationConfig& config,
+    size_t max_answers);
 
 /// Rung 3: wraps the best retrieved passage as a valueless answer carrying
 /// `config.ir_only_score` and DegradationLevel::kIrOnly. Empty when there
-/// are no passages.
+/// are no passages. The answer refers to its passage by index and to no
+/// sentence.
 std::vector<AnswerCandidate> IrOnlyAnswers(
-    const std::vector<ir::Passage>& passages, const ir::DocumentStore* docs,
+    const std::vector<ir::Passage>& passages,
     const DegradationConfig& config);
 
 }  // namespace qa

@@ -44,8 +44,8 @@ CacheLookup AnswerCache::Get(const std::string& key, uint64_t now_tick,
   std::lock_guard<std::mutex> lock(mu_);
   CacheLookup lookup;
   auto it = entries_.find(key);
-  if (it != entries_.end() && it->second.answer.negative &&
-      it->second.answer.generation < generation) {
+  if (it != entries_.end() && it->second.answer->negative &&
+      it->second.answer->generation < generation) {
     // An ingest since: the corpus may now answer this question. (A newer
     // entry than the caller's generation read is valid: generations only
     // grow.)
@@ -60,7 +60,7 @@ CacheLookup AnswerCache::Get(const std::string& key, uint64_t now_tick,
   lookup.found = true;
   // A tick taken before a concurrent Put of this entry reads it at age 0,
   // not as a wrapped-around unsigned age.
-  lookup.stale = !entry.answer.negative && now_tick > entry.inserted_tick &&
+  lookup.stale = !entry.answer->negative && now_tick > entry.inserted_tick &&
                  now_tick - entry.inserted_tick > config_.ttl_ticks;
   lookup.entry = entry.answer;
   lru_.splice(lru_.begin(), lru_, entry.lru_pos);
@@ -70,17 +70,18 @@ CacheLookup AnswerCache::Get(const std::string& key, uint64_t now_tick,
 
 void AnswerCache::Put(const std::string& key, CachedAnswer answer,
                       uint64_t now_tick) {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t bytes = EntryBytes(key, answer);
+  const size_t bytes = EntryBytes(key, answer);
   if (bytes > config_.max_bytes) return;  // Can never fit.
+  auto shared = std::make_shared<const CachedAnswer>(std::move(answer));
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it != entries_.end()) {
-    if (it->second.answer.generation > answer.generation) return;
+    if (it->second.answer->generation > shared->generation) return;
     Erase(it);
   }
   lru_.push_front(key);
   Entry entry;
-  entry.answer = std::move(answer);
+  entry.answer = std::move(shared);
   entry.inserted_tick = now_tick;
   entry.bytes = bytes;
   entry.lru_pos = lru_.begin();

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -58,15 +59,18 @@ struct CachedAnswer {
 struct CacheLookup {
   bool found = false;  ///< An entry exists (fresh or stale).
   bool stale = false;  ///< It has outlived the TTL.
-  CachedAnswer entry;  ///< The cached answer (valid when found).
+  /// The cached answer (set when found). Entries are immutable and shared,
+  /// so a hit copies a pointer under the cache lock, not the fields.
+  std::shared_ptr<const CachedAnswer> entry;
 };
 
 /// \brief Bounded, TTL'd, LRU answer cache keyed by normalized question —
 /// the "cached-fast" rung of the Snippet-1 sync/direct/hybrid ladder.
 ///
 /// Thread-safe: lookups and insertions from concurrent server workers are
-/// serialized on an internal mutex (entries are small; the critical
-/// section is a map lookup plus a list splice). One cache per tenant, so a
+/// serialized on an internal mutex (the critical section is a map lookup,
+/// a list splice and a reference-count bump; a Put builds its entry before
+/// taking the lock). One cache per tenant, so a
 /// tenant can neither read another tenant's answers nor evict them.
 class AnswerCache {
  public:
@@ -100,7 +104,7 @@ class AnswerCache {
 
  private:
   struct Entry {
-    CachedAnswer answer;
+    std::shared_ptr<const CachedAnswer> answer;
     uint64_t inserted_tick = 0;
     size_t bytes = 0;
     /// Position in lru_ (front = most recently used).

@@ -203,7 +203,8 @@ Response QaServer::MakeCached(const Request& request, CacheLookup lookup,
   Response response = MakeBase(request);
   response.cached = true;
   response.stale = lookup.stale;
-  response.answer = std::move(lookup.entry.answer);
+  // Copied here, outside the cache lock: the entry is shared and immutable.
+  response.answer = lookup.entry->answer;
   if (lookup.stale) {
     metrics_
         .GetCounter(kMetricServeStaleServed, {{"tenant", tenant->config.name}},
@@ -428,7 +429,7 @@ Response QaServer::ExecuteAsk(Tenant* tenant, const Request& request,
   // only a newer corpus generation can improve it.
   const bool negative =
       set.empty() || set.degradation > qa::DegradationLevel::kRelaxedPattern;
-  if (negative && lookup.found && lookup.entry.level < set.degradation) {
+  if (negative && lookup.found && lookup.entry->level < set.degradation) {
     // The live ladder dropped below the cached rung — stale-while-degraded
     // serves the better (if older) answer.
     return MakeCached(request, std::move(lookup), tenant);

@@ -8,19 +8,29 @@
 namespace dwqa {
 namespace text {
 
-AnalyzedSentence CorpusAnalyzer::AnalyzeSentence(std::string sentence) const {
+void CorpusAnalyzer::AnalyzeSentence(std::string sentence,
+                                     AnalyzedDocument* doc) const {
   AnalyzedSentence out;
   out.text = std::move(sentence);
   out.tokens = Tokenizer::Tokenize(out.text);
   tagger_.Tag(&out.tokens);
-  out.dates = EntityRecognizer::FindDates(out.tokens);
+  out.dates.begin = static_cast<uint32_t>(doc->dates.size());
+  EntityRecognizer::AppendDateSpans(out.tokens, &doc->dates);
+  out.dates.end = static_cast<uint32_t>(doc->dates.size());
+  out.temperatures.begin = static_cast<uint32_t>(doc->temperatures.size());
+  EntityRecognizer::AppendTemperatureSpans(out.tokens, &doc->temperatures);
+  out.temperatures.end = static_cast<uint32_t>(doc->temperatures.size());
+  out.proper_nouns.begin = static_cast<uint32_t>(doc->proper_nouns.size());
+  EntityRecognizer::AppendProperNounSpans(out.tokens, &doc->proper_nouns);
+  out.proper_nouns.end = static_cast<uint32_t>(doc->proper_nouns.size());
   out.token_ids.reserve(out.tokens.size());
   out.lemma_ids.reserve(out.tokens.size());
   for (const Token& t : out.tokens) {
     out.token_ids.push_back(Intern(t.lower));
     out.lemma_ids.push_back(Intern(t.lemma));
   }
-  return out;
+  doc->token_count += out.tokens.size();
+  doc->sentences.push_back(std::move(out));
 }
 
 AnalyzedDocument CorpusAnalyzer::AnalyzeDocument(std::string plain) const {
@@ -28,11 +38,10 @@ AnalyzedDocument CorpusAnalyzer::AnalyzeDocument(std::string plain) const {
   out.plain = std::move(plain);
   std::vector<std::string> sentences = SentenceSplitter::Split(out.plain);
   out.sentences.reserve(sentences.size());
-  for (std::string& s : sentences) {
-    AnalyzedSentence analyzed = AnalyzeSentence(std::move(s));
-    out.token_count += analyzed.tokens.size();
-    out.sentences.push_back(std::move(analyzed));
-  }
+  for (std::string& s : sentences) AnalyzeSentence(std::move(s), &out);
+  out.dates.shrink_to_fit();
+  out.temperatures.shrink_to_fit();
+  out.proper_nouns.shrink_to_fit();
   return out;
 }
 
@@ -95,13 +104,14 @@ const AnalyzedDocument* AnalyzedCorpus::Find(DocKey doc) const {
 
 SentenceView AnalyzedCorpus::View(DocKey doc, size_t first,
                                   size_t last) const {
-  SentenceView view;
   const AnalyzedDocument* analysis = Find(doc);
-  if (analysis == nullptr) return view;
-  for (size_t s = first; s <= last && s < analysis->sentences.size(); ++s) {
-    view.push_back(&analysis->sentences[s]);
+  if (analysis == nullptr || first > last ||
+      first >= analysis->sentences.size()) {
+    return SentenceView();
   }
-  return view;
+  const size_t count = analysis->sentences.size();
+  const size_t end = last < count ? last + 1 : count;
+  return SentenceView(analysis, first, end - first);
 }
 
 void AnalyzedCorpus::Clear() {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -16,6 +17,13 @@
 namespace dwqa {
 namespace text {
 
+/// Half-open range [begin, end) of one sentence's mentions in an
+/// AnalyzedDocument's mention array.
+struct MentionRange {
+  uint32_t begin = 0;
+  uint32_t end = 0;
+};
+
 /// \brief One sentence, analyzed once at indexation time (paper Figure 3:
 /// the off-line phase runs the linguistic tools; the search phase only
 /// pattern-matches over their output).
@@ -24,14 +32,16 @@ struct AnalyzedSentence {
   /// Tokenized, POS-tagged and lemmatized. No Syntactic Blocks: no
   /// extraction pattern reads passage SBs, so only questions are chunked.
   TokenSequence tokens;
-  /// Date mentions (the extraction module's cross-sentence date borrowing
-  /// reads these instead of re-running the recognizer).
-  std::vector<DateMention> dates;
   /// Interned lowercase form of each token, parallel to `tokens`.
   std::vector<TermId> token_ids;
   /// Interned lemma of each token, parallel to `tokens` (SB-coverage
   /// scoring scans these).
   std::vector<TermId> lemma_ids;
+  /// This sentence's date, temperature and proper-noun mentions, as
+  /// ranges of its document's `dates`, `temperatures` and `proper_nouns`.
+  MentionRange dates;
+  MentionRange temperatures;
+  MentionRange proper_nouns;
 };
 
 /// \brief A document after the one-time indexation analysis.
@@ -39,17 +49,71 @@ struct AnalyzedDocument {
   /// The preprocessed plain text the analysis ran on.
   std::string plain;
   std::vector<AnalyzedSentence> sentences;
+  /// The date, temperature and proper-noun mentions of every sentence, in
+  /// sentence order: what EntityRecognizer::FindDates, FindTemperatures and
+  /// FindProperNouns return on the sentence's tokens, without the text. One
+  /// array per kind for the whole document keeps them compact. Extraction
+  /// reads them instead of re-running the recognizers; the dates also serve
+  /// its cross-sentence date borrowing.
+  std::vector<DateSpan> dates;
+  std::vector<TemperatureSpan> temperatures;
+  std::vector<MentionSpan> proper_nouns;
   size_t token_count = 0;
+
+  std::span<const DateSpan> Dates(size_t sentence) const {
+    return Range(dates, sentences[sentence].dates);
+  }
+  std::span<const TemperatureSpan> Temperatures(size_t sentence) const {
+    return Range(temperatures, sentences[sentence].temperatures);
+  }
+  std::span<const MentionSpan> ProperNouns(size_t sentence) const {
+    return Range(proper_nouns, sentences[sentence].proper_nouns);
+  }
+
+ private:
+  template <typename T>
+  static std::span<const T> Range(const std::vector<T>& all,
+                                  MentionRange range) {
+    return std::span<const T>(all.data() + range.begin,
+                              range.end - range.begin);
+  }
 };
 
-/// Borrowed per-passage view: the cached analyses of a consecutive
-/// sentence range. Pointees are owned by an AnalyzedCorpus and must outlive
-/// the view.
-using SentenceView = std::vector<const AnalyzedSentence*>;
+/// \brief Borrowed per-passage view: the cached analyses of a consecutive
+/// sentence range of one document. The document is owned by an
+/// AnalyzedCorpus and must outlive the view.
+class SentenceView {
+ public:
+  SentenceView() = default;
+  SentenceView(const AnalyzedDocument* doc, size_t first, size_t size)
+      : doc_(doc), first_(first), size_(size) {}
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const AnalyzedSentence& operator[](size_t i) const {
+    return doc_->sentences[first_ + i];
+  }
+
+  /// The stored mentions of the view's sentence `i`.
+  std::span<const DateSpan> dates(size_t i) const {
+    return doc_->Dates(first_ + i);
+  }
+  std::span<const TemperatureSpan> temperatures(size_t i) const {
+    return doc_->Temperatures(first_ + i);
+  }
+  std::span<const MentionSpan> proper_nouns(size_t i) const {
+    return doc_->ProperNouns(first_ + i);
+  }
+
+ private:
+  const AnalyzedDocument* doc_ = nullptr;
+  size_t first_ = 0;
+  size_t size_ = 0;
+};
 
 /// \brief Runs the full per-sentence pipeline: tokenize → POS-tag/lemmatize
-/// → date recognition → intern. Stateless apart from the dictionary it
-/// interns into; cheap to construct.
+/// → date, temperature and proper-noun recognition → intern. Stateless
+/// apart from the dictionary it interns into; cheap to construct.
 class CorpusAnalyzer {
  public:
   explicit CorpusAnalyzer(TermDictionary* dict) : dict_(dict) {}
@@ -60,7 +124,8 @@ class CorpusAnalyzer {
   /// AnalyzedCorpus::AddBatch).
   explicit CorpusAnalyzer(ShardedTermInterner* shared) : shared_(shared) {}
 
-  AnalyzedSentence AnalyzeSentence(std::string sentence) const;
+  /// Analyzes `sentence` and appends it, with its mentions, to `doc`.
+  void AnalyzeSentence(std::string sentence, AnalyzedDocument* doc) const;
   AnalyzedDocument AnalyzeDocument(std::string plain) const;
 
  private:

@@ -47,11 +47,22 @@ bool EntityRecognizer::IsMonthName(std::string_view lower) {
 }
 
 bool EntityRecognizer::IsWeekdayName(std::string_view lower) {
-  for (const char* d : {"sunday", "monday", "tuesday", "wednesday",
-                        "thursday", "friday", "saturday"}) {
-    if (lower == d) return true;
+  // Dispatch on the first letter; each compare checks the length first.
+  if (lower.empty()) return false;
+  switch (lower[0]) {
+    case 's':
+      return lower == "sunday" || lower == "saturday";
+    case 'm':
+      return lower == "monday";
+    case 't':
+      return lower == "tuesday" || lower == "thursday";
+    case 'w':
+      return lower == "wednesday";
+    case 'f':
+      return lower == "friday";
+    default:
+      return false;
   }
-  return false;
 }
 
 bool EntityRecognizer::LooksLikeYear(const Token& token) {
@@ -61,14 +72,24 @@ bool EntityRecognizer::LooksLikeYear(const Token& token) {
 
 std::vector<DateMention> EntityRecognizer::FindDates(
     const TokenSequence& toks) {
+  std::vector<DateSpan> spans;
+  AppendDateSpans(toks, &spans);
   std::vector<DateMention> out;
+  out.reserve(spans.size());
+  for (const DateSpan& span : spans) {
+    out.push_back({span, SpanText(toks, span.begin, span.end)});
+  }
+  return out;
+}
+
+void EntityRecognizer::AppendDateSpans(const TokenSequence& toks,
+                                       std::vector<DateSpan>* out) {
   size_t i = 0;
   auto push = [&](size_t b, size_t e, int year, int month, int day, bool hy,
                   bool hm, bool hd) {
-    DateMention m;
-    m.begin = b;
-    m.end = e;
-    m.text = SpanText(toks, b, e);
+    DateSpan m;
+    m.begin = static_cast<uint32_t>(b);
+    m.end = static_cast<uint32_t>(e);
     m.has_year = hy;
     m.has_month = hm;
     m.has_day = hd;
@@ -78,7 +99,7 @@ std::vector<DateMention> EntityRecognizer::FindDates(
     // Reject impossible complete dates (e.g. "February 30, 2004").
     if (hd && hm && d > Date::DaysInMonth(hy ? year : 2000, mth)) return;
     m.date = Date(y, mth, d);
-    out.push_back(std::move(m));
+    out->push_back(m);
   };
   while (i < toks.size()) {
     const std::string& lw = toks[i].lower;
@@ -133,16 +154,24 @@ std::vector<DateMention> EntityRecognizer::FindDates(
     }
     ++i;
   }
-  return out;
 }
 
 std::vector<TemperatureMention> EntityRecognizer::FindTemperatures(
     const TokenSequence& toks) {
+  std::vector<TemperatureSpan> spans;
+  AppendTemperatureSpans(toks, &spans);
   std::vector<TemperatureMention> out;
+  out.reserve(spans.size());
+  for (const TemperatureSpan& span : spans) {
+    out.push_back({span, SpanText(toks, span.begin, span.end)});
+  }
+  return out;
+}
+
+void EntityRecognizer::AppendTemperatureSpans(
+    const TokenSequence& toks, std::vector<TemperatureSpan>* out) {
   for (size_t i = 0; i < toks.size(); ++i) {
     if (toks[i].tag != "CD" || !IsNumber(toks[i].lower)) continue;
-    TemperatureMention m;
-    m.value = TokenDouble(toks[i]);
     size_t j = i + 1;
     char scale = '?';
     bool matched = false;
@@ -168,13 +197,13 @@ std::vector<TemperatureMention> EntityRecognizer::FindTemperatures(
       matched = true;
     }
     if (!matched) continue;
+    TemperatureSpan m;
+    m.begin = static_cast<uint32_t>(i);
+    m.end = static_cast<uint32_t>(j);
+    m.value = TokenDouble(toks[i]);
     m.scale = scale;
-    m.begin = i;
-    m.end = j;
-    m.text = SpanText(toks, i, j);
-    out.push_back(std::move(m));
+    out->push_back(m);
   }
-  return out;
 }
 
 std::vector<NumberMention> EntityRecognizer::FindNumbers(
@@ -252,7 +281,20 @@ std::vector<PercentMention> EntityRecognizer::FindPercents(
 
 std::vector<ProperNounMention> EntityRecognizer::FindProperNouns(
     const TokenSequence& toks) {
+  std::vector<MentionSpan> spans;
+  AppendProperNounSpans(toks, &spans);
   std::vector<ProperNounMention> out;
+  out.reserve(spans.size());
+  for (const MentionSpan& span : spans) {
+    ProperNounMention m{span, {}};
+    ProperNounText(toks, span, /*lowercase=*/false, &m.text);
+    out.push_back(std::move(m));
+  }
+  return out;
+}
+
+void EntityRecognizer::AppendProperNounSpans(const TokenSequence& toks,
+                                             std::vector<MentionSpan>* out) {
   auto is_np = [&](size_t k) {
     return k < toks.size() && toks[k].tag == "NP" &&
            !IsMonthName(toks[k].lower) && !IsWeekdayName(toks[k].lower);
@@ -263,33 +305,42 @@ std::vector<ProperNounMention> EntityRecognizer::FindProperNouns(
       ++i;
       continue;
     }
-    size_t j = i;
-    std::string mention;
+    size_t j = i + 1;
     while (j < toks.size()) {
       if (is_np(j)) {
-        if (!mention.empty()) mention += ' ';
-        mention += toks[j].text;
         ++j;
         continue;
       }
       // A middle initial keeps the run together: "John F. Kennedy" is one
       // mention ("F" NP, "." attaching to it, "Kennedy" NP).
-      if (toks[j].text == "." && j > i && toks[j - 1].tag == "NP" &&
+      if (toks[j].text == "." && toks[j - 1].tag == "NP" &&
           toks[j - 1].text.size() == 1 && is_np(j + 1)) {
-        mention += '.';
         ++j;
         continue;
       }
       break;
     }
-    ProperNounMention m;
-    m.begin = i;
-    m.end = j;
-    m.text = std::move(mention);
-    out.push_back(std::move(m));
+    out->push_back(MentionSpan{static_cast<uint32_t>(i),
+                               static_cast<uint32_t>(j)});
     i = j;
   }
-  return out;
+}
+
+void EntityRecognizer::ProperNounText(const TokenSequence& toks,
+                                      MentionSpan span, bool lowercase,
+                                      std::string* out) {
+  out->clear();
+  for (size_t k = span.begin; k < span.end; ++k) {
+    // Inside a span every token is a proper noun but the period of a
+    // middle initial, which attaches without a space. (A "." tagged NP is
+    // a proper noun of its own.)
+    if (toks[k].text == "." && toks[k].tag != "NP") {
+      *out += '.';
+      continue;
+    }
+    if (!out->empty()) *out += ' ';
+    *out += lowercase ? toks[k].lower : toks[k].text;
+  }
 }
 
 }  // namespace text

@@ -39,17 +39,28 @@ class AnswerExtractorTest : public ::testing::Test {
   }
 
   /// Extracts from `passage` the way a live ask does: the passage is
-  /// analyzed once into a one-document corpus, then Prepare +
-  /// ExtractAnalyzed run over all of its sentences.
+  /// stored under `url` and analyzed once into a one-document corpus, then
+  /// Prepare + ExtractAnalyzed run over all of its sentences and
+  /// AttachSources fills in the candidates' source strings.
   std::vector<AnswerCandidate> ExtractFrom(const QuestionAnalysis& q,
                                            const std::string& passage,
                                            const std::string& url) {
+    ir::DocumentStore docs;
+    const ir::DocId id =
+        docs.Add(url, "", ir::DocFormat::kPlainText, passage);
     text::AnalyzedCorpus corpus;
-    const text::AnalyzedDocument& doc = corpus.Add(0, passage);
+    const text::AnalyzedDocument& doc = corpus.Add(id, passage);
+    std::vector<ir::Passage> passages(1);
+    passages[0].doc = id;
+    passages[0].last_sentence = doc.sentences.size();
+    passages[0].text = passage;
     AnswerExtractor extractor(&wn_);
-    return extractor.ExtractAnalyzed(
-        extractor.Prepare(q, corpus.dictionary()),
-        corpus.View(0, 0, doc.sentences.size()), passage, 0, url);
+    std::vector<AnswerCandidate> found;
+    extractor.ExtractAnalyzed(extractor.Prepare(q, corpus.dictionary()),
+                              corpus.View(id, 0, doc.sentences.size()), 0,
+                              id, &found);
+    AnswerExtractor::AttachSources(passages, corpus, &docs, &found);
+    return found;
   }
 
   std::vector<AnswerCandidate> Extract(const std::string& question,

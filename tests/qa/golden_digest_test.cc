@@ -12,6 +12,7 @@
 // To re-record after an intentional answer change, run the test with
 // DWQA_UPDATE_GOLDEN_DIGESTS=1 and commit the rewritten file.
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -59,6 +60,24 @@ std::string Render(const AnswerSet& set) {
   }
   out += StructuredFactsToCsv(ToStructuredFacts(set, "temperature"));
   return out;
+}
+
+/// Every Full-rung answer's passage is one the set lists, and its sentence
+/// lies in that passage: the source strings are filled after ranking, so a
+/// wrong passage or sentence would otherwise go unnoticed (the digest's
+/// `T|` lines only pin the text, not where it came from).
+void ExpectFullAnswersCiteTheirPassage(const AnswerSet& set,
+                                       const std::string& question) {
+  for (const AnswerCandidate& a : set.answers) {
+    if (a.level != DegradationLevel::kFull) continue;
+    EXPECT_NE(std::find(set.passages.begin(), set.passages.end(),
+                        a.passage_text),
+              set.passages.end())
+        << question << ": " << a.answer_text;
+    EXPECT_FALSE(a.sentence.empty()) << question << ": " << a.answer_text;
+    EXPECT_NE(a.passage_text.find(a.sentence), std::string::npos)
+        << question << ": " << a.answer_text;
+  }
 }
 
 std::string Hex(uint64_t v) {
@@ -131,6 +150,7 @@ TEST(GoldenDigestTest, PerfbenchAskPoolMatchesRecordedDigests) {
     ASSERT_TRUE(pipeline.RunAll(&web.documents()).ok());
     for (const web::GoldQuestion& gq : *mode.questions) {
       Result<AnswerSet> set = pipeline.aliqan()->Ask(gq.question);
+      if (set.ok()) ExpectFullAnswersCiteTheirPassage(*set, gq.question);
       GoldenLine line;
       line.mode = mode.name;
       line.question = gq.question;

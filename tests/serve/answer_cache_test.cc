@@ -54,8 +54,8 @@ TEST(AnswerCacheTest, MissThenHit) {
   CacheLookup lookup = cache.Get("q", 2);
   ASSERT_TRUE(lookup.found);
   EXPECT_FALSE(lookup.stale);
-  EXPECT_EQ(lookup.entry.answer[2].second, "8C");
-  EXPECT_EQ(lookup.entry.level, qa::DegradationLevel::kFull);
+  EXPECT_EQ(lookup.entry->answer[2].second, "8C");
+  EXPECT_EQ(lookup.entry->level, qa::DegradationLevel::kFull);
 }
 
 TEST(AnswerCacheTest, LookupTickedBeforeThePutReadsFresh) {
@@ -86,7 +86,7 @@ TEST(AnswerCacheTest, TtlExpiryIsTickCounted) {
   CacheLookup past_ttl = cache.Get("q", 111);
   ASSERT_TRUE(past_ttl.found);
   EXPECT_TRUE(past_ttl.stale);
-  EXPECT_EQ(past_ttl.entry.answer[2].second, "8C");
+  EXPECT_EQ(past_ttl.entry->answer[2].second, "8C");
 }
 
 TEST(AnswerCacheTest, ReplacementRefreshesTtlAndValue) {
@@ -99,7 +99,7 @@ TEST(AnswerCacheTest, ReplacementRefreshesTtlAndValue) {
   CacheLookup lookup = cache.Get("q", 105);
   ASSERT_TRUE(lookup.found);
   EXPECT_FALSE(lookup.stale);
-  EXPECT_EQ(lookup.entry.answer[2].second, "new");
+  EXPECT_EQ(lookup.entry->answer[2].second, "new");
 }
 
 TEST(AnswerCacheTest, LruEvictionAtTheByteCap) {
@@ -182,8 +182,8 @@ TEST(AnswerCacheTest, NegativeEntryServesExactlyItsGeneration) {
   CacheLookup same = cache.Get("q", 100, 3);
   ASSERT_TRUE(same.found);
   EXPECT_FALSE(same.stale);
-  EXPECT_TRUE(same.entry.negative);
-  EXPECT_EQ(same.entry.generation, 3u);
+  EXPECT_TRUE(same.entry->negative);
+  EXPECT_EQ(same.entry->generation, 3u);
   // A caller whose generation read predates the entry's still gets it:
   // generations only grow, so the entry is at least as new as its corpus.
   EXPECT_TRUE(cache.Get("q", 100, 2).found);
@@ -225,14 +225,14 @@ TEST(AnswerCacheTest, AnOlderGenerationNeverReplacesANewerEntry) {
   cache.Put("q", older, 2);
   CacheLookup kept = cache.Get("q", 3, 5);
   ASSERT_TRUE(kept.found);
-  EXPECT_TRUE(kept.entry.negative);
+  EXPECT_TRUE(kept.entry->negative);
 
   CachedAnswer same = MakeAnswer("new");
   same.generation = 5;
   cache.Put("q", same, 4);
   CacheLookup replaced = cache.Get("q", 5, 5);
   ASSERT_TRUE(replaced.found);
-  EXPECT_EQ(replaced.entry.answer[2].second, "new");
+  EXPECT_EQ(replaced.entry->answer[2].second, "new");
 }
 
 }  // namespace

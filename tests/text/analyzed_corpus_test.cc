@@ -13,8 +13,10 @@ namespace {
 TEST(CorpusAnalyzerTest, SentenceFieldsAreParallelToTokens) {
   TermDictionary dict;
   CorpusAnalyzer analyzer(&dict);
-  AnalyzedSentence s =
-      analyzer.AnalyzeSentence("The temperature in Barcelona was 8 degrees.");
+  AnalyzedDocument doc;
+  analyzer.AnalyzeSentence("The temperature in Barcelona was 8 degrees.",
+                           &doc);
+  const AnalyzedSentence& s = doc.sentences[0];
   ASSERT_FALSE(s.tokens.empty());
   EXPECT_EQ(s.token_ids.size(), s.tokens.size());
   EXPECT_EQ(s.lemma_ids.size(), s.tokens.size());
@@ -29,9 +31,9 @@ TEST(CorpusAnalyzerTest, SentenceFieldsAreParallelToTokens) {
 TEST(CorpusAnalyzerTest, DateMentionsAreCached) {
   TermDictionary dict;
   CorpusAnalyzer analyzer(&dict);
-  AnalyzedSentence s =
-      analyzer.AnalyzeSentence("Saturday, January 31, 2004 was clear.");
-  ASSERT_FALSE(s.dates.empty());
+  AnalyzedDocument doc;
+  analyzer.AnalyzeSentence("Saturday, January 31, 2004 was clear.", &doc);
+  ASSERT_FALSE(doc.Dates(0).empty());
 }
 
 TEST(CorpusAnalyzerTest, DocumentSplitsIntoSentences) {
@@ -78,11 +80,11 @@ TEST(AnalyzedCorpusTest, ViewClampsToTheDocument) {
   const AnalyzedDocument& doc = corpus.Add(1, "First.\nSecond.\nThird.");
   SentenceView middle = corpus.View(1, 1, 1);
   ASSERT_EQ(middle.size(), 1u);
-  EXPECT_EQ(middle[0], &doc.sentences[1]);
+  EXPECT_EQ(&middle[0], &doc.sentences[1]);
   // A range running past the end stops at the last sentence.
   SentenceView tail = corpus.View(1, 1, 99);
   ASSERT_EQ(tail.size(), 2u);
-  EXPECT_EQ(tail[1], &doc.sentences[2]);
+  EXPECT_EQ(&tail[1], &doc.sentences[2]);
   EXPECT_TRUE(corpus.View(1, 3, 5).empty());
   EXPECT_TRUE(corpus.View(2, 0, 0).empty());
 }

@@ -2,9 +2,12 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/date.h"
+#include "common/string_util.h"
 #include "text/pos_tagger.h"
 #include "text/tokenizer.h"
 
@@ -198,6 +201,89 @@ TEST(EntitiesHelpersTest, MonthWeekdayYearPredicates) {
   small.lower = "31";
   small.tag = "CD";
   EXPECT_FALSE(EntityRecognizer::LooksLikeYear(small));
+}
+
+/// The month and weekday lookups as linear scans over every name, the
+/// reference the length-and-first-letter dispatch must reproduce.
+int LinearMonthFromName(std::string_view name) {
+  static const char* const kMonths[] = {
+      "January", "February", "March",     "April",   "May",      "June",
+      "July",    "August",   "September", "October", "November", "December"};
+  for (int i = 0; i < 12; ++i) {
+    if (EqualsIgnoreCase(name, kMonths[i])) return i + 1;
+  }
+  return 0;
+}
+
+bool LinearIsWeekdayName(std::string_view lower) {
+  for (const char* d : {"sunday", "monday", "tuesday", "wednesday",
+                        "thursday", "friday", "saturday"}) {
+    if (lower == d) return true;
+  }
+  return false;
+}
+
+TEST(EntitiesHelpersTest, MonthAndWeekdayLookupsMatchLinearScan) {
+  const std::vector<std::string> months = {
+      "january", "february", "march",     "april",   "may",      "june",
+      "july",    "august",   "september", "october", "november", "december"};
+  const std::vector<std::string> weekdays = {
+      "sunday", "monday", "tuesday", "wednesday", "thursday", "friday",
+      "saturday"};
+  std::vector<std::string> probes;
+  for (const std::vector<std::string>* names : {&months, &weekdays}) {
+    for (const std::string& name : *names) {
+      std::string title = name;
+      title[0] = static_cast<char>(title[0] - 'a' + 'A');
+      probes.push_back(name);
+      probes.push_back(title);
+      probes.push_back(ToUpper(name));
+    }
+  }
+  // Every month is found in all three cases; a weekday only in lowercase
+  // (IsWeekdayName takes a token's lowercase form).
+  for (size_t i = 0; i < months.size(); ++i) {
+    for (size_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(Date::MonthFromName(probes[3 * i + c]), int(i) + 1)
+          << probes[3 * i + c];
+    }
+  }
+  for (size_t i = 0; i < weekdays.size(); ++i) {
+    const size_t at = 3 * (months.size() + i);
+    EXPECT_TRUE(EntityRecognizer::IsWeekdayName(probes[at]));
+    EXPECT_FALSE(EntityRecognizer::IsWeekdayName(probes[at + 1]));
+    EXPECT_FALSE(EntityRecognizer::IsWeekdayName(probes[at + 2]));
+  }
+  // Non-names: near misses of every length and first letter, bytes whose
+  // `| 0x20` is a letter only for letters, and words of other classes.
+  for (const std::string& name : months) {
+    probes.push_back(name.substr(0, name.size() - 1));
+    probes.push_back(name + "s");
+    probes.push_back("x" + name.substr(1));
+    probes.push_back(name.substr(0, name.size() - 1) + "x");
+  }
+  for (const std::string& name : weekdays) {
+    probes.push_back(name.substr(1));
+    probes.push_back(name + "y");
+    probes.push_back(name.substr(0, name.size() - 1) + "Y");
+  }
+  for (const char* other :
+       {"", "m", "ma", "mayo", "junio", "jule", "jun", "Barcelona", "degrees",
+        "2004", ".", "\xC2\xBA", "*ay", "\x0D" "ay", "\x2D" "ay",
+        "\xCD" "ay", "\xED" "ay", "Jyly", "Juny", "sundays", "frid", "sat",
+        "tues"}) {
+    probes.push_back(other);
+  }
+  for (const std::string& probe : probes) {
+    EXPECT_EQ(Date::MonthFromName(probe), LinearMonthFromName(probe))
+        << probe;
+    EXPECT_EQ(EntityRecognizer::IsMonthName(probe),
+              LinearMonthFromName(probe) != 0)
+        << probe;
+    EXPECT_EQ(EntityRecognizer::IsWeekdayName(probe),
+              LinearIsWeekdayName(probe))
+        << probe;
+  }
 }
 
 }  // namespace

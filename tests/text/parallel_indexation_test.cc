@@ -58,7 +58,7 @@ void ExpectDocumentsEqual(const AnalyzedDocument& a,
     EXPECT_EQ(sa.token_ids, sb.token_ids) << "sentence " << s;
     EXPECT_EQ(sa.lemma_ids, sb.lemma_ids) << "sentence " << s;
     EXPECT_EQ(sa.tokens.size(), sb.tokens.size());
-    EXPECT_EQ(sa.dates.size(), sb.dates.size());
+    EXPECT_EQ(a.Dates(s).size(), b.Dates(s).size());
   }
 }
 
