@@ -42,10 +42,11 @@ GATED = [
     ("bench_micro_olap", "BM_InsertFactMaintenance/1"),
     # The Step-5 BI analysis end to end, read from views, recomputed and
     # federated: joining rendered rows on strings again would show here.
-    # The federated read is gated twice: after a member changed (plan,
-    # conflict resolution, fan-out and merge all run) and while none did
-    # (the engine's stored answer, read in place — copying it or
-    # re-merging it per read would show).
+    # The federated read is gated twice: after a member changed (no
+    # stored read matches, so the read plans, resolving conflicts, then
+    # fans out and merges) and while none did (the engine's stored plan
+    # and answer, read in place — re-planning, copying or re-merging per
+    # read would show).
     ("bench_micro_olap", "BM_SalesVsTemperatureView"),
     ("bench_micro_olap", "BM_SalesVsTemperatureRecompute"),
     ("bench_micro_olap", "BM_SalesVsTemperatureFederated"),

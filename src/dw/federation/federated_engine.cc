@@ -37,13 +37,15 @@ struct AxisPlan {
 /// One member warehouse's share of a federated query.
 struct SubPlan {
   std::string name;
+  /// 0 for the local member, i + 1 for remote i: whose chaos injector a
+  /// read probes (the local one may be re-armed after planning).
+  size_t member = 0;
   const Warehouse* warehouse = nullptr;
-  FaultInjector* chaos = nullptr;
   OlapQuery subquery;
   std::vector<AxisPlan> axes;       ///< One per original group-by axis.
   std::vector<double> conversions;  ///< Per underlying measure, remote→local.
   /// Fact rows a conflict policy removed (null: none), shared with the
-  /// engine's cached resolution.
+  /// plan's conflict resolution.
   std::shared_ptr<const std::set<size_t>> excluded;
   /// A filter proved this member's share empty: exact zero contribution,
   /// no sub-query dispatched.
@@ -86,7 +88,7 @@ const std::string& MergedSpelling(const Warehouse& local,
   return base.values[base.of_member[static_cast<size_t>(*member)]];
 }
 
-/// At most this many query shapes keep a stored answer (BiAnalysis reads
+/// At most this many query shapes keep a stored read (BiAnalysis reads
 /// two).
 constexpr size_t kMaxStoredReads = 16;
 
@@ -99,6 +101,21 @@ std::shared_ptr<const std::set<size_t>> SharedRows(
 }
 
 }  // namespace
+
+/// Everything a read does before it probes a member. It depends only on the
+/// query, the policy, the member list and the members' stamps, so it is
+/// stored with the read's groups and reused while none of them changed.
+struct FederatedEngine::Plan {
+  /// The local member's share first, then each addressable remote's.
+  std::vector<SubPlan> subs;
+  /// Remotes the query cannot address, in registration order, and whether
+  /// each counts as a "skipped" sub-query.
+  std::vector<std::pair<CoverageGap, bool>> gaps;
+  /// What resolving each key-complete fact mapping found, counted per read.
+  std::vector<ConflictStats> conflicts;
+  size_t width = 0;          ///< Distinct underlying measures.
+  std::vector<size_t> slots;  ///< Per query measure: its state column.
+};
 
 const char* CoverageName(const FederatedCoverage& coverage) {
   if (coverage.answered == 0) return "failed";
@@ -132,68 +149,41 @@ Status FederatedEngine::AddRemote(std::string name, const Warehouse* remote,
 }
 
 void FederatedEngine::set_policy(MergePolicy policy) {
-  {
-    std::lock_guard<std::mutex> lock(resolutions_mu_);
-    policy_ = std::move(policy);
-    resolutions_.clear();
-  }
   std::lock_guard<std::mutex> lock(reads_mu_);
+  policy_ = std::move(policy);
   reads_.clear();
 }
 
-std::shared_ptr<const FederatedGroups> FederatedEngine::FindRead(
-    const OlapQuery& query, const std::vector<uint64_t>& stamps) const {
+std::pair<std::shared_ptr<const FederatedEngine::Plan>,
+          std::shared_ptr<const FederatedGroups>>
+FederatedEngine::FindRead(const OlapQuery& query,
+                          const std::vector<uint64_t>& stamps) const {
   std::lock_guard<std::mutex> lock(reads_mu_);
   for (auto it = reads_.begin(); it != reads_.end(); ++it) {
     if (it->query != query) continue;
-    if (it->stamps != stamps) return nullptr;
+    if (it->stamps != stamps) break;
     std::rotate(reads_.begin(), it, it + 1);
-    return reads_.front().groups;
+    return {reads_.front().plan, reads_.front().groups};
   }
-  return nullptr;
+  return {};
 }
 
 void FederatedEngine::StoreRead(
     const OlapQuery& query, std::vector<uint64_t> stamps,
+    std::shared_ptr<const Plan> plan,
     std::shared_ptr<const FederatedGroups> groups) const {
   std::lock_guard<std::mutex> lock(reads_mu_);
   auto it = std::find_if(reads_.begin(), reads_.end(),
                          [&](const StoredRead& r) { return r.query == query; });
   if (it == reads_.end()) {
     if (reads_.size() == kMaxStoredReads) reads_.pop_back();
-    reads_.push_back({query, {}, nullptr});
+    reads_.push_back({query, {}, nullptr, nullptr});
     it = reads_.end() - 1;
   }
   it->stamps = std::move(stamps);
+  it->plan = std::move(plan);
   it->groups = std::move(groups);
   std::rotate(reads_.begin(), it, it + 1);
-}
-
-Result<std::shared_ptr<const ConflictResolution>> FederatedEngine::Resolution(
-    size_t remote, size_t fact) const {
-  const Remote& r = remotes_[remote];
-  const uint64_t local_stamp = local_->stamp();
-  const uint64_t remote_stamp = r.warehouse->stamp();
-  const std::pair<size_t, size_t> key(remote, fact);
-  {
-    std::lock_guard<std::mutex> lock(resolutions_mu_);
-    auto it = resolutions_.find(key);
-    if (it != resolutions_.end() && it->second.local_stamp == local_stamp &&
-        it->second.remote_stamp == remote_stamp) {
-      return it->second.resolution;
-    }
-  }
-  // Resolved outside the lock: concurrent plans of other facts do not wait
-  // on this one. Two plans racing on the same states compute equal values.
-  DWQA_ASSIGN_OR_RETURN(ConflictResolution resolution,
-                        ResolveConflicts(*local_, *r.warehouse, r.mapping,
-                                         r.mapping.facts[fact], policy_));
-  resolution.quarantine.clear();
-  auto shared =
-      std::make_shared<const ConflictResolution>(std::move(resolution));
-  std::lock_guard<std::mutex> lock(resolutions_mu_);
-  resolutions_[key] = {local_stamp, remote_stamp, shared};
-  return shared;
 }
 
 Result<FederatedResult> FederatedEngine::Execute(
@@ -207,48 +197,18 @@ Result<FederatedResult> FederatedEngine::Execute(
   return out;
 }
 
-Result<FederatedGroups> FederatedEngine::Group(const OlapQuery& query) const {
-  DWQA_ASSIGN_OR_RETURN(std::shared_ptr<const FederatedGroups> groups,
-                        GroupShared(query));
-  return *groups;
-}
-
-Result<std::shared_ptr<const FederatedGroups>> FederatedEngine::GroupShared(
+Result<std::shared_ptr<const FederatedEngine::Plan>> FederatedEngine::MakePlan(
     const OlapQuery& query) const {
-  if (local_ == nullptr) {
-    return Status::InvalidArgument("federation has no local warehouse");
-  }
-  if (query.measures.empty()) {
-    return Status::InvalidArgument("OLAP query needs at least one measure");
-  }
-
-  // The federation state this read answers: every member's stamp.
-  std::vector<uint64_t> stamps = {local_->stamp()};
-  for (const Remote& r : remotes_) stamps.push_back(r.warehouse->stamp());
-
-  FederatedGroups out;
-  auto count_subquery = [&](const std::string& member, const char* outcome) {
-    if (metrics_ == nullptr) return;
-    metrics_
-        ->GetCounter(kMetricFedSubqueries,
-                     {{"warehouse", member}, {"outcome", outcome}})
-        ->Increment();
-  };
-  Span plan_span(trace_, "fed.plan");
-  plan_span.Annotate("fact", query.fact);
-  plan_span.Annotate("members",
-                     static_cast<double>(1 + remotes_.size()));
-
   // Validate the query against the local schema (the federation's query
   // vocabulary), mirroring the OLAP engine's resolution errors.
   DWQA_ASSIGN_OR_RETURN(const FactDef* lfact,
                         local_->schema().FindFact(query.fact));
   DWQA_RETURN_NOT_OK(ValidateHaving(query));
 
+  auto plan = std::make_shared<Plan>();
   // Distinct underlying measures, in first-mention order; every original
   // measure indexes into this list.
   std::vector<std::string> underlying;
-  std::vector<size_t> orig_to_underlying;
   for (const QueryMeasure& qm : query.measures) {
     DWQA_RETURN_NOT_OK(lfact->MeasureIndex(qm.measure).status());
     size_t slot = underlying.size();
@@ -256,8 +216,9 @@ Result<std::shared_ptr<const FederatedGroups>> FederatedEngine::GroupShared(
       if (EqualsIgnoreCase(underlying[u], qm.measure)) slot = u;
     }
     if (slot == underlying.size()) underlying.push_back(qm.measure);
-    orig_to_underlying.push_back(slot);
+    plan->slots.push_back(slot);
   }
+  plan->width = underlying.size();
   // The axis/filter vocabulary must resolve locally too; `land` then says
   // how a local (role, level) lands on a remote member: on the sentinel
   // (no role), on nulls (no level) or on a mapped level, where a pair of
@@ -310,66 +271,62 @@ Result<std::shared_ptr<const FederatedGroups>> FederatedEngine::GroupShared(
     return measures;
   };
 
-  std::vector<SubPlan> plans;
-  out.coverage.warehouses_total = 1 + remotes_.size();
-
-  SubPlan local_plan;
-  local_plan.name = local_name_;
-  local_plan.warehouse = local_;
-  local_plan.chaos = local_chaos_;
-  local_plan.subquery.fact = query.fact;
-  local_plan.subquery.measures = state_measures(underlying);
-  local_plan.subquery.group_by = query.group_by;
-  local_plan.subquery.filters = query.filters;
-  local_plan.axes.assign(query.group_by.size(), AxisPlan{});
-  local_plan.conversions.assign(underlying.size(), 1.0);
-  plans.push_back(std::move(local_plan));
+  SubPlan local_sub;
+  local_sub.name = local_name_;
+  local_sub.warehouse = local_;
+  local_sub.subquery.fact = query.fact;
+  local_sub.subquery.measures = state_measures(underlying);
+  local_sub.subquery.group_by = query.group_by;
+  local_sub.subquery.filters = query.filters;
+  local_sub.axes.assign(query.group_by.size(), AxisPlan{});
+  local_sub.conversions.assign(underlying.size(), 1.0);
+  plan->subs.push_back(std::move(local_sub));
 
   for (size_t ri = 0; ri < remotes_.size(); ++ri) {
     const Remote& r = remotes_[ri];
     const FactMapping* fm = r.mapping.FindLocalFact(query.fact);
     if (fm == nullptr) {
-      out.coverage.missing.push_back(
-          {r.name, "no schema mapping for fact '" + query.fact + "'"});
-      count_subquery(r.name, "skipped");
+      plan->gaps.push_back(
+          {{r.name, "no schema mapping for fact '" + query.fact + "'"},
+           true});
       continue;
     }
-    SubPlan plan;
-    plan.name = r.name;
-    plan.warehouse = r.warehouse;
-    plan.chaos = r.chaos;
-    plan.subquery.fact = fm->remote_fact;
+    SubPlan sub;
+    sub.name = r.name;
+    sub.member = ri + 1;
+    sub.warehouse = r.warehouse;
+    sub.subquery.fact = fm->remote_fact;
     std::vector<std::string> remote_measures;
     for (const std::string& name : underlying) {
       const MeasureMapping* mm = fm->FindLocalMeasure(name);
       // FactMapping guarantees every local measure maps; guarded anyway.
       if (mm == nullptr) break;
       remote_measures.push_back(mm->remote_measure);
-      plan.conversions.push_back(mm->conversion);
+      sub.conversions.push_back(mm->conversion);
     }
     if (remote_measures.size() != underlying.size()) {
-      out.coverage.missing.push_back(
-          {r.name, "a queried measure is not mapped"});
+      plan->gaps.push_back({{r.name, "a queried measure is not mapped"},
+                            false});
       continue;
     }
-    plan.subquery.measures = state_measures(remote_measures);
+    sub.subquery.measures = state_measures(remote_measures);
 
     for (const GroupBy& g : query.group_by) {
       DWQA_ASSIGN_OR_RETURN(Landing l, land(r, *fm, g.role, g.level));
       if (l.role == nullptr || l.level == nullptr) {
-        plan.axes.push_back(
+        sub.axes.push_back(
             {l.role == nullptr ? AxisKind::kSentinel : AxisKind::kNull});
         continue;
       }
-      plan.subquery.group_by.push_back(
+      sub.subquery.group_by.push_back(
           {l.role->remote_role, l.level->remote_level});
-      plan.axes.push_back({l.base_pair ? AxisKind::kValueTranslated
-                                       : AxisKind::kValue,
-                           l.base_pair ? l.dim : nullptr});
+      sub.axes.push_back({l.base_pair ? AxisKind::kValueTranslated
+                                      : AxisKind::kValue,
+                          l.base_pair ? l.dim : nullptr});
     }
 
     for (const Filter& f : query.filters) {
-      if (plan.zero_contribution) break;
+      if (sub.zero_contribution) break;
       DWQA_ASSIGN_OR_RETURN(Landing l, land(r, *fm, f.role, f.level));
       auto contains = [&](const std::string& needle) {
         for (const std::string& v : f.values) {
@@ -380,12 +337,12 @@ Result<std::shared_ptr<const FederatedGroups>> FederatedEngine::GroupShared(
       if (l.role == nullptr) {
         // Every remote fact sits on the sentinel along this axis: the
         // filter either passes all remote rows or none of them.
-        if (!contains(kUnattributedMember)) plan.zero_contribution = true;
+        if (!contains(kUnattributedMember)) sub.zero_contribution = true;
         continue;
       }
       if (l.level == nullptr) {
         // Remote members are null at this level ("" after rendering).
-        if (!contains("")) plan.zero_contribution = true;
+        if (!contains("")) sub.zero_contribution = true;
         continue;
       }
       Filter translated{l.role->remote_role, l.level->remote_level, {}};
@@ -406,37 +363,23 @@ Result<std::shared_ptr<const FederatedGroups>> FederatedEngine::GroupShared(
           }
         }
       }
-      plan.subquery.filters.push_back(std::move(translated));
+      sub.subquery.filters.push_back(std::move(translated));
     }
 
     if (fm->key_complete) {
       DWQA_ASSIGN_OR_RETURN(
-          std::shared_ptr<const ConflictResolution> resolution,
-          Resolution(ri, static_cast<size_t>(fm - r.mapping.facts.data())));
-      // Counted per query from the cached stats, as if resolved afresh.
-      if (metrics_ != nullptr) {
-        const std::string policy_name =
-            ConflictPolicyName(policy_.conflicts);
-        auto bump = [&](const char* resolved, size_t n) {
-          if (n == 0) return;
-          metrics_
-              ->GetCounter(kMetricFedConflicts, {{"policy", policy_name},
-                                                 {"resolution", resolved}})
-              ->Increment(static_cast<double>(n));
-        };
-        bump("deduplicated", resolution->stats.deduplicated_rows);
-        bump("quarantined", resolution->stats.quarantined_rows);
-        if (policy_.conflicts != ConflictPolicy::kQuarantine) {
-          bump("remote", resolution->stats.remote_rows_dropped);
-          bump("local", resolution->stats.local_rows_dropped);
-        }
-      }
-      plan.excluded = SharedRows(resolution, resolution->remote_excluded);
+          ConflictResolution resolved,
+          ResolveConflicts(*local_, *r.warehouse, r.mapping, *fm, policy_));
+      resolved.quarantine.clear();  // The engine never routes them anywhere.
+      auto resolution =
+          std::make_shared<const ConflictResolution>(std::move(resolved));
+      plan->conflicts.push_back(resolution->stats);
+      sub.excluded = SharedRows(resolution, resolution->remote_excluded);
       // The local member skips the union of every remote's local
       // exclusions; a single contributor is shared, not copied.
       auto local_rows = SharedRows(resolution, resolution->local_excluded);
       std::shared_ptr<const std::set<size_t>>& local_excluded =
-          plans.front().excluded;
+          plan->subs.front().excluded;
       if (local_excluded == nullptr) {
         local_excluded = std::move(local_rows);
       } else if (local_rows != nullptr) {
@@ -445,16 +388,73 @@ Result<std::shared_ptr<const FederatedGroups>> FederatedEngine::GroupShared(
         local_excluded = std::move(rows);
       }
     }
-    plans.push_back(std::move(plan));
+    plan->subs.push_back(std::move(sub));
   }
 
+  return std::shared_ptr<const Plan>(std::move(plan));
+}
+
+Result<std::shared_ptr<const FederatedGroups>> FederatedEngine::GroupShared(
+    const OlapQuery& query) const {
+  if (local_ == nullptr) {
+    return Status::InvalidArgument("federation has no local warehouse");
+  }
+  if (query.measures.empty()) {
+    return Status::InvalidArgument("OLAP query needs at least one measure");
+  }
+
+  // The federation state this read answers: every member's stamp.
+  std::vector<uint64_t> stamps = {local_->stamp()};
+  for (const Remote& r : remotes_) stamps.push_back(r.warehouse->stamp());
+
+  FederatedGroups out;
+  auto count_subquery = [&](const std::string& member, const char* outcome) {
+    if (metrics_ == nullptr) return;
+    metrics_
+        ->GetCounter(kMetricFedSubqueries,
+                     {{"warehouse", member}, {"outcome", outcome}})
+        ->Increment();
+  };
+  Span plan_span(trace_, "fed.plan");
+  plan_span.Annotate("fact", query.fact);
+  plan_span.Annotate("members",
+                     static_cast<double>(1 + remotes_.size()));
+
+  // ---- Plan: the stored read's at these stamps, or planned afresh.
+  auto [plan, stored] = FindRead(query, stamps);
+  if (plan == nullptr) {
+    DWQA_ASSIGN_OR_RETURN(plan, MakePlan(query));
+  }
+  out.coverage.warehouses_total = 1 + remotes_.size();
+  for (const auto& [gap, skipped] : plan->gaps) {
+    out.coverage.missing.push_back(gap);
+    if (skipped) count_subquery(gap.warehouse, "skipped");
+  }
+  // Conflicts are counted per read, as if resolved afresh.
+  if (metrics_ != nullptr) {
+    const std::string policy_name = ConflictPolicyName(policy_.conflicts);
+    auto bump = [&](const char* resolved, size_t n) {
+      if (n == 0) return;
+      metrics_
+          ->GetCounter(kMetricFedConflicts,
+                       {{"policy", policy_name}, {"resolution", resolved}})
+          ->Increment(static_cast<double>(n));
+    };
+    for (const ConflictStats& stats : plan->conflicts) {
+      bump("deduplicated", stats.deduplicated_rows);
+      bump("quarantined", stats.quarantined_rows);
+      if (policy_.conflicts != ConflictPolicy::kQuarantine) {
+        bump("remote", stats.remote_rows_dropped);
+        bump("local", stats.local_rows_dropped);
+      }
+    }
+  }
   if (trace_ != nullptr) {
     CostEstimator estimator;
-    for (const SubPlan& plan : plans) {
-      auto estimate = estimator.Estimate(*plan.warehouse, plan.subquery);
+    for (const SubPlan& sub : plan->subs) {
+      auto estimate = estimator.Estimate(*sub.warehouse, sub.subquery);
       if (estimate.ok()) {
-        plan_span.Annotate(plan.name + ".cost_units",
-                           estimate->cost_units);
+        plan_span.Annotate(sub.name + ".cost_units", estimate->cost_units);
       }
     }
   }
@@ -464,45 +464,44 @@ Result<std::shared_ptr<const FederatedGroups>> FederatedEngine::GroupShared(
   // streams and coverage do not depend on what the engine stored.
   std::vector<const SubPlan*> live;
   bool lost_member = false;
-  for (const SubPlan& plan : plans) {
-    if (plan.zero_contribution) {
+  for (const SubPlan& sub : plan->subs) {
+    if (sub.zero_contribution) {
       // The translated filter proved this member's share empty: exact.
       ++out.coverage.answered;
-      count_subquery(plan.name, "skipped");
+      count_subquery(sub.name, "skipped");
       continue;
     }
-    if (plan.chaos != nullptr) {
+    FaultInjector* chaos =
+        sub.member == 0 ? local_chaos_ : remotes_[sub.member - 1].chaos;
+    if (chaos != nullptr) {
       Status chaos_status;
       {
         std::lock_guard<std::mutex> lock(chaos_mu_);
-        chaos_status = plan.chaos->Hit(kFaultPointFedSubquery);
+        chaos_status = chaos->Hit(kFaultPointFedSubquery);
       }
       if (!chaos_status.ok()) {
-        out.coverage.missing.push_back({plan.name, chaos_status.message()});
-        count_subquery(plan.name, "error");
+        out.coverage.missing.push_back({sub.name, chaos_status.message()});
+        count_subquery(sub.name, "error");
         lost_member = true;
         continue;
       }
     }
-    live.push_back(&plan);
+    live.push_back(&sub);
   }
 
   // ---- Reuse: every member is reachable and none changed since this
   // query was last answered without losing a member, so that answer is
   // this one.
-  if (!lost_member) {
-    if (std::shared_ptr<const FederatedGroups> stored =
-            FindRead(query, stamps)) {
-      for (const SubPlan* plan : live) count_subquery(plan->name, "reused");
-      if (metrics_ != nullptr) {
-        metrics_
-            ->GetCounter(kMetricFedQueries,
-                         {{"coverage", CoverageName(stored->coverage)}})
-            ->Increment();
-      }
-      plan_span.Annotate("reused", 1.0);
-      return stored;
+  if (!lost_member && stored != nullptr) {
+    for (const SubPlan* sub : live) count_subquery(sub->name, "reused");
+    if (metrics_ != nullptr) {
+      metrics_
+          ->GetCounter(kMetricFedQueries,
+                       {{"coverage", CoverageName(stored->coverage)}})
+          ->Increment();
     }
+    plan_span.Annotate("reused", 1.0);
+    return stored;
   }
   plan_span.End();
 
@@ -510,21 +509,21 @@ Result<std::shared_ptr<const FederatedGroups>> FederatedEngine::GroupShared(
   // receive no recorder and no injector.
   Span fanout_span(trace_, "fed.fanout");
   struct Dispatched {
-    const SubPlan* plan;
+    const SubPlan* sub;
     std::future<Result<GroupedStates>> future;
   };
   std::vector<Dispatched> dispatched;
-  for (const SubPlan* plan : live) {
+  for (const SubPlan* sub : live) {
     Histogram* latency =
         metrics_ == nullptr
             ? nullptr
             : metrics_->GetHistogram(kMetricFedSubqueryLatency,
-                                     {{"warehouse", plan->name}});
-    auto task = [plan, latency]() -> Result<GroupedStates> {
+                                     {{"warehouse", sub->name}});
+    auto task = [sub, latency]() -> Result<GroupedStates> {
       ScopedLatencyTimer timer(latency);
-      return RunSubquery(*plan);
+      return RunSubquery(*sub);
     };
-    Dispatched d{plan, pool_ != nullptr
+    Dispatched d{sub, pool_ != nullptr
                            ? pool_->Submit(task)
                            : std::async(std::launch::deferred, task)};
     dispatched.push_back(std::move(d));
@@ -535,14 +534,14 @@ Result<std::shared_ptr<const FederatedGroups>> FederatedEngine::GroupShared(
     Result<GroupedStates> result = d.future.get();
     if (!result.ok()) {
       out.coverage.missing.push_back(
-          {d.plan->name, result.status().message()});
-      count_subquery(d.plan->name, "error");
+          {d.sub->name, result.status().message()});
+      count_subquery(d.sub->name, "error");
       lost_member = true;
       continue;
     }
     ++out.coverage.answered;
-    count_subquery(d.plan->name, "ok");
-    sub_results.emplace_back(d.plan, std::move(*result));
+    count_subquery(d.sub->name, "ok");
+    sub_results.emplace_back(d.sub, std::move(*result));
   }
   fanout_span.Annotate("answered",
                        static_cast<double>(out.coverage.answered));
@@ -582,10 +581,10 @@ Result<std::shared_ptr<const FederatedGroups>> FederatedEngine::GroupShared(
     ScopedLatencyTimer merge_timer(merge_latency);
     const size_t arity = query.group_by.size();
     std::vector<LevelDictionary> names(arity);  // of_member unused.
-    OrdinalGroups merged(arity, underlying.size());
+    OrdinalGroups merged(arity, plan->width);
     std::vector<uint32_t> key(arity);
     size_t facts_scanned = 0, facts_matched = 0;
-    for (const auto& [plan, sub] : sub_results) {
+    for (const auto& [from, sub] : sub_results) {
       facts_scanned += sub.facts_scanned;
       facts_matched += sub.facts_matched;
       // Per query axis: the merged ordinal of each of the sub-result's
@@ -594,7 +593,7 @@ Result<std::shared_ptr<const FederatedGroups>> FederatedEngine::GroupShared(
       std::vector<size_t> sub_axis(arity, SIZE_MAX);
       size_t pos = 0;
       for (size_t a = 0; a < arity; ++a) {
-        const AxisPlan& axis = plan->axes[a];
+        const AxisPlan& axis = from->axes[a];
         if (axis.kind == AxisKind::kSentinel ||
             axis.kind == AxisKind::kNull) {
           translated[a].push_back(names[a].Intern(
@@ -618,10 +617,10 @@ Result<std::shared_ptr<const FederatedGroups>> FederatedEngine::GroupShared(
                        : translated[a][sub.keys[g * sub_arity + sub_axis[a]]];
         }
         AggState* states = merged.Upsert(key.data());
-        for (size_t u = 0; u < underlying.size(); ++u) {
+        for (size_t u = 0; u < plan->width; ++u) {
           AggState st = sub.states[g * sub.width + u];
           if (st.count == 0) continue;  // Empty share, nothing to fold.
-          double conv = plan->conversions[u];
+          double conv = from->conversions[u];
           st.sum *= conv;
           st.min *= conv;
           st.max *= conv;
@@ -635,7 +634,7 @@ Result<std::shared_ptr<const FederatedGroups>> FederatedEngine::GroupShared(
     out.grouped = Finish(merged, name_ptrs);
     out.grouped.facts_scanned = facts_scanned;
     out.grouped.facts_matched = facts_matched;
-    out.slots = std::move(orig_to_underlying);
+    out.slots = plan->slots;
   }
   if (metrics_ != nullptr) {
     metrics_->GetCounter(kMetricFedGroupsMerged)
@@ -650,7 +649,9 @@ Result<std::shared_ptr<const FederatedGroups>> FederatedEngine::GroupShared(
   merge_span.End();
   auto merged = std::make_shared<const FederatedGroups>(std::move(out));
   // A read that lost a member is not this state's answer: never stored.
-  if (!lost_member) StoreRead(query, std::move(stamps), merged);
+  if (!lost_member) {
+    StoreRead(query, std::move(stamps), std::move(plan), merged);
+  }
   return merged;
 }
 

@@ -1,7 +1,6 @@
 #ifndef DWQA_DW_FEDERATION_FEDERATED_ENGINE_H_
 #define DWQA_DW_FEDERATION_FEDERATED_ENGINE_H_
 
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -73,28 +72,27 @@ struct FederatedGroups {
 /// \brief The federation planner/executor over one local warehouse and any
 /// number of mapped remote warehouses.
 ///
-/// A query is answered once per federation state. The engine keeps the
-/// finished groups of the last few query shapes, each with the
-/// Warehouse::stamp() of the local and of every remote member it was
-/// computed from, and hands them out again while no member changed. Every
-/// read still plans (conflict counters, structural gaps) and probes each
-/// member's chaos injector in plan order; only when every probe passes and
-/// the stamps match are the stored groups returned, with no sub-query and
-/// no merge. A read that lost a member (chaos or a failed sub-query) is
-/// never stored. Conflict resolution follows the same rule per pair of
-/// warehouse states: each (remote, fact mapping)'s ConflictResolution is
-/// kept under the stamps of both sides. set_policy() and AddRemote() drop
-/// both caches.
+/// A query is answered once per federation state. The engine stores, for
+/// the last few query shapes, the read's plan (sub-queries, the conflict
+/// policy's exclusions and counts, structural coverage gaps) beside its
+/// merged groups, under the Warehouse::stamp() of the local and of every
+/// remote member. A read looks its query up at the current stamps and plans,
+/// resolving conflicts, only when no entry matches. It then counts and
+/// probes each member's chaos injector in plan order; when every probe
+/// passes and an entry matched, the stored groups are returned, with no
+/// sub-query and no merge. A read that lost a member (chaos or a failed
+/// sub-query) runs off a matching entry's plan but is never stored.
+/// set_policy() and AddRemote() drop every entry.
 ///
-/// Thread-safety: GroupShared/Group/Execute are const and safe to call
-/// concurrently (chaos injectors are probed, and both caches are read and
+/// Thread-safety: GroupShared/Execute are const and safe to call
+/// concurrently (chaos injectors are probed, and the store is read and
 /// filled, under internal mutexes; metrics instruments are lock-free;
-/// sub-queries go through the view catalogs' shared locks; a stored answer
-/// is immutable and shared). The trace recorder is the exception —
-/// TraceRecorder parenting assumes one logical flow of control, so set one
-/// only where Execute calls are serialized (the serving layer holds its
-/// tenant lock) and leave it null for concurrent use. Pool workers never
-/// touch the recorder or the injectors.
+/// sub-queries go through the view catalogs' shared locks; a stored plan
+/// and its groups are immutable and shared). The trace recorder is the
+/// exception — TraceRecorder parenting assumes one logical flow of control,
+/// so set one only where Execute calls are serialized (the serving layer
+/// holds its tenant lock) and leave it null for concurrent use. Pool
+/// workers never touch the recorder or the injectors.
 class FederatedEngine {
  public:
   /// Engine over `local` (not owned, must outlive the engine), reported in
@@ -125,7 +123,7 @@ class FederatedEngine {
 
   /// Conflict policy applied to key-complete fact mappings at query time —
   /// keep it equal to the MergeWarehouses policy for oracle identity.
-  /// Drops every cached conflict resolution and stored answer.
+  /// Drops every stored read.
   void set_policy(MergePolicy policy);
 
   /// Registered remote members.
@@ -141,9 +139,6 @@ class FederatedEngine {
   Result<std::shared_ptr<const FederatedGroups>> GroupShared(
       const OlapQuery& query) const;
 
-  /// GroupShared(), copied out for a caller that owns its groups.
-  Result<FederatedGroups> Group(const OlapQuery& query) const;
-
   /// GroupShared() then Render(). Headers, group ordering and values are
   /// byte-identical to OlapEngine::Execute over the MergeWarehouses oracle
   /// when coverage is full.
@@ -157,35 +152,31 @@ class FederatedEngine {
     FaultInjector* chaos = nullptr;
   };
 
-  /// A conflict resolution and the warehouse states it was computed from.
-  struct CachedResolution {
-    uint64_t local_stamp = 0;
-    uint64_t remote_stamp = 0;
-    std::shared_ptr<const ConflictResolution> resolution;
-  };
+  /// What a read of one query at one federation state does before it
+  /// probes a member. Defined in the .cc.
+  struct Plan;
 
-  /// The finished groups of one query and the member stamps (local first,
-  /// then each remote's) they were computed from.
+  /// The plan and finished groups of one query and the member stamps
+  /// (local first, then each remote's) they were computed from.
   struct StoredRead {
     OlapQuery query;
     std::vector<uint64_t> stamps;
+    std::shared_ptr<const Plan> plan;
     std::shared_ptr<const FederatedGroups> groups;
   };
 
-  /// The stored groups of `query` computed at exactly `stamps`, or null.
-  std::shared_ptr<const FederatedGroups> FindRead(
-      const OlapQuery& query, const std::vector<uint64_t>& stamps) const;
-  /// Stores `groups` as the answer to `query` at `stamps`, evicting the
-  /// least recently used shape beyond the bound.
+  /// Plans `query` against the current members and policy: validates it,
+  /// translates it per member and resolves each key-complete fact
+  /// mapping's conflicts.
+  Result<std::shared_ptr<const Plan>> MakePlan(const OlapQuery& query) const;
+  /// The stored plan and groups of `query` at exactly `stamps`, or nulls.
+  std::pair<std::shared_ptr<const Plan>, std::shared_ptr<const FederatedGroups>>
+  FindRead(const OlapQuery& query, const std::vector<uint64_t>& stamps) const;
+  /// Stores `plan` and `groups` as the read of `query` at `stamps`,
+  /// evicting the least recently used shape beyond the bound.
   void StoreRead(const OlapQuery& query, std::vector<uint64_t> stamps,
+                 std::shared_ptr<const Plan> plan,
                  std::shared_ptr<const FederatedGroups> groups) const;
-
-  /// The conflict resolution of fact mapping `fact` of remote `remote`
-  /// against the current local and remote states: cached, or computed and
-  /// cached. Its quarantine records are dropped (the engine never routes
-  /// them anywhere).
-  Result<std::shared_ptr<const ConflictResolution>> Resolution(
-      size_t remote, size_t fact) const;
 
   const Warehouse* local_;
   std::string local_name_;
@@ -197,13 +188,9 @@ class FederatedEngine {
   MergePolicy policy_;
   /// Serializes chaos-injector probes (FaultInjector mutates its RNG).
   mutable std::mutex chaos_mu_;
-  /// Guards `resolutions_`.
-  mutable std::mutex resolutions_mu_;
-  /// (remote index, fact-mapping index) -> its latest conflict resolution.
-  mutable std::map<std::pair<size_t, size_t>, CachedResolution> resolutions_;
   /// Guards `reads_`.
   mutable std::mutex reads_mu_;
-  /// Stored answers, one per query shape, most recently used first.
+  /// Stored reads, one per query shape, most recently used first.
   mutable std::vector<StoredRead> reads_;
 };
 

@@ -109,7 +109,7 @@ Result<RecoveredWarehouse> OpenImpl(const std::string& dir,
   for (const std::string& issue : scan.issues) {
     recovered.issues.push_back(issue);
   }
-  if (scan.torn_tail && options.truncate_torn_tail) {
+  if (scan.torn_tail) {
     DWQA_ASSIGN_OR_RETURN(recovered.torn_bytes_truncated,
                           TruncateTornTail(dir, scan, fs));
     if (metrics != nullptr) {

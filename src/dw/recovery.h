@@ -32,9 +32,6 @@ struct RecoveryOptions {
   /// was corrupted between WAL append and replay lands in quarantine, not
   /// in the warehouse. Returns a RejectReasonName ("" admits the fact).
   std::function<std::string(const WalFact&)> validate;
-  /// Cut torn WAL tails during open (the crash-recovery default). Off,
-  /// tears are only reported.
-  bool truncate_torn_tail = true;
   /// Receives the dwqa_recovery_* series (null = observability off).
   MetricRegistry* metrics = nullptr;
   /// Materialized-view catalog to attach to the recovered warehouse

@@ -78,9 +78,9 @@ struct Request {
   std::string fact_name = "Weather";
   /// Feed/ask attribute (default "temperature").
   std::string attribute = "temperature";
-  /// Per-request deadline budget in cost units; <= 0 means the server
-  /// default. Threaded into the QA engine's Deadline ledger so a slow
-  /// request sheds via the degradation ladder instead of stalling a worker.
+  /// Per-request deadline budget in cost units; <= 0 means unlimited.
+  /// Threaded into the QA engine's Deadline ledger so a slow request sheds
+  /// via the degradation ladder instead of stalling a worker.
   double budget = 0.0;
   /// When true the answer cache is bypassed (live-fresh, Snippet-1 "direct
   /// mode"); default is cached-fast.

@@ -54,6 +54,34 @@ std::vector<std::pair<std::string, std::string>> AnswerFields(
   return fields;
 }
 
+/// Appends what both `bi` responses report of `report`: the joined days,
+/// the correlation and best range as fields, every range as a payload line.
+void AddBiReport(const integration::BiReport& report, Response* response) {
+  auto& fields = response->answer;
+  fields.emplace_back("joined_days", std::to_string(report.joined_days));
+  fields.emplace_back("correlation",
+                      FormatDouble(report.pearson_temperature_tickets, 4));
+  fields.emplace_back("best_low_c", FormatDouble(report.best.low_c, 1));
+  fields.emplace_back("best_high_c", FormatDouble(report.best.high_c, 1));
+  fields.emplace_back("best_avg_tickets",
+                      FormatDouble(report.best.avg_tickets, 2));
+  fields.emplace_back("best_observations",
+                      std::to_string(report.best.observations));
+  std::ostringstream ranges;
+  for (const auto& range : report.ranges) {
+    ranges << "[" << FormatDouble(range.low_c, 1) << ", "
+           << FormatDouble(range.high_c, 1)
+           << ") avg_tickets=" << FormatDouble(range.avg_tickets, 2)
+           << " observations=" << range.observations << "\n";
+  }
+  response->payload = ranges.str();
+}
+
+/// Admission cost of one `ingest` request (preprocess + linguistic
+/// analysis + two index appends for one document); an `ask`, and each
+/// question of a `feed`, costs 1.
+constexpr double kIngestCost = 2.0;
+
 /// Every shed-reason label the serving layer emits, for the health report.
 constexpr const char* kShedReasons[] = {
     "queue_full",    "cost_budget",       "tenant_concurrency",
@@ -138,9 +166,8 @@ size_t QaServer::inflight() const {
 double QaServer::CostOf(Tenant* tenant, const Request& request) {
   switch (request.endpoint) {
     case Endpoint::kFeed:
-      return std::max<double>(1.0, config_.feed_cost_per_question *
-                                       static_cast<double>(
-                                           request.questions.size()));
+      return std::max<double>(1.0,
+                              static_cast<double>(request.questions.size()));
     case Endpoint::kBi: {
       if (config_.bi_rows_per_cost_unit <= 0.0 || tenant == nullptr) {
         return std::max(1.0, config_.bi_cost);
@@ -159,7 +186,7 @@ double QaServer::CostOf(Tenant* tenant, const Request& request) {
       return std::max(config_.bi_cost, estimate->cost_units);
     }
     case Endpoint::kIngest:
-      return std::max(1.0, config_.ingest_cost);
+      return kIngestCost;
     default:
       return 1.0;
   }
@@ -364,13 +391,11 @@ Response QaServer::ExecuteAsk(Tenant* tenant, const Request& request,
                           "' ask breaker is open (cool-down in progress)");
   }
 
-  // The per-request deadline: the client's budget (or the tenant default)
+  // The per-request deadline: the client's budget (none = unlimited)
   // threaded into the QA engine's ledger, so a slow request sheds via the
   // degradation ladder instead of stalling a worker.
-  double budget = request.budget > 0.0 ? request.budget
-                                       : tenant->config.default_ask_budget;
   DeadlineConfig deadline_config;
-  if (budget > 0.0) deadline_config.budget = budget;
+  if (request.budget > 0.0) deadline_config.budget = request.budget;
   Deadline deadline(deadline_config);
 
   RetryPolicy policy = tenant->config.retry;
@@ -537,23 +562,7 @@ Response QaServer::ExecuteBi(Tenant* tenant, const Request& request) {
                       report.sales_from_view ? "1" : "0");
   fields.emplace_back("weather_from_view",
                       report.weather_from_view ? "1" : "0");
-  fields.emplace_back("joined_days", std::to_string(report.joined_days));
-  fields.emplace_back("correlation",
-                      FormatDouble(report.pearson_temperature_tickets, 4));
-  fields.emplace_back("best_low_c", FormatDouble(report.best.low_c, 1));
-  fields.emplace_back("best_high_c", FormatDouble(report.best.high_c, 1));
-  fields.emplace_back("best_avg_tickets",
-                      FormatDouble(report.best.avg_tickets, 2));
-  fields.emplace_back("best_observations",
-                      std::to_string(report.best.observations));
-  std::ostringstream ranges;
-  for (const auto& range : report.ranges) {
-    ranges << "[" << FormatDouble(range.low_c, 1) << ", "
-           << FormatDouble(range.high_c, 1)
-           << ") avg_tickets=" << FormatDouble(range.avg_tickets, 2)
-           << " observations=" << range.observations << "\n";
-  }
-  response.payload = ranges.str();
+  AddBiReport(report, &response);
   return response;
 }
 
@@ -594,24 +603,7 @@ Response QaServer::ExecuteBiFederated(Tenant* tenant,
     fields.emplace_back("fed_missing",
                         "weather/" + gap.warehouse + ": " + gap.reason);
   }
-  const integration::BiReport& report = fed.report;
-  fields.emplace_back("joined_days", std::to_string(report.joined_days));
-  fields.emplace_back("correlation",
-                      FormatDouble(report.pearson_temperature_tickets, 4));
-  fields.emplace_back("best_low_c", FormatDouble(report.best.low_c, 1));
-  fields.emplace_back("best_high_c", FormatDouble(report.best.high_c, 1));
-  fields.emplace_back("best_avg_tickets",
-                      FormatDouble(report.best.avg_tickets, 2));
-  fields.emplace_back("best_observations",
-                      std::to_string(report.best.observations));
-  std::ostringstream ranges;
-  for (const auto& range : report.ranges) {
-    ranges << "[" << FormatDouble(range.low_c, 1) << ", "
-           << FormatDouble(range.high_c, 1)
-           << ") avg_tickets=" << FormatDouble(range.avg_tickets, 2)
-           << " observations=" << range.observations << "\n";
-  }
-  response.payload = ranges.str();
+  AddBiReport(fed.report, &response);
   return response;
 }
 

@@ -57,9 +57,6 @@ struct ServeTenantConfig {
   /// tripped tenants fast-fail with kCircuitOpen (or a stale cached
   /// answer) instead of burning retry budget per request.
   BreakerConfig breaker;
-  /// Default per-request deadline budget in cost units when the request
-  /// does not carry `budget=` (0 = unlimited).
-  double default_ask_budget = 0.0;
   /// Federated query engine whose local member is this tenant's warehouse
   /// (caller-owned, must outlive the server; null = tenant not federated).
   /// `bi` requests with `scope=federated` fan out through it; the engine's
@@ -76,8 +73,6 @@ struct ServerConfig {
   /// Admission control: bounded queue, cost budget, per-tenant concurrency
   /// and rate limits.
   AdmissionConfig admission;
-  /// Estimated admission cost of one `feed` question (an `ask` costs 1).
-  double feed_cost_per_question = 1.0;
   /// Admission cost of one `bi` request when no estimate is available,
   /// and the floor under every estimate.
   double bi_cost = 4.0;
@@ -93,9 +88,6 @@ struct ServerConfig {
   /// is shed with a typed kOverloaded `bi_cost` rejection when the
   /// tenant's views cannot cover the analysis.
   double max_bi_cost = 0.0;
-  /// Estimated admission cost of one `ingest` request (preprocess +
-  /// linguistic analysis + two index appends for one document).
-  double ingest_cost = 2.0;
   /// Upper bound on one request frame.
   size_t max_frame_bytes = 1 << 20;
 };

@@ -1,8 +1,9 @@
-// The FederatedEngine's per-warehouse-state conflict cache: a resolution is
-// reused only while neither warehouse changed (Warehouse::stamp()) and the
-// policy is the one it was computed under. Every test checks the federated
-// answer against the MergeWarehouses oracle of the warehouses' current
-// content, so a stale resolution shows as a wrong row.
+// Conflict resolution in the FederatedEngine: a read's conflict resolution
+// is part of its stored plan, reused only while no member changed
+// (Warehouse::stamp()) and the policy is the one it was planned under, and
+// counted on every read. Every answer test checks the federated answer
+// against the MergeWarehouses oracle of the warehouses' current content, so
+// a stale resolution shows as a wrong row.
 
 #include <memory>
 #include <string>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include "common/fault.h"
 #include "common/metric_names.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
@@ -264,23 +266,63 @@ TEST_F(ConflictCacheTest, ConflictCountsAreBumpedPerQuery) {
   ASSERT_GT(resolution->stats.remote_rows_dropped, 0u);
 
   MetricRegistry metrics;
-  auto engine = MakeEngine(policy);
+  FaultInjector chaos;  // Disabled except for the partial read.
+  FaultConfig partner_fails;
+  partner_fails.rules = {{kFaultPointFedSubquery, 1.0}};
+  auto engine = std::make_unique<FederatedEngine>(local_.get());
+  ASSERT_TRUE(
+      engine->AddRemote("partner", remote_.get(), mapping_, &chaos).ok());
+  engine->set_policy(policy);
   engine->set_metrics(&metrics);
-  for (int queries = 1; queries <= 3; ++queries) {
-    ASSERT_TRUE(engine->Execute(WeatherByCityDay()).ok());
+  // Every kind of read: planned, reused, partial off the stored plan, and
+  // planned again after a write on either side. The writes meet no key of
+  // the other side, so every read resolves the same conflicts.
+  const std::vector<std::string> reads = {"first", "reused", "partial",
+                                          "after a local write",
+                                          "after a remote write"};
+  for (int queries = 1; queries <= int(reads.size()); ++queries) {
+    const std::string& read = reads[queries - 1];
+    chaos = read == "partial" ? FaultInjector(partner_fails) : FaultInjector();
+    if (read == "after a local write") {
+      InsertWeather(local_.get(), "Oslo", "2004-01-04", 1.5,
+                    "http://local.example/weather/oslo");
+    } else if (read == "after a remote write") {
+      InsertWeather(remote_.get(), "Oslo", "2004-01-05", 2.5,
+                    "http://partner.example/weather/oslo");
+    }
+    auto now = ResolveConflicts(*local_, *remote_, mapping_, *weather, policy);
+    ASSERT_TRUE(now.ok());
+    ASSERT_EQ(now->stats.deduplicated_rows,
+              resolution->stats.deduplicated_rows);
+    ASSERT_EQ(now->stats.remote_rows_dropped,
+              resolution->stats.remote_rows_dropped);
+
+    auto got = engine->Execute(WeatherByCityDay());
+    ASSERT_TRUE(got.ok()) << read;
+    EXPECT_EQ(got->coverage.full(), read != "partial") << read;
     const MetricLabels dedup = {{"policy", "prefer_local"},
                           {"resolution", "deduplicated"}};
     const MetricLabels dropped = {{"policy", "prefer_local"},
                             {"resolution", "remote"}};
     EXPECT_EQ(metrics.Value(kMetricFedConflicts, dedup),
-              queries * double(resolution->stats.deduplicated_rows));
+              queries * double(resolution->stats.deduplicated_rows))
+        << read;
     EXPECT_EQ(metrics.Value(kMetricFedConflicts, dropped),
-              queries * double(resolution->stats.remote_rows_dropped));
+              queries * double(resolution->stats.remote_rows_dropped))
+        << read;
   }
+  // The sequence took the paths it names.
+  EXPECT_EQ(metrics.Value(kMetricFedSubqueries,
+                          {{"warehouse", "partner"}, {"outcome", "reused"}}),
+            1.0);
+  EXPECT_EQ(metrics.Value(kMetricFedSubqueries,
+                          {{"warehouse", "partner"}, {"outcome", "ok"}}),
+            3.0);
 }
 
-/// Concurrent Group calls over a cold cache race to fill it: every caller
-/// must see the serial answer (the suite runs under TSan via `threads`).
+/// Concurrent GroupShared calls over a cold store race to fill it: every
+/// caller must see the serial answer (the suite runs under TSan via
+/// `threads`).
 TEST_F(ConflictCacheTest, ConcurrentGroupCallsMatchTheSerialAnswer) {
   InsertWeather(local_.get(), "Barcelona", "2004-01-01",
                 PartnerBarcelona("2004-01-01") + 10.0, kPartnerBarcelona);
@@ -306,14 +348,14 @@ TEST_F(ConflictCacheTest, ConcurrentGroupCallsMatchTheSerialAnswer) {
     callers.emplace_back([&, t] {
       for (size_t round = 0; round < kRounds; ++round) {
         const size_t qi = (t + round) % queries.size();
-        auto grouped = engine->Group(queries[qi]);
+        auto grouped = engine->GroupShared(queries[qi]);
         if (!grouped.ok()) {
           failures[t] = grouped.status().ToString();
           return;
         }
         auto rendered =
-            Render(queries[qi], grouped->grouped, grouped->slots);
-        if (!rendered.ok() || !grouped->coverage.full() ||
+            Render(queries[qi], (*grouped)->grouped, (*grouped)->slots);
+        if (!rendered.ok() || !(*grouped)->coverage.full() ||
             rendered->rows != expected[qi].rows) {
           failures[t] = "caller " + std::to_string(t) +
                         " diverged on query " + std::to_string(qi);

@@ -445,6 +445,22 @@ TEST_F(ReadReuseTest, AChaosPartialAnswerIsNeverReused) {
   EXPECT_EQ(Diff(partial->result, again->result), "");
 }
 
+TEST_F(ReadReuseTest, LocalChaosArmedAfterAStoredReadIsProbed) {
+  FederatedEngine engine(world_.local());
+  ASSERT_TRUE(
+      engine.AddRemote("partner", world_.remote(), world_.mapping()).ok());
+  const OlapQuery q = Queries()[0];
+  auto stored = engine.Execute(q);
+  ASSERT_TRUE(stored.ok() && stored->coverage.full());
+  // The stored read's plan must not keep the injector it was planned with.
+  FaultInjector local_fails = AlwaysFails();
+  engine.set_local_chaos(&local_fails);
+  auto partial = engine.Execute(q);
+  ASSERT_TRUE(partial.ok());
+  ASSERT_EQ(partial->coverage.missing.size(), 1u);
+  EXPECT_EQ(partial->coverage.missing.front().warehouse, "local");
+}
+
 }  // namespace
 }  // namespace fed
 }  // namespace dw
