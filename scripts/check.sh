@@ -67,7 +67,8 @@ if [ -n "$SANITIZE" ]; then
   #   chaos       fault-injection sweeps over the whole pipeline
   #   serve       admission, answer cache, drain and concurrent asks
   #   durability  the WAL parser, recovery replay and the crash-point sweep
-  #               (torn and bit-flipped inputs walk parsers off buffers)
+  #               (torn and bit-flipped inputs walk parsers off buffers),
+  #               and the Fs seam: pwrite/fdatasync handle, directory syncs
   #   index       delta+varint decoding, block skipping, inline merges
   #   views       delta maintenance of shared AggStates under the catalog
   #               lock, the chaos-fed and crash-point view sweeps

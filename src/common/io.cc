@@ -5,10 +5,13 @@
 
 #include <algorithm>
 #include <array>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 namespace dwqa {
 
@@ -47,6 +50,45 @@ std::string Crc32Hex(std::string_view data) {
 
 namespace {
 
+/// An IOError naming `path` and the current errno.
+Status ErrnoError(const std::string& what, const std::string& path) {
+  const int err = errno;
+  return Status::IOError(what + " '" + path + "': " + std::strerror(err));
+}
+
+/// \brief One O_WRONLY descriptor: pwrite(2) and fdatasync(2).
+class PosixWritableFile : public WritableFile {
+ public:
+  PosixWritableFile(std::string path, int fd)
+      : path_(std::move(path)), fd_(fd) {}
+  ~PosixWritableFile() override { ::close(fd_); }
+  PosixWritableFile(const PosixWritableFile&) = delete;
+  PosixWritableFile& operator=(const PosixWritableFile&) = delete;
+
+  Status WriteAt(uint64_t offset, std::string_view data) override {
+    while (!data.empty()) {
+      ssize_t n = ::pwrite(fd_, data.data(), data.size(),
+                           static_cast<off_t>(offset));
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        return ErrnoError("pwrite failed on", path_);
+      }
+      data.remove_prefix(static_cast<size_t>(n));
+      offset += static_cast<uint64_t>(n);
+    }
+    return Status::OK();
+  }
+
+  Status Sync() override {
+    if (::fdatasync(fd_) != 0) return ErrnoError("fdatasync failed on", path_);
+    return Status::OK();
+  }
+
+ private:
+  std::string path_;
+  int fd_;
+};
+
 /// \brief Fs implementation over std::filesystem + POSIX fsync.
 class RealFs : public Fs {
  public:
@@ -69,14 +111,11 @@ class RealFs : public Fs {
                       : Status::IOError("write failed: " + path);
   }
 
-  Status AppendFile(const std::string& path,
-                    const std::string& data) override {
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    if (!out) return Status::IOError("cannot open '" + path + "'");
-    out.write(data.data(), static_cast<std::streamsize>(data.size()));
-    out.flush();
-    return out.good() ? Status::OK()
-                      : Status::IOError("append failed: " + path);
+  Result<std::unique_ptr<WritableFile>> OpenWritable(
+      const std::string& path) override {
+    int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
+    if (fd < 0) return ErrnoError("cannot open for writing", path);
+    return std::unique_ptr<WritableFile>(new PosixWritableFile(path, fd));
   }
 
   Status SyncFile(const std::string& path) override {
@@ -86,6 +125,16 @@ class RealFs : public Fs {
     ::close(fd);
     if (rc != 0) return Status::IOError("fsync failed: " + path);
     return Status::OK();
+  }
+
+  Status SyncDir(const std::string& dir) override {
+    int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    if (fd < 0) return ErrnoError("cannot open directory for fsync", dir);
+    Status synced = ::fsync(fd) == 0
+                        ? Status::OK()
+                        : ErrnoError("fsync failed on directory", dir);
+    ::close(fd);
+    return synced;
   }
 
   Status Rename(const std::string& from, const std::string& to) override {
@@ -178,7 +227,10 @@ Status WriteFileAtomic(Fs* fs, const std::string& path,
   const std::string tmp = path + ".tmp";
   DWQA_RETURN_NOT_OK(fs->WriteFile(tmp, data));
   DWQA_RETURN_NOT_OK(fs->SyncFile(tmp));
-  return fs->Rename(tmp, path);
+  DWQA_RETURN_NOT_OK(fs->Rename(tmp, path));
+  // The rename is an entry of the parent directory: durable once it is.
+  const std::string parent = fs::path(path).parent_path().string();
+  return fs->SyncDir(parent.empty() ? "." : parent);
 }
 
 const char* CrashModeName(CrashMode mode) {
@@ -225,7 +277,7 @@ FaultFs::OpVerdict FaultFs::BookOp(const std::string& op,
   return OpVerdict::kProceed;
 }
 
-std::string FaultFs::MangleData(const std::string& data) {
+std::string FaultFs::MangleData(std::string_view data) {
   switch (plan_.mode) {
     case CrashMode::kStop:
       return "";
@@ -233,10 +285,10 @@ std::string FaultFs::MangleData(const std::string& data) {
       // A strict prefix: at least 0, at most size-1 bytes survive (a torn
       // write that lands fully is indistinguishable from no crash).
       if (data.empty()) return "";
-      return data.substr(0, rng_.Next() % data.size());
+      return std::string(data.substr(0, rng_.Next() % data.size()));
     case CrashMode::kBitFlip: {
-      if (data.empty()) return data;
-      std::string flipped = data;
+      if (data.empty()) return "";
+      std::string flipped(data);
       size_t at = rng_.Next() % flipped.size();
       flipped[at] = static_cast<char>(
           flipped[at] ^ static_cast<char>(1u << (rng_.Next() % 8)));
@@ -264,19 +316,64 @@ Status FaultFs::WriteFile(const std::string& path, const std::string& data) {
   return base_->WriteFile(path, data);
 }
 
-Status FaultFs::AppendFile(const std::string& path,
-                           const std::string& data) {
-  Status failure;
-  switch (BookOp("append", path, &failure)) {
-    case OpVerdict::kFail: return failure;
-    case OpVerdict::kCrashNow: {
-      std::string mangled = MangleData(data);
-      if (!mangled.empty()) base_->AppendFile(path, mangled);
-      return Status::IOError("injected crash during append '" + path + "'");
+/// \brief A WritableFile of the decorated Fs whose writes and syncs book
+/// ops of the FaultFs that opened it.
+class FaultFs::File : public WritableFile {
+ public:
+  File(FaultFs* fs, std::string path, std::unique_ptr<WritableFile> base)
+      : fs_(fs), path_(std::move(path)), base_(std::move(base)) {}
+
+  Status WriteAt(uint64_t offset, std::string_view data) override {
+    Status failure;
+    switch (fs_->BookOp("append", path_, &failure)) {
+      case OpVerdict::kFail: return failure;
+      case OpVerdict::kCrashNow: {
+        std::string mangled = fs_->MangleData(data);
+        if (!mangled.empty()) (void)base_->WriteAt(offset, mangled);
+        return Status::IOError("injected crash during append '" + path_ +
+                               "'");
+      }
+      case OpVerdict::kProceed: break;
     }
+    return base_->WriteAt(offset, data);
+  }
+
+  Status Sync() override { return fs_->SyncOpenFile(path_, base_.get()); }
+
+ private:
+  FaultFs* fs_;
+  std::string path_;
+  std::unique_ptr<WritableFile> base_;
+};
+
+Result<std::unique_ptr<WritableFile>> FaultFs::OpenWritable(
+    const std::string& path) {
+  DWQA_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> base,
+                        base_->OpenWritable(path));
+  return std::unique_ptr<WritableFile>(
+      new File(this, path, std::move(base)));
+}
+
+Status FaultFs::SyncOpenFile(const std::string& path, WritableFile* base) {
+  Status failure;
+  switch (BookOp("sync", path, &failure)) {
+    case OpVerdict::kFail: return failure;
+    case OpVerdict::kCrashNow:
+      return Status::IOError("injected crash during sync '" + path + "'");
     case OpVerdict::kProceed: break;
   }
-  return base_->AppendFile(path, data);
+  return base->Sync();
+}
+
+Status FaultFs::SyncDir(const std::string& dir) {
+  Status failure;
+  switch (BookOp("syncdir", dir, &failure)) {
+    case OpVerdict::kFail: return failure;
+    case OpVerdict::kCrashNow:
+      return Status::IOError("injected crash during syncdir '" + dir + "'");
+    case OpVerdict::kProceed: break;
+  }
+  return base_->SyncDir(dir);
 }
 
 Status FaultFs::SyncFile(const std::string& path) {

@@ -2,6 +2,7 @@
 #define DWQA_COMMON_IO_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,6 +22,21 @@ uint32_t Crc32(std::string_view data);
 /// Crc32 rendered as 8 lowercase hex digits ("414fa339").
 std::string Crc32Hex(std::string_view data);
 
+/// \brief An open file written in place: one descriptor kept across
+/// writes, so a log pays for the open once and its commit is one data sync.
+class WritableFile {
+ public:
+  virtual ~WritableFile() = default;
+
+  /// Writes `data` at byte `offset`, extending the file when it ends
+  /// before `offset + data.size()`.
+  virtual Status WriteAt(uint64_t offset, std::string_view data) = 0;
+  /// fdatasync(2): the durability barrier of an open file. Data written
+  /// before a successful Sync survives a crash after it; metadata that
+  /// reading it back does not need (mtime) may not.
+  virtual Status Sync() = 0;
+};
+
 /// \brief The file-system seam of the durability layer.
 ///
 /// Every byte the WAL, snapshot, recovery and persistence code moves goes
@@ -38,12 +54,15 @@ class Fs {
   /// Create-or-truncate write of the whole file (flushed, not fsynced).
   virtual Status WriteFile(const std::string& path,
                            const std::string& data) = 0;
-  /// Appends `data` to `path`, creating it if absent.
-  virtual Status AppendFile(const std::string& path,
-                            const std::string& data) = 0;
+  /// Opens the existing file `path` for in-place writes.
+  virtual Result<std::unique_ptr<WritableFile>> OpenWritable(
+      const std::string& path) = 0;
   /// fsync(2) of an existing file: the durability barrier. Data written
   /// before a successful SyncFile must survive a crash after it.
   virtual Status SyncFile(const std::string& path) = 0;
+  /// fsync(2) of a directory: the entries created, renamed or removed in
+  /// `dir` before a successful SyncDir survive a crash after it.
+  virtual Status SyncDir(const std::string& dir) = 0;
   /// Atomic replace (rename(2) semantics on POSIX).
   virtual Status Rename(const std::string& from, const std::string& to) = 0;
   virtual Status RemoveFile(const std::string& path) = 0;
@@ -66,8 +85,10 @@ Fs* RealFilesystem();
 inline Fs* FsOrReal(Fs* fs) { return fs != nullptr ? fs : RealFilesystem(); }
 
 /// Atomic whole-file replace: write `path`.tmp, fsync it, rename onto
-/// `path`. After a crash at any point the previous content of `path` is
-/// intact or the new content is fully visible — never a torn mix.
+/// `path`, fsync the parent directory. After a crash at any point the
+/// previous content of `path` is intact or the new content is fully
+/// visible — never a torn mix — and once it returns OK the new content
+/// stays.
 Status WriteFileAtomic(Fs* fs, const std::string& path,
                        const std::string& data);
 
@@ -100,9 +121,11 @@ struct CrashPlan {
 
 /// \brief A crash-injecting, operation-recording Fs decorator.
 ///
-/// Every *mutating* operation (write, append, sync, rename, remove,
-/// create-dirs, truncate) increments an op counter and appends an
-/// "op:path" line to the op log; reads pass through untouched. When the
+/// Every *mutating* operation (write, append, sync, syncdir, rename,
+/// remove, create-dirs, truncate) increments an op counter and appends an
+/// "op:path" line to the op log; reads pass through untouched. A
+/// WritableFile it opens books its WriteAt as "append" and its Sync as
+/// "sync" on the file's path; opening one books nothing. When the
 /// counter reaches CrashPlan::crash_at_op the planned crash fires: the
 /// op is dropped, torn or bit-flipped per the mode, and every later
 /// mutating op fails with kIOError("injected crash") — the moral
@@ -135,9 +158,10 @@ class FaultFs : public Fs {
 
   Result<std::string> ReadFile(const std::string& path) override;
   Status WriteFile(const std::string& path, const std::string& data) override;
-  Status AppendFile(const std::string& path,
-                    const std::string& data) override;
+  Result<std::unique_ptr<WritableFile>> OpenWritable(
+      const std::string& path) override;
   Status SyncFile(const std::string& path) override;
+  Status SyncDir(const std::string& dir) override;
   Status Rename(const std::string& from, const std::string& to) override;
   Status RemoveFile(const std::string& path) override;
   Status RemoveAll(const std::string& path) override;
@@ -147,7 +171,15 @@ class FaultFs : public Fs {
   Result<uint64_t> FileSize(const std::string& path) override;
   Status TruncateFile(const std::string& path, uint64_t size) override;
 
+ protected:
+  /// The Sync of a WritableFile this Fs opened on `path`: books "sync",
+  /// then syncs `base`, the file the decorated Fs opened. A subclass
+  /// overrides it to fail commit syncs.
+  virtual Status SyncOpenFile(const std::string& path, WritableFile* base);
+
  private:
+  class File;
+
   /// Books one mutating op named `op` on `path`. Returns, in order of
   /// precedence: the dead-after-crash error, the injected transient fault,
   /// the crash verdict (kCrashNow), or OK.
@@ -156,7 +188,7 @@ class FaultFs : public Fs {
                    Status* failure);
   /// Applies the crash mode to a data-carrying op. Returns the bytes that
   /// should still reach the base Fs ("" for kStop).
-  std::string MangleData(const std::string& data);
+  std::string MangleData(std::string_view data);
 
   Fs* base_;
   CrashPlan plan_;

@@ -142,6 +142,8 @@ Result<std::string> SnapshotWriter::Write(const std::string& dir,
   DWQA_RETURN_NOT_OK(WriteFileAtomic(fs, tmp_dir + "/" + kManifestFile,
                                      ManifestSerde::ToText(manifest)));
   DWQA_RETURN_NOT_OK(fs->Rename(tmp_dir, final_dir));
+  // The commit is the rename, an entry of `dir`: durable once `dir` is.
+  DWQA_RETURN_NOT_OK(fs->SyncDir(dir));
   return final_dir;
 }
 

@@ -56,8 +56,9 @@ struct SnapshotInfo {
 ///
 /// Write() builds the snapshot in `snap-<lsn>.tmp` (every file written
 /// atomically, the manifest last) and commits it with one directory
-/// rename: a crash at any point leaves either no new snapshot or a
-/// complete, verifiable one — never a torn half-snapshot. Readers treat a
+/// rename, then syncs `dir` so the rename survives a crash: a crash at any
+/// point leaves either no new snapshot or a complete, verifiable one —
+/// never a torn half-snapshot. Readers treat a
 /// snapshot as valid only if its MANIFEST parses and every entry matches
 /// in size and CRC. `commits.txt` compacts the WAL's commit records as the
 /// tables compact its facts, so dropping covered segments loses nothing.

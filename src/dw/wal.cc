@@ -102,10 +102,27 @@ std::string SegmentHeader(Lsn start_lsn) {
          std::to_string(start_lsn) + "\n";
 }
 
-std::string FrameRecord(Lsn lsn, const std::string& payload) {
-  return "rec\t" + std::to_string(lsn) + "\t" +
-         std::to_string(payload.size()) + "\t" + Crc32Hex(payload) + "\n" +
-         payload + "\n";
+/// Replaces `frame` with the record `lsn` of `payload`:
+///   rec<TAB><lsn><TAB><payload-bytes><TAB><crc32-hex>\n<payload>\n
+/// built in place, so a reused buffer allocates nothing per append.
+void FrameRecord(Lsn lsn, const std::string& payload, std::string* frame) {
+  char head[64];
+  const int head_bytes =
+      std::snprintf(head, sizeof(head), "rec\t%llu\t%zu\t%08x\n",
+                    static_cast<unsigned long long>(lsn), payload.size(),
+                    static_cast<unsigned>(Crc32(payload)));
+  frame->clear();
+  frame->reserve(static_cast<size_t>(head_bytes) + payload.size() + 1);
+  frame->append(head, static_cast<size_t>(head_bytes));
+  frame->append(payload);
+  frame->push_back('\n');
+}
+
+/// Bytes of `content` up to and including its last non-zero byte: what a
+/// preallocated segment holds before its zero tail.
+size_t DataEnd(const std::string& content) {
+  const size_t last = content.find_last_not_of('\0');
+  return last == std::string::npos ? 0 : last + 1;
 }
 
 }  // namespace
@@ -337,10 +354,12 @@ bool ScanSegment(const std::string& file, const std::string& content,
                  Lsn filename_lsn, WalScan* scan) {
   WalSegmentInfo info;
   info.file = file;
+  const size_t data_end = DataEnd(content);
   auto tear = [&](size_t offset, const std::string& why) {
     info.torn_offset = offset;
+    info.end_offset = offset;
     scan->torn_tail = true;
-    scan->torn_bytes += content.size() - offset;
+    scan->torn_bytes += data_end > offset ? data_end - offset : 0;
     scan->issues.push_back(file + ": torn tail at offset " +
                            std::to_string(offset) + " (" + why + ")");
     scan->segments.push_back(info);
@@ -366,6 +385,12 @@ bool ScanSegment(const std::string& file, const std::string& content,
 
   size_t pos = nl + 1;
   while (pos < content.size()) {
+    if (content[pos] == '\0') {
+      // A preallocated segment's unwritten remainder: zeros to the end.
+      // Anything written past a zero run is a tear.
+      if (data_end <= pos) break;
+      return tear(pos, "non-zero bytes past a zero run");
+    }
     size_t rec_nl = content.find('\n', pos);
     if (rec_nl == std::string::npos) return tear(pos, "incomplete record header");
     std::vector<std::string> fields =
@@ -410,6 +435,7 @@ bool ScanSegment(const std::string& file, const std::string& content,
     scan->records.push_back(WalRecord{lsn, std::move(payload)});
     pos = next;
   }
+  info.end_offset = pos;
   scan->segments.push_back(info);
   return true;
 }
@@ -429,8 +455,8 @@ Result<WalScan> ScanWal(const std::string& dir, Fs* fs) {
     if (torn) {
       // Framing past the first tear cannot be trusted; later segments are
       // part of the torn region.
-      auto size = fs->FileSize(path);
-      scan.torn_bytes += size.ok() ? static_cast<size_t>(*size) : 0;
+      auto content = fs->ReadFile(path);
+      scan.torn_bytes += content.ok() ? DataEnd(*content) : 0;
       scan.issues.push_back(name + ": unreachable past torn tail");
       WalSegmentInfo info;
       info.file = name;
@@ -449,29 +475,23 @@ Result<size_t> TruncateTornTail(const std::string& dir, const WalScan& scan,
                                 Fs* fs) {
   fs = FsOrReal(fs);
   if (!scan.torn_tail) return static_cast<size_t>(0);
-  size_t dropped = 0;
   bool past_tear = false;
+  bool removed = false;
   for (const WalSegmentInfo& info : scan.segments) {
     const std::string path = dir + "/" + info.file;
-    if (past_tear) {
-      DWQA_ASSIGN_OR_RETURN(uint64_t size, fs->FileSize(path));
-      dropped += static_cast<size_t>(size);
+    if (!past_tear && !info.torn()) continue;
+    if (past_tear || info.torn_offset == 0) {
+      // Past the tear, or not even the header survived: drop the file.
       DWQA_RETURN_NOT_OK(fs->RemoveFile(path));
-      continue;
-    }
-    if (!info.torn()) continue;
-    past_tear = true;
-    DWQA_ASSIGN_OR_RETURN(uint64_t size, fs->FileSize(path));
-    dropped += static_cast<size_t>(size) - info.torn_offset;
-    if (info.torn_offset == 0) {
-      // Not even the header survived: drop the whole segment file.
-      DWQA_RETURN_NOT_OK(fs->RemoveFile(path));
+      removed = true;
     } else {
       DWQA_RETURN_NOT_OK(fs->TruncateFile(path, info.torn_offset));
       DWQA_RETURN_NOT_OK(fs->SyncFile(path));
     }
+    past_tear = true;
   }
-  return dropped;
+  if (removed) DWQA_RETURN_NOT_OK(fs->SyncDir(dir));
+  return scan.torn_bytes;
 }
 
 CommittedLog ApplyCommitRule(const WalScan& scan, CommitSet base,
@@ -520,6 +540,17 @@ CommittedLog ApplyCommitRule(const WalScan& scan, CommitSet base,
   return log;
 }
 
+WalWriter::Instruments::Instruments(MetricRegistry* metrics)
+    : appends(metrics ? metrics->GetCounter(kMetricWalAppends) : nullptr),
+      append_bytes(metrics ? metrics->GetCounter(kMetricWalAppendBytes)
+                           : nullptr),
+      append_failures(metrics ? metrics->GetCounter(kMetricWalAppendFailures)
+                              : nullptr),
+      syncs(metrics ? metrics->GetCounter(kMetricWalSyncs) : nullptr),
+      rotations(metrics ? metrics->GetCounter(kMetricWalRotations) : nullptr),
+      last_lsn(metrics ? metrics->GetGauge(kMetricWalLastLsn) : nullptr),
+      segments(metrics ? metrics->GetGauge(kMetricWalSegments) : nullptr) {}
+
 Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& dir,
                                                    WalOptions options,
                                                    Fs* fs,
@@ -536,20 +567,20 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& dir,
   writer->last_lsn_ = scan.last_lsn;
   for (const WalSegmentInfo& info : scan.segments) {
     writer->segments_.push_back(
-        Segment{info.file, info.start_lsn, info.last_lsn});
+        Segment{info.file, info.start_lsn, info.last_lsn, false, 0, nullptr});
   }
   if (writer->segments_.empty()) {
     DWQA_RETURN_NOT_OK(writer->StartSegment(scan.last_lsn + 1));
   } else {
-    DWQA_ASSIGN_OR_RETURN(
-        uint64_t size,
-        fs->FileSize(dir + "/" + writer->segments_.back().file));
-    writer->current_segment_bytes_ = static_cast<size_t>(size);
+    // Resume right after the last record: a zero tail past it is the
+    // preallocated room the next appends fill.
+    DWQA_ASSIGN_OR_RETURN(writer->segments_.back().file_handle,
+                          fs->OpenWritable(writer->current_segment_path()));
+    writer->current_segment_bytes_ = scan.segments.back().end_offset;
   }
-  if (metrics != nullptr) {
-    metrics->GetGauge(kMetricWalLastLsn)->Set(
-        static_cast<double>(writer->last_lsn_));
-    metrics->GetGauge(kMetricWalSegments)->Set(
+  if (writer->instruments_.last_lsn != nullptr) {
+    writer->instruments_.last_lsn->Set(static_cast<double>(writer->last_lsn_));
+    writer->instruments_.segments->Set(
         static_cast<double>(writer->segments_.size()));
   }
   return writer;
@@ -561,13 +592,25 @@ std::string WalWriter::current_segment_path() const {
 
 Status WalWriter::StartSegment(Lsn start_lsn) {
   const std::string name = SegmentFileName(start_lsn);
-  const std::string header = SegmentHeader(start_lsn);
-  DWQA_RETURN_NOT_OK(fs_->WriteFile(dir_ + "/" + name, header));
-  segments_.push_back(Segment{name, start_lsn, 0, true, 0});
-  current_segment_bytes_ = header.size();
-  if (metrics_ != nullptr) {
-    metrics_->GetGauge(kMetricWalSegments)->Set(
-        static_cast<double>(segments_.size()));
+  const std::string path = dir_ + "/" + name;
+  // The whole segment is written once, header first and zeros after, and
+  // made durable with its directory entry. A commit then overwrites zeros
+  // in place: it changes neither the file's size nor its metadata, so its
+  // sync is one fdatasync.
+  std::string image = SegmentHeader(start_lsn);
+  const size_t header_bytes = image.size();
+  if (image.size() < options_.segment_bytes) {
+    image.resize(options_.segment_bytes, '\0');
+  }
+  DWQA_RETURN_NOT_OK(fs_->WriteFile(path, image));
+  DWQA_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
+                        fs_->OpenWritable(path));
+  DWQA_RETURN_NOT_OK(file->Sync());
+  DWQA_RETURN_NOT_OK(fs_->SyncDir(dir_));
+  segments_.push_back(Segment{name, start_lsn, 0, true, 0, std::move(file)});
+  current_segment_bytes_ = header_bytes;
+  if (instruments_.segments != nullptr) {
+    instruments_.segments->Set(static_cast<double>(segments_.size()));
   }
   return Status::OK();
 }
@@ -575,8 +618,8 @@ Status WalWriter::StartSegment(Lsn start_lsn) {
 Result<Lsn> WalWriter::Append(const std::string& payload) {
   DWQA_RETURN_NOT_OK(failed_);
   auto fail = [&](Status status) -> Result<Lsn> {
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter(kMetricWalAppendFailures)->Increment();
+    if (instruments_.append_failures != nullptr) {
+      instruments_.append_failures->Increment();
     }
     return status;
   };
@@ -589,25 +632,23 @@ Result<Lsn> WalWriter::Append(const std::string& payload) {
       (rotate_pending_ || current_segment_bytes_ >= options_.segment_bytes)) {
     Status started = StartSegment(lsn);
     if (!started.ok()) return fail(started);
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter(kMetricWalRotations)->Increment();
-    }
+    if (instruments_.rotations != nullptr) instruments_.rotations->Increment();
   }
   rotate_pending_ = false;
-  const std::string frame = FrameRecord(lsn, payload);
-  Status appended = fs_->AppendFile(current_segment_path(), frame);
-  if (!appended.ok()) return fail(appended);
+  FrameRecord(lsn, payload, &frame_);
   Segment& segment = segments_.back();
+  Status appended =
+      segment.file_handle->WriteAt(current_segment_bytes_, frame_);
+  if (!appended.ok()) return fail(appended);
   if (!segment.unsynced) segment.synced_bytes = current_segment_bytes_;
   segment.unsynced = true;
   segment.last_lsn = lsn;
   last_lsn_ = lsn;
-  current_segment_bytes_ += frame.size();
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter(kMetricWalAppends)->Increment();
-    metrics_->GetCounter(kMetricWalAppendBytes)
-        ->Increment(static_cast<double>(payload.size()));
-    metrics_->GetGauge(kMetricWalLastLsn)->Set(static_cast<double>(lsn));
+  current_segment_bytes_ += frame_.size();
+  if (instruments_.appends != nullptr) {
+    instruments_.appends->Increment();
+    instruments_.append_bytes->Increment(static_cast<double>(payload.size()));
+    instruments_.last_lsn->Set(static_cast<double>(lsn));
   }
   return lsn;
 }
@@ -622,8 +663,8 @@ Result<Lsn> WalWriter::AppendCommit(const WalCommit& commit) {
 
 Result<Lsn> WalWriter::AppendSerialized(const Result<std::string>& payload) {
   if (!payload.ok()) {
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter(kMetricWalAppendFailures)->Increment();
+    if (instruments_.append_failures != nullptr) {
+      instruments_.append_failures->Increment();
     }
     return payload.status();
   }
@@ -634,7 +675,7 @@ Status WalWriter::Sync() {
   DWQA_RETURN_NOT_OK(failed_);
   for (Segment& segment : segments_) {
     if (!segment.unsynced) continue;
-    Status synced = fs_->SyncFile(dir_ + "/" + segment.file);
+    Status synced = segment.file_handle->Sync();
     if (!synced.ok()) {
       // Nothing unsynced was acknowledged: cut it back off, newest first,
       // so a later writeback cannot make an unacknowledged commit durable.
@@ -650,9 +691,12 @@ Status WalWriter::Sync() {
       return failed_;
     }
     segment.unsynced = false;
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter(kMetricWalSyncs)->Increment();
-    }
+    if (instruments_.syncs != nullptr) instruments_.syncs->Increment();
+  }
+  // Segments a rotation closed are durable now: only the current one
+  // stays open.
+  for (size_t i = 0; i + 1 < segments_.size(); ++i) {
+    segments_[i].file_handle.reset();
   }
   return Status::OK();
 }
@@ -677,9 +721,8 @@ Result<size_t> WalWriter::DropSegmentsCoveredBy(Lsn covered_lsn) {
     segments_.erase(segments_.begin());
     ++dropped;
   }
-  if (metrics_ != nullptr && dropped > 0) {
-    metrics_->GetGauge(kMetricWalSegments)->Set(
-        static_cast<double>(segments_.size()));
+  if (instruments_.segments != nullptr && dropped > 0) {
+    instruments_.segments->Set(static_cast<double>(segments_.size()));
   }
   return dropped;
 }

@@ -120,8 +120,9 @@ class CommitSetSerde {
 
 /// \brief Options of a WalWriter.
 struct WalOptions {
-  /// Segment rotation threshold: a segment that has grown past this many
-  /// bytes is closed and a new one started at the next append.
+  /// Segment size: each segment is created as a zero-filled image of this
+  /// many bytes, and one whose records reach past it is closed and a new
+  /// one started at the next append.
   size_t segment_bytes = 64 * 1024;
 };
 
@@ -132,6 +133,9 @@ struct WalSegmentInfo {
   Lsn first_lsn = 0;    ///< First valid record (0 when empty).
   Lsn last_lsn = 0;     ///< Last valid record (0 when empty).
   size_t records = 0;   ///< Valid records in the segment.
+  /// Byte offset just past the last whole record: where a writer resumes.
+  /// A zero tail after it is the segment's unwritten room.
+  size_t end_offset = 0;
   /// Byte offset of a torn/malformed tail inside this file
   /// (std::string::npos when the segment is clean).
   size_t torn_offset = static_cast<size_t>(-1);
@@ -146,7 +150,9 @@ struct WalScan {
   std::vector<WalSegmentInfo> segments;
   Lsn last_lsn = 0;             ///< Highest valid LSN seen (0 = empty log).
   bool torn_tail = false;       ///< A torn/malformed region was found.
-  size_t torn_bytes = 0;        ///< Bytes from the first tear to EOF.
+  /// Bytes from the first tear to the end of the log, each segment counted
+  /// up to its last non-zero byte (a zero tail holds nothing).
+  size_t torn_bytes = 0;
   /// Well-framed records whose payload failed its CRC (bit rot): skipped,
   /// never replayed; recovery quarantines them.
   std::vector<WalRecord> corrupt_records;
@@ -158,12 +164,15 @@ struct WalScan {
 /// validates CRCs and LSN monotonicity, locates torn tails. An empty or
 /// absent directory yields an empty scan, not an error. Scanning stops at
 /// the first torn region (framing cannot be trusted past it); well-framed
-/// CRC failures are skipped and collected instead.
+/// CRC failures are skipped and collected instead. Zeros from the last
+/// whole record to the end of a segment are its clean end; a torn record
+/// before them, or a non-zero byte after a zero, is a tear.
 Result<WalScan> ScanWal(const std::string& dir, Fs* fs = nullptr);
 
 /// Truncates the torn region a scan found: the tail of the torn segment is
 /// cut at the tear offset and any later segment files are removed (their
-/// framing is unreachable past the tear). Returns bytes dropped.
+/// framing is unreachable past the tear), then the directory is synced.
+/// Returns the scan's torn_bytes.
 Result<size_t> TruncateTornTail(const std::string& dir, const WalScan& scan,
                                 Fs* fs = nullptr);
 
@@ -203,11 +212,18 @@ CommittedLog ApplyCommitRule(const WalScan& scan, CommitSet base = {},
 ///   rec<TAB><lsn><TAB><payload-bytes><TAB><crc32-hex>\n
 ///   <payload>\n
 ///
-/// with the CRC computed over the payload bytes. Appends only write; Sync()
-/// is the durability barrier, and the feed calls it once per question,
-/// after the question's commit record. Open() continues an existing log:
-/// it scans for the highest LSN, truncates any torn tail (same policy as
-/// recovery), and appends to the newest segment.
+/// with the CRC computed over the payload bytes, and then zeros to the end
+/// of the file. A segment is created as a zero-filled image of
+/// WalOptions::segment_bytes with the header first, and that file and its
+/// directory are synced once, at creation. The writer keeps the current
+/// segment open and writes each record at the segment's logical end, over
+/// the zeros; a record that reaches past the image extends the file.
+/// Appends only write; Sync() is the durability barrier, one fdatasync of
+/// the open segment, and the feed calls it once per question, after the
+/// question's commit record. Open() continues an existing log: it scans
+/// for the highest LSN, truncates any torn tail (same policy as recovery),
+/// and appends right after the newest segment's last record. Segments
+/// written before preallocation (no zero tail) scan and continue alike.
 class WalWriter {
  public:
   /// Opens (or creates) the log at `dir`. `metrics` (optional) receives
@@ -226,7 +242,7 @@ class WalWriter {
   /// WalCommitSerde::ToPayload + Append.
   Result<Lsn> AppendCommit(const WalCommit& commit);
 
-  /// fsyncs every segment written since the last sync, one closed by a
+  /// fdatasyncs every segment written since the last sync, one closed by a
   /// rotation included. A failed sync cuts the unsynced bytes back off the
   /// log (best effort: none was acknowledged) and fails the writer until
   /// the log is reopened.
@@ -248,12 +264,26 @@ class WalWriter {
   size_t segment_count() const { return segments_.size(); }
 
  private:
+  /// The dwqa_wal_* series, resolved once at Open (all null without a
+  /// registry).
+  struct Instruments {
+    explicit Instruments(MetricRegistry* metrics);
+    Counter* appends;
+    Counter* append_bytes;
+    Counter* append_failures;
+    Counter* syncs;
+    Counter* rotations;
+    Gauge* last_lsn;
+    Gauge* segments;
+  };
+
   WalWriter(std::string dir, WalOptions options, Fs* fs,
             MetricRegistry* metrics)
       : dir_(std::move(dir)), options_(options), fs_(fs),
-        metrics_(metrics) {}
+        instruments_(metrics) {}
 
-  /// Starts a fresh segment whose header declares `start_lsn`.
+  /// Creates, fills with zeros and syncs a fresh segment whose header
+  /// declares `start_lsn`, and makes it the current one.
   Status StartSegment(Lsn start_lsn);
   /// Appends a serialized payload, or counts and returns its error.
   Result<Lsn> AppendSerialized(const Result<std::string>& payload);
@@ -261,7 +291,7 @@ class WalWriter {
   std::string dir_;
   WalOptions options_;
   Fs* fs_;
-  MetricRegistry* metrics_;
+  Instruments instruments_;
   Lsn last_lsn_ = 0;
   /// Every live segment, oldest first.
   struct Segment {
@@ -272,9 +302,14 @@ class WalWriter {
     /// created since: a failed sync removes it).
     bool unsynced = false;
     size_t synced_bytes = 0;
+    /// Open while the segment is current or holds unsynced records.
+    std::unique_ptr<WritableFile> file_handle;
   };
   std::vector<Segment> segments_;
+  /// Logical end of the current segment: where the next record goes.
   size_t current_segment_bytes_ = 0;
+  /// The frame being appended, kept to reuse its capacity.
+  std::string frame_;
   /// Set by a failed sync; returned by every later call.
   Status failed_;
   /// A rotation was requested; the next append opens a new segment.

@@ -66,7 +66,8 @@ struct DurabilityConfig {
   /// need crash safety. The pipeline's warehouse must be the one
   /// Recovery::Open rebuilt from this root (or empty for a fresh root).
   std::string dir;
-  /// Segment rotation threshold, forwarded to dw::WalOptions.
+  /// Preallocated WAL segment size and rotation threshold, forwarded to
+  /// dw::WalOptions.
   size_t wal_segment_bytes = 64 * 1024;
   /// Ignored: every question is synced once, at its commit. Kept only
   /// because the benchmark fixture still sets it.

@@ -119,6 +119,19 @@ TEST(ManifestFuzzProperty, MutatedManifestsFailTypedOrRoundTrip) {
                 });
 }
 
+/// The snapshot commits by renaming its build directory, then syncs the
+/// parent directory so the rename itself is durable.
+TEST_F(SnapshotTest, CommitRenameIsFollowedByADirectorySync) {
+  FaultFs recorder(RealFilesystem());
+  auto path = SnapshotWriter::Write(Dir(), PopulatedWarehouse(), {}, 7,
+                                    &recorder);
+  ASSERT_TRUE(path.ok()) << path.status().ToString();
+  const std::vector<std::string>& ops = recorder.op_log();
+  ASSERT_GE(ops.size(), 2u);
+  EXPECT_EQ(ops[ops.size() - 2], "rename:" + *path + ".tmp");
+  EXPECT_EQ(ops.back(), "syncdir:" + Dir());
+}
+
 TEST_F(SnapshotTest, WriteCommitVerifyRoundTrip) {
   Warehouse wh = PopulatedWarehouse();
   std::string path = SnapshotWriter::Write(Dir(), wh, {}, 7).ValueOrDie();

@@ -9,6 +9,8 @@
 #include "common/io.h"
 #include "common/metrics.h"
 #include "common/metric_names.h"
+#include "dw/recovery.h"
+#include "integration/last_minute_sales.h"
 #include "tests/dw/text_mutation.h"
 
 namespace dwqa {
@@ -302,7 +304,8 @@ TEST_F(WalTest, UnsyncedAppendsAreFlushedByExplicitSync) {
   EXPECT_EQ(metrics.GetCounter(kMetricWalSyncs)->value(), syncs_before + 1);
 }
 
-/// The real filesystem, except that every fsync fails while armed.
+/// The real filesystem, except that every fsync fails while armed: by
+/// path, and that of an open file (the WAL's commit sync).
 class FailingSyncFs : public FaultFs {
  public:
   bool fail_syncs = false;
@@ -310,6 +313,12 @@ class FailingSyncFs : public FaultFs {
   Status SyncFile(const std::string& path) override {
     if (fail_syncs) return Status::IOError("injected fsync failure");
     return FaultFs::SyncFile(path);
+  }
+
+ protected:
+  Status SyncOpenFile(const std::string& path, WritableFile* base) override {
+    if (fail_syncs) return Status::IOError("injected fsync failure");
+    return FaultFs::SyncOpenFile(path, base);
   }
 };
 
@@ -325,9 +334,12 @@ TEST_F(WalTest, SyncCoversASegmentClosedByRotation) {
   ASSERT_TRUE(wal->Append("second").ok());
   std::string second_segment = wal->current_segment_path();
   ASSERT_NE(first_segment, second_segment);
+  // Each segment was synced once at creation; count the commit's syncs.
+  const size_t ops_before_sync = recorder.op_count();
   ASSERT_TRUE(wal->Sync().ok());
   std::vector<std::string> syncs;
-  for (const std::string& op : recorder.op_log()) {
+  for (size_t i = ops_before_sync; i < recorder.op_log().size(); ++i) {
+    const std::string& op = recorder.op_log()[i];
     if (op.rfind("sync:", 0) == 0) syncs.push_back(op.substr(5));
   }
   EXPECT_EQ(syncs,
@@ -361,6 +373,234 @@ TEST_F(WalTest, FailedSyncCutsTheUnsyncedTailAndFailsTheWriter) {
   EXPECT_FALSE(scan.torn_tail);
   auto wal = WalWriter::Open(Dir()).ValueOrDie();
   EXPECT_EQ(wal->Append("reopened").ValueOrDie(), 2u);
+}
+
+/// A segment's text as the writer frames it (the layout wal.h documents),
+/// followed by `zeros` zero bytes.
+std::string SegmentText(Lsn start_lsn, const std::vector<WalRecord>& records,
+                        size_t zeros = 0) {
+  std::string text = "dwqa-wal\t1\t" + std::to_string(start_lsn) + "\n";
+  for (const WalRecord& rec : records) {
+    text += "rec\t" + std::to_string(rec.lsn) + "\t" +
+            std::to_string(rec.payload.size()) + "\t" +
+            Crc32Hex(rec.payload) + "\n" + rec.payload + "\n";
+  }
+  return text + std::string(zeros, '\0');
+}
+
+std::string ReadAll(const std::string& path) {
+  return RealFilesystem()->ReadFile(path).ValueOrDie();
+}
+
+bool SameRecords(const std::vector<WalRecord>& a,
+                 const std::vector<WalRecord>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].lsn != b[i].lsn || a[i].payload != b[i].payload) return false;
+  }
+  return true;
+}
+
+/// Frames stay byte-identical: a new segment is the header, the frame of
+/// each record, and zeros up to segment_bytes.
+TEST_F(WalTest, SegmentBytesArePinned) {
+  WalOptions options;
+  options.segment_bytes = 4096;
+  auto wal = WalWriter::Open(Dir(), options).ValueOrDie();
+  ASSERT_EQ(wal->Append("hello").ValueOrDie(), 1u);
+  ASSERT_EQ(wal->Append("commit\t1\t1\nquestion\tq\n").ValueOrDie(), 2u);
+  ASSERT_TRUE(wal->Sync().ok());
+  const std::string expected =
+      std::string("dwqa-wal\t1\t1\n") +
+      "rec\t1\t5\t3610a686\nhello\n"
+      "rec\t2\t22\t3213192a\ncommit\t1\t1\nquestion\tq\n\n";
+  const std::string content = ReadAll(wal->current_segment_path());
+  ASSERT_EQ(content.size(), 4096u);
+  EXPECT_EQ(content.substr(0, expected.size()), expected);
+  EXPECT_EQ(content.substr(expected.size()),
+            std::string(4096 - expected.size(), '\0'));
+}
+
+/// A segment is made durable once, at creation: its zero image, then the
+/// file, then the directory entry. Appends only write in place.
+TEST_F(WalTest, SegmentCreationSyncsTheFileAndItsDirectory) {
+  FaultFs recorder(RealFilesystem());
+  auto wal = WalWriter::Open(Dir(), {}, &recorder).ValueOrDie();
+  const std::string segment = wal->current_segment_path();
+  ASSERT_TRUE(wal->Append("a").ok());
+  ASSERT_TRUE(wal->Sync().ok());
+  EXPECT_EQ(recorder.op_log(),
+            (std::vector<std::string>{"mkdir:" + Dir(), "write:" + segment,
+                                      "sync:" + segment, "syncdir:" + Dir(),
+                                      "append:" + segment,
+                                      "sync:" + segment}));
+}
+
+/// Removing segments past a tear is a directory change: it is synced.
+TEST_F(WalTest, TornTailRemovalSyncsTheDirectory) {
+  WalOptions options;
+  options.segment_bytes = 1;  // One record per segment.
+  {
+    auto wal = WalWriter::Open(Dir(), options).ValueOrDie();
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(wal->Append("p").ok());
+  }
+  const std::string first = Dir() + "/wal-00000000000000000001.log";
+  {
+    std::ofstream out(first, std::ios::app | std::ios::binary);
+    out << "rec\t9";  // Tears the first segment: the later two go.
+  }
+  WalScan scan = ScanWal(Dir()).ValueOrDie();
+  ASSERT_TRUE(scan.torn_tail);
+  FaultFs recorder(RealFilesystem());
+  ASSERT_EQ(TruncateTornTail(Dir(), scan, &recorder).ValueOrDie(),
+            scan.torn_bytes);
+  EXPECT_EQ(recorder.op_log(),
+            (std::vector<std::string>{
+                "truncate:" + first, "sync:" + first,
+                "remove:" + Dir() + "/wal-00000000000000000002.log",
+                "remove:" + Dir() + "/wal-00000000000000000003.log",
+                "syncdir:" + Dir()}));
+  EXPECT_EQ(ScanWal(Dir()).ValueOrDie().records.size(), 1u);
+}
+
+TEST_F(WalTest, RecordsFollowedByZerosScanClean) {
+  auto wal = WalWriter::Open(Dir()).ValueOrDie();
+  ASSERT_TRUE(wal->Append("one").ok());
+  ASSERT_TRUE(wal->AppendFact(SampleFact()).ok());
+  ASSERT_TRUE(wal->Sync().ok());
+  // The commit wrote in place: the segment keeps its preallocated size.
+  EXPECT_EQ(RealFilesystem()->FileSize(wal->current_segment_path())
+                .ValueOrDie(),
+            WalOptions().segment_bytes);
+  WalScan scan = ScanWal(Dir()).ValueOrDie();
+  EXPECT_FALSE(scan.torn_tail);
+  EXPECT_EQ(scan.torn_bytes, 0u);
+  EXPECT_TRUE(scan.issues.empty()) << scan.issues[0];
+  ASSERT_EQ(scan.records.size(), 2u);
+  ASSERT_EQ(scan.segments.size(), 1u);
+  const std::string content = ReadAll(wal->current_segment_path());
+  EXPECT_EQ(scan.segments[0].end_offset, content.find_last_not_of('\0') + 1);
+}
+
+TEST_F(WalTest, TornRecordBeforeTheZeroTailIsATear) {
+  std::string segment;
+  size_t end = 0;
+  {
+    auto wal = WalWriter::Open(Dir()).ValueOrDie();
+    ASSERT_TRUE(wal->Append("committed-1").ok());
+    ASSERT_TRUE(wal->Append("committed-2").ok());
+    segment = wal->current_segment_path();
+    end = ScanWal(Dir()).ValueOrDie().segments[0].end_offset;
+  }
+  // Every strict prefix of the next frame, landed in place over zeros.
+  const std::string frame =
+      SegmentText(3, {{3, "never-synced"}}).substr(SegmentText(3, {}).size());
+  const std::string clean = ReadAll(segment);
+  for (size_t cut = 1; cut < frame.size(); ++cut) {
+    std::string torn = clean;
+    torn.replace(end, cut, frame.substr(0, cut));
+    ASSERT_TRUE(RealFilesystem()->WriteFile(segment, torn).ok());
+    WalScan scan = ScanWal(Dir()).ValueOrDie();
+    ASSERT_TRUE(scan.torn_tail) << "cut " << cut;
+    EXPECT_EQ(scan.segments[0].torn_offset, end) << "cut " << cut;
+    EXPECT_EQ(scan.torn_bytes, cut) << "cut " << cut;
+    EXPECT_EQ(scan.records.size(), 2u) << "cut " << cut;
+  }
+  // Open cuts the tear off and appends right where it began.
+  auto wal = WalWriter::Open(Dir()).ValueOrDie();
+  EXPECT_EQ(wal->Append("after-recovery").ValueOrDie(), 3u);
+  WalScan after = ScanWal(Dir()).ValueOrDie();
+  EXPECT_FALSE(after.torn_tail);
+  ASSERT_EQ(after.records.size(), 3u);
+  EXPECT_EQ(after.records[2].payload, "after-recovery");
+}
+
+TEST_F(WalTest, NonZeroBytesAfterZerosAreATear) {
+  std::string segment;
+  {
+    auto wal = WalWriter::Open(Dir()).ValueOrDie();
+    ASSERT_TRUE(wal->Append("committed").ok());
+    segment = wal->current_segment_path();
+  }
+  const size_t end = ScanWal(Dir()).ValueOrDie().segments[0].end_offset;
+  std::string content = ReadAll(segment);
+  content[end + 100] = 'x';
+  ASSERT_TRUE(RealFilesystem()->WriteFile(segment, content).ok());
+  WalScan scan = ScanWal(Dir()).ValueOrDie();
+  ASSERT_TRUE(scan.torn_tail);
+  EXPECT_EQ(scan.segments[0].torn_offset, end);
+  EXPECT_EQ(scan.torn_bytes, 101u);  // Up to the last non-zero byte.
+  ASSERT_EQ(scan.records.size(), 1u);
+  ASSERT_EQ(scan.issues.size(), 1u);
+  EXPECT_NE(scan.issues[0].find("torn tail at offset " + std::to_string(end)),
+            std::string::npos)
+      << scan.issues[0];
+}
+
+TEST_F(WalTest, ReopenedWriterAppendsRightAfterTheLastRecord) {
+  {
+    auto wal = WalWriter::Open(Dir()).ValueOrDie();
+    ASSERT_TRUE(wal->Append("a").ok());
+    ASSERT_TRUE(wal->Append("b").ok());
+    ASSERT_TRUE(wal->Sync().ok());
+  }
+  auto wal = WalWriter::Open(Dir()).ValueOrDie();
+  ASSERT_EQ(wal->Append("c").ValueOrDie(), 3u);
+  ASSERT_TRUE(wal->Sync().ok());
+  const std::string expected = SegmentText(1, {{1, "a"}, {2, "b"}, {3, "c"}});
+  EXPECT_EQ(ReadAll(wal->current_segment_path()),
+            expected + std::string(WalOptions().segment_bytes -
+                                       expected.size(),
+                                   '\0'));
+}
+
+/// A log written before segments were preallocated has no zero tail: it
+/// scans as it always did, and the writer continues it at its end.
+TEST_F(WalTest, LogWithoutAZeroTailScansAndContinues) {
+  stdfs::create_directories(dir_);
+  const std::string segment = (dir_ / "wal-00000000000000000001.log").string();
+  ASSERT_TRUE(RealFilesystem()
+                  ->WriteFile(segment, SegmentText(1, {{1, "old-1"},
+                                                       {2, "old-2"}}))
+                  .ok());
+  WalScan before = ScanWal(Dir()).ValueOrDie();
+  EXPECT_FALSE(before.torn_tail);
+  EXPECT_TRUE(before.issues.empty());
+  ASSERT_EQ(before.records.size(), 2u);
+  {
+    auto wal = WalWriter::Open(Dir()).ValueOrDie();
+    EXPECT_EQ(wal->last_lsn(), 2u);
+    ASSERT_EQ(wal->Append("new-3").ValueOrDie(), 3u);
+    ASSERT_TRUE(wal->Sync().ok());
+  }
+  EXPECT_EQ(ReadAll(segment),
+            SegmentText(1, {{1, "old-1"}, {2, "old-2"}, {3, "new-3"}}));
+  WalScan after = ScanWal(Dir()).ValueOrDie();
+  EXPECT_FALSE(after.torn_tail);
+  EXPECT_EQ(after.records.size(), 3u);
+}
+
+TEST_F(WalTest, RecoveryOfACleanPreallocatedLogFindsNoTornTail) {
+  {
+    auto wal = WalWriter::Open(Dir()).ValueOrDie();
+    WalCommit commit;
+    commit.question = "What is the temperature in Barcelona?";
+    commit.first_lsn = wal->AppendFact(SampleFact(8.0)).ValueOrDie();
+    commit.last_lsn = wal->AppendFact(SampleFact(9.0, "Madrid")).ValueOrDie();
+    ASSERT_TRUE(wal->AppendCommit(commit).ok());
+    ASSERT_TRUE(wal->Sync().ok());
+  }
+  RecoveryOptions options;
+  options.bootstrap_schema = integration::LastMinuteSales::MakeSchema();
+  auto recovered = Recovery::Open(Dir(), options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->torn_bytes_truncated, 0u);
+  EXPECT_EQ(recovered->replayed, 2u);
+  EXPECT_EQ(recovered->last_lsn, 3u);
+  for (const std::string& issue : recovered->issues) {
+    EXPECT_EQ(issue.find("torn"), std::string::npos) << issue;
+  }
+  EXPECT_TRUE(ScanWal(Dir()).ValueOrDie().issues.empty());
 }
 
 TEST(WalCommitSerdeTest, RoundTrip) {
@@ -512,6 +752,79 @@ TEST(WalParserFuzzProperty, MutatedCommitSetFilesDoNotCrash) {
                   EXPECT_EQ(CommitSetSerde::FromText(*again).ValueOrDie(),
                             *parsed);
                 });
+}
+
+/// A preallocated segment holding a fact and its commit, its path and the
+/// offset its zero tail starts at.
+struct PreallocatedSegment {
+  std::string path;
+  std::string content;
+  size_t end = 0;
+  std::vector<WalRecord> records;
+};
+
+PreallocatedSegment WritePreallocatedSegment(const std::string& dir) {
+  WalOptions options;
+  options.segment_bytes = 1024;
+  auto wal = WalWriter::Open(dir, options).ValueOrDie();
+  WalCommit commit;
+  commit.question = "What is the temperature in Barcelona?";
+  commit.first_lsn = wal->AppendFact(SampleFact()).ValueOrDie();
+  commit.last_lsn = commit.first_lsn;
+  EXPECT_TRUE(wal->AppendCommit(commit).ok());
+  EXPECT_TRUE(wal->Sync().ok());
+  WalScan scan = ScanWal(dir).ValueOrDie();
+  return {wal->current_segment_path(), ReadAll(wal->current_segment_path()),
+          scan.segments[0].end_offset, scan.records};
+}
+
+// Segment fuzz: a mutated preallocated segment either yields a typed tear
+// or CRC finding, or its records re-frame into a segment that scans to
+// the same records.
+TEST_F(WalTest, MutatedPreallocatedSegmentsTearOrRoundTrip) {
+  const PreallocatedSegment base = WritePreallocatedSegment(Dir());
+  ASSERT_EQ(base.records.size(), 2u);
+  FuzzMutations(base.content, 19, [&](const std::string& mutated) {
+    ASSERT_TRUE(RealFilesystem()->WriteFile(base.path, mutated).ok());
+    WalScan scan = ScanWal(Dir()).ValueOrDie();
+    if (scan.torn_tail || !scan.corrupt_records.empty()) {
+      ASSERT_FALSE(scan.issues.empty());
+      return;
+    }
+    ASSERT_EQ(scan.segments.size(), 1u);
+    ASSERT_TRUE(RealFilesystem()
+                    ->WriteFile(base.path,
+                                SegmentText(scan.segments[0].start_lsn,
+                                            scan.records, 64))
+                    .ok());
+    WalScan again = ScanWal(Dir()).ValueOrDie();
+    EXPECT_FALSE(again.torn_tail);
+    EXPECT_TRUE(again.corrupt_records.empty());
+    EXPECT_TRUE(SameRecords(again.records, scan.records));
+  });
+}
+
+// Zero-tail fuzz: edits past the last record never yield a record. The
+// segment scans clean while the tail is all zeros and tears at its start
+// once it holds anything else.
+TEST_F(WalTest, MutatedZeroTailNeverYieldsARecord) {
+  const PreallocatedSegment base = WritePreallocatedSegment(Dir());
+  FuzzMutations(
+      base.content, 23,
+      [&](const std::string& mutated) {
+        ASSERT_EQ(mutated.substr(0, base.end), base.content.substr(0, base.end));
+        ASSERT_TRUE(RealFilesystem()->WriteFile(base.path, mutated).ok());
+        WalScan scan = ScanWal(Dir()).ValueOrDie();
+        EXPECT_TRUE(SameRecords(scan.records, base.records));
+        EXPECT_TRUE(scan.corrupt_records.empty());
+        const bool zero_tail =
+            mutated.find_first_not_of('\0', base.end) == std::string::npos;
+        EXPECT_EQ(scan.torn_tail, !zero_tail);
+        if (!zero_tail) {
+          EXPECT_EQ(scan.segments[0].torn_offset, base.end);
+        }
+      },
+      base.end);
 }
 
 }  // namespace

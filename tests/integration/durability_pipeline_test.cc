@@ -52,7 +52,8 @@ dw::RecoveryOptions BootstrapRecovery() {
   return options;
 }
 
-/// The real filesystem, except that every fsync fails while armed.
+/// The real filesystem, except that every fsync fails while armed: by
+/// path, and that of an open file (the WAL's commit sync).
 class FailingSyncFs : public FaultFs {
  public:
   bool fail_syncs = false;
@@ -60,6 +61,12 @@ class FailingSyncFs : public FaultFs {
   Status SyncFile(const std::string& path) override {
     if (fail_syncs) return Status::IOError("injected fsync failure");
     return FaultFs::SyncFile(path);
+  }
+
+ protected:
+  Status SyncOpenFile(const std::string& path, WritableFile* base) override {
+    if (fail_syncs) return Status::IOError("injected fsync failure");
+    return FaultFs::SyncOpenFile(path, base);
   }
 };
 
