@@ -194,15 +194,6 @@ class RealFs : public Fs {
     return names;
   }
 
-  Result<uint64_t> FileSize(const std::string& path) override {
-    std::error_code ec;
-    uint64_t size = fs::file_size(path, ec);
-    if (ec) {
-      return Status::IOError("cannot stat '" + path + "': " + ec.message());
-    }
-    return size;
-  }
-
   Status TruncateFile(const std::string& path, uint64_t size) override {
     std::error_code ec;
     fs::resize_file(path, size, ec);
@@ -440,10 +431,6 @@ bool FaultFs::Exists(const std::string& path) { return base_->Exists(path); }
 
 Result<std::vector<std::string>> FaultFs::ListDir(const std::string& dir) {
   return base_->ListDir(dir);
-}
-
-Result<uint64_t> FaultFs::FileSize(const std::string& path) {
-  return base_->FileSize(path);
 }
 
 Status FaultFs::TruncateFile(const std::string& path, uint64_t size) {

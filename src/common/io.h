@@ -72,7 +72,6 @@ class Fs {
   virtual bool Exists(const std::string& path) = 0;
   /// Entry names (not full paths) of a directory, sorted.
   virtual Result<std::vector<std::string>> ListDir(const std::string& dir) = 0;
-  virtual Result<uint64_t> FileSize(const std::string& path) = 0;
   /// Truncates `path` to `size` bytes (torn-tail removal).
   virtual Status TruncateFile(const std::string& path, uint64_t size) = 0;
 };
@@ -168,7 +167,6 @@ class FaultFs : public Fs {
   Status CreateDirs(const std::string& path) override;
   bool Exists(const std::string& path) override;
   Result<std::vector<std::string>> ListDir(const std::string& dir) override;
-  Result<uint64_t> FileSize(const std::string& path) override;
   Status TruncateFile(const std::string& path, uint64_t size) override;
 
  protected:

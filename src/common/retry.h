@@ -13,6 +13,9 @@
 
 namespace dwqa {
 
+/// Seed of every RetryCall's jitter draw stream.
+inline constexpr uint64_t kRetryJitterSeed = 42;
+
 /// \brief Exponential backoff with seeded jitter.
 ///
 /// Delays grow geometrically from `base_delay_ms`, capped at `max_delay_ms`,
@@ -27,7 +30,6 @@ struct RetryPolicy {
   double backoff_factor = 2.0;   ///< Multiplier between attempts.
   /// Fraction of the delay randomized away: delay *= 1 - U(0, jitter).
   double jitter = 0.5;
-  uint64_t jitter_seed = 42;  ///< Seed of the jitter draw stream.
   /// When false, delays are computed (and reported) but not slept —
   /// deterministic-schedule tests do not want wall-clock in the loop.
   bool sleep = true;
@@ -85,7 +87,7 @@ template <typename Fn>
 Status RetryCall(const RetryPolicy& policy, Fn&& fn,
                  RetryStats* stats = nullptr, Deadline* deadline = nullptr,
                  const std::string& stage = "retry") {
-  Rng rng(policy.jitter_seed);
+  Rng rng(kRetryJitterSeed);
   RetryStats local;
   Status last = Status::OK();
   int max_attempts = policy.max_attempts < 1 ? 1 : policy.max_attempts;

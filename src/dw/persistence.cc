@@ -158,25 +158,30 @@ Result<MdSchema> SchemaSerde::FromText(const std::string& text) {
   return schema;
 }
 
-Status WarehousePersistence::Save(const Warehouse& wh, const std::string& dir,
-                                  Fs* fs) {
-  fs = FsOrReal(fs);
-  DWQA_RETURN_NOT_OK(fs->CreateDirs(dir));
-  DWQA_RETURN_NOT_OK(WriteFileAtomic(fs, dir + "/schema.txt",
-                                     SchemaSerde::ToText(wh.schema())));
+Status WarehousePersistence::Render(
+    const Warehouse& wh, const std::function<Status(const File&)>& sink) {
+  DWQA_RETURN_NOT_OK(sink({"schema.txt", SchemaSerde::ToText(wh.schema())}));
   for (const DimensionDef& dim : wh.schema().dimensions()) {
     DWQA_ASSIGN_OR_RETURN(const Table* table, wh.DimensionTable(dim.name));
     DWQA_RETURN_NOT_OK(
-        WriteFileAtomic(fs, dir + "/dim_" + Slug(dim.name) + ".csv",
-                        CsvEtl::ExportTable(*table)));
+        sink({"dim_" + Slug(dim.name) + ".csv", CsvEtl::ExportTable(*table)}));
   }
   for (const FactDef& fact : wh.schema().facts()) {
     DWQA_ASSIGN_OR_RETURN(std::string csv, CsvEtl::ExportFact(wh,
                                                               fact.name));
-    DWQA_RETURN_NOT_OK(WriteFileAtomic(
-        fs, dir + "/fact_" + Slug(fact.name) + ".csv", csv));
+    DWQA_RETURN_NOT_OK(
+        sink({"fact_" + Slug(fact.name) + ".csv", std::move(csv)}));
   }
   return Status::OK();
+}
+
+Status WarehousePersistence::Save(const Warehouse& wh, const std::string& dir,
+                                  Fs* fs) {
+  fs = FsOrReal(fs);
+  DWQA_RETURN_NOT_OK(fs->CreateDirs(dir));
+  return Render(wh, [&](const File& file) {
+    return WriteFileAtomic(fs, dir + "/" + file.name, file.bytes);
+  });
 }
 
 Result<Warehouse> WarehousePersistence::Load(const std::string& dir,

@@ -1,6 +1,7 @@
 #ifndef DWQA_DW_PERSISTENCE_H_
 #define DWQA_DW_PERSISTENCE_H_
 
+#include <functional>
 #include <string>
 
 #include "common/io.h"
@@ -35,11 +36,25 @@ class SchemaSerde {
 /// sets and fact rows round-trip exactly.
 ///
 /// All I/O goes through a common/io Fs (null = the real filesystem) so the
-/// crash-point harness can interpose. Each file is written atomically
+/// crash-point harness can interpose. Save writes each file atomically
 /// (temp + fsync + rename): a crash mid-save leaves every file either its
 /// old or its new version, never a torn half-write.
 class WarehousePersistence {
  public:
+  /// One file of a saved warehouse: its name inside the directory and its
+  /// bytes.
+  struct File {
+    std::string name;
+    std::string bytes;
+  };
+
+  /// Renders the files Save writes, `schema.txt`, then one CSV per
+  /// dimension and one per fact, and hands each to `sink` as soon as it is
+  /// rendered, so one file's bytes are in memory at a time. Stops at the
+  /// first error, the sink's included.
+  static Status Render(const Warehouse& warehouse,
+                       const std::function<Status(const File&)>& sink);
+  /// Writes Render's files into `dir`, each with WriteFileAtomic.
   static Status Save(const Warehouse& warehouse, const std::string& dir,
                      Fs* fs = nullptr);
   static Result<Warehouse> Load(const std::string& dir, Fs* fs = nullptr);

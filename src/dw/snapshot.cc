@@ -1,5 +1,6 @@
 #include "dw/snapshot.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -122,25 +123,32 @@ Result<std::string> SnapshotWriter::Write(const std::string& dir,
   if (fs->Exists(tmp_dir)) DWQA_RETURN_NOT_OK(fs->RemoveAll(tmp_dir));
   DWQA_ASSIGN_OR_RETURN(std::string commits_text,
                         CommitSetSerde::ToText(commits));
-  DWQA_RETURN_NOT_OK(WarehousePersistence::Save(warehouse, tmp_dir, fs));
-  DWQA_RETURN_NOT_OK(
-      WriteFileAtomic(fs, tmp_dir + "/" + kCommitsFile, commits_text));
 
+  // Nothing in the build directory is visible until its rename, so each
+  // file is written in place and synced as it is rendered, its manifest
+  // entry taken from the bytes in hand, and one directory sync before the
+  // rename makes all their entries durable.
   SnapshotManifest manifest;
   manifest.lsn = lsn;
-  DWQA_ASSIGN_OR_RETURN(std::vector<std::string> names,
-                        fs->ListDir(tmp_dir));
-  for (const std::string& name : names) {
-    // WriteFileAtomic leaves no .tmp behind on success; anything else in
-    // the build dir is snapshot data and gets covered by the manifest.
-    if (EndsWith(name, ".tmp") || name == kManifestFile) continue;
-    DWQA_ASSIGN_OR_RETURN(std::string content,
-                          fs->ReadFile(tmp_dir + "/" + name));
-    manifest.entries.push_back(
-        ManifestEntry{name, content.size(), Crc32Hex(content)});
-  }
-  DWQA_RETURN_NOT_OK(WriteFileAtomic(fs, tmp_dir + "/" + kManifestFile,
-                                     ManifestSerde::ToText(manifest)));
+  auto write = [&](const WarehousePersistence::File& file) -> Status {
+    const std::string path = tmp_dir + "/" + file.name;
+    DWQA_RETURN_NOT_OK(fs->WriteFile(path, file.bytes));
+    DWQA_RETURN_NOT_OK(fs->SyncFile(path));
+    // The manifest covers every file but itself.
+    if (file.name != kManifestFile) {
+      manifest.entries.push_back(
+          ManifestEntry{file.name, file.bytes.size(), Crc32Hex(file.bytes)});
+    }
+    return Status::OK();
+  };
+  DWQA_RETURN_NOT_OK(fs->CreateDirs(tmp_dir));
+  DWQA_RETURN_NOT_OK(WarehousePersistence::Render(warehouse, write));
+  DWQA_RETURN_NOT_OK(write({kCommitsFile, std::move(commits_text)}));
+  // Manifest entries in file-name order, the order a listing gives.
+  std::sort(manifest.entries.begin(), manifest.entries.end(),
+            [](const auto& a, const auto& b) { return a.file < b.file; });
+  DWQA_RETURN_NOT_OK(write({kManifestFile, ManifestSerde::ToText(manifest)}));
+  DWQA_RETURN_NOT_OK(fs->SyncDir(tmp_dir));
   DWQA_RETURN_NOT_OK(fs->Rename(tmp_dir, final_dir));
   // The commit is the rename, an entry of `dir`: durable once `dir` is.
   DWQA_RETURN_NOT_OK(fs->SyncDir(dir));

@@ -55,8 +55,9 @@ struct SnapshotInfo {
 ///     MANIFEST                      written last, covers all other files
 ///
 /// Write() builds the snapshot in `snap-<lsn>.tmp` (every file written
-/// atomically, the manifest last) and commits it with one directory
-/// rename, then syncs `dir` so the rename survives a crash: a crash at any
+/// and synced, the manifest last, then one sync of that directory) and
+/// commits it with one directory rename, then syncs `dir` so the rename
+/// survives a crash: a crash at any
 /// point leaves either no new snapshot or a complete, verifiable one —
 /// never a torn half-snapshot. Readers treat a
 /// snapshot as valid only if its MANIFEST parses and every entry matches

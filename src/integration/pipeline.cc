@@ -251,11 +251,8 @@ void IntegrationPipeline::QuarantineFact(const qa::StructuredFact& fact,
 Status IntegrationPipeline::EnsureWalOpen() {
   const DurabilityConfig& durability = config_.resilience.durability;
   if (durability.dir.empty() || wal_ != nullptr) return Status::OK();
-  dw::WalOptions options;
-  options.segment_bytes = durability.wal_segment_bytes;
   DWQA_ASSIGN_OR_RETURN(
-      wal_, dw::WalWriter::Open(durability.dir, options, durability.fs,
-                                &metrics_));
+      wal_, dw::WalWriter::Open(durability.dir, {}, durability.fs, &metrics_));
   DWQA_ASSIGN_OR_RETURN(dw::CommitSet durable,
                         dw::ReadCommitSet(durability.dir, durability.fs));
   progress_.questions.merge(durable.questions);
@@ -326,19 +323,15 @@ Result<FeedReport> IntegrationPipeline::RunStep5(
     commit.question = question;
     DWQA_RETURN_NOT_OK(dw::WalCommitSerde::ToPayload(commit).status());
   }
-  if (resilience.validate_facts) {
-    // The Step-4 axioms (temperature intervals, unit lists) become the
-    // admission rules of the feed; explicit per-attribute rules override
-    // the ontology-derived ones, and the confidence floor gates the
-    // degraded-ladder answers.
-    validator_ = qa::FactValidator::FromOntology(merged_, {attribute});
-    qa::ValidatorConfig vconfig = validator_.config();
-    for (const auto& [attr, rule] : resilience.validator_rules) {
-      vconfig.rules[attr] = rule;
-    }
-    vconfig.confidence_floor = resilience.confidence_floor;
-    validator_ = qa::FactValidator(std::move(vconfig));
+  // The Step-4 axioms (temperature intervals, unit lists) become the
+  // admission rules of the feed; explicit per-attribute rules override the
+  // ontology-derived ones.
+  validator_ = qa::FactValidator::FromOntology(merged_, {attribute});
+  qa::ValidatorConfig vconfig = validator_.config();
+  for (const auto& [attr, rule] : resilience.validator_rules) {
+    vconfig.rules[attr] = rule;
   }
+  validator_ = qa::FactValidator(std::move(vconfig));
   FeedReport report;
   report.corpus_index_retries = corpus_index_retries_;
   traces_.clear();
@@ -492,7 +485,7 @@ Result<FeedReport> IntegrationPipeline::RunStep5(
         fact_span.Annotate("value", fact.value);
         // Admission control first: implausible facts go to the quarantine
         // before they can consume a dedup key or touch the ETL.
-        if (resilience.validate_facts) {
+        {
           Span validate_span(trace, "qa.validate");
           qa::RejectReason reason = validator_.Check(fact);
           if (reason != qa::RejectReason::kNone) {

@@ -1,7 +1,6 @@
 #ifndef DWQA_INTEGRATION_PIPELINE_H_
 #define DWQA_INTEGRATION_PIPELINE_H_
 
-#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -66,9 +65,6 @@ struct DurabilityConfig {
   /// need crash safety. The pipeline's warehouse must be the one
   /// Recovery::Open rebuilt from this root (or empty for a fresh root).
   std::string dir;
-  /// Preallocated WAL segment size and rotation threshold, forwarded to
-  /// dw::WalOptions.
-  size_t wal_segment_bytes = 64 * 1024;
   /// Ignored: every question is synced once, at its commit. Kept only
   /// because the benchmark fixture still sets it.
   bool sync_each_append = true;
@@ -85,9 +81,6 @@ struct ResilienceConfig {
   /// Retry schedule for the transient fault points (corpus indexation,
   /// per-question fetch/ask, per-record ETL load).
   RetryPolicy retry;
-  /// Gate facts through the Step-4 axiom validator; failures go to the
-  /// quarantine with a typed RejectReason instead of being dropped.
-  bool validate_facts = true;
   /// Per-attribute admission rules layered over the ontology-derived ones —
   /// the feed boundary may be stricter than the extraction-side axioms
   /// (e.g. a warehouse that only accepts a narrower interval than the QA
@@ -99,10 +92,6 @@ struct ResilienceConfig {
   /// Shared attempt/cost budget across indexation, ask and load
   /// (unlimited by default).
   DeadlineConfig deadline;
-  /// Forwarded to the fact validator: facts whose extraction confidence is
-  /// below this floor are quarantined (kBelowConfidenceFloor). The default
-  /// (-inf) admits everything, degraded-ladder answers included.
-  double confidence_floor = -std::numeric_limits<double>::infinity();
   /// Write-ahead logging + snapshots of the feed (off unless dir is set).
   DurabilityConfig durability;
 };

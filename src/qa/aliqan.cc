@@ -22,6 +22,9 @@ double MsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// Sentences per IR-n passage (the paper's footnote 6 reports eight).
+constexpr size_t kPassageWindow = 8;
+
 std::string DefaultPreprocess(const ir::Document& doc) {
   if (doc.format == ir::DocFormat::kPlainText) return doc.raw;
   return ir::Html::StripTags(doc.raw);
@@ -33,7 +36,7 @@ AliQAn::AliQAn(const ontology::Ontology* onto, AliQAnConfig config)
     : onto_(onto),
       config_(config),
       preprocessor_(DefaultPreprocess),
-      passage_index_(config.passage_window, corpus_.mutable_dictionary(),
+      passage_index_(kPassageWindow, corpus_.mutable_dictionary(),
                      config.index_options),
       doc_index_(corpus_.mutable_dictionary(), config.index_options) {}
 
@@ -68,7 +71,7 @@ Status AliQAn::IndexCorpus(const ir::DocumentStore* docs) {
   docs_ = docs;
   corpus_.Clear();
   passage_index_ =
-      ir::PassageIndex(config_.passage_window, corpus_.mutable_dictionary(),
+      ir::PassageIndex(kPassageWindow, corpus_.mutable_dictionary(),
                        config_.index_options);
   doc_index_ = ir::InvertedIndex(corpus_.mutable_dictionary(),
                                  config_.index_options);
@@ -327,7 +330,7 @@ Result<AnswerSet> AliQAn::AskWith(const std::string& question,
     Span span(trace, "qa.ladder.relaxed");
     result.answers = AnswerExtractor::Rank(
         RelaxedExtract(result.analysis, passages, corpus_,
-                       config_.degradation, config_.max_answers),
+                       config_.max_answers),
         config_.max_answers);
     AnswerExtractor::AttachSources(passages, corpus_, docs_,
                                    &result.answers);
@@ -338,7 +341,7 @@ Result<AnswerSet> AliQAn::AskWith(const std::string& question,
   }
   if (result.answers.empty() && config_.degradation.enable_ir_only) {
     Span span(trace, "qa.ladder.ir_only");
-    result.answers = IrOnlyAnswers(passages, config_.degradation);
+    result.answers = IrOnlyAnswers(passages);
     AnswerExtractor::AttachSources(passages, corpus_, docs_,
                                    &result.answers);
     if (!result.answers.empty()) {

@@ -25,8 +25,6 @@ namespace qa {
 
 /// \brief Configuration of an AliQAn instance.
 struct AliQAnConfig {
-  /// Sentences per IR-n passage (the paper's footnote 6 reports eight).
-  size_t passage_window = 8;
   /// Passages handed to the extraction module per question.
   size_t passages_to_analyze = 5;
   /// When false, Module 2 is bypassed and the extraction module analyzes

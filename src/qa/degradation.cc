@@ -64,7 +64,6 @@ namespace {
 void RelaxedExtractFromSentences(const QuestionAnalysis& q, size_t passage,
                                  ir::DocId doc,
                                  const text::SentenceView& sentences,
-                                 const DegradationConfig& config,
                                  const std::string& fallback_location,
                                  std::vector<AnswerCandidate>* out) {
   // Dates carry across sentences, like the weather-page layout the full
@@ -79,7 +78,7 @@ void RelaxedExtractFromSentences(const QuestionAnalysis& q, size_t passage,
     auto push = [&](AnswerCandidate c) {
       c.type = q.answer_type;
       c.level = DegradationLevel::kRelaxedPattern;
-      c.score = config.relaxed_score;
+      c.score = kRelaxedScore;
       c.passage_index = static_cast<uint32_t>(passage);
       c.sentence_index = static_cast<uint32_t>(si);
       c.doc = doc;
@@ -123,8 +122,7 @@ void RelaxedExtractFromSentences(const QuestionAnalysis& q, size_t passage,
 
 std::vector<AnswerCandidate> RelaxedExtract(
     const QuestionAnalysis& q, const std::vector<ir::Passage>& passages,
-    const text::AnalyzedCorpus& corpus, const DegradationConfig& config,
-    size_t max_answers) {
+    const text::AnalyzedCorpus& corpus, size_t max_answers) {
   std::vector<AnswerCandidate> out;
   std::string fallback_location =
       q.resolved_city.empty() ? q.location : q.resolved_city;
@@ -133,15 +131,14 @@ std::vector<AnswerCandidate> RelaxedExtract(
     const ir::Passage& p = passages[i];
     RelaxedExtractFromSentences(
         q, i, p.doc, corpus.View(p.doc, p.first_sentence, p.last_sentence),
-        config, fallback_location, &out);
+        fallback_location, &out);
   }
   if (out.size() > max_answers) out.resize(max_answers);
   return out;
 }
 
 std::vector<AnswerCandidate> IrOnlyAnswers(
-    const std::vector<ir::Passage>& passages,
-    const DegradationConfig& config) {
+    const std::vector<ir::Passage>& passages) {
   std::vector<AnswerCandidate> out;
   if (passages.empty()) return out;
   size_t best = 0;
@@ -151,7 +148,7 @@ std::vector<AnswerCandidate> IrOnlyAnswers(
   AnswerCandidate c;
   c.answer_text = Trim(passages[best].text);
   c.level = DegradationLevel::kIrOnly;
-  c.score = config.ir_only_score;
+  c.score = kIrOnlyScore;
   c.passage_index = static_cast<uint32_t>(best);
   c.doc = passages[best].doc;
   out.push_back(std::move(c));

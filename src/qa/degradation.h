@@ -48,6 +48,12 @@ const char* DegradationLevelName(DegradationLevel level);
 /// All levels in order, for iteration in reports.
 const std::vector<DegradationLevel>& AllDegradationLevels();
 
+/// Score of a rung-2 (relaxed) candidate: kept deliberately below any
+/// full-pattern score, so a confidence floor can cut the ladder.
+inline constexpr double kRelaxedScore = 0.1;
+/// Score of the rung-3 (IR-only) passage answer.
+inline constexpr double kIrOnlyScore = 0.05;
+
 /// \brief Tuning of the answer ladder. Both rungs default OFF so the
 /// published extraction behaviour (and every golden test built on it) is
 /// untouched unless a caller opts in.
@@ -56,18 +62,13 @@ struct DegradationConfig {
   bool enable_relaxed = false;
   /// Rung 3: IR-only best-passage answer when even rung 2 is empty.
   bool enable_ir_only = false;
-  /// Score assigned to relaxed candidates (kept deliberately below any
-  /// full-pattern score so a confidence floor can cut the ladder).
-  double relaxed_score = 0.1;
-  /// Score assigned to the IR-only passage answer.
-  double ir_only_score = 0.05;
 
   bool enabled() const { return enable_relaxed || enable_ir_only; }
 };
 
 /// Rung 2: extracts bare mentions (numbers for numerical/temporal
 /// questions, proper nouns otherwise) from the retrieved passages without
-/// the strict answer patterns. Candidates carry `config.relaxed_score` and
+/// the strict answer patterns. Candidates carry kRelaxedScore and
 /// DegradationLevel::kRelaxedPattern.
 ///
 /// The rung pattern-matches over the cached indexation-time analyses of
@@ -78,16 +79,14 @@ struct DegradationConfig {
 /// source strings.
 std::vector<AnswerCandidate> RelaxedExtract(
     const QuestionAnalysis& q, const std::vector<ir::Passage>& passages,
-    const text::AnalyzedCorpus& corpus, const DegradationConfig& config,
-    size_t max_answers);
+    const text::AnalyzedCorpus& corpus, size_t max_answers);
 
 /// Rung 3: wraps the best retrieved passage as a valueless answer carrying
-/// `config.ir_only_score` and DegradationLevel::kIrOnly. Empty when there
+/// kIrOnlyScore and DegradationLevel::kIrOnly. Empty when there
 /// are no passages. The answer refers to its passage by index and to no
 /// sentence.
 std::vector<AnswerCandidate> IrOnlyAnswers(
-    const std::vector<ir::Passage>& passages,
-    const DegradationConfig& config);
+    const std::vector<ir::Passage>& passages);
 
 }  // namespace qa
 }  // namespace dwqa

@@ -8,6 +8,13 @@
 namespace dwqa {
 namespace qa {
 
+namespace {
+
+/// The rule of an attribute the config has none for.
+const AttributeRule kDefaultRule{};
+
+}  // namespace
+
 const char* RejectReasonName(RejectReason reason) {
   switch (reason) {
     case RejectReason::kNone:
@@ -91,7 +98,7 @@ FactValidator FactValidator::FromOntology(
 RejectReason FactValidator::Check(const StructuredFact& fact) const {
   auto it = config_.rules.find(fact.attribute);
   const AttributeRule& rule =
-      it == config_.rules.end() ? config_.default_rule : it->second;
+      it == config_.rules.end() ? kDefaultRule : it->second;
 
   if (fact.confidence < config_.confidence_floor) {
     return RejectReason::kBelowConfidenceFloor;

@@ -72,11 +72,10 @@ struct AttributeRule {
   bool require_location = true;
 };
 
-/// \brief Configuration of a FactValidator: per-attribute rules plus the
-/// fallback applied to attributes without one.
+/// \brief Configuration of a FactValidator: per-attribute rules; an
+/// attribute without one gets the permissive `AttributeRule{}`.
 struct ValidatorConfig {
   std::map<std::string, AttributeRule> rules;
-  AttributeRule default_rule;
   /// Facts whose `confidence` is below this floor are rejected with
   /// kBelowConfidenceFloor. The default (-inf) admits everything, including
   /// the low-scored degraded-ladder answers.

@@ -141,6 +141,12 @@ void AdmissionController::Release(const std::string& tenant, double cost) {
     ExportInflight(tenant, &it->second);
   }
   ExportGauges();
+  if (depth_ == 0) idle_cv_.notify_all();
+}
+
+void AdmissionController::WaitIdle() {
+  std::unique_lock<std::mutex> lock(mu_);
+  idle_cv_.wait(lock, [this] { return depth_ == 0; });
 }
 
 size_t AdmissionController::depth() const {

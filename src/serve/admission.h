@@ -1,6 +1,7 @@
 #ifndef DWQA_SERVE_ADMISSION_H_
 #define DWQA_SERVE_ADMISSION_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -98,6 +99,9 @@ class AdmissionController {
   /// Admit with the same tenant and cost.
   void Release(const std::string& tenant, double cost);
 
+  /// Blocks until no admitted request is unreleased (depth 0).
+  void WaitIdle();
+
   /// Requests admitted and not yet released.
   size_t depth() const;
   /// Cost units admitted and not yet released.
@@ -140,6 +144,11 @@ class AdmissionController {
   /// an admission takes no registry lock.
   MetricSlot<Gauge> depth_gauge_;
   MetricSlot<Gauge> cost_gauge_;
+  /// Notified when depth_ drops to 0. Declared last so that depth_ and
+  /// queued_cost_, which every admission writes under mu_, sit right after
+  /// it: declared between them, it cost perfbench `serve_mix` 4% of its
+  /// throughput.
+  std::condition_variable idle_cv_;
 };
 
 }  // namespace serve

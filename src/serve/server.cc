@@ -1,9 +1,6 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <chrono>
-#include <deque>
-#include <future>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -12,7 +9,6 @@
 
 #include "common/metric_names.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "dw/cost_estimator.h"
 #include "integration/bi_analysis.h"
 #include "qa/degradation.h"
@@ -81,6 +77,15 @@ void AddBiReport(const integration::BiReport& report, Response* response) {
 /// analysis + two index appends for one document); an `ask`, and each
 /// question of a `feed`, costs 1.
 constexpr double kIngestCost = 2.0;
+
+/// Admission cost of one `bi` request when no estimate is available, and
+/// the floor under every estimate.
+constexpr double kBiCost = 4.0;
+
+/// The payload of a `Draining` rejection.
+constexpr char kDrainingDetail[] =
+    "server is draining; finish in-flight work is guaranteed, new requests "
+    "are not accepted";
 
 /// Every shed-reason label the serving layer emits, for the health report.
 constexpr const char* kShedReasons[] = {
@@ -158,10 +163,7 @@ AnswerCache* QaServer::tenant_cache(const std::string& name) {
   return tenant == nullptr ? nullptr : &tenant->cache;
 }
 
-size_t QaServer::inflight() const {
-  std::lock_guard<std::mutex> lock(drain_mu_);
-  return inflight_;
-}
+size_t QaServer::inflight() const { return admission_.depth(); }
 
 double QaServer::CostOf(Tenant* tenant, const Request& request) {
   switch (request.endpoint) {
@@ -170,7 +172,7 @@ double QaServer::CostOf(Tenant* tenant, const Request& request) {
                               static_cast<double>(request.questions.size()));
     case Endpoint::kBi: {
       if (config_.bi_rows_per_cost_unit <= 0.0 || tenant == nullptr) {
-        return std::max(1.0, config_.bi_cost);
+        return kBiCost;
       }
       // Rows-touched estimate from table/view cardinalities — a dashboard
       // a materialized view covers admits at its group count (cheap and
@@ -180,10 +182,10 @@ double QaServer::CostOf(Tenant* tenant, const Request& request) {
       std::lock_guard<std::mutex> lock(tenant->state_mu);
       auto estimate = integration::BiAnalysis::EstimateCost(
           tenant->pipeline->warehouse(), estimator);
-      if (!estimate.ok()) return std::max(1.0, config_.bi_cost);
-      // bi_cost stays the floor: a small warehouse admits at the flat
+      if (!estimate.ok()) return kBiCost;
+      // kBiCost stays the floor: a small warehouse admits at the flat
       // weight it always did; only genuinely expensive scans weigh more.
-      return std::max(config_.bi_cost, estimate->cost_units);
+      return std::max(kBiCost, estimate->cost_units);
     }
     case Endpoint::kIngest:
       return kIngestCost;
@@ -263,20 +265,6 @@ void QaServer::CountOutcome(const Request& request,
   resolve()->Increment();
 }
 
-void QaServer::BeginRequest() {
-  std::lock_guard<std::mutex> lock(drain_mu_);
-  ++inflight_;
-}
-
-void QaServer::FinishRequest(const std::string& tenant, double cost) {
-  admission_.Release(tenant, cost);
-  {
-    std::lock_guard<std::mutex> lock(drain_mu_);
-    --inflight_;
-  }
-  drain_cv_.notify_all();
-}
-
 Response QaServer::Handle(const Request& request) {
   // One tick per request seen — the logical clock of cache TTLs and token
   // buckets (rejected requests advance it too: overload is traffic).
@@ -287,10 +275,8 @@ Response QaServer::Handle(const Request& request) {
   } else if (request.endpoint == Endpoint::kMetrics) {
     response = HandleMetrics(request);
   } else if (draining()) {
-    response = MakeReject(
-        request, RejectKind::kDraining, "draining",
-        "server is draining; finish in-flight work is guaranteed, new "
-        "requests are not accepted");
+    response = MakeReject(request, RejectKind::kDraining, "draining",
+                          kDrainingDetail);
   } else {
     Tenant* tenant = FindTenant(request.tenant);
     if (tenant == nullptr) {
@@ -322,10 +308,16 @@ Response QaServer::Handle(const Request& request) {
         response.code = RejectKindName(RejectKind::kOverloaded);
         response.reason = admitted.reason;
         response.payload = admitted.status.message();
+      } else if (draining()) {
+        // A Drain whose flag the check above missed either counted this
+        // admission, and waits for its release, or set the flag before the
+        // Admit and is seen here: nothing executes behind a drain.
+        admission_.Release(request.tenant, cost);
+        response = MakeReject(request, RejectKind::kDraining, "draining",
+                              kDrainingDetail);
       } else {
-        BeginRequest();
         response = Execute(tenant, request, tick);
-        FinishRequest(request.tenant, cost);
+        admission_.Release(request.tenant, cost);
       }
     }
   }
@@ -721,12 +713,8 @@ Status QaServer::Drain() {
       .GetGauge(kMetricServeDraining, {},
                 "1 while the server is draining or drained, 0 while accepting")
       ->Set(1.0);
-  {
-    std::unique_lock<std::mutex> lock(drain_mu_);
-    drain_cv_.wait(lock, [this] { return inflight_ == 0; });
-    if (durability_flushed_) return Status::OK();
-    durability_flushed_ = true;
-  }
+  admission_.WaitIdle();
+  if (durability_flushed_.exchange(true)) return Status::OK();
   Status first_failure = Status::OK();
   for (auto& [name, tenant] : tenants_) {
     std::lock_guard<std::mutex> lock(tenant->state_mu);
@@ -738,25 +726,8 @@ Status QaServer::Drain() {
 
 Status QaServer::ServeStream(std::istream& in, std::ostream& out) {
   Framing framing;
-  framing.max_frame_bytes = config_.max_frame_bytes;
-  ThreadPool pool(config_.workers);
-  // Responses in submission order; with workers <= 1 every future is
-  // already resolved when queued, so the stream is strictly serial.
-  std::deque<std::future<Response>> pending;
   auto write = [&](const Response& response) -> Status {
     return framing.WriteFrame(out, response.Serialize());
-  };
-  auto flush = [&](bool block) -> Status {
-    while (!pending.empty()) {
-      if (!block && pending.front().wait_for(std::chrono::seconds(0)) !=
-                        std::future_status::ready) {
-        break;
-      }
-      Response response = pending.front().get();
-      pending.pop_front();
-      DWQA_RETURN_NOT_OK(write(response));
-    }
-    return Status::OK();
   };
 
   Status termination = Status::OK();
@@ -772,7 +743,6 @@ Status QaServer::ServeStream(std::istream& in, std::ostream& out) {
     if (!parsed.ok()) {
       // The frame was well-formed, the request inside was not: answer it
       // in order with a typed BadRequest instead of killing the session.
-      DWQA_RETURN_NOT_OK(flush(true));
       metrics_
           .GetCounter(kMetricServeRejections, {{"reason", "bad_request"}},
                       "Admissions the server refused, by reason")
@@ -792,18 +762,8 @@ Status QaServer::ServeStream(std::istream& in, std::ostream& out) {
       DWQA_RETURN_NOT_OK(write(bad));
       continue;
     }
-    Request request = *parsed;
-    pending.push_back(pool.Submit([this, request] { return Handle(request); }));
-    // Bound the response buffer: admission bounds *execution*, but shed
-    // responses resolve instantly and would otherwise pile up here.
-    while (pending.size() > config_.workers * 4 + 4) {
-      Response response = pending.front().get();
-      pending.pop_front();
-      DWQA_RETURN_NOT_OK(write(response));
-    }
-    DWQA_RETURN_NOT_OK(flush(false));
+    DWQA_RETURN_NOT_OK(write(Handle(*parsed)));
   }
-  DWQA_RETURN_NOT_OK(flush(true));
   Status drained = Drain();
   if (!termination.ok()) return termination;
   return drained;

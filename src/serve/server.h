@@ -3,7 +3,6 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -66,30 +65,21 @@ struct ServeTenantConfig {
 
 /// \brief Server-wide tuning.
 struct ServerConfig {
-  /// Worker threads executing admitted requests. 1 (the default) executes
-  /// inline on the serving thread — the literal serial path, which is what
-  /// deterministic protocol tests run.
-  size_t workers = 1;
   /// Admission control: bounded queue, cost budget, per-tenant concurrency
   /// and rate limits.
   AdmissionConfig admission;
-  /// Admission cost of one `bi` request when no estimate is available,
-  /// and the floor under every estimate.
-  double bi_cost = 4.0;
   /// Fact rows one admission cost unit buys when estimating a `bi`
   /// request's cost from the tenant's warehouse (view group cardinality
   /// when a materialized view covers the aggregates, full fact scan
   /// otherwise) — so recompute-path BI requests weigh more and the cost
-  /// budget sheds them first under load. 0 disables estimation (flat
-  /// bi_cost).
+  /// budget sheds them first under load, never below the flat cost of 4
+  /// a `bi` request admits at without an estimate. 0 disables estimation.
   double bi_rows_per_cost_unit = 1000.0;
   /// Estimated-cost ceiling of one `bi` request (0 = unlimited). Above
   /// it the request degrades one ladder rung to view-only answering, and
   /// is shed with a typed kOverloaded `bi_cost` rejection when the
   /// tenant's views cannot cover the analysis.
   double max_bi_cost = 0.0;
-  /// Upper bound on one request frame.
-  size_t max_frame_bytes = 1 << 20;
 };
 
 /// \brief The QA-as-a-service front-end: a long-lived, multi-tenant
@@ -125,13 +115,13 @@ class QaServer {
   Status AddTenant(const ServeTenantConfig& tenant);
 
   /// Admits and executes one request, returning its response — the
-  /// synchronous core that both ServeStream workers and tests drive.
-  /// Thread-safe once tenants are registered.
+  /// synchronous core that ServeStream and tests drive. Thread-safe once
+  /// tenants are registered.
   Response Handle(const Request& request);
 
   /// Serves framed requests from `in` until EOF, a framing error, or a
-  /// requested drain; responses are framed to `out` (executed requests in
-  /// submission order). Finishes every accepted request, then drains.
+  /// requested drain, one at a time: each is read, handled and its
+  /// response framed to `out` before the next is read. Then drains.
   Status ServeStream(std::istream& in, std::ostream& out);
 
   /// Asks the server to drain: only an atomic store, safe to call from a
@@ -140,11 +130,12 @@ class QaServer {
   /// to completion.
   void RequestDrain() { drain_requested_.store(true); }
 
-  /// Blocks until every in-flight request finished, then flushes each
+  /// Blocks until the admission controller is idle, then flushes each
   /// durable tenant (IntegrationPipeline::FlushDurability: a snapshot of
-  /// its warehouse and feed progress). Every fed question is already
-  /// durable at its commit, so the flush only shortens the next recovery.
-  /// Implies RequestDrain; idempotent.
+  /// its warehouse and feed progress). A request admitted after the drain
+  /// flag is set sees it and is rejected without executing. Every fed
+  /// question is already durable at its commit, so the flush only shortens
+  /// the next recovery. Implies RequestDrain; idempotent.
   Status Drain();
 
   /// True once a drain was requested (late arrivals are being rejected).
@@ -162,7 +153,7 @@ class QaServer {
   uint64_t now_tick() const { return tick_.load(); }
   /// Advances the logical clock (tests age cache entries this way).
   void AdvanceTicks(uint64_t ticks) { tick_.fetch_add(ticks); }
-  /// Requests currently admitted and unfinished.
+  /// Requests currently admitted and unfinished (the admission depth).
   size_t inflight() const;
   /// @}
 
@@ -233,10 +224,6 @@ class QaServer {
   /// `dwqa_serve_requests_total{endpoint, outcome}`.
   void CountOutcome(const Request& request, const Response& response);
 
-  /// In-flight accounting around Execute.
-  void BeginRequest();
-  void FinishRequest(const std::string& tenant, double cost);
-
   /// Endpoints and terminal outcomes ("ok", "rejected", "error") that
   /// index the per-request series slots.
   static constexpr size_t kEndpointCount =
@@ -256,11 +243,8 @@ class QaServer {
   std::map<std::string, std::unique_ptr<Tenant>> tenants_;
   std::atomic<uint64_t> tick_{0};
   std::atomic<bool> drain_requested_{false};
-
-  mutable std::mutex drain_mu_;
-  std::condition_variable drain_cv_;
-  size_t inflight_ = 0;
-  bool durability_flushed_ = false;
+  /// Set by the first Drain, which alone flushes durability.
+  std::atomic<bool> durability_flushed_{false};
 };
 
 }  // namespace serve

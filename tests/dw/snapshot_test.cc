@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 
 #include "dw/persistence.h"
 #include "integration/last_minute_sales.h"
@@ -119,17 +121,30 @@ TEST(ManifestFuzzProperty, MutatedManifestsFailTypedOrRoundTrip) {
                 });
 }
 
-/// The snapshot commits by renaming its build directory, then syncs the
-/// parent directory so the rename itself is durable.
+/// The snapshot syncs its build directory once, after every file in it,
+/// commits by renaming that directory, then syncs the parent directory so
+/// the rename itself is durable.
 TEST_F(SnapshotTest, CommitRenameIsFollowedByADirectorySync) {
   FaultFs recorder(RealFilesystem());
   auto path = SnapshotWriter::Write(Dir(), PopulatedWarehouse(), {}, 7,
                                     &recorder);
   ASSERT_TRUE(path.ok()) << path.status().ToString();
   const std::vector<std::string>& ops = recorder.op_log();
-  ASSERT_GE(ops.size(), 2u);
-  EXPECT_EQ(ops[ops.size() - 2], "rename:" + *path + ".tmp");
+  const std::string tmp = *path + ".tmp";
+  ASSERT_GE(ops.size(), 3u);
+  EXPECT_EQ(ops[ops.size() - 3], "syncdir:" + tmp);
+  EXPECT_EQ(ops[ops.size() - 2], "rename:" + tmp);
   EXPECT_EQ(ops.back(), "syncdir:" + Dir());
+  EXPECT_EQ(std::count(ops.begin(), ops.end(), "syncdir:" + tmp), 1);
+  // Every file written is synced before that directory sync.
+  std::set<std::string> written;
+  std::set<std::string> synced;
+  for (auto op = ops.begin(); op != ops.end() - 3; ++op) {
+    if (op->rfind("write:", 0) == 0) written.insert(op->substr(6));
+    if (op->rfind("sync:", 0) == 0) synced.insert(op->substr(5));
+  }
+  EXPECT_FALSE(written.empty());
+  EXPECT_EQ(synced, written);
 }
 
 TEST_F(SnapshotTest, WriteCommitVerifyRoundTrip) {

@@ -469,8 +469,7 @@ TEST_F(WalTest, RecordsFollowedByZerosScanClean) {
   ASSERT_TRUE(wal->AppendFact(SampleFact()).ok());
   ASSERT_TRUE(wal->Sync().ok());
   // The commit wrote in place: the segment keeps its preallocated size.
-  EXPECT_EQ(RealFilesystem()->FileSize(wal->current_segment_path())
-                .ValueOrDie(),
+  EXPECT_EQ(stdfs::file_size(wal->current_segment_path()),
             WalOptions().segment_bytes);
   WalScan scan = ScanWal(Dir()).ValueOrDie();
   EXPECT_FALSE(scan.torn_tail);

@@ -83,7 +83,7 @@ TEST_F(DegradationLadderTest, RelaxedRungRecoversTheBareNumber) {
   EXPECT_TRUE(best.has_value);
   // The bare 8; the date cardinals (31, 2004) must stay dates.
   EXPECT_EQ(best.value, 8.0);
-  EXPECT_EQ(best.score, degradation.relaxed_score);
+  EXPECT_EQ(best.score, kRelaxedScore);
   // Context still attached: location from question resolution, date carried
   // from the preceding date line.
   EXPECT_EQ(best.location, "Barcelona");
@@ -102,7 +102,7 @@ TEST_F(DegradationLadderTest, IrOnlyRungReturnsTheBestPassage) {
   EXPECT_EQ(best.level, DegradationLevel::kIrOnly);
   EXPECT_FALSE(best.has_value);  // A passage, not a value.
   EXPECT_NE(best.answer_text.find("Barcelona"), std::string::npos);
-  EXPECT_EQ(best.score, degradation.ir_only_score);
+  EXPECT_EQ(best.score, kIrOnlyScore);
 }
 
 TEST_F(DegradationLadderTest, FullAnswersNeverReachTheLowerRungs) {

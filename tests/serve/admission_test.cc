@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "common/metric_names.h"
 #include "common/metrics.h"
 
@@ -132,6 +134,21 @@ TEST(AdmissionTest, ShedsAndGaugesLandInTheRegistry) {
   EXPECT_DOUBLE_EQ(metrics.Value(kMetricServeQueueDepth), 0.0);
   EXPECT_DOUBLE_EQ(
       metrics.Value(kMetricServeTenantInflight, {{"tenant", "a"}}), 0.0);
+}
+
+TEST(AdmissionTest, WaitIdleReturnsOnceEveryAdmissionIsReleased) {
+  AdmissionController admission;
+  admission.WaitIdle();  // Idle from the start.
+  ASSERT_TRUE(admission.Admit("a", 1.0, 1).status.ok());
+  ASSERT_TRUE(admission.Admit("b", 2.0, 1).status.ok());
+  std::thread releaser([&admission] {
+    admission.Release("a", 1.0);
+    admission.Release("b", 2.0);
+  });
+  admission.WaitIdle();
+  EXPECT_EQ(admission.depth(), 0u);
+  EXPECT_EQ(admission.queued_cost(), 0.0);
+  releaser.join();
 }
 
 }  // namespace

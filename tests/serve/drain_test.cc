@@ -2,18 +2,20 @@
 // snapshots each durable tenant, rejects late arrivals with the typed
 // Draining code, and the framed serving loop settles every frame before
 // draining.
-// Runs under the `threads` label too: the concurrent-clients test is the
+// Runs under the `threads` label too: the concurrent-client tests are the
 // TSan surface of the serving layer.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
 #include <future>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/date.h"
@@ -22,6 +24,7 @@
 #include "dw/recovery.h"
 #include "dw/snapshot.h"
 #include "integration/last_minute_sales.h"
+#include "ir/document.h"
 #include "serve/server.h"
 #include "web/synthetic_web.h"
 
@@ -31,6 +34,16 @@ namespace {
 
 constexpr char kQuestion[] =
     "What is the temperature in Barcelona in January of 2004?";
+
+// Requests that reached Execute, from its latency histogram.
+uint64_t ExecutedRequests(QaServer& server) {
+  uint64_t executed = 0;
+  for (const MetricSnapshot& series :
+       server.metrics()->SnapshotFamily(kMetricServeRequestLatency)) {
+    executed += series.count;
+  }
+  return executed;
+}
 
 class DrainTest : public ::testing::Test {
  protected:
@@ -99,6 +112,19 @@ TEST_F(DrainTest, DrainFlushesCheckpointAndRejectsLateArrivals) {
   EXPECT_EQ(late.status, "rejected");
   EXPECT_EQ(late.code, "Draining");
   EXPECT_EQ(late.reason, "draining");
+  // It is rejected once and holds no admission.
+  MetricRegistry* metrics = server.metrics();
+  EXPECT_DOUBLE_EQ(
+      metrics->Value(kMetricServeRejections, {{"reason", "draining"}}), 1.0);
+  EXPECT_DOUBLE_EQ(metrics->FamilySum(kMetricServeRejections), 1.0);
+  EXPECT_DOUBLE_EQ(
+      metrics->Value(kMetricServeRequests,
+                     {{"endpoint", "ask"}, {"outcome", "rejected"}}),
+      1.0);
+  EXPECT_DOUBLE_EQ(metrics->Value(kMetricServeQueueDepth), 0.0);
+  EXPECT_DOUBLE_EQ(
+      metrics->Value(kMetricServeTenantInflight, {{"tenant", "a"}}), 0.0);
+  EXPECT_EQ(server.inflight(), 0u);
 
   // Health still answers while draining and says so.
   Request health;
@@ -161,6 +187,11 @@ TEST_F(DrainTest, ConcurrentClientsAllSettleAcrossADrain) {
   // the rest get typed rejections.
   server.RequestDrain();
   ASSERT_TRUE(server.Drain().ok());
+  // Nothing executes behind a drain: a request that passed the first
+  // drain check but was admitted after the flag was set is rejected, not
+  // run. Execute books its latency before releasing its admission, so the
+  // count read here covers every request Drain waited for.
+  const uint64_t executed_before_drain_returned = ExecutedRequests(server);
 
   size_t answered = 0;
   size_t rejected = 0;
@@ -179,7 +210,55 @@ TEST_F(DrainTest, ConcurrentClientsAllSettleAcrossADrain) {
     }
   }
   EXPECT_EQ(answered + rejected, 16u);
+  EXPECT_EQ(answered, executed_before_drain_returned);
   EXPECT_EQ(server.inflight(), 0u);
+}
+
+// Clients that ask until they are turned away cross each drain at every
+// point of Handle, the gap between its first drain check and its admission
+// included: every request either ran before Drain returned or was
+// rejected as draining. The interleaving that would run a request behind
+// the drain is rare, so the test drains many servers; a one-document
+// corpus keeps each cheap to build.
+TEST_F(DrainTest, NothingExecutesBehindADrain) {
+  constexpr int kRounds = 50;
+  constexpr int kClients = 2;
+  ir::DocumentStore docs;
+  docs.Add("http://weather.example/bcn", "Barcelona",
+           ir::DocFormat::kPlainText,
+           "The temperature in Barcelona in January of 2004 was 12 degrees.");
+  ServeTenantConfig tenant = TenantConfig("a");
+  tenant.docs = &docs;
+  for (int round = 0; round < kRounds; ++round) {
+    QaServer server;
+    ASSERT_TRUE(server.AddTenant(tenant).ok());
+    std::atomic<uint64_t> next_id{1};
+    std::vector<size_t> answered(kClients, 0);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        while (true) {
+          Response response = server.Handle(Ask(kQuestion, next_id++));
+          if (response.status != "ok") {
+            EXPECT_EQ(response.code, "Draining") << response.payload;
+            return;
+          }
+          ++answered[c];
+        }
+      });
+    }
+    // Drain once the clients are asking.
+    while (ExecutedRequests(server) < 8) std::this_thread::yield();
+    EXPECT_TRUE(server.Drain().ok());
+    const uint64_t executed_before_drain_returned = ExecutedRequests(server);
+    size_t total = 0;
+    for (int c = 0; c < kClients; ++c) {
+      clients[c].join();
+      total += answered[c];
+    }
+    EXPECT_EQ(total, executed_before_drain_returned) << "round " << round;
+    EXPECT_EQ(server.inflight(), 0u);
+  }
 }
 
 TEST_F(DrainTest, ServeStreamAnswersEveryFrameThenDrains) {

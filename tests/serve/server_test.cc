@@ -766,7 +766,7 @@ TEST_F(ServeTest, AdmissionCostBudgetWeighsBiByItsEstimate) {
   EXPECT_EQ(shed.code, "Overloaded");
   EXPECT_EQ(shed.reason, "cost_budget");
 
-  // With views attached the same request weighs its bi_cost floor and
+  // With views attached the same request weighs its floor cost of 4 and
   // clears the same budget.
   dw::ViewCatalog catalog;
   ASSERT_TRUE(
