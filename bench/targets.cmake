@@ -46,23 +46,29 @@ dwqa_microbench(bench_micro_ontology)
 # mode plus one repetition of each microbench, all teeing into the shared
 # bench-JSON artifact (BENCH_phase3.json in the build dir unless
 # DWQA_BENCH_JSON overrides it). scripts/check.sh runs this label so a
-# broken bench or reporter fails CI, not just the nightly sweep.
+# broken bench or reporter fails CI, not just the nightly sweep. Each smoke
+# runs serially: its timings feed scripts/bench_compare.py's gate, and a
+# smoke timed beside other tests under `ctest -j` measures them too.
 add_test(NAME perf_fig3_aliqan_phases_smoke
   COMMAND bench_fig3_aliqan_phases --smoke
   WORKING_DIRECTORY ${CMAKE_BINARY_DIR})
-set_tests_properties(perf_fig3_aliqan_phases_smoke PROPERTIES LABELS perf)
+set_tests_properties(perf_fig3_aliqan_phases_smoke
+  PROPERTIES LABELS perf RUN_SERIAL TRUE)
 add_test(NAME perf_serve_load_smoke
   COMMAND bench_serve_load --smoke
   WORKING_DIRECTORY ${CMAKE_BINARY_DIR})
-set_tests_properties(perf_serve_load_smoke PROPERTIES LABELS perf)
+set_tests_properties(perf_serve_load_smoke
+  PROPERTIES LABELS perf RUN_SERIAL TRUE)
 add_test(NAME perf_recovery_smoke
   COMMAND bench_recovery --smoke
   WORKING_DIRECTORY ${CMAKE_BINARY_DIR})
-set_tests_properties(perf_recovery_smoke PROPERTIES LABELS perf)
+set_tests_properties(perf_recovery_smoke
+  PROPERTIES LABELS perf RUN_SERIAL TRUE)
 add_test(NAME perf_federation_smoke
   COMMAND bench_federation --smoke
   WORKING_DIRECTORY ${CMAKE_BINARY_DIR})
-set_tests_properties(perf_federation_smoke PROPERTIES LABELS perf)
+set_tests_properties(perf_federation_smoke
+  PROPERTIES LABELS perf RUN_SERIAL TRUE)
 foreach(micro bench_micro_text bench_micro_qa bench_micro_ir
         bench_micro_olap bench_micro_ontology)
   set(filter)
@@ -74,5 +80,6 @@ foreach(micro bench_micro_text bench_micro_qa bench_micro_ir
   add_test(NAME perf_${micro}_smoke
     COMMAND ${micro} --benchmark_min_time=0.01 ${filter}
     WORKING_DIRECTORY ${CMAKE_BINARY_DIR})
-  set_tests_properties(perf_${micro}_smoke PROPERTIES LABELS perf)
+  set_tests_properties(perf_${micro}_smoke
+    PROPERTIES LABELS perf RUN_SERIAL TRUE)
 endforeach()

@@ -354,6 +354,7 @@ bool ScanSegment(const std::string& file, const std::string& content,
                  Lsn filename_lsn, WalScan* scan) {
   WalSegmentInfo info;
   info.file = file;
+  info.file_bytes = content.size();
   const size_t data_end = DataEnd(content);
   auto tear = [&](size_t offset, const std::string& why) {
     info.torn_offset = offset;
@@ -462,6 +463,7 @@ Result<WalScan> ScanWal(const std::string& dir, Fs* fs) {
       info.file = name;
       info.start_lsn = filename_lsn;
       info.torn_offset = 0;
+      info.file_bytes = content.ok() ? content->size() : 0;
       scan.segments.push_back(info);
       continue;
     }
@@ -573,10 +575,19 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& dir,
     DWQA_RETURN_NOT_OK(writer->StartSegment(scan.last_lsn + 1));
   } else {
     // Resume right after the last record: a zero tail past it is the
-    // preallocated room the next appends fill.
-    DWQA_ASSIGN_OR_RETURN(writer->segments_.back().file_handle,
+    // preallocated room the next appends fill. A segment cut short gets
+    // that room back first, made durable once, as at creation.
+    const WalSegmentInfo& last = scan.segments.back();
+    DWQA_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
                           fs->OpenWritable(writer->current_segment_path()));
-    writer->current_segment_bytes_ = scan.segments.back().end_offset;
+    if (last.file_bytes < options.segment_bytes) {
+      DWQA_RETURN_NOT_OK(file->WriteAt(
+          last.file_bytes,
+          std::string(options.segment_bytes - last.file_bytes, '\0')));
+      DWQA_RETURN_NOT_OK(file->Sync());
+    }
+    writer->segments_.back().file_handle = std::move(file);
+    writer->current_segment_bytes_ = last.end_offset;
   }
   if (writer->instruments_.last_lsn != nullptr) {
     writer->instruments_.last_lsn->Set(static_cast<double>(writer->last_lsn_));

@@ -136,6 +136,8 @@ struct WalSegmentInfo {
   /// Byte offset just past the last whole record: where a writer resumes.
   /// A zero tail after it is the segment's unwritten room.
   size_t end_offset = 0;
+  /// Length of the file, zero tail included.
+  size_t file_bytes = 0;
   /// Byte offset of a torn/malformed tail inside this file
   /// (std::string::npos when the segment is clean).
   size_t torn_offset = static_cast<size_t>(-1);
@@ -222,8 +224,11 @@ CommittedLog ApplyCommitRule(const WalScan& scan, CommitSet base = {},
 /// the open segment, and the feed calls it once per question, after the
 /// question's commit record. Open() continues an existing log: it scans
 /// for the highest LSN, truncates any torn tail (same policy as recovery),
-/// and appends right after the newest segment's last record. Segments
-/// written before preallocation (no zero tail) scan and continue alike.
+/// and appends right after the newest segment's last record. When that
+/// segment is shorter than WalOptions::segment_bytes — cut by recovery, by
+/// a failed Sync, or written before preallocation — Open zero-fills it
+/// back to that size and syncs it once, so its commits again write in
+/// place.
 class WalWriter {
  public:
   /// Opens (or creates) the log at `dir`. `metrics` (optional) receives

@@ -129,6 +129,18 @@ PostingList EncodeRefGroups(
     const std::vector<std::pair<uint32_t, uint32_t>>& refs,
     size_t block_postings);
 
+/// Calls `fn(sentence)` for each of the `count` refs of one EncodeRefGroups
+/// group whose refs start at byte `offset` of `list`, in order.
+template <typename Fn>
+void ForEachRefAt(const PostingList& list, size_t offset, uint32_t count,
+                  Fn fn) {
+  uint32_t sentence = 0;
+  for (uint32_t i = 0; i < count; ++i) {
+    sentence += static_cast<uint32_t>(ReadVarint(list.bytes, &offset));
+    fn(sentence);
+  }
+}
+
 /// \brief Forward cursor over the document groups of an EncodeRefGroups
 /// list: a group's ordinal and ref count come from its header, and Next
 /// steps over its refs without decoding them.
@@ -140,16 +152,14 @@ class RefGroupCursor {
   uint32_t ordinal() const { return ordinal_; }
   /// Refs (matched sentences) of the current group.
   uint32_t count() const { return count_; }
+  /// Byte offset of the current group's first ref: with count(), what
+  /// ForEachRefAt needs to decode the group after the cursor moved on.
+  size_t refs_offset() const { return refs_pos_; }
 
   /// Calls `fn(sentence)` for each ref of the current group, in order.
   template <typename Fn>
   void ForEachRef(Fn fn) const {
-    size_t pos = refs_pos_;
-    uint32_t sentence = 0;
-    for (uint32_t i = 0; i < count_; ++i) {
-      sentence += static_cast<uint32_t>(ReadVarint(list_->bytes, &pos));
-      fn(sentence);
-    }
+    ForEachRefAt(*list_, refs_pos_, count_, fn);
   }
   /// Advances to the next group.
   void Next();

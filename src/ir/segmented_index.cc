@@ -122,9 +122,9 @@ struct KindInfo<PassageSegment> {
 };
 
 /// Forward cursor over the document groups of the memtable's uncompressed
-/// (ordinal, sentence) refs — the RefGroupCursor interface, so one scan
+/// (ordinal, sentence) refs — the RefGroupCursor interface, so one visit
 /// reads both kinds of source. A document's refs are contiguous, so a
-/// group is an index range.
+/// group is an index range and its refs offset is its first index.
 class MemtableGroupCursor {
  public:
   using Refs = std::vector<std::pair<uint32_t, uint32_t>>;
@@ -132,10 +132,7 @@ class MemtableGroupCursor {
   bool done() const { return begin_ >= refs_->size(); }
   uint32_t ordinal() const { return (*refs_)[begin_].first; }
   uint32_t count() const { return static_cast<uint32_t>(end_ - begin_); }
-  template <typename Fn>
-  void ForEachRef(Fn fn) const {
-    for (size_t i = begin_; i < end_; ++i) fn((*refs_)[i].second);
-  }
+  size_t refs_offset() const { return begin_; }
   void Next() {
     begin_ = end_;
     FindEnd();
@@ -155,10 +152,12 @@ class MemtableGroupCursor {
   size_t end_ = 0;
 };
 
-/// One query term's cursor over one source; `term` indexes the query.
+/// One query term's cursor over one source; `term` indexes the query and
+/// `list` is the sealed ref groups the cursor reads (null: the memtable).
 template <typename Cursor>
 struct TermCursor {
   size_t term;
+  const PostingList* list;
   Cursor cursor;
 };
 
@@ -617,6 +616,32 @@ std::vector<Passage> SegmentedPassageIndex::SearchTopK(
     size_t pos;
     size_t end;
   };
+  // Where one query term's refs of a visited document are, undecoded:
+  // `count` refs from `offset` — a byte offset into the sealed `list`'s
+  // ref groups, or an index into the memtable's refs when `list` is null.
+  struct RefSpan {
+    const PostingList* list;
+    uint32_t term;
+    uint32_t count;
+    size_t offset;
+  };
+  // A visited document awaiting its score: its bound and its RefSpans,
+  // spans[spans_begin, spans_end).
+  struct Pending {
+    double bound;
+    DocId doc;
+    uint32_t spans_begin;
+    uint32_t spans_end;
+  };
+  // Heap order: best bound first, lower DocId first among equal bounds.
+  auto lower_priority = [](const Pending& a, const Pending& b) {
+    if (a.bound != b.bound) return a.bound < b.bound;
+    return a.doc > b.doc;
+  };
+  std::vector<RefSpan> spans;
+  std::vector<Pending> pending;  // A max-heap under lower_priority.
+  std::vector<const MemtableGroupCursor::Refs*> memtable_refs(query.size(),
+                                                              nullptr);
   // Buffers reused across documents: the document's hits term by term
   // and then in (sentence, term) order, per-term counts over the document
   // and over the sliding window, and the document's scored windows.
@@ -627,10 +652,6 @@ std::vector<Passage> SegmentedPassageIndex::SearchTopK(
   std::vector<uint32_t> window_counts(query.size());
   std::vector<Window> windows;
   std::vector<const Window*> selected;
-  // Pruning tallies, added to the shared counters once per search.
-  size_t pruned_segments = 0;
-  size_t pruned_docs = 0;
-  size_t skipped_refs = 0;
 
   // Scores one surviving document's windows — one per matched sentence —
   // then greedily keeps its non-overlapping best windows (score desc,
@@ -691,14 +712,14 @@ std::vector<Passage> SegmentedPassageIndex::SearchTopK(
     }
   };
 
-  // Walks one source's per-term group cursors together in ordinal order.
-  // A document's per-term counts come from the group headers, and the
-  // document bound — the window formula on those counts capped at
-  // window_cap, which bound every window's counts, with the per-term
-  // score monotone in the count — is tested before any ref is read. Only a surviving document
-  // has its refs decoded and merged into (sentence, term) order. A
-  // document lives in exactly one source, so its counts are complete.
-  auto scan_source = [&](auto& cursors, const auto& doc_of) {
+  // Visit pass over one source: walks its per-term group cursors together
+  // in ordinal order and, from the group headers alone, records each
+  // document's bound — the window formula on its per-term counts capped
+  // at window_cap, which bound every window's counts, with the per-term
+  // score monotone in the count — and where its refs are. No ref is
+  // decoded here. A document lives in exactly one source, so its counts
+  // are complete.
+  auto visit_source = [&](auto& cursors, const auto& doc_of) {
     while (true) {
       uint32_t ordinal = std::numeric_limits<uint32_t>::max();
       for (const auto& c : cursors) {
@@ -706,87 +727,142 @@ std::vector<Passage> SegmentedPassageIndex::SearchTopK(
       }
       if (ordinal == std::numeric_limits<uint32_t>::max()) return;
       std::fill(doc_counts.begin(), doc_counts.end(), 0);
-      for (const auto& c : cursors) {
-        if (!c.cursor.done() && c.cursor.ordinal() == ordinal) {
-          doc_counts[c.term] = std::min(c.cursor.count(), window_cap);
-        }
-      }
-      bool pruned = theta.full() && score_counts(doc_counts) < theta.value();
-      if (pruned) ++pruned_docs;
-      term_hits.clear();
-      runs.clear();
+      Pending entry{0.0, doc_of(ordinal),
+                    static_cast<uint32_t>(spans.size()), 0};
       for (auto& c : cursors) {
         if (c.cursor.done() || c.cursor.ordinal() != ordinal) continue;
-        if (pruned) {
-          skipped_refs += c.cursor.count();
-        } else {
-          uint32_t term = static_cast<uint32_t>(c.term);
-          size_t begin = term_hits.size();
-          c.cursor.ForEachRef([&](uint32_t sentence) {
-            term_hits.push_back({sentence, term});
-          });
-          runs.push_back({begin, term_hits.size()});
-        }
+        doc_counts[c.term] = std::min(c.cursor.count(), window_cap);
+        spans.push_back({c.list, static_cast<uint32_t>(c.term),
+                         c.cursor.count(), c.cursor.refs_offset()});
         c.cursor.Next();
       }
-      if (pruned) continue;
-      // Merge the per-term runs (each in sentence order, runs in query
-      // order) into (sentence, term) order: ties go to the earlier run.
-      doc_hits.clear();
-      while (true) {
-        Run* next = nullptr;
-        for (Run& run : runs) {
-          if (run.pos < run.end &&
-              (next == nullptr ||
-               term_hits[run.pos].sentence < term_hits[next->pos].sentence)) {
-            next = &run;
-          }
-        }
-        if (next == nullptr) break;
-        doc_hits.push_back(term_hits[next->pos++]);
-      }
-      score_document(doc_of(ordinal));
+      entry.bound = score_counts(doc_counts);
+      entry.spans_end = static_cast<uint32_t>(spans.size());
+      pending.push_back(entry);
+      std::push_heap(pending.begin(), pending.end(), lower_priority);
     }
   };
 
-  // Memtable first (cheapest threshold warm-up), sealed segments after.
+  // Score pass: pops the best-bound pending document, decodes its refs,
+  // merges them into (sentence, term) order and scores it.
+  auto score_best = [&] {
+    std::pop_heap(pending.begin(), pending.end(), lower_priority);
+    const Pending entry = pending.back();
+    pending.pop_back();
+    term_hits.clear();
+    runs.clear();
+    for (uint32_t s = entry.spans_begin; s < entry.spans_end; ++s) {
+      const RefSpan& span = spans[s];
+      size_t begin = term_hits.size();
+      auto push = [&](uint32_t sentence) {
+        term_hits.push_back({sentence, span.term});
+      };
+      if (span.list == nullptr) {
+        const MemtableGroupCursor::Refs& refs = *memtable_refs[span.term];
+        for (size_t i = span.offset; i < span.offset + span.count; ++i) {
+          push(refs[i].second);
+        }
+      } else {
+        ForEachRefAt(*span.list, span.offset, span.count, push);
+      }
+      runs.push_back({begin, term_hits.size()});
+    }
+    // Merge the per-term runs (each in sentence order, runs in query
+    // order) into (sentence, term) order: ties go to the earlier run.
+    doc_hits.clear();
+    while (true) {
+      Run* next = nullptr;
+      for (Run& run : runs) {
+        if (run.pos < run.end &&
+            (next == nullptr ||
+             term_hits[run.pos].sentence < term_hits[next->pos].sentence)) {
+          next = &run;
+        }
+      }
+      if (next == nullptr) break;
+      doc_hits.push_back(term_hits[next->pos++]);
+    }
+    score_document(entry.doc);
+  };
+  // Scores pending documents best bound first while their bound exceeds
+  // `floor`. Stops at the first bound below a full threshold: no window of
+  // that document, nor of any document after it, can enter the top k.
+  auto score_above = [&](double floor) {
+    while (!pending.empty() && pending.front().bound > floor) {
+      if (theta.full() && pending.front().bound < theta.value()) return;
+      score_best();
+    }
+  };
+
+  // Memtable first, sealed segments after in descending segment bound —
+  // the window formula at each term's max matched sentences in any one
+  // document of the segment, so no document of it bounds higher. Before a
+  // segment is visited, every pending document bounding above it is
+  // scored: those come first in best-bound order anyway, and the
+  // threshold they raise may skip the segment and all after it unread.
   {
     std::vector<TermCursor<MemtableGroupCursor>> cursors;
     for (size_t t = 0; t < query.size(); ++t) {
       auto it = memtable_.postings.find(query[t].id);
       if (it == memtable_.postings.end()) continue;
-      cursors.push_back({t, MemtableGroupCursor(&it->second)});
+      memtable_refs[t] = &it->second;
+      cursors.push_back({t, nullptr, MemtableGroupCursor(&it->second)});
     }
-    scan_source(cursors,
-                [&](uint32_t ordinal) { return memtable_.docs[ordinal]; });
+    visit_source(cursors,
+                 [&](uint32_t ordinal) { return memtable_.docs[ordinal]; });
   }
-  std::vector<TermCursor<RefGroupCursor>> cursors;
-  std::vector<uint32_t> max_counts(query.size());
+  struct SegmentVisit {
+    double bound;
+    const PassageSegment* segment;
+  };
+  std::vector<SegmentVisit> segments;
   for (const auto& segment : sealed) {
-    // Segment-level bound: the window formula at each term's max
-    // matched sentences in any one document of the segment.
-    cursors.clear();
-    std::fill(max_counts.begin(), max_counts.end(), 0);
+    std::fill(doc_counts.begin(), doc_counts.end(), 0);
+    bool any = false;
     for (size_t t = 0; t < query.size(); ++t) {
       const PassageSegment::TermInfo* info = segment->Find(query[t].id);
       if (info == nullptr) continue;
-      max_counts[t] = std::min(info->max_occurrences, window_cap);
-      cursors.push_back({t, RefGroupCursor(&info->list)});
+      doc_counts[t] = std::min(info->max_occurrences, window_cap);
+      any = true;
     }
-    if (cursors.empty()) continue;
-    if (theta.full() && score_counts(max_counts) < theta.value()) {
-      ++pruned_segments;
-      continue;
+    if (any) segments.push_back({score_counts(doc_counts), segment.get()});
+  }
+  std::stable_sort(segments.begin(), segments.end(),
+                   [](const SegmentVisit& a, const SegmentVisit& b) {
+                     return a.bound > b.bound;
+                   });
+  size_t pruned_segments = 0;
+  std::vector<TermCursor<RefGroupCursor>> cursors;
+  for (size_t i = 0; i < segments.size(); ++i) {
+    score_above(segments[i].bound);
+    if (theta.full() && segments[i].bound < theta.value()) {
+      pruned_segments = segments.size() - i;
+      break;
     }
-    scan_source(cursors,
-                [&](uint32_t ordinal) { return segment->doc(ordinal); });
+    const PassageSegment& segment = *segments[i].segment;
+    cursors.clear();
+    for (size_t t = 0; t < query.size(); ++t) {
+      const PassageSegment::TermInfo* info = segment.Find(query[t].id);
+      if (info == nullptr) continue;
+      cursors.push_back({t, &info->list, RefGroupCursor(&info->list)});
+    }
+    visit_source(cursors,
+                 [&](uint32_t ordinal) { return segment.doc(ordinal); });
+  }
+  score_above(-std::numeric_limits<double>::infinity());
+  // Whatever is still pending bounds below the threshold: pruned unread.
+  size_t skipped_refs = 0;
+  for (const Pending& entry : pending) {
+    for (uint32_t s = entry.spans_begin; s < entry.spans_end; ++s) {
+      skipped_refs += spans[s].count;
+    }
   }
   Bump(metrics_.pruned_segments, static_cast<double>(pruned_segments));
-  Bump(metrics_.pruned_candidates, static_cast<double>(pruned_docs));
+  Bump(metrics_.pruned_candidates, static_cast<double>(pending.size()));
   Bump(metrics_.pruned_kind, static_cast<double>(skipped_refs));
 
   // Global rank over every selected window — a total order, so neither
-  // the per-source visit order above nor partial_sort's instability can
+  // the visit and scoring order above nor partial_sort's instability can
   // leak into the result.
   size_t top = std::min(k, candidates.size());
   std::partial_sort(candidates.begin(), candidates.begin() + top,

@@ -196,17 +196,19 @@ class SegmentedDocIndex : public SegmentManifest<DocSegment> {
 ///
 /// Sentence text lives in an index-level doc→sentences table (never inside
 /// segments), so the references PassageIndex::Sentences hands out survive
-/// seals and merges. Pruning runs in three steps: a segment whose per-term
-/// max matched sentences cannot reach the current k-th selected window
-/// score is skipped whole; then, per candidate document, the window
-/// formula on the document's per-term match counts — read from the group
-/// headers (EncodeRefGroups) and capped at the window length, since a
-/// term has at most one ref per sentence — bounds every window score, and
-/// a document strictly below the threshold is stepped over with its refs
-/// undecoded; only a surviving document's refs are decoded. Scoring is
-/// linear in the decoded refs (times the query length): the refs are
-/// merged into sentence order and a two-pointer window slides over them
-/// with one reused occurrence-count vector.
+/// seals and merges. A search runs in two passes. The visit pass reads
+/// only group headers (EncodeRefGroups): per candidate document, the window
+/// formula on its per-term match counts, capped at the window length since
+/// a term has at most one ref per sentence, bounds every window score, and
+/// the document is queued with that bound and where its refs are. The
+/// score pass takes documents best bound first, decodes and scores each,
+/// and stops at the first bound strictly below the current k-th selected
+/// window score: the rest are pruned with their refs undecoded. Sealed
+/// segments are visited in descending segment bound, each after the queued
+/// documents bounding above it, so a segment below the threshold is
+/// skipped whole. Scoring is linear in the decoded refs (times the query
+/// length): the refs are merged into sentence order and a two-pointer
+/// window slides over them with one reused occurrence-count vector.
 class SegmentedPassageIndex : public SegmentManifest<PassageSegment> {
  public:
   SegmentedPassageIndex(size_t window, SegmentedIndexOptions options)

@@ -60,6 +60,11 @@ Result<MergeReport> OntologyMerger::Merge(Ontology* upper,
   if (upper == nullptr) {
     return Status::InvalidArgument("upper ontology must not be null");
   }
+  // The passes read `domain`'s concepts and relation lists by reference
+  // while they add to `upper`: the two must be distinct ontologies.
+  if (upper == &domain) {
+    return Status::InvalidArgument("cannot merge an ontology into itself");
+  }
   MergeReport report;
   // Image of every domain concept in the upper ontology.
   std::unordered_map<ConceptId, ConceptId> image;

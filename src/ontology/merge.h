@@ -70,7 +70,8 @@ class OntologyMerger {
  public:
   /// Merges `domain` into `upper` (modified in place); returns the decision
   /// log. Relations among domain concepts (partOf, hasProperty, associated)
-  /// are carried over between the images of their endpoints.
+  /// are carried over between the images of their endpoints. Merging an
+  /// ontology into itself is InvalidArgument.
   static Result<MergeReport> Merge(Ontology* upper, const Ontology& domain,
                                    const MergeOptions& options = {});
 

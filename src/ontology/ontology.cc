@@ -183,32 +183,34 @@ Result<ConceptId> Ontology::FindClass(std::string_view lemma) const {
                           std::string(lemma) + "'");
 }
 
-std::vector<ConceptId> Ontology::Related(ConceptId id,
-                                         RelationKind kind) const {
-  if (!IsValidId(id)) return {};
+const std::vector<ConceptId>& Ontology::Related(ConceptId id,
+                                                RelationKind kind) const {
+  static const std::vector<ConceptId> kNone;
+  if (!IsValidId(id)) return kNone;
   auto it = edges_[size_t(id)].find(static_cast<int>(kind));
-  if (it == edges_[size_t(id)].end()) return {};
+  if (it == edges_[size_t(id)].end()) return kNone;
   return it->second;
 }
 
 bool Ontology::IsA(ConceptId a, ConceptId b) const {
   if (!IsValidId(a) || !IsValidId(b)) return false;
-  std::unordered_set<ConceptId> visited;
-  std::deque<ConceptId> queue{a};
-  while (!queue.empty()) {
-    ConceptId cur = queue.front();
-    queue.pop_front();
+  // Breadth-first over the upward edges, synonyms included. `walk` is the
+  // queue from `head` on and, as a whole, the visited set that bounds the
+  // walk. Upward walks are short, so a linear membership test is enough,
+  // and the thread's buffer keeps its capacity: a warm call allocates
+  // nothing.
+  thread_local std::vector<ConceptId> walk;
+  walk.assign(1, a);
+  for (size_t head = 0; head < walk.size(); ++head) {
+    ConceptId cur = walk[head];
     if (cur == b) return true;
-    if (!visited.insert(cur).second) continue;
     for (RelationKind k : {RelationKind::kInstanceOf, RelationKind::kHypernym,
                            RelationKind::kSynonymOf}) {
       for (ConceptId next : Related(cur, k)) {
-        // Synonym edges may be followed only once to avoid sideways drift;
-        // keeping it simple: allow, visited-set bounds the walk.
-        queue.push_back(next);
+        if (std::find(walk.begin(), walk.end(), next) == walk.end()) {
+          walk.push_back(next);
+        }
       }
-      // Synonym traversal from the start node only would be stricter; the
-      // small ontologies here do not create problematic synonym chains.
     }
   }
   return false;
@@ -220,10 +222,11 @@ std::vector<ConceptId> Ontology::HypernymPath(ConceptId id) const {
   ConceptId cur = id;
   while (IsValidId(cur) && seen.insert(cur).second) {
     path.push_back(cur);
-    std::vector<ConceptId> up = Related(cur, RelationKind::kInstanceOf);
-    if (up.empty()) up = Related(cur, RelationKind::kHypernym);
-    if (up.empty()) break;
-    cur = up.front();
+    const std::vector<ConceptId>* up =
+        &Related(cur, RelationKind::kInstanceOf);
+    if (up->empty()) up = &Related(cur, RelationKind::kHypernym);
+    if (up->empty()) break;
+    cur = up->front();
   }
   return path;
 }

@@ -108,8 +108,11 @@ class Ontology {
   /// heuristic: lowest id wins); instances are ignored. NotFound if none.
   Result<ConceptId> FindClass(std::string_view lemma) const;
 
-  /// Neighbors of `id` under `kind`.
-  std::vector<ConceptId> Related(ConceptId id, RelationKind kind) const;
+  /// Neighbors of `id` under `kind` (empty for an invalid id). The
+  /// reference is valid until this ontology next gains a concept or a
+  /// relation.
+  const std::vector<ConceptId>& Related(ConceptId id,
+                                        RelationKind kind) const;
 
   /// True if `a` reaches `b` via kInstanceOf/kHypernym edges (reflexive).
   bool IsA(ConceptId a, ConceptId b) const;

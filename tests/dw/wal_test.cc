@@ -375,6 +375,61 @@ TEST_F(WalTest, FailedSyncCutsTheUnsyncedTailAndFailsTheWriter) {
   EXPECT_EQ(wal->Append("reopened").ValueOrDie(), 2u);
 }
 
+/// Recovery's cut of a torn segment and a failed sync's cut both shrink
+/// the preallocated segment. Reopening gives it its zero tail back with
+/// one write and one sync, so later commits write in place again and the
+/// file's size stays put.
+TEST_F(WalTest, ReopenRestoresTheZeroTailOfACutSegment) {
+  WalOptions options;
+  options.segment_bytes = 4096;
+  const std::string segment = Dir() + "/wal-00000000000000000001.log";
+  {
+    auto wal = WalWriter::Open(Dir(), options).ValueOrDie();
+    ASSERT_TRUE(wal->Append("committed").ok());
+    ASSERT_TRUE(wal->Sync().ok());
+  }
+  // A torn record header over the zeros, as a crash mid-append leaves it.
+  const size_t end = ScanWal(Dir()).ValueOrDie().segments[0].end_offset;
+  ASSERT_TRUE(RealFilesystem()
+                  ->OpenWritable(segment)
+                  .ValueOrDie()
+                  ->WriteAt(end, "rec\t2\t99")
+                  .ok());
+  {
+    FaultFs recorder(RealFilesystem());
+    auto wal = WalWriter::Open(Dir(), options, &recorder).ValueOrDie();
+    EXPECT_EQ(recorder.op_log(),
+              (std::vector<std::string>{"mkdir:" + Dir(),
+                                        "truncate:" + segment,
+                                        "sync:" + segment,
+                                        "append:" + segment,
+                                        "sync:" + segment}));
+    EXPECT_EQ(stdfs::file_size(segment), 4096u);
+    ASSERT_EQ(wal->Append("after-recovery").ValueOrDie(), 2u);
+    ASSERT_TRUE(wal->Sync().ok());
+    EXPECT_EQ(stdfs::file_size(segment), 4096u);
+  }
+
+  // A failed sync cuts the unacknowledged record off the same way.
+  FailingSyncFs fs;
+  {
+    auto wal = WalWriter::Open(Dir(), options, &fs).ValueOrDie();
+    ASSERT_TRUE(wal->Append("unacknowledged").ok());
+    fs.fail_syncs = true;
+    EXPECT_FALSE(wal->Sync().ok());
+  }
+  EXPECT_LT(stdfs::file_size(segment), 4096u);
+  auto wal = WalWriter::Open(Dir(), options).ValueOrDie();
+  EXPECT_EQ(stdfs::file_size(segment), 4096u);
+  ASSERT_EQ(wal->Append("reopened").ValueOrDie(), 3u);
+  ASSERT_TRUE(wal->Sync().ok());
+  EXPECT_EQ(stdfs::file_size(segment), 4096u);
+  WalScan scan = ScanWal(Dir()).ValueOrDie();
+  EXPECT_FALSE(scan.torn_tail);
+  ASSERT_EQ(scan.records.size(), 3u);
+  EXPECT_EQ(scan.records[2].payload, "reopened");
+}
+
 /// A segment's text as the writer frames it (the layout wal.h documents),
 /// followed by `zeros` zero bytes.
 std::string SegmentText(Lsn start_lsn, const std::vector<WalRecord>& records,
@@ -554,7 +609,8 @@ TEST_F(WalTest, ReopenedWriterAppendsRightAfterTheLastRecord) {
 }
 
 /// A log written before segments were preallocated has no zero tail: it
-/// scans as it always did, and the writer continues it at its end.
+/// scans as it always did, and the writer gives its last segment the zero
+/// tail of a preallocated one and continues it at its last record.
 TEST_F(WalTest, LogWithoutAZeroTailScansAndContinues) {
   stdfs::create_directories(dir_);
   const std::string segment = (dir_ / "wal-00000000000000000001.log").string();
@@ -572,8 +628,12 @@ TEST_F(WalTest, LogWithoutAZeroTailScansAndContinues) {
     ASSERT_EQ(wal->Append("new-3").ValueOrDie(), 3u);
     ASSERT_TRUE(wal->Sync().ok());
   }
+  const std::string expected =
+      SegmentText(1, {{1, "old-1"}, {2, "old-2"}, {3, "new-3"}});
   EXPECT_EQ(ReadAll(segment),
-            SegmentText(1, {{1, "old-1"}, {2, "old-2"}, {3, "new-3"}}));
+            expected + std::string(WalOptions().segment_bytes -
+                                       expected.size(),
+                                   '\0'));
   WalScan after = ScanWal(Dir()).ValueOrDie();
   EXPECT_FALSE(after.torn_tail);
   EXPECT_EQ(after.records.size(), 3u);

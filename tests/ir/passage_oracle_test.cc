@@ -7,7 +7,8 @@
 // cannot catch a scoring bug: both of their sides run the same scorer.)
 // A second suite runs the oracle over each storage layout — memtable only,
 // all sealed, mixed — at k = 1, 5 and 50, with repeated query terms and
-// refs past the end of a sentence table.
+// refs past the end of a sentence table. A third draws corpora of many
+// identical documents, whose bounds and window scores all tie.
 
 #include <gtest/gtest.h>
 
@@ -316,6 +317,56 @@ TEST(PassageScoringOracleTest, EveryLayoutAndTopKMatchesBruteForce) {
   }
   // Refs past the end of a sentence table were searched and returned.
   EXPECT_GT(past_end, 0u);
+}
+
+/// One seeded corpus made mostly of copies of one random document under
+/// distinct ids, so document bounds, segment bounds and window scores tie
+/// across the copies; a few random documents ride along. Only the DocId
+/// tie-break of the final rank may decide between copies, never the
+/// order in which equal bounds leave the search's heap.
+void RunTieTrial(uint64_t seed) {
+  Rng rng(seed);
+  size_t window = 1 + rng.NextBelow(8);
+  SegmentedIndexOptions options;
+  options.seal_every = rng.NextBelow(3) == 0 ? 0 : 1 + rng.NextBelow(8);
+  options.merge_trigger = 1 + rng.NextBelow(4);
+  options.block_postings = 1 + rng.NextBelow(8);
+  SCOPED_TRACE(::testing::Message()
+               << "seed=" << seed << " window=" << window
+               << " seal_every=" << options.seal_every
+               << " merge_trigger=" << options.merge_trigger
+               << " block_postings=" << options.block_postings);
+  SegmentedPassageIndex index(window, options);
+  const OracleDoc original = RandomDoc(&rng, 0);
+  size_t copies = 8 + rng.NextBelow(24);
+  size_t extras = rng.NextBelow(4);
+  std::vector<OracleDoc> docs;
+  for (size_t i = 0; i < copies + extras; ++i) {
+    DocId id = static_cast<DocId>((i * 17 + seed) % 41);
+    if (i < copies) {
+      docs.push_back(original);
+      docs.back().id = id;
+    } else {
+      docs.push_back(RandomDoc(&rng, id));
+    }
+    index.Add(docs.back().id, docs.back().sentence_terms);
+    index.SetSentences(docs.back().id, docs.back().sentences);
+    if (rng.NextBelow(6) == 0) index.SealMemtable();
+  }
+  for (size_t q = 0; q < 6; ++q) {
+    SCOPED_TRACE(::testing::Message() << "query " << q);
+    std::vector<TermId> ids = RandomQuery(&rng);
+    for (size_t k : {1, 5, 50}) {
+      ExpectOracleResults(index, docs, window, ids, k);
+    }
+  }
+}
+
+TEST(PassageScoringOracleTest, TieHeavyCorporaMatchBruteForce) {
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    RunTieTrial(seed);
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 }  // namespace

@@ -311,6 +311,35 @@ TEST(SegmentedPassageIndexTest, PruningFiresAndResultsStayExact) {
   EXPECT_GT(pruned, 0.0);
 }
 
+TEST(SegmentedPassageIndexTest, BestBoundFirstScoresOnlyWhatCanEnterTheTopK) {
+  // N−1 weak documents match one query term; the one document matching
+  // both comes last in ordinal order. Scored best bound first, it sets
+  // the threshold before any weak document is read, so at k = 1 every
+  // weak document is pruned unscored, with its one ref.
+  constexpr size_t kDocs = 40;
+  for (bool sealed : {false, true}) {
+    SCOPED_TRACE(sealed ? "sealed" : "memtable");
+    MetricRegistry metrics;
+    SegmentedIndexOptions options;
+    options.seal_every = sealed ? kDocs : 0;
+    PassageIndex index(/*window=*/2, options);
+    index.set_metrics(&metrics);
+    for (size_t i = 0; i + 1 < kDocs; ++i) {
+      index.AddDocument(DocId(i), "Weak page about alpha.");
+    }
+    index.AddDocument(DocId(kDocs - 1), "Strong page about alpha and beta.");
+    ASSERT_EQ(index.sealed_segment_count(), sealed ? 1u : 0u);
+    std::vector<Passage> top = index.Search("alpha beta", 1);
+    ASSERT_EQ(top.size(), 1u);
+    EXPECT_EQ(top[0].doc, DocId(kDocs - 1));
+    MetricLabels passage = {{"index", "passage"}};
+    EXPECT_EQ(metrics.Value("dwqa_index_pruned_candidates_total", passage),
+              double(kDocs - 1));
+    EXPECT_EQ(metrics.Value("dwqa_index_pruned_windows_total", passage),
+              double(kDocs - 1));
+  }
+}
+
 template <typename Index>
 void ExpectSealAndInlineMergeEmitSpans() {
   SCOPED_TRACE(KindLabel<Index>());

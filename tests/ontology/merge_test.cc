@@ -167,6 +167,13 @@ TEST(MergeTest, NullUpperRejected) {
                   .IsInvalidArgument());
 }
 
+TEST(MergeTest, SelfMergeRejected) {
+  Ontology onto = DomainOntology();
+  size_t concepts = onto.concept_count();
+  EXPECT_TRUE(OntologyMerger::Merge(&onto, onto).status().IsInvalidArgument());
+  EXPECT_EQ(onto.concept_count(), concepts);
+}
+
 TEST(MergeTest, ReportCountsAreConsistent) {
   Ontology upper = MiniWordNet::Build();
   auto report = OntologyMerger::Merge(&upper, DomainOntology());
